@@ -73,7 +73,7 @@ func main() {
 	)
 	flag.Parse()
 
-	clientNC := shard.NetConfig{Token: *shardToken, HeartbeatInterval: *shardHB}
+	clientNC := shard.NetConfig{Token: *shardToken, HeartbeatInterval: *shardHB, Log: os.Stderr}
 	serverNC := clientNC
 	var err error
 	if *shardTLSCert != "" || *shardTLSKey != "" {
@@ -105,12 +105,12 @@ func main() {
 	var source <-chan shard.Worker
 	var shardLn net.Listener
 	if *shardListen != "" {
-		shardLn, source, err = shard.ListenWorkers(*shardListen, serverNC, os.Stderr)
+		shardLn, source, err = shard.ListenWorkers(*shardListen, serverNC)
 		exitOn(err)
 		fmt.Fprintf(os.Stderr, "availserve: accepting shard workers on %s\n", shardLn.Addr())
 	}
 
-	pool, err := shard.NewPoolOptions(workers, source, os.Stderr, shard.PoolOptions{LocalFallback: *localFB})
+	pool, err := shard.NewPool(workers, source, &shard.PoolOptions{Log: os.Stderr, LocalFallback: *localFB})
 	exitOn(err)
 
 	srv, err := serve.NewServer(serve.Config{

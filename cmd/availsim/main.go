@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -245,11 +246,8 @@ func main() {
 	}
 	if *shardJoin != "" {
 		fmt.Fprintf(os.Stderr, "availsim: joining shard coordinator %s\n", *shardJoin)
-		if *joinRetry {
-			exitOn(shard.JoinLoop(*shardJoin, *shardCapacity, clientNC, stopOnSignal(), os.Stderr))
-		} else {
-			exitOn(shard.JoinStop(*shardJoin, *shardCapacity, clientNC, stopOnSignal()))
-		}
+		clientNC.Retry = *joinRetry
+		exitOn(shard.Join(*shardJoin, *shardCapacity, clientNC, stopOnSignal()))
 		fmt.Fprintln(os.Stderr, "availsim: shard worker drained, exiting")
 		return
 	}
@@ -410,24 +408,27 @@ func runSharded(p sim.ArrayParams, o sim.Options, shards, nlocal int, checkpoint
 		workers = append(workers, local...)
 	}
 	defer closeAll()
-	cfg := shard.Config{
-		Params:     p,
-		Options:    o,
-		Shards:     shards,
-		Workers:    workers,
-		Checkpoint: checkpoint,
-		Log:        os.Stderr,
-	}
+	var source <-chan shard.Worker
 	if listen != "" {
-		ln, source, err := shard.ListenWorkers(listen, serverNC, os.Stderr)
+		ln, joiners, err := shard.ListenWorkers(listen, serverNC)
 		if err != nil {
 			return sim.Summary{}, err
 		}
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "availsim: accepting shard workers on %s\n", ln.Addr())
-		cfg.WorkerSource = source
+		source = joiners
 	}
-	return shard.Run(cfg)
+	pool, err := shard.NewPool(workers, source, &shard.PoolOptions{Log: os.Stderr})
+	if err != nil {
+		return sim.Summary{}, err
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(context.Background(), shard.RunSpec{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}, nil)
+	if err != nil {
+		return sim.Summary{}, err
+	}
+	res, err := tk.Wait()
+	return res.Summary, err
 }
 
 // shardNetConfigs resolves the -shard-* transport flags into the
@@ -436,7 +437,7 @@ func runSharded(p sim.ArrayParams, o sim.Options, shards, nlocal int, checkpoint
 // a CA bundle is given (the pair then doubles as the client
 // certificate for mutual TLS).
 func shardNetConfigs(token, cert, key, ca string, heartbeat time.Duration) (client, server shard.NetConfig, err error) {
-	client = shard.NetConfig{Token: token, HeartbeatInterval: heartbeat}
+	client = shard.NetConfig{Token: token, HeartbeatInterval: heartbeat, Log: os.Stderr}
 	server = client
 	if cert != "" || key != "" {
 		server.TLS, err = shard.ServerTLS(cert, key, ca)

@@ -206,11 +206,7 @@ func Simulate(p SimParams, o SimOptions) (SimSummary, error) { return sim.Run(p,
 // see SimulateRange and MergeSimPartials.
 type SimPartial = sim.Partial
 
-// ShardConfig configures a distributed Monte-Carlo run; see
-// internal/shard for the coordinator/worker architecture.
-type ShardConfig = shard.Config
-
-// ShardWorker executes shard jobs for a coordinator.
+// ShardWorker executes shard jobs for a ShardPool.
 type ShardWorker = shard.Worker
 
 // MaybeShardWorker turns this process into a shard worker when it was
@@ -226,64 +222,53 @@ func MaybeShardWorker() { shard.MaybeWorker() }
 // optional non-empty checkpoint path makes the run resumable after a
 // kill. The calling binary's main must start with MaybeShardWorker.
 func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpoint string) (SimSummary, error) {
-	return shard.RunLocal(p, o, shards, workerProcs, checkpoint, nil)
+	workers, err := shard.SpawnLocal(workerProcs)
+	if err != nil {
+		return SimSummary{}, err
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	res, err := shard.RunPipeline([]ShardRunSpec{{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}}, workers, nil)
+	return res[0].Summary, err
 }
 
-// ShardedRun executes a fully custom distributed run (remote TCP
-// workers via DialShardWorker, mixed pools, checkpoint logs).
-func ShardedRun(cfg ShardConfig) (SimSummary, error) { return shard.Run(cfg) }
-
 // ShardNetConfig tunes the TCP transport of the shard protocol:
-// shared-token authentication, TLS, connect/handshake timeouts, and
-// the heartbeat cadence bounding half-open-connection detection. The
-// zero value is a plaintext, unauthenticated link.
+// shared-token authentication, TLS, connect/handshake timeouts, the
+// heartbeat cadence bounding half-open-connection detection, and the
+// reconnect policy of a joining worker. The zero value is a plaintext,
+// unauthenticated link.
 type ShardNetConfig = shard.NetConfig
 
-// DialShardWorker attaches a remote worker serving the shard protocol
-// over TCP (ServeShardWorkers, or `availsim -shard-serve`).
-func DialShardWorker(addr string) (ShardWorker, error) { return shard.Dial(addr) }
-
-// DialShardWorkerNet is DialShardWorker with explicit transport
-// configuration (TLS, token authentication, timeouts).
+// DialShardWorkerNet attaches a remote worker serving the shard
+// protocol over TCP (ServeShardWorkersNet, or `availsim -shard-serve`).
 func DialShardWorkerNet(addr string, nc ShardNetConfig) (ShardWorker, error) {
 	return shard.DialNet(addr, nc)
 }
 
-// ServeShardWorkers turns this process into a TCP shard worker
+// ServeShardWorkersNet turns this process into a TCP shard worker
 // serving jobs on addr until the listener fails.
-func ServeShardWorkers(addr string) error { return shard.ListenAndServe(addr, nil) }
-
-// ServeShardWorkersNet is ServeShardWorkers with explicit transport
-// configuration (TLS termination, token authentication, heartbeats).
 func ServeShardWorkersNet(addr string, nc ShardNetConfig) error {
-	return shard.ListenAndServeNet(addr, nc, nil)
+	return shard.ListenAndServeNetStop(addr, nc, nil, nil)
 }
 
 // JoinShardCoordinator dials a coordinator accepting shard workers
 // (ListenShardWorkers, or `availsim -shard-listen`), registers with
 // the advertised capacity (0 = all local cores), and serves jobs until
-// the coordinator closes the connection.
+// the coordinator closes the connection — or, with nc.Retry, until a
+// clean close, reconnecting after transport failures.
 func JoinShardCoordinator(addr string, capacity int, nc ShardNetConfig) error {
-	return shard.Join(addr, capacity, nc)
-}
-
-// JoinShardCoordinatorLoop is the supervised form of
-// JoinShardCoordinator: transport and handshake failures are retried
-// with capped exponential backoff (deterministic jitter, see
-// ShardNetConfig's Retry fields), so the worker outlives coordinator
-// restarts and partitions. A clean coordinator close — or a close of
-// stop — ends the loop with nil. logw (nil = discard) receives one
-// line per failed session.
-func JoinShardCoordinatorLoop(addr string, capacity int, nc ShardNetConfig, stop <-chan struct{}, logw io.Writer) error {
-	return shard.JoinLoop(addr, capacity, nc, stop, logw)
+	return shard.Join(addr, capacity, nc, nil)
 }
 
 // ListenShardWorkers accepts workers joining via JoinShardCoordinator
 // (or `availsim -shard-join`) on addr, delivering each on the returned
-// channel, ready for ShardConfig.WorkerSource. Close the listener to
-// stop accepting and close the channel.
+// channel, ready to be NewShardPool's elastic source. Close the
+// listener to stop accepting and close the channel.
 func ListenShardWorkers(addr string, nc ShardNetConfig) (net.Listener, <-chan ShardWorker, error) {
-	return shard.ListenWorkers(addr, nc, nil)
+	return shard.ListenWorkers(addr, nc)
 }
 
 // SimulateRange computes the canonical cell partials of the aligned
@@ -464,11 +449,16 @@ func RunAllExperiments(w io.Writer, o ExperimentOptions) error {
 // byte-identical Summaries, whatever the worker or shard count — it
 // is the exact cache key availserve and SweepResult.Fingerprint use.
 func SimFingerprint(p SimParams, o SimOptions) (string, error) {
-	return shard.FingerprintOf(p, o)
+	w, err := shard.EncodeParams(p)
+	if err != nil {
+		return "", err
+	}
+	return shard.RunFingerprint(w, o), nil
 }
 
-// ShardPool is a persistent worker pool accepting runs over its
-// lifetime: the execution engine behind the availability service.
+// ShardPool is the shard execution engine: a worker pool accepting
+// runs over its lifetime (Submit, then Ticket.Wait), behind sharded
+// runs, sweeps and the availability service.
 type ShardPool = shard.Pool
 
 // ShardRunSpec is one run submitted to a ShardPool.
@@ -478,23 +468,15 @@ type ShardRunSpec = shard.RunSpec
 // iterations, adaptive half-width, convergence).
 type ShardRunProgress = shard.RunProgress
 
-// NewShardPool starts a persistent pool on the given workers and
-// optional elastic worker source. Close the pool to release them.
-func NewShardPool(workers []ShardWorker, source <-chan ShardWorker, logw io.Writer) (*ShardPool, error) {
-	return shard.NewPool(workers, source, logw)
-}
-
-// ShardPoolOptions tunes a persistent pool (degraded-mode in-process
-// fallback when the pool drains).
+// ShardPoolOptions tunes a ShardPool: its warning log and the
+// degraded-mode in-process fallback when the pool drains.
 type ShardPoolOptions = shard.PoolOptions
 
-// ShardPoolHealth is a snapshot of a pool's capacity to make progress
-// (the readiness probe's substance).
-type ShardPoolHealth = shard.PoolHealth
-
-// NewShardPoolOptions is NewShardPool with explicit tuning.
-func NewShardPoolOptions(workers []ShardWorker, source <-chan ShardWorker, logw io.Writer, opts ShardPoolOptions) (*ShardPool, error) {
-	return shard.NewPoolOptions(workers, source, logw, opts)
+// NewShardPool starts a pool on the given workers and optional elastic
+// worker source; nil opts are the defaults. Close the pool to release
+// them.
+func NewShardPool(workers []ShardWorker, source <-chan ShardWorker, opts *ShardPoolOptions) (*ShardPool, error) {
+	return shard.NewPool(workers, source, opts)
 }
 
 // ServiceConfig configures the availability-simulation HTTP service;

@@ -224,28 +224,34 @@ func (p *Proxy) acceptLoop() {
 		if p.scripts != nil {
 			sc = p.scripts(idx)
 		}
+		// The link is live for Inject before the target is dialed, so a
+		// fault injected the moment the far side accepts cannot miss it.
+		l := newLink(c, sc)
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			c.Close()
+			return
+		}
+		p.links = append(p.links, l)
+		p.mu.Unlock()
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
+			defer p.dropLink(l)
 			t, err := net.DialTimeout("tcp", target, 5*time.Second)
 			if err != nil {
 				// The dialer got a connection (to us) whose far side never
 				// came up: close it mid-handshake, which the shard layer
 				// must treat as a retryable error, not a clean close.
-				c.Close()
-				return
-			}
-			l := newLink(c, t, sc)
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
 				l.cut()
 				return
 			}
-			p.links = append(p.links, l)
-			p.mu.Unlock()
+			if !l.attach(t) {
+				t.Close() // cut (proxy closed, or an injected Cut) while dialing
+				return
+			}
 			l.run()
-			p.dropLink(l)
 		}()
 	}
 }
@@ -263,18 +269,19 @@ func (p *Proxy) dropLink(l *link) {
 
 // link is one proxied connection pair with its fault state.
 type link struct {
-	dialer, target net.Conn
+	dialer, target net.Conn   // target is set by attach, under mu
 	events         [2][]Event // per direction, sorted by At
 
 	mu         sync.Mutex
 	stallUntil [2]time.Time
+	severed    bool // cut before the target was attached
 
 	cutOnce sync.Once
 	pipes   sync.WaitGroup
 }
 
-func newLink(dialer, target net.Conn, sc Script) *link {
-	l := &link{dialer: dialer, target: target}
+func newLink(dialer net.Conn, sc Script) *link {
+	l := &link{dialer: dialer}
 	for _, ev := range sc.Events {
 		if ev.Dir != Up && ev.Dir != Down {
 			continue
@@ -286,6 +293,18 @@ func newLink(dialer, target net.Conn, sc Script) *link {
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	}
 	return l
+}
+
+// attach completes the link with its dialed target. It reports false
+// when the link was cut while the dial was in flight.
+func (l *link) attach(target net.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.severed {
+		return false
+	}
+	l.target = target
+	return true
 }
 
 func (l *link) run() {
@@ -399,7 +418,13 @@ func (l *link) blackholed(dir Dir) bool {
 
 func (l *link) cut() {
 	l.cutOnce.Do(func() {
+		l.mu.Lock()
+		l.severed = true
+		target := l.target
+		l.mu.Unlock()
 		l.dialer.Close()
-		l.target.Close()
+		if target != nil {
+			target.Close()
+		}
 	})
 }

@@ -183,7 +183,7 @@ func TestDelayHoldsBytes(t *testing.T) {
 	}
 }
 
-// TestPartitionSuppressesClose pins the semantics JoinLoop's
+// TestPartitionSuppressesClose pins the semantics a retrying shard Join's
 // retry/return distinction rests on: while a partition holds, a peer's
 // close is invisible — the survivor sees a silent link, not an EOF.
 func TestPartitionSuppressesClose(t *testing.T) {

@@ -11,13 +11,15 @@
 package serve
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"sync"
+
+	"herald/internal/ndjson"
 )
 
 // CacheStats is a point-in-time snapshot of the result cache,
@@ -41,9 +43,9 @@ type CacheStats struct {
 // restarts: the whole LRU is written as an ndjson snapshot (header line
 // then one entry per line, least- to most-recently-used, so a reload
 // reconstructs the recency order) every snapEvery insertions and on
-// drain, using the checkpoint idiom — write a temp file, fsync, rename
-// — so a crash mid-snapshot leaves the previous snapshot intact and a
-// torn tail only costs the entries behind it.
+// drain, as an internal/ndjson log — written to a temp file, fsynced
+// and renamed — so a crash mid-snapshot leaves the previous snapshot
+// intact and a torn tail only costs the entries behind it.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -185,43 +187,31 @@ func (c *resultCache) persistTo(path string, snapEvery int, logw io.Writer) erro
 // are inserted in file order — LRU first — so the reloaded cache has
 // the same eviction order the old process had.
 func (c *resultCache) load() error {
-	f, err := os.Open(c.path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("serve: cache snapshot %s: %w", c.path, err)
-	}
-	defer f.Close()
 	// Replay must not trigger a snapshot of the file being read;
 	// holding the snapping latch suppresses the insertion trigger.
 	c.mu.Lock()
 	c.snapping = true
 	c.mu.Unlock()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	line, n := 0, 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if line == 1 {
-			var h cacheSnapHeader
-			if err := json.Unmarshal(raw, &h); err != nil || h.Type != "header" || h.Format != cacheSnapFormat {
-				return fmt.Errorf("serve: cache snapshot %s: malformed header", c.path)
-			}
-			continue
+	n := 0
+	torn, err := ndjson.Scan(c.path, func(h *cacheSnapHeader) error {
+		if h.Type != "header" || h.Format != cacheSnapFormat {
+			return errors.New("malformed header")
 		}
-		var e cacheSnapEntry
-		if err := json.Unmarshal(raw, &e); err != nil || e.Type != "entry" || e.FP == "" || len(e.Body) == 0 {
-			// A torn tail from a crash mid-write: keep what precedes it.
-			fmt.Fprintf(c.logw, "serve: cache snapshot %s: dropping torn entry at line %d\n", c.path, line)
-			break
+		return nil
+	}, func(e *cacheSnapEntry) bool {
+		if e.Type != "entry" || e.FP == "" || len(e.Body) == 0 {
+			return false
 		}
 		c.put(e.FP, []byte(e.Body))
 		n++
+		return true
+	})
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, ndjson.ErrEmpty) {
+		err = nil
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("serve: cache snapshot %s: %w", c.path, err)
+	if torn > 0 {
+		// A torn tail from a crash mid-write: keep what precedes it.
+		fmt.Fprintf(c.logw, "serve: cache snapshot %s: dropping torn entry at line %d\n", c.path, torn)
 	}
 	c.mu.Lock()
 	c.loaded = n
@@ -232,6 +222,9 @@ func (c *resultCache) load() error {
 	c.sinceSnap = 0
 	c.snapping = false
 	c.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("serve: cache snapshot %s: %w", c.path, err)
+	}
 	return nil
 }
 
@@ -252,34 +245,8 @@ func (c *resultCache) snapshotNow() {
 	}
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
-	if err := writeCacheSnapshot(path, entries); err != nil {
+	hdr := cacheSnapHeader{Type: "header", Format: cacheSnapFormat, Version: 1}
+	if err := ndjson.Replace(path, hdr, entries); err != nil {
 		fmt.Fprintf(logw, "serve: cache snapshot %s: %v\n", path, err)
 	}
-}
-
-func writeCacheSnapshot(path string, entries []cacheSnapEntry) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(cacheSnapHeader{Type: "header", Format: cacheSnapFormat, Version: 1}); err != nil {
-		f.Close()
-		return err
-	}
-	for i := range entries {
-		if err := enc.Encode(&entries[i]); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -52,7 +52,7 @@ func startServer(t *testing.T, cfg serve.Config, workers ...shard.Worker) (*http
 	if len(workers) == 0 {
 		workers = []shard.Worker{shard.NewInProcessWorker("test", 2)}
 	}
-	pool, err := shard.NewPool(workers, nil, io.Discard)
+	pool, err := shard.NewPool(workers, nil, nil)
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}

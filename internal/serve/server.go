@@ -493,7 +493,7 @@ func (s *Server) execute(fl *flight, spec *shard.RunSpec, release func()) {
 }
 
 func (s *Server) runOnce(ctx context.Context, spec *shard.RunSpec, progress func(shard.RunProgress)) ([]byte, error) {
-	tk, err := s.cfg.Pool.SubmitCtx(ctx, *spec, progress)
+	tk, err := s.cfg.Pool.Submit(ctx, *spec, progress)
 	if err != nil {
 		return nil, err
 	}

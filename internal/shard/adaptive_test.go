@@ -42,7 +42,7 @@ func TestAdaptiveShardedMatchesInProcess(t *testing.T) {
 		want := summaryBytes(t, base)
 		for _, shards := range []int{1, 2, 7} {
 			workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
-			got, st, err := RunStats(Config{Params: p, Options: o, Shards: shards, Workers: workers})
+			got, st, err := runStats(runCfg{Params: p, Options: o, Shards: shards, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", pol, shards, err)
 			}
@@ -88,7 +88,7 @@ func TestAdaptiveWaveKilledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 4, Workers: workers, Log: &log})
+	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 4, Workers: workers, Log: &log})
 	if err != nil {
 		t.Fatalf("%v (log: %s)", err, log.String())
 	}
@@ -117,7 +117,7 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 
 	// First attempt: the only worker dies after 2 shards, failing the
 	// run — but those shards are checkpointed.
-	_, st, err := RunStats(Config{
+	_, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
 		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 2}},
 	})
@@ -128,7 +128,7 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 		t.Fatalf("first attempt computed %d shards, want 2", st.Computed)
 	}
 
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	})
@@ -157,7 +157,7 @@ func TestAdaptiveCheckpointTornTail(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "adaptive.ckpt")
 
 	// Interrupted first attempt leaves a partial checkpoint.
-	if _, _, err := RunStats(Config{
+	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
 		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}},
 	}); err == nil {
@@ -181,7 +181,7 @@ func TestAdaptiveCheckpointTornTail(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 		Log:     &log,
@@ -282,7 +282,7 @@ func TestPipelineMixedAdaptiveFixed(t *testing.T) {
 // and the worker stays usable for the next job.
 func TestWorkerCancelProtocol(t *testing.T) {
 	server, client := pipeTransports()
-	go func() { _ = Serve(server) }()
+	go func() { _ = serveConn(server) }()
 
 	p := testParams(sim.Conventional)
 	wire, err := EncodeParams(p)
@@ -459,9 +459,9 @@ func TestAdaptivePartition(t *testing.T) {
 func TestAdaptiveTCPWorker(t *testing.T) {
 	addr := make(chan net.Addr, 1)
 	go func() {
-		_ = ListenAndServe("127.0.0.1:0", func(a net.Addr) { addr <- a })
+		_ = ListenAndServeNetStop("127.0.0.1:0", NetConfig{}, func(a net.Addr) { addr <- a }, nil)
 	}()
-	w, err := Dial((<-addr).String())
+	w, err := DialNet((<-addr).String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestAdaptiveTCPWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 2, Workers: []Worker{w}})
+	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 2, Workers: []Worker{w}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestAdaptiveHeterogeneousPoolBitIdentical(t *testing.T) {
 			NewInProcessWorker("wide", 3),
 			NewInProcessWorker("narrow", 1),
 		}
-		got, st, err := RunStats(Config{Params: p, Options: o, Workers: workers})
+		got, st, err := runStats(runCfg{Params: p, Options: o, Workers: workers})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}

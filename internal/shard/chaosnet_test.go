@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -54,7 +55,7 @@ func TestChaosPartitionMidWaveByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := chaosNC(3)
-	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc, nil)
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,10 @@ func TestChaosPartitionMidWaveByteIdentical(t *testing.T) {
 	}
 	defer proxy.Close()
 	joinDone := make(chan error, 1)
-	go func() { joinDone <- JoinLoop(proxy.Addr(), 1, nc, nil, io.Discard) }()
+	go func() { joinDone <- Join(proxy.Addr(), 1, retrying(nc, io.Discard), nil) }()
 
 	logw := &syncLog{}
-	pool, err := NewPool(nil, joiners, logw)
+	pool, err := NewPool(nil, joiners, &PoolOptions{Log: logw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestChaosPartitionMidWaveByteIdentical(t *testing.T) {
 	// Partition the link the moment the first shard banks: the wave is
 	// provably mid-flight when the fault lands.
 	var once sync.Once
-	tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 8}, func(RunProgress) {
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 8}, func(RunProgress) {
 		once.Do(func() { proxy.Inject(chaos.Partition, chaos.Up, 2*time.Second) })
 	})
 	if err != nil {
@@ -149,7 +150,7 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	nc := chaosNC(4)
 
-	lnA, joinersA, err := ListenWorkers("127.0.0.1:0", nc, nil)
+	lnA, joinersA, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +161,14 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 	}
 	defer proxy.Close()
 	joinDone := make(chan error, 1)
-	go func() { joinDone <- JoinLoop(proxy.Addr(), 1, nc, nil, io.Discard) }()
+	go func() { joinDone <- Join(proxy.Addr(), 1, retrying(nc, io.Discard), nil) }()
 
 	poolA, err := NewPool(nil, joinersA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := RunSpec{Params: p, Options: o, Shards: 16, Checkpoint: ckpt}
-	tkA, err := poolA.Submit(spec, nil)
+	tkA, err := poolA.Submit(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 		t.Fatal("run survived its coordinator dying")
 	}
 
-	lnB, joinersB, err := ListenWorkers("127.0.0.1:0", nc, nil)
+	lnB, joinersB, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tkB, err := poolB.Submit(spec, nil)
+	tkB, err := poolB.Submit(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 func TestChaosStallTripsHeartbeatDeadline(t *testing.T) {
 	const hb = 100 * time.Millisecond
 	nc := NetConfig{Token: "chaos", HeartbeatInterval: hb}
-	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc, nil)
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestChaosStallTripsHeartbeatDeadline(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	joinErr := make(chan error, 1)
-	go func() { joinErr <- JoinStop(proxy.Addr(), 1, nc, stop) }()
+	go func() { joinErr <- Join(proxy.Addr(), 1, nc, stop) }()
 	var w Worker
 	select {
 	case w = <-joiners:
@@ -262,7 +263,7 @@ func TestChaosStallTripsHeartbeatDeadline(t *testing.T) {
 	case err := <-joinErr:
 		elapsed := time.Since(start)
 		if err == nil {
-			t.Fatal("stalled session ended cleanly; a stall must be an error, or JoinLoop would not retry")
+			t.Fatal("stalled session ended cleanly; a stall must be an error, or a retrying Join would not reconnect")
 		}
 		// The read deadline is heartbeatDeadlineFactor (4) times the
 		// coordinator's advertised interval; allow generous CI slack.

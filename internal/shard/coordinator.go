@@ -12,59 +12,36 @@ import (
 	"herald/internal/sim"
 )
 
-// Config describes one distributed run.
-type Config struct {
+// RunSpec is one run submitted to a Pool.
+type RunSpec struct {
 	// Params and Options configure the simulation exactly as sim.Run
 	// would receive them. Adaptive options (TargetHalfWidth, MaxIters)
-	// switch the coordinator to wave-based precision-targeted handout.
+	// switch the run to wave-based precision-targeted handout.
 	Params  sim.ArrayParams
 	Options sim.Options
-	// Shards is the number of contiguous iteration shards to
-	// partition the run into (default: one per worker). Shard
-	// boundaries always fall on the canonical cell boundaries, and the
-	// count is capped at the cell count, so over-asking is safe. For
-	// adaptive runs it is the shard count per wave.
+	// Shards is the number of contiguous iteration shards to partition
+	// the run into (default: one per initial pool slot, split in
+	// proportion to advertised capacities). Shard boundaries always fall
+	// on the canonical cell boundaries, and the count is capped at the
+	// cell count, so over-asking is safe. For adaptive runs it is the
+	// shard count per wave.
 	Shards int
-	// Workers execute the shards. Use SpawnLocal for sibling
-	// processes, Dial for remote TCP workers, NewInProcessWorker for
-	// this process. May be empty when WorkerSource is set.
-	Workers []Worker
-	// WorkerSource, when non-nil, delivers workers that join the pool
-	// while the run executes (elastic execution — see ListenWorkers).
-	// The run finishes with whatever workers are present; while the
-	// channel is open, a run whose last worker died waits for a joiner
-	// instead of failing. Workers received from the source are closed
-	// by the coordinator when the run ends; Workers remain the
-	// caller's to close.
-	WorkerSource <-chan Worker
 	// Checkpoint, when non-empty, is the path of the resume log:
 	// completed shards are appended as they finish, and a rerun with
 	// the same path and configuration skips them.
 	Checkpoint string
-	// Log receives progress warnings (torn checkpoints, dead workers,
-	// duplicate results). Nil discards them.
-	Log io.Writer
 }
 
-// RunSpec is one run of a pipelined multi-run execution: Config minus
-// the shared worker pool.
-type RunSpec struct {
-	Params     sim.ArrayParams
-	Options    sim.Options
-	Shards     int
-	Checkpoint string
-}
-
-// RunResult is one run's outcome in a pipelined execution.
+// RunResult is one run's outcome.
 type RunResult struct {
-	// Summary is the run's merged result (zero when the pipeline
-	// failed before the run finished).
+	// Summary is the run's merged result (zero when the pool failed
+	// before the run finished).
 	Summary sim.Summary
 	// Stats reports how the run unfolded.
 	Stats Stats
-	// Wall is the run's completion offset from the pipeline start —
-	// runs share the pool, so per-run spans overlap and the last run's
-	// Wall is the pipeline's total.
+	// Wall is the run's completion offset from the pool's creation —
+	// runs share the pool, so per-run spans overlap and, in a
+	// RunPipeline, the last run's Wall is the pipeline's total.
 	Wall time.Duration
 }
 
@@ -96,12 +73,12 @@ type Stats struct {
 	StoppedEarly bool
 }
 
-// Partition returns the contiguous shard ranges of a run of n
+// partition returns the contiguous shard ranges of a run of n
 // iterations split shards ways. Boundaries fall on the canonical cell
 // boundaries of internal/sim, so every shard's partials are exactly
 // the cells a single-process run would produce; the count is capped at
 // the cell count.
-func Partition(n, shards int) []sim.Range {
+func partition(n, shards int) []sim.Range {
 	cells := sim.Cells(n)
 	if shards < 1 {
 		shards = 1
@@ -220,79 +197,7 @@ func poolCapacities(workers []Worker) []int {
 	return caps
 }
 
-// Run executes the distributed run and returns its summary.
-func Run(cfg Config) (sim.Summary, error) {
-	s, _, err := RunStats(cfg)
-	return s, err
-}
-
-// RunStats is Run with the run's fault/resume statistics.
-func RunStats(cfg Config) (sim.Summary, Stats, error) {
-	res, err := RunPipelineSource([]RunSpec{{
-		Params:     cfg.Params,
-		Options:    cfg.Options,
-		Shards:     cfg.Shards,
-		Checkpoint: cfg.Checkpoint,
-	}}, cfg.Workers, cfg.WorkerSource, cfg.Log)
-	if len(res) != 1 {
-		return sim.Summary{}, Stats{}, err
-	}
-	return res[0].Summary, res[0].Stats, err
-}
-
-// RunPipeline executes several runs through one shared worker pool,
-// pipelined: a later run's shards are handed out as soon as a pool
-// slot frees up, so run k+1 starts while run k's tail shards (or
-// adaptive drain) still execute. Runs are prioritized in index order —
-// a worker only takes run k+1 work when run k has nothing queued — and
-// every run's Summary is bit-identical to executing it alone.
-//
-// The returned slice always has one RunResult per spec (zero Summary
-// for runs the pipeline failed before finishing); the error is the
-// first fatal condition, nil when every run completed.
-func RunPipeline(specs []RunSpec, workers []Worker, logw io.Writer) ([]RunResult, error) {
-	return RunPipelineSource(specs, workers, nil, logw)
-}
-
-// RunPipelineSource is RunPipeline with an elastic worker pool: beyond
-// the initial workers (which may be empty), every Worker delivered on
-// source joins the pool mid-run and starts taking shards. While source
-// is open, a pool whose last worker died waits for a joiner instead of
-// failing the run; once source is closed (or when it is nil) the old
-// static semantics apply. Workers received from source are closed by
-// the coordinator when the pipeline ends; the initial workers remain
-// the caller's to close.
-func RunPipelineSource(specs []RunSpec, workers []Worker, source <-chan Worker, logw io.Writer) ([]RunResult, error) {
-	out := make([]RunResult, len(specs))
-	if len(specs) == 0 {
-		return out, nil
-	}
-	pool, err := newPool(workers, source, logw, false)
-	if err != nil {
-		return out, err
-	}
-	defer pool.Close()
-	tickets := make([]*Ticket, 0, len(specs))
-	for i := range specs {
-		tk, err := pool.submit(&specs[i], nil)
-		if err != nil {
-			return out, err
-		}
-		tickets = append(tickets, tk)
-	}
-	pool.seal()
-	var firstErr error
-	for i, tk := range tickets {
-		res, err := tk.Wait()
-		out[i] = res
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
-}
-
-// runState is one run's private state inside a pipelined dispatch.
+// runState is one run's private state inside the pool's dispatcher.
 type runState struct {
 	idx  int
 	spec *RunSpec
@@ -326,13 +231,13 @@ type runState struct {
 	// bankedIters counts iterations banked so far (fixed runs report it
 	// as progress; adaptive runs report the folded prefix instead).
 	bankedIters int
-	// jobIDs records every job id issued for this run, so a persistent
-	// pool can drop the run's jobIndex entries once it is compacted out.
+	// jobIDs records every job id issued for this run, so the pool can
+	// drop the run's jobIndex entries once it is compacted out.
 	jobIDs []int
 
 	finished bool
 	// aborted carries the cancellation cause of a run ended by its
-	// deadline or caller (Ticket.Cancel, SubmitCtx context). Aborted
+	// deadline or caller (Ticket.Cancel, the Submit context). Aborted
 	// runs set finished too — the dispatcher treats them as over — but
 	// their tickets resolve with this error instead of a Summary.
 	aborted error
@@ -416,7 +321,7 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 		}
 		r.shards, r.waves = adaptivePartition(r.capIters, floor, shardCount, weights)
 	} else {
-		r.shards = Partition(spec.Options.Iterations, shardCount)
+		r.shards = partition(spec.Options.Iterations, shardCount)
 		all := make([]int, len(r.shards))
 		for i := range all {
 			all[i] = i
@@ -430,7 +335,7 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 	r.jobOptions.MaxIters = 0
 
 	if spec.Checkpoint != "" {
-		fp := Fingerprint(wire, spec.Options, len(r.shards))
+		fp := RunFingerprint(wire, spec.Options)
 		done, cp, err := openCheckpoint(spec.Checkpoint, fp, r.shards, spec.Options.Seed, spec.Options.MissionTime, logw)
 		if err != nil {
 			return nil, err
@@ -455,8 +360,8 @@ func sortParts(parts []sim.Partial) {
 }
 
 // jobKey names a (run, shard) pair; job ids map onto it. The run is
-// held by pointer so a persistent pool can compact finished runs out of
-// its scan list while in-flight replies still resolve.
+// held by pointer so the pool can compact finished runs out of its scan
+// list while in-flight replies still resolve.
 type jobKey struct {
 	r     *runState
 	shard int
@@ -468,7 +373,7 @@ type assignment struct {
 	w   Worker
 }
 
-// dispatcher is the pipelined coordinator's shared state.
+// dispatcher is a Pool's shared state.
 type dispatcher struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -484,13 +389,6 @@ type dispatcher struct {
 	// nextIdx numbers runs in submission order (the pipelining
 	// priority).
 	nextIdx int
-	// sealed marks a pipeline that will receive no further submissions:
-	// serve goroutines may retire once every known run finished. A
-	// persistent pool is never sealed; its serves park until Close.
-	sealed bool
-	// persistent distinguishes a long-lived Pool (runs compact away,
-	// a drained pool is a fatal condition) from a one-shot pipeline.
-	persistent bool
 	// closing is set by Pool.Close: claims stop, serves retire.
 	closing bool
 
@@ -501,10 +399,10 @@ type dispatcher struct {
 	// several jobs, and its death must count once, not once per job.
 	deadWorker map[Worker]bool
 
-	// fallback, when non-nil on a persistent pool, is a bounded
-	// in-process worker armed the moment the pool drains (every serve
-	// goroutine gone) instead of declaring the pool dead or parking
-	// runs indefinitely: degraded-mode serving. Armed at most once.
+	// fallback, when non-nil, is a bounded in-process worker armed the
+	// moment the pool drains (every serve goroutine gone) instead of
+	// declaring the pool dead or parking runs indefinitely:
+	// degraded-mode serving. Armed at most once.
 	fallback      Worker
 	fallbackArmed bool
 
@@ -512,9 +410,9 @@ type dispatcher struct {
 	live int            // serve goroutines not yet exited
 	// sourceOpen is true while an elastic worker source may still
 	// deliver joiners; it keeps a workerless pool waiting instead of
-	// declaring the run dead.
+	// declaring it dead.
 	sourceOpen bool
-	done       chan struct{} // closed when the pipeline must unwind
+	done       chan struct{} // closed when the pool must unwind
 	doneOnce   sync.Once
 }
 
@@ -563,50 +461,30 @@ func (d *dispatcher) armFallbackLocked() {
 	d.addWorkerLocked(d.fallback)
 }
 
-// exitServe retires one serve goroutine. When the last one goes and no
-// joiner can revive the pool — the source is closed, or there is no
-// pending work a joiner could take — the pipeline unwinds. A persistent
-// pool first arms its in-process fallback worker (when configured) so
-// parked runs keep making progress; without one it declares itself
-// dead (future submissions must fail fast) unless it is already
-// closing or a joiner may still arrive — with the source open, runs
-// park and resume when a supervised worker rejoins.
+// exitServe retires one serve goroutine.
 func (d *dispatcher) exitServe() {
 	d.mu.Lock()
 	d.live--
-	if d.live > 0 {
-		d.mu.Unlock()
-		return
-	}
-	if d.persistent {
-		if d.fallback != nil && !d.fallbackArmed {
-			d.armFallbackLocked()
-		} else if !d.sourceOpen && !d.closing {
-			d.failLocked(fmt.Errorf("shard: no live workers remain"))
-		}
-		d.mu.Unlock()
-		return
-	}
-	drained := !(d.sourceOpen && d.pendingWorkLocked())
+	d.drainedLocked()
 	d.mu.Unlock()
-	if drained {
-		d.signalDone()
-	}
 }
 
-// pendingWorkLocked reports whether any unfinished run still has
-// shards to hand out (queued, in flight for reassignment, or in
-// unopened waves). Callers hold d.mu.
-func (d *dispatcher) pendingWorkLocked() bool {
-	for _, r := range d.runs {
-		if r.finished {
-			continue
-		}
-		if len(r.queue) > 0 || r.inflight > 0 || r.nextWave < len(r.waves) {
-			return true
-		}
+// drainedLocked handles a pool that may have lost its last serve
+// goroutine. It first arms the in-process fallback worker (when
+// configured), so parked runs keep making progress. Without one, the
+// pool declares itself dead, so tickets resolve and future submissions
+// fail fast, unless it is already closing or a joiner may still arrive:
+// with the source open, runs park and resume when a supervised worker
+// rejoins. Callers hold d.mu.
+func (d *dispatcher) drainedLocked() {
+	if d.live > 0 {
+		return
 	}
-	return false
+	if d.fallback != nil && !d.fallbackArmed {
+		d.armFallbackLocked()
+	} else if !d.sourceOpen && !d.closing {
+		d.failLocked(fmt.Errorf("shard: no live workers remain"))
+	}
 }
 
 // jobSeq issues process-unique job ids. Uniqueness across coordinators
@@ -615,12 +493,6 @@ func (d *dispatcher) pendingWorkLocked() bool {
 // worker, and a later coordinator reusing the id would see its job
 // falsely answered as cancelled.
 var jobSeq atomic.Int64
-
-func (d *dispatcher) closeCheckpoints() {
-	for _, r := range d.runs {
-		r.cp.close()
-	}
-}
 
 // serve drives one worker: claim a job, run it, bank the result; on
 // worker death requeue the shard and retire.
@@ -637,10 +509,9 @@ func (d *dispatcher) serve(w Worker) {
 		case err == ErrJobCancelled:
 			d.cancelled(key, job.ID)
 		default:
-			if je, isJob := err.(*JobError); isJob {
+			if je, isJob := err.(*jobError); isJob {
 				// The worker is alive but rejected the job: rerunning
-				// elsewhere would fail identically, so the pipeline is
-				// dead.
+				// elsewhere would fail identically, so the pool is dead.
 				d.fail(key, job.ID, fmt.Errorf("shard: %w", je))
 				return
 			}
@@ -663,10 +534,11 @@ func (d *dispatcher) serve(w Worker) {
 	}
 }
 
-// claim blocks until a shard of some run is available, all work is
-// finished, or a fatal error occurred. Runs are scanned in index
-// order, which is what pipelines them: run k+1 work is only taken when
-// run k has nothing queued right now.
+// claim blocks until a shard of some run is available, or the pool
+// unwinds. Runs are scanned in submission order, which is what
+// pipelines them: run k+1 work is only taken when run k has nothing
+// queued right now. An idle serve parks here until a submission or a
+// requeue brings work.
 func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -674,14 +546,10 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 		if d.fatal != nil || d.closing {
 			return nil, jobKey{}, false
 		}
-		allFinished := true
-		inflight := 0
 		for _, r := range d.runs {
 			if r.finished {
 				continue
 			}
-			allFinished = false
-			inflight += r.inflight
 			d.refillLocked(r)
 			if len(r.queue) == 0 {
 				continue
@@ -704,18 +572,6 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 			return &Job{ID: jid, Start: rg.Start, End: rg.End, Params: r.wire,
 				Options: r.jobOptions, Cancellable: r.adaptive}, key, true
 		}
-		if d.sealed {
-			if allFinished {
-				return nil, jobKey{}, false
-			}
-			if inflight == 0 {
-				// Nothing queued, nothing running, not all done: every
-				// other worker is gone and there is no work to steal.
-				return nil, jobKey{}, false
-			}
-		}
-		// Unsealed (persistent or still-submitting) pools park here:
-		// a future Submit may bring work.
 		d.cond.Wait()
 	}
 }
@@ -894,29 +750,17 @@ func (d *dispatcher) finishLocked(r *runState, stopAt int) {
 	r.finished = true
 	r.wall = time.Since(d.start)
 	// A finished run's partials are dead weight for the rest of the
-	// pipeline — release them so a long sweep's heap stays one point
+	// pool's life — release them so a long sweep's heap stays one point
 	// deep. Every post-finish path is guarded by r.finished before it
 	// touches r.done.
 	r.done = nil
 	// The checkpoint takes no more records after finish; closing it here
-	// (rather than at pool shutdown) keeps a persistent pool's fd count
+	// (rather than at pool shutdown) keeps a long-lived pool's fd count
 	// flat.
 	r.cp.close()
 	r.cp = nil
 	r.emitProgress(true)
 	r.signalTerminal()
-	if d.sealed {
-		all := true
-		for _, rr := range d.runs {
-			if !rr.finished {
-				all = false
-				break
-			}
-		}
-		if all {
-			d.signalDone()
-		}
-	}
 	d.cond.Broadcast()
 }
 
@@ -949,18 +793,6 @@ func (d *dispatcher) abortRun(r *runState, cause error) {
 	r.cp = nil
 	fmt.Fprintf(d.logw, "shard: run %d aborted: %v\n", r.idx, cause)
 	r.signalTerminal()
-	if d.sealed {
-		all := true
-		for _, rr := range d.runs {
-			if !rr.finished {
-				all = false
-				break
-			}
-		}
-		if all {
-			d.signalDone()
-		}
-	}
 	d.cond.Broadcast()
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -59,7 +60,7 @@ func TestKilledWorkerReassigned(t *testing.T) {
 	}
 	var log bytes.Buffer
 	died := make(chan struct{})
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8,
 		Workers: []Worker{
 			&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 0, died: died},
@@ -86,7 +87,7 @@ func TestKilledWorkerReassigned(t *testing.T) {
 func TestAllWorkersDead(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	_, st, err := RunStats(Config{
+	_, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8,
 		Workers: []Worker{
 			&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 1},
@@ -129,7 +130,7 @@ func TestKilledProcessWorkerReassigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 6, Workers: workers, Log: &log})
+	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 6, Workers: workers, Log: &log})
 	if err != nil {
 		t.Fatalf("%v (log: %s)", err, log.String())
 	}
@@ -145,7 +146,7 @@ func TestKilledProcessWorkerReassigned(t *testing.T) {
 // duplicate arrives as a stray while the worker waits for its next
 // job's answer, exercising the exactly-once merge.
 type duplicatingTransport struct {
-	Transport
+	transport
 	replay []*Message
 }
 
@@ -155,7 +156,7 @@ func (d *duplicatingTransport) Recv() (*Message, error) {
 		d.replay = d.replay[1:]
 		return m, nil
 	}
-	m, err := d.Transport.Recv()
+	m, err := d.transport.Recv()
 	if err != nil {
 		return nil, err
 	}
@@ -176,12 +177,12 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	}
 
 	server, client := pipeTransports()
-	go func() { _ = Serve(server) }()
-	w := NewRemoteWorker("dup", &duplicatingTransport{Transport: client}, 1)
+	go func() { _ = serveConn(server) }()
+	w := newRemoteWorker("dup", &duplicatingTransport{transport: client}, 1)
 	defer w.Close()
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 5, Workers: []Worker{w}, Log: &log})
+	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 5, Workers: []Worker{w}, Log: &log})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestMalformedResultRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 4,
 		Workers: []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1)}},
 		Log:     &log,
@@ -254,7 +255,7 @@ func TestCheckpointResume(t *testing.T) {
 
 	// First attempt: the only worker dies after 3 of 8 shards, so the
 	// run fails — but the 3 shards are checkpointed.
-	_, st, err := RunStats(Config{
+	_, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
 		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}},
 	})
@@ -266,7 +267,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Resume with a healthy worker: only the remaining 5 recompute.
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	})
@@ -294,7 +295,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
 
 	// Complete a full run to get a valid checkpoint of all 6 shards.
-	if _, _, err := RunStats(Config{
+	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 6, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	}); err != nil {
@@ -318,7 +319,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
+	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 6, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 		Log:     &log,
@@ -343,7 +344,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 func TestMalformedResultsBounded(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	_, _, err := RunStats(Config{
+	_, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 2,
 		Workers: []Worker{&alwaysCorruptWorker{inner: NewInProcessWorker("w", 1)}},
 	})
@@ -373,7 +374,7 @@ func TestCheckpointResumeDifferentWorkers(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, _, err := RunStats(Config{
+	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	}); err != nil {
@@ -381,7 +382,7 @@ func TestCheckpointResumeDifferentWorkers(t *testing.T) {
 	}
 	o2 := o
 	o2.Workers = 7
-	_, st, err := RunStats(Config{
+	_, st, err := runStats(runCfg{
 		Params: p, Options: o2, Shards: 4, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	})
@@ -419,7 +420,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, _, err := RunStats(Config{
+	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	}); err != nil {
@@ -427,12 +428,49 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	}
 	o2 := o
 	o2.Seed++
-	_, _, err := RunStats(Config{
+	_, _, err := runStats(runCfg{
 		Params: p, Options: o2, Shards: 4, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
 	})
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("expected fingerprint mismatch error, got %v", err)
+	}
+}
+
+// TestCheckpointBindsRunAndPartition pins the checkpoint identity: the
+// header carries the run's RunFingerprint and shard count, and a rerun
+// with another partition is refused rather than misread.
+func TestCheckpointBindsRunAndPartition(t *testing.T) {
+	p := testParams(sim.Conventional)
+	o := testOptions()
+	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, _, err := runStats(runCfg{
+		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h checkpointHeader
+	if err := json.Unmarshal(bytes.SplitN(raw, []byte("\n"), 2)[0], &h); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := fingerprintOf(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Fingerprint != fp || h.Shards != 4 {
+		t.Errorf("header binds %s over %d shards, want %s over 4", h.Fingerprint, h.Shards, fp)
+	}
+	_, _, err = runStats(runCfg{
+		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("expected partition mismatch error, got %v", err)
 	}
 }
 
@@ -463,14 +501,14 @@ func TestSummarizeExactlyOnce(t *testing.T) {
 }
 
 // pipeTransports returns two in-memory transports wired back-to-back.
-func pipeTransports() (server, client Transport) {
+func pipeTransports() (server, client transport) {
 	cr, sw := newChanPipe()
 	sr, cw := newChanPipe()
-	server = NewTransport(struct {
+	server = newTransport(struct {
 		*chanReader
 		*chanWriter
 	}{sr, sw})
-	client = NewTransport(struct {
+	client = newTransport(struct {
 		*chanReader
 		*chanWriter
 	}{cr, cw})

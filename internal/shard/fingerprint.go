@@ -12,12 +12,12 @@ import (
 // RunFingerprint canonically identifies a run's *result*: every
 // result-affecting input — the wire-encoded parameters and the options,
 // with schedule-only knobs (Workers) zeroed and defaults normalized —
-// hashed with FNV-1a over canonical JSON, domain-separated from the
-// checkpoint fingerprint (which additionally binds the shard
-// partition; results are partition-independent, so a result cache must
-// not). Because execution is bit-identical across worker and shard
-// counts, two runs with equal fingerprints produce byte-identical
-// Summaries — an exact cache key, not an approximate one.
+// hashed with FNV-1a over canonical JSON. Because execution is
+// bit-identical across worker and shard counts, two runs with equal
+// fingerprints produce byte-identical Summaries — an exact cache key,
+// not an approximate one. A checkpoint binds this fingerprint plus its
+// shard count: results are partition-independent, but a checkpoint's
+// records are not.
 //
 // The string is stable across processes, machines and repo versions
 // (pinned by a test); changing what it covers requires bumping the
@@ -36,15 +36,4 @@ func RunFingerprint(p WireParams, o sim.Options) string {
 	_ = enc.Encode(p)
 	_ = enc.Encode(o)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// FingerprintOf is RunFingerprint from in-memory parameters: they are
-// wire-encoded first, so the fingerprint matches what a server computes
-// for the equivalent request.
-func FingerprintOf(p sim.ArrayParams, o sim.Options) (string, error) {
-	w, err := EncodeParams(p)
-	if err != nil {
-		return "", err
-	}
-	return RunFingerprint(w, o), nil
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -14,7 +13,7 @@ const (
 	defaultRetryMax  = 30 * time.Second
 )
 
-// joinBackoff produces the reconnect delay ladder of JoinLoop: capped
+// joinBackoff produces the reconnect delay ladder of a retrying Join: capped
 // exponential growth with deterministic jitter. Every delay is the
 // nominal base<<attempt (capped at max) scaled into [1/2, 1) by the
 // next draw of a seeded xrand stream, so two workers with different
@@ -59,25 +58,10 @@ func (b *joinBackoff) next() time.Duration {
 // session (one whose handshake completed).
 func (b *joinBackoff) reset() { b.attempt = 0 }
 
-// JoinLoop supervises Join: it dials the coordinator, serves shard
-// jobs, and — when the session dies of a transport or handshake error
-// (connection refused, mid-frame cut, stalled peer tripping the read
-// deadline, auth rejection) — reconnects with capped exponential
-// backoff and deterministic jitter (NetConfig.Retry*). A clean
-// coordinator close (EOF between frames: the coordinator finished and
-// closed the link) ends the loop with nil, as does a close of stop;
-// every other outcome is retried forever, so a worker box outlives
-// coordinator restarts and network partitions. A session that got past
-// the handshake resets the backoff ladder, so a long-healthy worker
-// redials quickly after a one-off drop instead of paying the
-// accumulated penalty.
-//
-// logw (nil = discard) receives one line per failed session and per
-// reconnect delay.
-func JoinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}, logw io.Writer) error {
-	if logw == nil {
-		logw = io.Discard
-	}
+// joinLoop is Join with nc.Retry set: it reruns join sessions until a
+// clean coordinator close or a close of stop.
+func joinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
+	nc = nc.withDefaults()
 	seed := nc.RetrySeed
 	if seed == 0 {
 		// Derive from the process identity: workers on one box (or
@@ -102,7 +86,7 @@ func JoinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}, log
 			backoff.reset()
 		}
 		d := backoff.next()
-		fmt.Fprintf(logw, "shard: join %s: %v; reconnecting in %s\n", addr, err, d.Round(time.Millisecond))
+		fmt.Fprintf(nc.Log, "shard: join %s: %v; reconnecting in %s\n", addr, err, d.Round(time.Millisecond))
 		select {
 		case <-stop:
 			return nil

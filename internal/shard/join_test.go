@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -89,7 +90,7 @@ func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 	stop := make(chan struct{})
 	logw := &syncLog{}
 	done := make(chan error, 1)
-	go func() { done <- JoinLoop(addr, 1, nc, stop, logw) }()
+	go func() { done <- Join(addr, 1, retrying(nc, logw), stop) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for strings.Count(logw.String(), "reconnecting in") < 3 {
 		if time.Now().After(deadline) {
@@ -110,7 +111,7 @@ func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 
 // TestJoinLoopCleanCloseEndsLoop runs a full pipeline over a
 // supervised joiner: the coordinator finishing and closing the link is
-// a clean close, so JoinLoop must return nil instead of reconnecting —
+// a clean close, so a retrying Join must return nil instead of reconnecting —
 // and the run's Summary must stay byte-identical to the in-process
 // baseline.
 func TestJoinLoopCleanCloseEndsLoop(t *testing.T) {
@@ -121,19 +122,19 @@ func TestJoinLoopCleanCloseEndsLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := NetConfig{Token: "join-loop", RetryBase: 10 * time.Millisecond, RetryMax: 50 * time.Millisecond, RetrySeed: 2}
-	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc, nil)
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	done := make(chan error, 1)
-	go func() { done <- JoinLoop(ln.Addr().String(), 2, nc, nil, io.Discard) }()
+	go func() { done <- Join(ln.Addr().String(), 2, retrying(nc, io.Discard), nil) }()
 
 	pool, err := NewPool(nil, joiners, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 4}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,28 +6,23 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-
-	"herald/internal/sim"
 )
 
-// defaultProcs returns the local worker-process count: one per core.
-func defaultProcs() int { return runtime.GOMAXPROCS(0) }
-
-// WorkerEnv is the environment variable that turns a process into a
+// workerEnv is the environment variable that turns a process into a
 // shard worker: any main that calls MaybeWorker first thing becomes
 // spawnable by SpawnLocal.
-const WorkerEnv = "HERALD_SHARD_WORKER"
+const workerEnv = "HERALD_SHARD_WORKER"
 
 // MaybeWorker checks whether this process was spawned as a local shard
-// worker (WorkerEnv set) and, if so, serves the shard protocol on
+// worker (HERALD_SHARD_WORKER set) and, if so, serves the shard protocol on
 // stdin/stdout until the coordinator closes the pipe, then exits. Call
 // it at the top of main() in any binary that spawns local workers;
 // it returns immediately in ordinary processes.
 func MaybeWorker() {
-	if os.Getenv(WorkerEnv) == "" {
+	if os.Getenv(workerEnv) == "" {
 		return
 	}
-	if err := ServeStream(stdio{}); err != nil {
+	if err := serveConn(newTransport(stdio{})); err != nil {
 		fmt.Fprintln(os.Stderr, "shard worker:", err)
 		os.Exit(1)
 	}
@@ -49,7 +44,7 @@ type processWorker struct {
 }
 
 // Close shuts the worker process down by closing its stdin (the
-// worker's Serve loop exits on EOF) and waiting for it; a process that
+// worker's job loop exits on EOF) and waiting for it; a process that
 // does not exit cleanly is killed.
 func (w *processWorker) Close() error {
 	w.stdin.Close()
@@ -74,7 +69,7 @@ func (w *processWorker) Kill() error {
 // returned worker when done.
 func SpawnLocal(n int) ([]Worker, error) {
 	if n < 1 {
-		n = defaultProcs()
+		n = runtime.GOMAXPROCS(0)
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -89,7 +84,7 @@ func SpawnLocal(n int) ([]Worker, error) {
 	}
 	for i := 0; i < n; i++ {
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), WorkerEnv+"=1")
+		cmd.Env = append(os.Environ(), workerEnv+"=1")
 		cmd.Stderr = os.Stderr
 		stdin, err := cmd.StdinPipe()
 		if err != nil {
@@ -102,7 +97,7 @@ func SpawnLocal(n int) ([]Worker, error) {
 		if err := cmd.Start(); err != nil {
 			return fail(fmt.Errorf("shard: spawn worker: %w", err))
 		}
-		t := NewTransport(struct {
+		t := newTransport(struct {
 			io.Reader
 			io.Writer
 		}{stdout, stdin})
@@ -113,31 +108,4 @@ func SpawnLocal(n int) ([]Worker, error) {
 		})
 	}
 	return workers, nil
-}
-
-// RunLocal is the one-call local sharding entry point: it spawns
-// procs sibling worker processes (default: GOMAXPROCS), partitions the
-// run into shards pieces (default: one per worker), executes, and
-// cleans the workers up. checkpoint may be empty.
-func RunLocal(p sim.ArrayParams, o sim.Options, shards, procs int, checkpoint string, logw io.Writer) (sim.Summary, error) {
-	if procs < 1 {
-		procs = defaultProcs()
-	}
-	workers, err := SpawnLocal(procs)
-	if err != nil {
-		return sim.Summary{}, err
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	return Run(Config{
-		Params:     p,
-		Options:    o,
-		Shards:     shards,
-		Workers:    workers,
-		Checkpoint: checkpoint,
-		Log:        logw,
-	})
 }

@@ -32,8 +32,8 @@ type NetConfig struct {
 	// with TLS for that.
 	Token string
 	// TLS, when non-nil, wraps the connection: as tls.Client config on
-	// dialing sides (Dial, Join) and tls.Server config on listening
-	// sides (ListenAndServe, ListenWorkers). See ServerTLS/ClientTLS
+	// dialing sides (DialNet, Join) and tls.Server config on listening
+	// sides (ListenAndServeNetStop, ListenWorkers). See ServerTLS/ClientTLS
 	// for building one from PEM files.
 	TLS *tls.Config
 	// HeartbeatInterval is how often this side sends protocol pings on
@@ -41,25 +41,32 @@ type NetConfig struct {
 	// heartbeatDeadlineFactor times the advertised interval, so a
 	// half-open connection is detected within that bound. Default 3s.
 	HeartbeatInterval time.Duration
-	// DialTimeout bounds the TCP connect of Dial and Join (the OS
+	// DialTimeout bounds the TCP connect of DialNet and Join (the OS
 	// default can be minutes for an unroutable address). Default 10s.
 	DialTimeout time.Duration
 	// HandshakeTimeout bounds the hello exchange (and TLS handshake)
 	// after the connection is up. Default 10s.
 	HandshakeTimeout time.Duration
-	// RetryBase and RetryMax bound JoinLoop's reconnect backoff: the
-	// delay starts at RetryBase, doubles per consecutive failure, and
-	// is capped at RetryMax (defaults 500ms and 30s). A session that
+	// Retry makes Join supervise its session: transport and handshake
+	// failures reconnect with backoff instead of ending Join (see Join).
+	Retry bool
+	// RetryBase and RetryMax bound a retrying Join's reconnect backoff:
+	// the delay starts at RetryBase, doubles per consecutive failure,
+	// and is capped at RetryMax (defaults 500ms and 30s). A session that
 	// got past the handshake resets the ladder.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// RetrySeed seeds the deterministic jitter stream of JoinLoop's
+	// RetrySeed seeds the deterministic jitter stream of the reconnect
 	// backoff (each delay is scaled into [1/2, 1) of its nominal value
 	// off an xrand stream), so reconnect storms desynchronize while
 	// tests replay the exact delay sequence. Zero derives a seed from
 	// the process identity — distinct workers then spread out — which
 	// is the right default everywhere outside a test.
 	RetrySeed uint64
+	// Log receives one line per rejected connection of a listening side
+	// (ListenAndServeNetStop, ListenWorkers), per accepted joiner, and
+	// per failed session of a retrying Join. Nil discards them.
+	Log io.Writer
 }
 
 const (
@@ -85,6 +92,9 @@ func (nc NetConfig) withDefaults() NetConfig {
 	}
 	if nc.HandshakeTimeout <= 0 {
 		nc.HandshakeTimeout = defaultHandshakeTimeout
+	}
+	if nc.Log == nil {
+		nc.Log = io.Discard
 	}
 	return nc
 }
@@ -225,7 +235,7 @@ var errAuth = fmt.Errorf("shard: authentication failed (token mismatch)")
 // returns the listener's final hello (capacity, heartbeat interval).
 // capacity is this side's advertisement (join mode); pass 0 when
 // dialing as a coordinator.
-func handshakeDialer(t Transport, nc NetConfig, capacity int) (*Message, error) {
+func handshakeDialer(t transport, nc NetConfig, capacity int) (*Message, error) {
 	srv, err := t.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
@@ -236,8 +246,8 @@ func handshakeDialer(t Transport, nc NetConfig, capacity int) (*Message, error) 
 	if srv.Type != MsgHello {
 		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", srv.Type)
 	}
-	if srv.Version != ProtocolVersion {
-		return nil, fmt.Errorf("shard: protocol version %d, want %d", srv.Version, ProtocolVersion)
+	if srv.Version != protocolVersion {
+		return nil, fmt.Errorf("shard: protocol version %d, want %d", srv.Version, protocolVersion)
 	}
 	nonce, err := newNonce()
 	if err != nil {
@@ -245,7 +255,7 @@ func handshakeDialer(t Transport, nc NetConfig, capacity int) (*Message, error) 
 	}
 	hello := &Message{
 		Type:        MsgHello,
-		Version:     ProtocolVersion,
+		Version:     protocolVersion,
 		Nonce:       nonce,
 		Capacity:    capacity,
 		HeartbeatMS: int(nc.HeartbeatInterval / time.Millisecond),
@@ -278,12 +288,12 @@ func handshakeDialer(t Transport, nc NetConfig, capacity int) (*Message, error) 
 // a coordinator. An authentication failure is answered with a protocol
 // error message before the connection is abandoned, so the dialer sees
 // a clean rejection instead of a reset.
-func handshakeListener(t Transport, nc NetConfig, capacity int) (*Message, error) {
+func handshakeListener(t transport, nc NetConfig, capacity int) (*Message, error) {
 	nonce, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Send(&Message{Type: MsgHello, Version: ProtocolVersion, Nonce: nonce}); err != nil {
+	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion, Nonce: nonce}); err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
 	}
 	cli, err := t.Recv()
@@ -293,9 +303,9 @@ func handshakeListener(t Transport, nc NetConfig, capacity int) (*Message, error
 	if cli.Type != MsgHello {
 		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", cli.Type)
 	}
-	if cli.Version != ProtocolVersion {
-		_ = t.Send(&Message{Type: MsgError, Error: fmt.Sprintf("protocol version %d, want %d", cli.Version, ProtocolVersion)})
-		return nil, fmt.Errorf("shard: protocol version %d, want %d", cli.Version, ProtocolVersion)
+	if cli.Version != protocolVersion {
+		_ = t.Send(&Message{Type: MsgError, Error: fmt.Sprintf("protocol version %d, want %d", cli.Version, protocolVersion)})
+		return nil, fmt.Errorf("shard: protocol version %d, want %d", cli.Version, protocolVersion)
 	}
 	if nc.Token != "" && !macValid(nc.Token, macLabelDialer, cli.Nonce, nonce, cli.MAC) {
 		_ = t.Send(&Message{Type: MsgError, Error: "authentication failed"})
@@ -303,7 +313,7 @@ func handshakeListener(t Transport, nc NetConfig, capacity int) (*Message, error
 	}
 	ack := &Message{
 		Type:        MsgHello,
-		Version:     ProtocolVersion,
+		Version:     protocolVersion,
 		Capacity:    capacity,
 		HeartbeatMS: int(nc.HeartbeatInterval / time.Millisecond),
 	}
@@ -350,18 +360,13 @@ func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTran
 // Coordinator-dials-worker mode
 // ---------------------------------------------------------------------
 
-// Dial attaches a remote TCP worker (a process running ListenAndServe,
-// e.g. `availsim -shard-serve`) with default network settings: bounded
-// connect and handshake timeouts, heartbeats, no TLS, no token. Jobs
-// sent to it use all of the remote machine's cores.
-func Dial(addr string) (Worker, error) {
-	return DialNet(addr, NetConfig{})
-}
-
-// DialNet is Dial with explicit transport configuration (TLS, token
-// auth, timeouts). The connect is bounded by nc.DialTimeout and the
-// handshake by nc.HandshakeTimeout, so an unroutable or wedged address
-// fails quickly with the address named in the error.
+// DialNet attaches a remote TCP worker (a process running
+// ListenAndServeNetStop, e.g. `availsim -shard-serve`). Jobs sent to it
+// use all of the remote machine's cores. The zero NetConfig is a
+// plaintext, unauthenticated link with heartbeats; the connect is
+// bounded by nc.DialTimeout and the handshake by nc.HandshakeTimeout,
+// so an unroutable or wedged address fails quickly with the address
+// named in the error.
 func DialNet(addr string, nc NetConfig) (Worker, error) {
 	nc = nc.withDefaults()
 	nc.TLS = clientTLSFor(nc.TLS, addr)
@@ -376,25 +381,15 @@ func DialNet(addr string, nc NetConfig) (Worker, error) {
 	return newRemoteWorker("tcp:"+addr, t, peer.Capacity), nil
 }
 
-// ListenAndServe runs a plaintext, unauthenticated TCP worker: it
-// accepts connections on addr and serves the shard protocol on each,
-// using every local core per job unless the job says otherwise. The
-// ready callback, when non-nil, receives the bound address before
-// accepting begins (useful with ":0").
-func ListenAndServe(addr string, ready func(net.Addr)) error {
-	return ListenAndServeNet(addr, NetConfig{}, ready)
-}
-
-// ListenAndServeNet is ListenAndServe with explicit transport
-// configuration: TLS termination, token authentication, and heartbeat
-// cadence. Handshake failures (bad token, version skew) drop the
-// connection without serving a single job.
-func ListenAndServeNet(addr string, nc NetConfig, ready func(net.Addr)) error {
-	return ListenAndServeNetStop(addr, nc, ready, nil)
-}
-
-// ListenAndServeNetStop is ListenAndServeNet with graceful shutdown:
-// when stop closes, the listener stops accepting, every connection
+// ListenAndServeNetStop runs a TCP worker: it accepts connections on
+// addr and serves the shard protocol on each, using every local core
+// per job unless the job says otherwise. nc configures TLS termination,
+// token authentication and heartbeat cadence; handshake failures (bad
+// token, version skew) drop the connection without serving a single
+// job. The ready callback, when non-nil, receives the bound address
+// before accepting begins (useful with ":0").
+//
+// When stop closes, the listener stops accepting, every connection
 // finishes the job it is executing, hands queued jobs back to its
 // coordinator as cancelled (they are reassigned to surviving workers),
 // and the function returns nil once all connections have drained. nil
@@ -435,11 +430,11 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 			defer conns.Done()
 			t, _, err := setupConn(c, nc, false, workerCapacity(0))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "shard: %s: %v\n", c.RemoteAddr(), err)
+				fmt.Fprintf(nc.Log, "shard: %s: %v\n", c.RemoteAddr(), err)
 				return
 			}
 			defer t.Close()
-			_ = serveJobsStop(t, stop)
+			_ = serveJobs(t, stop)
 		}(conn)
 	}
 }
@@ -454,21 +449,32 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 // the coordinator closes it. It returns nil on a clean close — the
 // coordinator finished — and the transport or handshake error
 // otherwise.
-func Join(addr string, capacity int, nc NetConfig) error {
-	return JoinStop(addr, capacity, nc, nil)
-}
-
-// JoinStop is Join with graceful shutdown: when stop closes, the worker
-// finishes its running job, hands queued jobs back to the coordinator
-// as cancelled (they are reassigned), closes the connection and returns
-// nil. nil stop serves until the coordinator closes the connection.
-func JoinStop(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
+//
+// When stop closes, the worker finishes its running job, hands queued
+// jobs back to the coordinator as cancelled (they are reassigned),
+// closes the connection and returns nil. nil stop serves until the
+// coordinator closes the connection.
+//
+// With nc.Retry set, Join supervises the session instead of returning
+// its failure: transport and handshake errors (connection refused,
+// mid-frame cut, a stalled peer tripping the read deadline, auth
+// rejection) reconnect with capped exponential backoff and
+// deterministic jitter (nc.Retry*), forever, so a worker box outlives
+// coordinator restarts and network partitions. Only a clean coordinator
+// close or a close of stop ends it. A session that got past the
+// handshake resets the backoff ladder, so a long-healthy worker redials
+// quickly after a one-off drop. nc.Log receives one line per failed
+// session and reconnect delay.
+func Join(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
+	if nc.Retry {
+		return joinLoop(addr, capacity, nc, stop)
+	}
 	_, err := joinOnce(addr, capacity, nc, stop)
 	return err
 }
 
 // joinOnce runs one join session end to end and additionally reports
-// whether the handshake completed — the healthiness signal JoinLoop
+// whether the handshake completed — the healthiness signal joinLoop
 // uses to reset its reconnect backoff. A nil error with joined=true is
 // a clean coordinator close (EOF between frames); an error after
 // joined=true is a session that broke mid-stream (mid-frame cut,
@@ -486,7 +492,7 @@ func joinOnce(addr string, capacity int, nc NetConfig, stop <-chan struct{}) (jo
 		return false, fmt.Errorf("shard: join %s: %w", addr, err)
 	}
 	defer t.Close()
-	return true, serveJobsStop(t, stop)
+	return true, serveJobs(t, stop)
 }
 
 // workerCapacity resolves a worker's advertised capacity: an explicit
@@ -501,14 +507,11 @@ func workerCapacity(capacity int) int {
 // ListenWorkers opens a coordinator-side registration listener:
 // workers that Join addr (and pass authentication) are wrapped as
 // remote Workers and delivered on the returned channel, ready to be
-// handed to Config.WorkerSource / RunPipelineSource. Closing the
-// listener stops the accept loop and closes the channel. logw (nil =
-// discard) receives one line per accepted or rejected registration.
-func ListenWorkers(addr string, nc NetConfig, logw io.Writer) (net.Listener, <-chan Worker, error) {
+// handed to NewPool as its elastic source. Closing the listener stops
+// the accept loop and closes the channel. nc.Log receives one line per
+// accepted or rejected registration.
+func ListenWorkers(addr string, nc NetConfig) (net.Listener, <-chan Worker, error) {
 	nc = nc.withDefaults()
-	if logw == nil {
-		logw = io.Discard
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
@@ -523,11 +526,11 @@ func ListenWorkers(addr string, nc NetConfig, logw io.Writer) (net.Listener, <-c
 			}
 			t, peer, err := setupConn(conn, nc, false, 0)
 			if err != nil {
-				fmt.Fprintf(logw, "shard: rejected worker %s: %v\n", conn.RemoteAddr(), err)
+				fmt.Fprintf(nc.Log, "shard: rejected worker %s: %v\n", conn.RemoteAddr(), err)
 				continue
 			}
 			name := fmt.Sprintf("join:%s", conn.RemoteAddr())
-			fmt.Fprintf(logw, "shard: worker %s joined (capacity %d)\n", name, peer.Capacity)
+			fmt.Fprintf(nc.Log, "shard: worker %s joined (capacity %d)\n", name, peer.Capacity)
 			ch <- newRemoteWorker(name, t, peer.Capacity)
 		}
 	}()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/x509"
@@ -21,14 +22,14 @@ import (
 	"herald/internal/sim"
 )
 
-// startWorkerServer runs ListenAndServeNet on a free port and returns
+// startWorkerServer runs ListenAndServeNetStop on a free port and returns
 // the bound address. The serve goroutine leaks for the test's
 // lifetime, like the plaintext TCP tests.
 func startWorkerServer(t *testing.T, nc NetConfig) string {
 	t.Helper()
 	ready := make(chan net.Addr, 1)
 	go func() {
-		if err := ListenAndServeNet("127.0.0.1:0", nc, func(a net.Addr) { ready <- a }); err != nil {
+		if err := ListenAndServeNetStop("127.0.0.1:0", nc, func(a net.Addr) { ready <- a }, nil); err != nil {
 			// The listener lives until process exit; report late
 			// failures without t (the test may be done).
 			fmt.Fprintln(os.Stderr, "test worker server:", err)
@@ -43,17 +44,25 @@ func startWorkerServer(t *testing.T, nc NetConfig) string {
 	}
 }
 
-// runWith executes the canonical test run on the given workers and
-// returns its summary bytes.
+// runWith executes the canonical test run on a pool over the given
+// workers and elastic source, and returns its summary bytes.
 func runWith(t *testing.T, workers []Worker, source <-chan Worker, logw io.Writer) ([]byte, Stats) {
 	t.Helper()
-	p := testParams(sim.Conventional)
-	o := testOptions()
-	res, err := RunPipelineSource([]RunSpec{{Params: p, Options: o, Shards: 4}}, workers, source, logw)
+	pool, err := NewPool(workers, source, &PoolOptions{Log: logw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	spec := RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 4}
+	tk, err := pool.Submit(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
-	return summaryBytes(t, res[0].Summary), res[0].Stats
+	return summaryBytes(t, res.Summary), res.Stats
 }
 
 // baselineBytes is the single-process reference for byte-identity.
@@ -213,7 +222,7 @@ func TestTLSTokenByteIdentity(t *testing.T) {
 // every Join returns cleanly once the coordinator closes it.
 func TestJoinRoundTrip(t *testing.T) {
 	nc := NetConfig{Token: "join-token"}
-	ln, source, err := ListenWorkers("127.0.0.1:0", nc, io.Discard)
+	ln, source, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestJoinRoundTrip(t *testing.T) {
 	joinErr := make(chan error, joiners)
 	for i := 0; i < joiners; i++ {
 		go func() {
-			joinErr <- Join(ln.Addr().String(), 1, nc)
+			joinErr <- Join(ln.Addr().String(), 1, nc, nil)
 		}()
 	}
 
@@ -231,13 +240,20 @@ func TestJoinRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, baselineBytes(t)) {
 		t.Error("joined-worker run is not byte-identical to the single-process baseline")
 	}
-	for i := 0; i < joiners; i++ {
+	// A joiner that registered after the run finished never reached the
+	// pool, which closed only the joiners it took; the coordinator
+	// closes the late one straight off the registration channel.
+	deadline := time.After(10 * time.Second)
+	for returned := 0; returned < joiners; {
 		select {
 		case err := <-joinErr:
+			returned++
 			if err != nil {
 				t.Errorf("join returned %v, want clean close", err)
 			}
-		case <-time.After(10 * time.Second):
+		case w := <-source:
+			w.Close()
+		case <-deadline:
 			t.Fatal("join did not return after the run")
 		}
 	}
@@ -249,13 +265,14 @@ func TestJoinRoundTrip(t *testing.T) {
 func TestJoinRejectedCleanly(t *testing.T) {
 	nc := NetConfig{Token: "right"}
 	var logbuf syncBuffer
-	ln, source, err := ListenWorkers("127.0.0.1:0", nc, &logbuf)
+	nc.Log = &logbuf
+	ln, source, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 
-	err = Join(ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second})
+	err = Join(ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second}, nil)
 	if err == nil {
 		t.Fatal("join with wrong token succeeded")
 	}
@@ -264,7 +281,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- Join(ln.Addr().String(), 1, nc) }()
+	go func() { done <- Join(ln.Addr().String(), 1, nc, nil) }()
 	got, _ := runWith(t, nil, source, io.Discard)
 	if !bytes.Equal(got, baselineBytes(t)) {
 		t.Error("run after rejected joiner is not byte-identical to the baseline")
@@ -425,7 +442,7 @@ func TestElasticJoinerFinishesAfterPoolDeath(t *testing.T) {
 	defer frozen.Close()
 
 	nc := NetConfig{Token: "elastic"}
-	ln, source, err := ListenWorkers("127.0.0.1:0", nc, io.Discard)
+	ln, source, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +454,7 @@ func TestElasticJoinerFinishesAfterPoolDeath(t *testing.T) {
 	joinErr := make(chan error, 1)
 	go func() {
 		time.Sleep(8 * hb)
-		joinErr <- Join(ln.Addr().String(), 1, nc)
+		joinErr <- Join(ln.Addr().String(), 1, nc, nil)
 	}()
 
 	got, stats := runWith(t, []Worker{frozen}, source, io.Discard)

@@ -34,13 +34,13 @@ type RunProgress struct {
 	Final bool
 }
 
-// Pool is a persistent shard-execution pool: the dispatcher of
-// RunPipeline kept alive across runs, so a long-lived process (a
-// simulation server) can submit runs as they arrive and share one
-// worker set — local processes, remote dials, elastic joiners — among
-// all of them. Runs are prioritized in submission order exactly as
-// RunPipeline prioritizes its specs; every run's Summary is
-// bit-identical to executing it alone.
+// Pool is the shard execution engine: a dispatcher over one worker set
+// — local processes, remote dials, elastic joiners — that accepts runs
+// for as long as it lives. Runs are prioritized in submission order: a
+// worker takes run k+1 work only when run k has nothing queued, so a
+// later run's shards start while an earlier run drains. Every run's
+// Summary is bit-identical to executing it alone. RunPipeline is the
+// one-call form for a fixed list of runs.
 //
 // The zero value is not usable; construct with NewPool.
 type Pool struct {
@@ -50,8 +50,12 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// PoolOptions tunes a persistent pool beyond its worker set.
+// PoolOptions tunes a pool beyond its worker set. A nil *PoolOptions
+// means the zero value.
 type PoolOptions struct {
+	// Log receives progress warnings (torn checkpoints, dead workers,
+	// duplicate results). Nil discards them.
+	Log io.Writer
 	// LocalFallback, when positive, arms degraded-mode execution: if
 	// the pool ever drains completely (every worker dead or departed),
 	// a bounded in-process worker with this parallelism joins so parked
@@ -61,44 +65,35 @@ type PoolOptions struct {
 	LocalFallback int
 }
 
-// NewPool builds a persistent pool over the initial workers plus an
-// optional elastic source (see RunPipelineSource for the source
-// contract). The initial workers remain the caller's to close — after
-// Close returns; workers delivered by source are closed by the pool.
+// NewPool builds a pool over the initial workers plus an optional
+// elastic source: every Worker delivered on source joins the pool and
+// starts taking shards. While source is open, a pool whose last worker
+// died parks its runs until a joiner arrives instead of failing them.
+// The initial workers remain the caller's to close — after Close
+// returns; workers delivered by source are closed by the pool.
 // Wave-sizing weights are snapshotted from the initial workers.
-func NewPool(workers []Worker, source <-chan Worker, logw io.Writer) (*Pool, error) {
-	return NewPoolOptions(workers, source, logw, PoolOptions{})
-}
-
-// NewPoolOptions is NewPool with explicit tuning (degraded-mode local
-// fallback).
-func NewPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, opts PoolOptions) (*Pool, error) {
-	return newPoolOptions(workers, source, logw, true, opts)
-}
-
-func newPool(workers []Worker, source <-chan Worker, logw io.Writer, persistent bool) (*Pool, error) {
-	return newPoolOptions(workers, source, logw, persistent, PoolOptions{})
-}
-
-func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, persistent bool, opts PoolOptions) (*Pool, error) {
-	if len(workers) == 0 && source == nil && opts.LocalFallback <= 0 {
+func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, error) {
+	var o PoolOptions
+	if opts != nil {
+		o = *opts
+	}
+	if len(workers) == 0 && source == nil && o.LocalFallback <= 0 {
 		return nil, fmt.Errorf("shard: no workers")
 	}
-	if logw == nil {
-		logw = io.Discard
+	if o.Log == nil {
+		o.Log = io.Discard
 	}
 	d := &dispatcher{
-		logw:       logw,
+		logw:       o.Log,
 		start:      time.Now(),
-		persistent: persistent,
 		jobIndex:   make(map[int]jobKey),
 		assigned:   make(map[int]*assignment),
 		deadWorker: make(map[Worker]bool),
 		sourceOpen: source != nil,
 		done:       make(chan struct{}),
 	}
-	if persistent && opts.LocalFallback > 0 {
-		d.fallback = NewInProcessWorker("local-fallback", opts.LocalFallback)
+	if o.LocalFallback > 0 {
+		d.fallback = NewInProcessWorker("local-fallback", o.LocalFallback)
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.caps = poolCapacities(workers)
@@ -123,17 +118,8 @@ func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, pers
 					if !ok {
 						d.mu.Lock()
 						d.sourceOpen = false
-						if d.live == 0 && d.fallback != nil && !d.fallbackArmed {
-							d.armFallbackLocked()
-						}
-						dead := d.live == 0
-						if dead && d.persistent && !d.closing {
-							d.failLocked(fmt.Errorf("shard: no live workers remain"))
-						}
+						d.drainedLocked()
 						d.mu.Unlock()
-						if dead && !d.persistent {
-							d.signalDone()
-						}
 						return
 					}
 					p.joined = append(p.joined, w)
@@ -150,6 +136,40 @@ func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, pers
 	return p, nil
 }
 
+// RunPipeline executes a fixed list of runs on a pool built over
+// workers, waits for every one, and closes the pool. The returned slice
+// always has one RunResult per spec (zero Summary for runs the pool
+// failed before finishing); the error is the first failure, nil when
+// every run completed. The workers remain the caller's to close.
+func RunPipeline(specs []RunSpec, workers []Worker, opts *PoolOptions) ([]RunResult, error) {
+	out := make([]RunResult, len(specs))
+	if len(specs) == 0 {
+		return out, nil
+	}
+	pool, err := NewPool(workers, nil, opts)
+	if err != nil {
+		return out, err
+	}
+	defer pool.Close()
+	tickets := make([]*Ticket, 0, len(specs))
+	for _, spec := range specs {
+		tk, err := pool.Submit(context.Background(), spec, nil)
+		if err != nil {
+			return out, err
+		}
+		tickets = append(tickets, tk)
+	}
+	var firstErr error
+	for i, tk := range tickets {
+		res, err := tk.Wait()
+		out[i] = res
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return out, firstErr
+}
+
 // Ticket is a handle on one submitted run.
 type Ticket struct {
 	d *dispatcher
@@ -157,40 +177,21 @@ type Ticket struct {
 }
 
 // Submit validates, partitions and enqueues one run on the pool.
+// Submission order is the pipelining priority. When ctx ends before the
+// run does, the run is aborted — queued shards dropped, in-flight jobs
+// cancelled through the protocol's cancel path — and the ticket
+// resolves with an error wrapping the context's cause; this is how a
+// client disconnect or a per-request deadline reaches the shard wire.
+// The pool itself stays usable.
+//
 // progress, when non-nil, observes the run's advance; it is invoked
 // with the pool's dispatch lock held and must return quickly without
 // blocking or calling back into the pool (hand observations to a
-// channel or buffer). Submission order is the pipelining priority.
-func (p *Pool) Submit(spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
-	return p.submit(&spec, progress)
-}
-
-// SubmitCtx is Submit bound to a context: when ctx ends before the run
-// does, the run is aborted — queued shards dropped, in-flight jobs
-// cancelled through the protocol's cancel path — and the ticket
-// resolves with an error wrapping ctx.Err(). This is how a client
-// disconnect or a per-request deadline reaches the shard wire. The
-// pool itself stays usable.
-func (p *Pool) SubmitCtx(ctx context.Context, spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
+// channel or buffer).
+func (p *Pool) Submit(ctx context.Context, spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("shard: run cancelled before submit: %w", err)
 	}
-	t, err := p.submit(&spec, progress)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.d.abortRun(t.r, fmt.Errorf("shard: run cancelled: %w", context.Cause(ctx)))
-		case <-t.r.notify:
-		case <-p.d.done:
-		}
-	}()
-	return t, nil
-}
-
-func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error) {
 	d := p.d
 	d.mu.Lock()
 	if err := p.submitErrLocked(); err != nil {
@@ -204,7 +205,7 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 
 	// Validation, partitioning and checkpoint restore run outside the
 	// dispatch lock (they may read files).
-	r, err := newRunState(idx, spec, caps, d.logw)
+	r, err := newRunState(idx, &spec, caps, d.logw)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +217,12 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 		r.cp.close()
 		return nil, err
 	}
-	if d.persistent {
-		d.compactLocked()
-		if d.live == 0 {
-			// Submitting to an empty pool (drained, or elastic and not yet
-			// populated): degraded mode starts now rather than parking the
-			// new run until a joiner happens by. No-op without a fallback.
-			d.armFallbackLocked()
-		}
+	d.compactLocked()
+	if d.live == 0 {
+		// Submitting to an empty pool (drained, or elastic and not yet
+		// populated): degraded mode starts now rather than parking the
+		// new run until a joiner happens by. No-op without a fallback.
+		d.armFallbackLocked()
 	}
 	// Insert in index order: concurrent submits may reach this point
 	// out of turn, and the scan order is the priority order.
@@ -239,6 +238,16 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 	d.advanceLocked(r)
 	d.cond.Broadcast()
 	d.mu.Unlock()
+	if ctx.Done() != nil {
+		go func() {
+			select {
+			case <-ctx.Done():
+				d.abortRun(r, fmt.Errorf("shard: run cancelled: %w", context.Cause(ctx)))
+			case <-r.notify:
+			case <-d.done:
+			}
+		}()
+	}
 	return &Ticket{d: d, r: r}, nil
 }
 
@@ -273,28 +282,6 @@ func (d *dispatcher) compactLocked() {
 		d.runs[i] = nil
 	}
 	d.runs = kept
-}
-
-// seal marks a one-shot pipeline complete on the submission side: serve
-// goroutines may retire once every submitted run finished.
-func (p *Pool) seal() {
-	p.d.mu.Lock()
-	p.d.sealed = true
-	allFinished := true
-	for _, r := range p.d.runs {
-		if !r.finished {
-			allFinished = false
-			break
-		}
-	}
-	if allFinished {
-		p.d.mu.Unlock()
-		p.d.signalDone()
-		p.d.cond.Broadcast()
-		return
-	}
-	p.d.mu.Unlock()
-	p.d.cond.Broadcast()
 }
 
 // Err reports the pool's fatal condition, nil while it is usable.
@@ -333,11 +320,8 @@ func (t *Ticket) Wait() (RunResult, error) {
 		return res, nil
 	case d.fatal != nil:
 		return res, d.fatal
-	case d.closing:
-		return res, fmt.Errorf("shard: pool closed")
 	default:
-		return res, fmt.Errorf("shard: %d of %d shards unassigned and no live workers remain",
-			len(r.shards)-len(r.done), len(r.shards))
+		return res, fmt.Errorf("shard: pool closed")
 	}
 }
 
@@ -410,7 +394,11 @@ func (p *Pool) Close() error {
 		for _, w := range p.joined {
 			w.Close()
 		}
-		d.closeCheckpoints()
+		d.mu.Lock()
+		for _, r := range d.runs {
+			r.cp.close()
+		}
+		d.mu.Unlock()
 	})
 	return nil
 }

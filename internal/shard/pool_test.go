@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -29,7 +30,7 @@ func TestPoolSubmitMatchesSim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: baseline: %v", pol, err)
 		}
-		tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 5}, nil)
+		tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 5}, nil)
 		if err != nil {
 			t.Fatalf("%v: submit: %v", pol, err)
 		}
@@ -68,7 +69,7 @@ func TestPoolConcurrentSubmits(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 3}, nil)
+			tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 3}, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -111,7 +112,7 @@ func TestPoolAdaptiveProgress(t *testing.T) {
 	defer pool.Close()
 	var mu sync.Mutex
 	var events []RunProgress
-	tk, err := pool.Submit(RunSpec{Params: p, Options: o}, func(pr RunProgress) {
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o}, func(pr RunProgress) {
 		mu.Lock()
 		events = append(events, pr)
 		mu.Unlock()
@@ -178,7 +179,7 @@ func TestPoolCloseResolvesTickets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 1}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestPoolCloseResolvesTickets(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("pool.Close did not return")
 	}
-	if _, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
+	if _, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
 		t.Fatal("submit after close succeeded")
 	}
 }
@@ -212,7 +213,7 @@ func TestPoolDeadWithoutWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	tk, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPoolDeadWithoutWorkers(t *testing.T) {
 	if pool.Err() == nil {
 		t.Fatal("pool reports no error after its last worker died")
 	}
-	if _, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
+	if _, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
 		t.Fatal("submit on a dead pool succeeded")
 	}
 }
@@ -246,7 +247,7 @@ func TestJoinStopDrainsGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, joiners, err := ListenWorkers("127.0.0.1:0", NetConfig{}, nil)
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestJoinStopDrainsGracefully(t *testing.T) {
 	stop := make(chan struct{})
 	joinErr := make(chan error, 1)
 	go func() {
-		joinErr <- JoinStop(ln.Addr().String(), 1, NetConfig{}, stop)
+		joinErr <- Join(ln.Addr().String(), 1, NetConfig{}, stop)
 	}()
 	joined := <-joiners // the worker's handshake completed
 	defer joined.Close()
@@ -265,9 +266,9 @@ func TestJoinStopDrainsGracefully(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = RunPipelineSource(
+		res, runErr = RunPipeline(
 			[]RunSpec{{Params: p, Options: o, Shards: 16}},
-			[]Worker{joined, NewInProcessWorker("local", 1)}, nil, nil)
+			[]Worker{joined, NewInProcessWorker("local", 1)}, nil)
 	}()
 	close(stop) // drain the joined worker mid-run
 	<-done
@@ -280,10 +281,10 @@ func TestJoinStopDrainsGracefully(t *testing.T) {
 	select {
 	case err := <-joinErr:
 		if err != nil {
-			t.Errorf("JoinStop returned %v, want nil", err)
+			t.Errorf("Join returned %v, want nil", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("JoinStop did not return")
+		t.Fatal("Join did not return")
 	}
 }
 
@@ -304,7 +305,7 @@ func TestListenAndServeNetStop(t *testing.T) {
 		serveErr <- ListenAndServeNetStop("127.0.0.1:0", NetConfig{}, func(a net.Addr) { addrCh <- a }, stop)
 	}()
 	addr := <-addrCh
-	remote, err := Dial(addr.String())
+	remote, err := DialNet(addr.String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +316,9 @@ func TestListenAndServeNetStop(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = RunPipelineSource(
+		res, runErr = RunPipeline(
 			[]RunSpec{{Params: p, Options: o, Shards: 16}},
-			[]Worker{remote, NewInProcessWorker("local", 1)}, nil, nil)
+			[]Worker{remote, NewInProcessWorker("local", 1)}, nil)
 	}()
 	close(stop) // drain the TCP worker mid-run
 	<-done
@@ -343,7 +344,7 @@ func TestListenAndServeNetStop(t *testing.T) {
 func TestRunFingerprintStable(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	fp, err := FingerprintOf(p, o)
+	fp, err := fingerprintOf(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,31 +359,31 @@ func TestRunFingerprintStable(t *testing.T) {
 func TestRunFingerprintScheduleIndependent(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	base, err := FingerprintOf(p, o)
+	base, err := fingerprintOf(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Schedule-only knobs do not change the result, so not the key.
 	o2 := o
 	o2.Workers = 17
-	if fp, _ := FingerprintOf(p, o2); fp != base {
+	if fp, _ := fingerprintOf(p, o2); fp != base {
 		t.Error("Workers changed the fingerprint")
 	}
 	// The confidence default and its explicit value are one run.
 	o3 := o
 	o3.Confidence = 0.99
-	if fp, _ := FingerprintOf(p, o3); fp != base {
+	if fp, _ := fingerprintOf(p, o3); fp != base {
 		t.Error("default vs explicit confidence changed the fingerprint")
 	}
 	// Result-affecting fields must change the key.
 	o4 := o
 	o4.Seed++
-	if fp, _ := FingerprintOf(p, o4); fp == base {
+	if fp, _ := fingerprintOf(p, o4); fp == base {
 		t.Error("seed change kept the fingerprint")
 	}
 	o5 := o
 	o5.Iterations *= 2
-	if fp, _ := FingerprintOf(p, o5); fp == base {
+	if fp, _ := fingerprintOf(p, o5); fp == base {
 		t.Error("iteration change kept the fingerprint")
 	}
 	// Biasing changes the sampled measure, so biased and unbiased runs
@@ -390,27 +391,19 @@ func TestRunFingerprintScheduleIndependent(t *testing.T) {
 	// deterministically, but against the parameters).
 	o6 := o
 	o6.Bias = 4
-	fpBias, _ := FingerprintOf(p, o6)
+	fpBias, _ := fingerprintOf(p, o6)
 	if fpBias == base {
 		t.Error("bias factor kept the fingerprint")
 	}
 	o7 := o
 	o7.Bias = sim.BiasAuto
-	if fp, _ := FingerprintOf(p, o7); fp == base || fp == fpBias {
+	if fp, _ := fingerprintOf(p, o7); fp == base || fp == fpBias {
 		t.Error("auto bias aliased another run")
 	}
 	// An explicit factor 1 is off — one run with the unbiased default.
 	o8 := o
 	o8.Bias = 1
-	if fp, _ := FingerprintOf(p, o8); fp != base {
+	if fp, _ := fingerprintOf(p, o8); fp != base {
 		t.Error("explicit bias 1 changed the fingerprint")
-	}
-	// Domain separation from the checkpoint fingerprint.
-	w, err := EncodeParams(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RunFingerprint(w, o) == Fingerprint(w, o, 1) {
-		t.Error("run fingerprint collides with the checkpoint fingerprint")
 	}
 }

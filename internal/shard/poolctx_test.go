@@ -43,7 +43,7 @@ func TestSubmitCtxCancelAbortsRun(t *testing.T) {
 	pool, bw := newBlockedPool(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tk, err := pool.SubmitCtx(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
+	tk, err := pool.Submit(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSubmitCtxCancelAbortsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk2, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 2}, nil)
+	tk2, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 2}, nil)
 	if err != nil {
 		t.Fatalf("submit after cancel: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestSubmitCtxDeadlineAbortsRun(t *testing.T) {
 	defer finishPool(t, pool, bw)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	tk, err := pool.SubmitCtx(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
+	tk, err := pool.Submit(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSubmitCtxRejectsDoneContext(t *testing.T) {
 	defer finishPool(t, pool, bw)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pool.SubmitCtx(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
+	if _, err := pool.Submit(ctx, RunSpec{Params: testParams(sim.Conventional), Options: testOptions()}, nil); err == nil {
 		t.Fatal("submit with a done context succeeded")
 	}
 }
@@ -113,7 +113,7 @@ func TestSubmitCtxRejectsDoneContext(t *testing.T) {
 func TestTicketCancel(t *testing.T) {
 	pool, bw := newBlockedPool(t)
 	defer finishPool(t, pool, bw)
-	tk, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,12 @@ func TestLocalFallbackCompletesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPoolOptions([]Worker{dyingWorker{}}, nil, nil, PoolOptions{LocalFallback: 2})
+	pool, err := NewPool([]Worker{dyingWorker{}}, nil, &PoolOptions{LocalFallback: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 3}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestPoolOptionsFallbackOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPoolOptions(nil, nil, nil, PoolOptions{LocalFallback: 2})
+	pool, err := NewPool(nil, nil, &PoolOptions{LocalFallback: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	tk, err := pool.Submit(RunSpec{Params: p, Options: o, Shards: 3}, nil)
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,12 @@
 // (precision-targeted) runs — shards handed out in geometrically
 // growing waves, results merged in completion order, the stopping rule
 // re-checked at every cell boundary of the banked prefix, and
-// outstanding jobs cancelled once it binds (RunPipeline, sim.StopScan)
-// — and pipelines several runs through one shared worker pool so a
-// scenario sweep's next point starts while the previous one drains
-// (RunPipeline, internal/sweep.MonteCarlo).
+// outstanding jobs cancelled once it binds (sim.StopScan) — and
+// pipelines several runs through one shared worker pool so a scenario
+// sweep's next point starts while the previous one drains. Pool is the
+// one execution engine: RunPipeline wraps it for a fixed list of runs
+// (internal/sweep.MonteCarlo), and long-lived processes submit to it
+// directly (internal/serve).
 //
 // The determinism rests on two contracts from lower layers: every
 // iteration reseeds its RNG stream from (seed, iteration index), so a
@@ -49,7 +51,7 @@ import (
 	"herald/internal/sim"
 )
 
-// ProtocolVersion identifies the wire protocol; hello messages carry
+// protocolVersion identifies the wire protocol; hello messages carry
 // it and mismatches abort the connection. Version 2 added the
 // cancel/cancelled pair adaptive runs use to abandon jobs whose
 // iterations the stopping rule made unnecessary. Version 3 added the
@@ -58,7 +60,7 @@ import (
 // advertisement), and queued job delivery (double-buffering): a
 // coordinator may keep more than one job outstanding per connection
 // and the worker executes them strictly in arrival order.
-const ProtocolVersion = 3
+const protocolVersion = 3
 
 // Message types.
 const (
@@ -248,15 +250,15 @@ func (w WireParams) Decode() (sim.ArrayParams, error) {
 	return p, nil
 }
 
-// Transport frames Messages over a byte stream: newline-delimited JSON
+// transport frames Messages over a byte stream: newline-delimited JSON
 // in both directions. Send is safe for concurrent use; Recv is not.
-type Transport interface {
+type transport interface {
 	Send(*Message) error
 	Recv() (*Message, error)
 	Close() error
 }
 
-// connTransport implements Transport over any read-write stream (a
+// connTransport implements transport over any read-write stream (a
 // TCP connection, a child process's stdio pipes, an in-memory pipe in
 // tests).
 type connTransport struct {
@@ -267,9 +269,9 @@ type connTransport struct {
 	once sync.Once
 }
 
-// NewTransport frames newline-delimited JSON messages over rw. If rw
+// newTransport frames newline-delimited JSON messages over rw. If rw
 // is an io.Closer, Close closes it.
-func NewTransport(rw io.ReadWriter) Transport {
+func newTransport(rw io.ReadWriter) transport {
 	t := &connTransport{
 		enc: json.NewEncoder(rw),
 		dec: json.NewDecoder(rw),

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"testing"
@@ -25,6 +26,40 @@ func testParams(pol sim.Policy) sim.ArrayParams {
 
 func testOptions() sim.Options {
 	return sim.Options{Iterations: 2000, MissionTime: 2e5, Seed: 20170327, Workers: 2}
+}
+
+// runCfg is one run plus the workers and log it executes on, for tests
+// that drive a single run through RunPipeline.
+type runCfg struct {
+	Params     sim.ArrayParams
+	Options    sim.Options
+	Shards     int
+	Checkpoint string
+	Workers    []Worker
+	Log        io.Writer
+}
+
+// runStats executes cfg as a one-run pipeline.
+func runStats(cfg runCfg) (sim.Summary, Stats, error) {
+	spec := RunSpec{Params: cfg.Params, Options: cfg.Options, Shards: cfg.Shards, Checkpoint: cfg.Checkpoint}
+	res, err := RunPipeline([]RunSpec{spec}, cfg.Workers, &PoolOptions{Log: cfg.Log})
+	return res[0].Summary, res[0].Stats, err
+}
+
+// retrying returns nc with supervised reconnects on, logging to logw.
+func retrying(nc NetConfig, logw io.Writer) NetConfig {
+	nc.Retry = true
+	nc.Log = logw
+	return nc
+}
+
+// fingerprintOf is RunFingerprint of in-memory parameters.
+func fingerprintOf(p sim.ArrayParams, o sim.Options) (string, error) {
+	w, err := EncodeParams(p)
+	if err != nil {
+		return "", err
+	}
+	return RunFingerprint(w, o), nil
 }
 
 // summaryBytes renders a Summary to its canonical JSON for
@@ -58,7 +93,7 @@ func TestShardedMatchesSingleProcessAllPolicies(t *testing.T) {
 			for i := range workers {
 				workers[i] = NewInProcessWorker("w", 1)
 			}
-			got, st, err := RunStats(Config{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
+			got, st, err := runStats(runCfg{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v shards=%d workers=%d: %v", pol, cfg.shards, cfg.workers, err)
 			}
@@ -83,7 +118,7 @@ func TestShardedHistogramMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Params: p, Options: o, Shards: 4,
+	got, _, err := runStats(runCfg{Params: p, Options: o, Shards: 4,
 		Workers: []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +141,16 @@ func TestProcessWorkersMatchSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunLocal(p, o, 4, 2, "", nil)
+	workers, err := SpawnLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	got, _, err := runStats(runCfg{Params: p, Options: o, Shards: 4, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +164,9 @@ func TestProcessWorkersMatchSingleProcess(t *testing.T) {
 func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	addr := make(chan net.Addr, 1)
 	go func() {
-		_ = ListenAndServe("127.0.0.1:0", func(a net.Addr) { addr <- a })
+		_ = ListenAndServeNetStop("127.0.0.1:0", NetConfig{}, func(a net.Addr) { addr <- a }, nil)
 	}()
-	w, err := Dial((<-addr).String())
+	w, err := DialNet((<-addr).String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +178,7 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Params: p, Options: o, Shards: 3, Workers: []Worker{w}})
+	got, _, err := runStats(runCfg{Params: p, Options: o, Shards: 3, Workers: []Worker{w}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +192,7 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 func TestPartition(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 2000, 1_000_000} {
 		for _, s := range []int{1, 2, 7, 256, 100000} {
-			shards := Partition(n, s)
+			shards := partition(n, s)
 			if len(shards) == 0 {
 				t.Fatalf("n=%d shards=%d: empty partition", n, s)
 			}
@@ -245,7 +289,7 @@ func TestShardedBiasedMatchesSingleProcess(t *testing.T) {
 			for i := range workers {
 				workers[i] = NewInProcessWorker("w", 1)
 			}
-			got, err := Run(Config{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
+			got, _, err := runStats(runCfg{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v shards=%d workers=%d: %v", pol, cfg.shards, cfg.workers, err)
 			}

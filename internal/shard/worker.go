@@ -11,40 +11,33 @@ import (
 	"herald/internal/sim"
 )
 
-// Serve runs the worker side of the shard protocol over a transport:
-// it announces itself with a hello, then answers each job message with
-// a result (the job range's cell partials), a job-scoped error, or —
-// when a cancel for the job arrives — a cancelled acknowledgement.
-// Jobs are queued and executed strictly in arrival order off the
-// receive loop, so the loop stays responsive to cancels and the
-// coordinator may keep more than one job outstanding (protocol v3
-// double-buffering). Serve returns nil when the coordinator closes the
-// stream.
-//
-// Serve is the plain, unauthenticated entry point used on stdio pipes
-// and in-memory transports; TCP connections run the hello handshake in
-// net.go first and then the same job loop.
-func Serve(t Transport) error {
-	if err := t.Send(&Message{Type: MsgHello, Version: ProtocolVersion}); err != nil {
+// serveConn runs the worker side of the shard protocol over an
+// unauthenticated transport (stdio pipes, in-memory pipes): it
+// announces itself with a hello, then runs the job loop until the
+// coordinator closes the stream. TCP connections run the hello
+// handshake in net.go first and then the same job loop.
+func serveConn(t transport) error {
+	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion}); err != nil {
 		return err
 	}
-	return serveJobs(t)
+	return serveJobs(t, nil)
 }
 
-// serveJobs is the worker's post-handshake job loop: the receive side
-// feeds a FIFO executor and handles cancels, pings and malformed
-// messages inline.
-func serveJobs(t Transport) error {
-	return serveJobsStop(t, nil)
-}
-
-// serveJobsStop is serveJobs with a graceful-shutdown channel: when
-// stop closes, the worker finishes the job it is running, answers every
-// queued job with a cancelled message (the coordinator reassigns those
-// shards elsewhere), and closes the transport — which unwinds the
-// receive loop cleanly, so the caller sees a nil return. nil stop is
-// plain serveJobs.
-func serveJobsStop(t Transport, stop <-chan struct{}) error {
+// serveJobs is the worker's post-handshake job loop. It answers each
+// job message with a result (the job range's cell partials), a
+// job-scoped error, or — when a cancel for the job arrives — a
+// cancelled acknowledgement. Jobs are queued and executed strictly in
+// arrival order off the receive loop, so the loop stays responsive to
+// cancels and the coordinator may keep more than one job outstanding
+// (protocol v3 double-buffering). It returns nil when the coordinator
+// closes the stream.
+//
+// When stop closes, the worker finishes the job it is running, answers
+// every queued job with a cancelled message (the coordinator reassigns
+// those shards elsewhere), and closes the transport — which unwinds the
+// receive loop cleanly, so the caller sees a nil return. nil stop
+// serves until the stream ends.
+func serveJobs(t transport, stop <-chan struct{}) error {
 	ex := newJobExecutor(t)
 	defer ex.shutdown()
 	if stop != nil {
@@ -94,7 +87,7 @@ func serveJobsStop(t Transport, stop <-chan struct{}) error {
 // arrived yet (the coordinator's cancel send can overtake the job
 // send); all three answer with a cancelled message.
 type jobExecutor struct {
-	t Transport
+	t transport
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -106,7 +99,7 @@ type jobExecutor struct {
 	done      chan struct{}
 }
 
-func newJobExecutor(t Transport) *jobExecutor {
+func newJobExecutor(t transport) *jobExecutor {
 	e := &jobExecutor{
 		t:         t,
 		stop:      make(map[int]chan struct{}),
@@ -258,12 +251,6 @@ func runJob(j *Job, stop <-chan struct{}) ([]sim.Partial, error) {
 	return parts, nil
 }
 
-// ServeStream is Serve over a raw byte stream (a TCP connection or a
-// stdio pipe pair).
-func ServeStream(rw io.ReadWriter) error {
-	return Serve(NewTransport(rw))
-}
-
 // Worker executes shard jobs on behalf of the coordinator.
 type Worker interface {
 	// Name identifies the worker in logs and errors.
@@ -271,7 +258,7 @@ type Worker interface {
 	// Run executes one job, blocking until its result is available. A
 	// returned error means the worker is unusable (its job must be
 	// reassigned); job-scoped failures reported by a live remote
-	// worker surface as *JobError, and a job abandoned after CancelJob
+	// worker surface as *jobError, and a job abandoned after CancelJob
 	// as ErrJobCancelled. Run is safe for concurrent use on workers
 	// that advertise a PipelineDepth above one.
 	Run(job *Job) ([]sim.Partial, error)
@@ -311,16 +298,16 @@ type CapacityReporter interface {
 // The worker remains usable.
 var ErrJobCancelled = errors.New("shard: job cancelled")
 
-// JobError is a job-scoped failure reported by a live worker: the
+// jobError is a job-scoped failure reported by a live worker: the
 // job's configuration was rejected rather than the worker dying. The
 // coordinator treats it as fatal for the run (re-running the same job
 // would fail again) instead of reassigning.
-type JobError struct {
+type jobError struct {
 	ID  int
 	Msg string
 }
 
-func (e *JobError) Error() string { return fmt.Sprintf("shard %d: %s", e.ID, e.Msg) }
+func (e *jobError) Error() string { return fmt.Sprintf("shard %d: %s", e.ID, e.Msg) }
 
 // remoteWorker drives one protocol connection as a Worker. A single
 // pump goroutine owns the transport's receive side and routes each
@@ -331,11 +318,11 @@ func (e *JobError) Error() string { return fmt.Sprintf("shard %d: %s", e.ID, e.M
 // can still bank them (or drop duplicates) instead of losing them.
 type remoteWorker struct {
 	name string
-	t    Transport
-	// jobWorkers, when non-negative, overrides Job.Options.Workers for
-	// every job sent through this worker: 1 pins a local sibling
-	// process to one core; 0 lets a remote machine use all of its
-	// cores; a join-mode worker's advertised capacity caps it there.
+	t    transport
+	// jobWorkers overrides Job.Options.Workers for every job sent
+	// through this worker: 1 pins a local sibling process to one core;
+	// 0 lets a remote machine use all of its cores; a join-mode
+	// worker's advertised capacity caps it there.
 	jobWorkers int
 
 	mu       sync.Mutex
@@ -358,13 +345,9 @@ func (w *remoteWorker) setStray(fn func(int, []sim.Partial)) {
 	w.mu.Unlock()
 }
 
-// NewRemoteWorker wraps a protocol transport as a Worker. jobWorkers
-// overrides the per-job parallelism (-1 keeps the job's own setting).
-func NewRemoteWorker(name string, t Transport, jobWorkers int) Worker {
-	return newRemoteWorker(name, t, jobWorkers)
-}
-
-func newRemoteWorker(name string, t Transport, jobWorkers int) *remoteWorker {
+// newRemoteWorker wraps a protocol transport as a Worker whose jobs run
+// with jobWorkers parallelism.
+func newRemoteWorker(name string, t transport, jobWorkers int) *remoteWorker {
 	return &remoteWorker{
 		name:       name,
 		t:          t,
@@ -377,14 +360,9 @@ func newRemoteWorker(name string, t Transport, jobWorkers int) *remoteWorker {
 func (w *remoteWorker) Name() string { return w.name }
 
 // Capacity reports the worker's advertised job parallelism: positive
-// jobWorkers came from its hello (join mode) or its spawner; 0 and -1
-// (all cores / job's own setting) advertise nothing.
-func (w *remoteWorker) Capacity() int {
-	if w.jobWorkers > 0 {
-		return w.jobWorkers
-	}
-	return 0
-}
+// jobWorkers came from its hello (join mode) or its spawner; 0 (all of
+// an unknown number of cores) advertises nothing.
+func (w *remoteWorker) Capacity() int { return w.jobWorkers }
 
 // PipelineDepth keeps two jobs in flight per connection: while one
 // executes remotely the next is already queued in the worker's
@@ -406,9 +384,9 @@ func (w *remoteWorker) pump() {
 		}
 		switch m.Type {
 		case MsgHello:
-			if m.Version != ProtocolVersion {
+			if m.Version != protocolVersion {
 				w.mu.Lock()
-				w.pumpErr = fmt.Errorf("worker %s: protocol version %d, want %d", w.name, m.Version, ProtocolVersion)
+				w.pumpErr = fmt.Errorf("worker %s: protocol version %d, want %d", w.name, m.Version, protocolVersion)
 				w.mu.Unlock()
 				return
 			}
@@ -440,9 +418,7 @@ func (w *remoteWorker) pump() {
 func (w *remoteWorker) Run(job *Job) ([]sim.Partial, error) {
 	w.pumpOnce.Do(func() { go w.pump() })
 	j := *job
-	if w.jobWorkers >= 0 {
-		j.Options.Workers = w.jobWorkers
-	}
+	j.Options.Workers = w.jobWorkers
 	ch := make(chan *Message, 1)
 	w.mu.Lock()
 	if w.pumpErr != nil {
@@ -483,7 +459,7 @@ func (w *remoteWorker) Run(job *Job) ([]sim.Partial, error) {
 	case MsgCancelled:
 		return nil, ErrJobCancelled
 	case MsgError:
-		return nil, &JobError{ID: m.ID, Msg: m.Error}
+		return nil, &jobError{ID: m.ID, Msg: m.Error}
 	default:
 		return nil, fmt.Errorf("worker %s: unexpected reply type %q", w.name, m.Type)
 	}
@@ -550,7 +526,7 @@ func (w *inProcessWorker) Run(job *Job) ([]sim.Partial, error) {
 		return nil, ErrJobCancelled
 	}
 	if err != nil {
-		return nil, &JobError{ID: job.ID, Msg: err.Error()}
+		return nil, &jobError{ID: job.ID, Msg: err.Error()}
 	}
 	return parts, nil
 }

@@ -47,7 +47,7 @@ type MCResult struct {
 	// the last point's Done is the sweep's total wall time.
 	Done time.Duration
 	// Fingerprint is the point's canonical run identity
-	// (shard.FingerprintOf): equal fingerprints mean byte-identical
+	// (shard.RunFingerprint): equal fingerprints mean byte-identical
 	// Summaries, so it keys result caches and joins sweep rows to
 	// availserve responses. Empty when the point's parameters fail to
 	// encode (the run then failed too).
@@ -72,10 +72,13 @@ func MonteCarlo(points []MCPoint, workers []shard.Worker, logw io.Writer) ([]MCR
 			Checkpoint: pt.Checkpoint,
 		}
 	}
-	res, err := shard.RunPipeline(specs, workers, logw)
+	res, err := shard.RunPipeline(specs, workers, &shard.PoolOptions{Log: logw})
 	out := make([]MCResult, len(res))
 	for i := range res {
-		fp, _ := shard.FingerprintOf(points[i].Params, points[i].Options)
+		var fp string
+		if w, err := shard.EncodeParams(points[i].Params); err == nil {
+			fp = shard.RunFingerprint(w, points[i].Options)
+		}
 		out[i] = MCResult{
 			Label:       points[i].Label,
 			Summary:     res[i].Summary,
