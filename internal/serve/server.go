@@ -224,11 +224,11 @@ func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 // options. Workers is deliberately absent: parallelism is the
 // server's business and never part of a run's identity.
 type RunOptions struct {
-	Iterations        int     `json:"iterations"`
-	MissionTime       float64 `json:"mission_time"`
-	Seed              uint64  `json:"seed"`
-	Confidence        float64 `json:"confidence,omitempty"`
-	Kernel            string  `json:"kernel,omitempty"`
+	Iterations  int     `json:"iterations"`
+	MissionTime float64 `json:"mission_time"`
+	Seed        uint64  `json:"seed"`
+	Confidence  float64 `json:"confidence,omitempty"`
+	Kernel      string  `json:"kernel,omitempty"`
 	// Bias selects failure-biased importance sampling: "" (off),
 	// "auto", or a finite factor >= 1. Part of the run's identity —
 	// biased and unbiased runs never share a cache entry.

@@ -343,8 +343,8 @@ func TestWorkerCancelProtocol(t *testing.T) {
 		if m.Type != MsgResult || m.ID != 8 {
 			t.Fatalf("got message %q id %d, want result id 8", m.Type, m.ID)
 		}
-		if !tilesRange(m.Partials, 0, 500, 1, 2e5) {
-			t.Error("follow-up job returned invalid partials")
+		if err := sim.CheckPartials(p, o2, 0, 500, m.Partials); err != nil {
+			t.Errorf("follow-up job returned invalid partials: %v", err)
 		}
 		break
 	}

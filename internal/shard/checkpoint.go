@@ -58,36 +58,12 @@ func (c *checkpoint) close() error {
 	return c.log.Close()
 }
 
-// tilesRange reports whether parts exactly tile [start, end) and were
-// produced under the given seed and mission time: the validity test
-// for worker results and checkpointed shards.
-func tilesRange(parts []sim.Partial, start, end int, seed uint64, mission float64) bool {
-	if len(parts) == 0 {
-		return false
-	}
-	sorted := append([]sim.Partial(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	cursor := start
-	for i := range sorted {
-		pt := &sorted[i]
-		if pt.Start != cursor || pt.End <= pt.Start || pt.Seed != seed || pt.MissionTime != mission {
-			return false
-		}
-		if pt.Avail.N() != int64(pt.End-pt.Start) {
-			return false
-		}
-		cursor = pt.End
-	}
-	return cursor == end
-}
-
 // loadCheckpoint reads an existing checkpoint file, returning the
-// completed shards that validate against the current run (shard
-// ranges, seed, observation counts). Torn trailing data is dropped with
-// a warning to logw. A header for another run — a different
-// fingerprint or shard count — is an error: the file must not be
-// silently clobbered.
-func loadCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission float64, logw io.Writer) (map[int][]sim.Partial, error) {
+// completed shards whose partials pass sim.CheckPartials for a run of p
+// under the job options o. Torn trailing data is dropped with a warning
+// to logw. A header for another run — a different fingerprint or shard
+// count — is an error: the file must not be silently clobbered.
+func loadCheckpoint(path, fp string, shards []sim.Range, p sim.ArrayParams, o sim.Options, logw io.Writer) (map[int][]sim.Partial, error) {
 	done := make(map[int][]sim.Partial)
 	torn, err := ndjson.Scan(path, func(h *checkpointHeader) error {
 		if h.Type != "header" {
@@ -102,15 +78,12 @@ func loadCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission fl
 		if rec.Type != "shard" {
 			return false
 		}
-		switch {
-		case rec.ID < 0 || rec.ID >= len(shards):
+		if rec.ID < 0 || rec.ID >= len(shards) {
 			fmt.Fprintf(logw, "shard: checkpoint %s: dropping record for unknown shard %d\n", path, rec.ID)
-		case !tilesRange(rec.Partials, shards[rec.ID].Start, shards[rec.ID].End, seed, mission):
-			fmt.Fprintf(logw, "shard: checkpoint %s: dropping invalid record for shard %d\n", path, rec.ID)
-		default:
-			if _, dup := done[rec.ID]; !dup {
-				done[rec.ID] = rec.Partials
-			}
+		} else if err := sim.CheckPartials(p, o, shards[rec.ID].Start, shards[rec.ID].End, rec.Partials); err != nil {
+			fmt.Fprintf(logw, "shard: checkpoint %s: dropping invalid record for shard %d: %v\n", path, rec.ID, err)
+		} else if _, dup := done[rec.ID]; !dup {
+			done[rec.ID] = rec.Partials
 		}
 		return true
 	})
@@ -127,10 +100,10 @@ func loadCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission fl
 // openCheckpoint prepares the checkpoint at path for a run: loading
 // completed shards from an existing file and compacting the survivors
 // into a fresh log, or creating a new log when none exists. fp is the
-// run's RunFingerprint. It returns the completed shards and the open
-// append handle.
-func openCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission float64, logw io.Writer) (map[int][]sim.Partial, *checkpoint, error) {
-	done, err := loadCheckpoint(path, fp, shards, seed, mission, logw)
+// run's RunFingerprint, and p and o its parameters and job options. It
+// returns the completed shards and the open append handle.
+func openCheckpoint(path, fp string, shards []sim.Range, p sim.ArrayParams, o sim.Options, logw io.Writer) (map[int][]sim.Partial, *checkpoint, error) {
+	done, err := loadCheckpoint(path, fp, shards, p, o, logw)
 	if errors.Is(err, fs.ErrNotExist) {
 		done, err = nil, nil
 	}
@@ -148,7 +121,7 @@ func openCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission fl
 	for i, id := range ids {
 		recs[i] = checkpointRecord{Type: "shard", ID: id, Partials: done[id]}
 	}
-	hdr := checkpointHeader{Type: "header", Fingerprint: fp, Iterations: shardsEnd(shards), Seed: seed, Shards: len(shards)}
+	hdr := checkpointHeader{Type: "header", Fingerprint: fp, Iterations: shardsEnd(shards), Seed: o.Seed, Shards: len(shards)}
 	if err := ndjson.Replace(path, hdr, recs); err != nil {
 		return nil, nil, err
 	}

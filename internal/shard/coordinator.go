@@ -336,7 +336,7 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 
 	if spec.Checkpoint != "" {
 		fp := RunFingerprint(wire, spec.Options)
-		done, cp, err := openCheckpoint(spec.Checkpoint, fp, r.shards, spec.Options.Seed, spec.Options.MissionTime, logw)
+		done, cp, err := openCheckpoint(spec.Checkpoint, fp, r.shards, spec.Params, r.jobOptions, logw)
 		if err != nil {
 			return nil, err
 		}
@@ -353,8 +353,8 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 	return r, nil
 }
 
-// sortParts orders a shard's cell partials canonically (workers
-// deliver them in completion order).
+// sortParts orders a shard's cell partials canonically for the stopping
+// scan (sim.CheckPartials accepts them in any order).
 func sortParts(parts []sim.Partial) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Start < parts[j].Start })
 }
@@ -626,11 +626,11 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 		return
 	}
 	rg := r.shards[key.shard]
-	if !tilesRange(parts, rg.Start, rg.End, r.spec.Options.Seed, r.spec.Options.MissionTime) {
-		// A malformed result (wrong range, seed, mission time or
-		// observation count) is dropped and the shard recomputed, like
-		// a worker death — up to a cap, beyond which the defect is
-		// clearly deterministic and the run is dead.
+	if err := sim.CheckPartials(r.spec.Params, r.jobOptions, rg.Start, rg.End, parts); err != nil {
+		// A malformed result (one Summarize would refuse) is dropped
+		// and the shard recomputed, like a worker death — up to a cap,
+		// beyond which the defect is clearly deterministic and the run
+		// is dead.
 		if r.malformed == nil {
 			r.malformed = make(map[int]int)
 		}
@@ -641,7 +641,7 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 				key.shard, r.malformed[key.shard]))
 			return
 		}
-		fmt.Fprintf(d.logw, "shard: dropping malformed result for shard %d\n", key.shard)
+		fmt.Fprintf(d.logw, "shard: dropping malformed result for shard %d: %v\n", key.shard, err)
 		if !queued(r.queue, key.shard) {
 			r.queue = append(r.queue, key.shard)
 		}

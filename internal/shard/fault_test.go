@@ -194,50 +194,126 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	}
 }
 
-// corruptWorker returns partials with a wrong seed once, then behaves.
+// corruptWorker applies poison to the first cell of its first result,
+// then behaves.
 type corruptWorker struct {
-	inner  Worker
-	poison bool
+	inner    Worker
+	poison   func(*sim.Partial)
+	poisoned bool
 }
 
 func (w *corruptWorker) Name() string { return "corrupt" }
 func (w *corruptWorker) Run(job *Job) ([]sim.Partial, error) {
 	parts, err := w.inner.Run(job)
-	if err == nil && !w.poison {
-		w.poison = true
+	if err == nil && !w.poisoned {
+		w.poisoned = true
 		parts = append([]sim.Partial(nil), parts...)
-		parts[0].Seed++
+		w.poison(&parts[0])
 	}
 	return parts, err
 }
 func (w *corruptWorker) Close() error { return nil }
 
 // TestMalformedResultRecomputed checks a result that fails validation
-// is dropped and its shard recomputed rather than merged or fatal.
+// is dropped and its shard recomputed rather than merged or fatal, for
+// every field the merge depends on.
 func TestMalformedResultRecomputed(t *testing.T) {
+	biased := testOptions()
+	biased.Bias = sim.BiasAuto
+	biasedAdaptive := adaptiveOptions()
+	biasedAdaptive.Bias = sim.BiasAuto
+	histogram := testOptions()
+	histogram.HistogramBins = 8
+	for _, tc := range []struct {
+		name   string
+		o      sim.Options
+		poison func(*sim.Partial)
+	}{
+		{"wrong seed", testOptions(), func(pt *sim.Partial) { pt.Seed++ }},
+		{"biased fixed-N without weights", biased, func(pt *sim.Partial) { pt.WAvail = nil }},
+		{"biased adaptive without weights", biasedAdaptive, func(pt *sim.Partial) { pt.WAvail = nil }},
+		{"missing histogram", histogram, func(pt *sim.Partial) { pt.Hist = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testParams(sim.Conventional)
+			base, err := sim.Run(p, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var log bytes.Buffer
+			got, st, err := runStats(runCfg{
+				Params: p, Options: tc.o, Shards: 4,
+				Workers: []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1), poison: tc.poison}},
+				Log:     &log,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(log.String(), "malformed") {
+				t.Errorf("log does not mention the malformed result:\n%s", log.String())
+			}
+			if st.WorkerFailures != 1 {
+				t.Errorf("failures = %d, want 1", st.WorkerFailures)
+			}
+			if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
+				t.Error("summary diverged after malformed result")
+			}
+		})
+	}
+}
+
+// TestCheckpointDropsUnweightedRecord strips the importance weights
+// from one checkpointed shard of a biased run: resume must drop that
+// record and recompute its shard rather than fail the merge.
+func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
+	o.Bias = sim.BiasAuto
 	base, err := sim.Run(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, _, err := runStats(runCfg{
+		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+	var rec checkpointRecord
+	if err := json.Unmarshal(lines[1], &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Partials[0].WAvail = nil
+	if lines[1], err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cpPath, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	var log bytes.Buffer
 	got, st, err := runStats(runCfg{
-		Params: p, Options: o, Shards: 4,
-		Workers: []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1)}},
+		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
 		Log:     &log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(log.String(), "malformed") {
-		t.Errorf("log does not mention the malformed result:\n%s", log.String())
+	if !strings.Contains(log.String(), "dropping invalid record") {
+		t.Errorf("log does not mention the dropped record:\n%s", log.String())
 	}
-	if st.WorkerFailures != 1 {
-		t.Errorf("failures = %d, want 1", st.WorkerFailures)
+	if st.FromCheckpoint != 3 || st.Computed != 1 {
+		t.Errorf("restored %d / computed %d, want 3 / 1", st.FromCheckpoint, st.Computed)
 	}
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
-		t.Error("summary diverged after malformed result")
+		t.Error("summary diverged after dropping the unweighted record")
 	}
 }
 

@@ -226,29 +226,15 @@ func jobReply(j *Job, stop <-chan struct{}) *Message {
 	}
 }
 
-// runJob executes one shard assignment in this process, streaming
-// cells so a close of stop abandons the remainder (the partials of a
-// cancelled job are discarded: the coordinator only cancels iterations
-// its stopping rule no longer needs). It returns sim.ErrStopped for a
-// cancelled job.
+// runJob executes one shard assignment in this process; a close of
+// stop abandons it with sim.ErrStopped (the coordinator only cancels
+// iterations its stopping rule no longer needs).
 func runJob(j *Job, stop <-chan struct{}) ([]sim.Partial, error) {
 	p, err := j.Params.Decode()
 	if err != nil {
 		return nil, err
 	}
-	// Size the buffer to the job's own cells (not the whole run's):
-	// the stream can then complete without a collector goroutine.
-	cs := sim.CellSize(j.Options.Iterations)
-	cells := (j.End - j.Start + cs - 1) / cs
-	out := make(chan sim.Partial, cells)
-	if err := sim.RunRangeStream(p, j.Options, j.Start, j.End, out, stop); err != nil {
-		return nil, err
-	}
-	parts := make([]sim.Partial, 0, cells)
-	for pt := range out {
-		parts = append(parts, pt)
-	}
-	return parts, nil
+	return sim.RunRangeUntil(p, j.Options, j.Start, j.End, stop)
 }
 
 // Worker executes shard jobs on behalf of the coordinator.

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"herald/internal/stats"
-)
+import "fmt"
 
 // Adaptive (precision-targeted) execution. A fixed-N run answers "what
 // does 1e6 iterations say"; an adaptive run answers the question the
@@ -16,7 +12,7 @@ import (
 // Determinism: the rule is evaluated on the cells folded in canonical
 // index order (never in arrival order), so the boundary it binds at —
 // and therefore the reported Summary — is a pure function of the
-// parameters and options. Workers race ahead of the scanned prefix and
+// parameters and options. Workers race ahead of the folded prefix and
 // their excess cells are discarded, which is why replay determinism is
 // pinned on the iterations actually *kept*: re-running with the same
 // options keeps the same prefix and reproduces the Summary bit for
@@ -26,21 +22,10 @@ import (
 // StopScan drives an adaptive run's stopping decision. Cell partials
 // are fed strictly in canonical cell order; after each fold the
 // Student-t stopping rule is re-evaluated at the cell's end boundary.
-// The scan is shared by the in-process adaptive driver and the shard
-// coordinator so both stop at the identical boundary.
+// It folds through the same merge as Run and Summarize, so the shard
+// coordinator stops at the boundary an in-process run stops at.
 type StopScan struct {
-	rule   stats.StopRule
-	floor  int
-	acc    stats.Accumulator
-	events int64
-	end    int
-	stopAt int
-
-	// weighted marks the scan of an importance-sampled run: cells then
-	// carry weighted accumulators and the rule is judged on the
-	// weighted stream at ESS-based effective degrees of freedom.
-	weighted bool
-	wacc     stats.WeightedAccumulator
+	f *fold
 }
 
 // NewStopScan builds the scan for adaptive options. It errors unless
@@ -49,130 +34,37 @@ func NewStopScan(o Options) (*StopScan, error) {
 	if !o.Adaptive() {
 		return nil, fmt.Errorf("sim: stop scan needs a positive target half-width")
 	}
-	if err := o.Validate(); err != nil {
+	f, err := newFold(o, 0, o.IterationCap())
+	if err != nil {
 		return nil, err
 	}
-	conf := o.Confidence
-	if conf == 0 {
-		conf = 0.99
-	}
-	rule := stats.StopRule{TargetHalfWidth: o.TargetHalfWidth, Confidence: conf}
-	if err := rule.Validate(); err != nil {
-		return nil, err
-	}
-	floor := 0
-	if o.MaxIters > 0 {
-		// Iterations is the adaptive minimum when MaxIters carries the
-		// cap; the rule may not bind below it.
-		floor = o.Iterations
-	}
-	return &StopScan{rule: rule, floor: floor, weighted: o.Biased()}, nil
+	return &StopScan{f: f}, nil
 }
 
 // Feed folds the next canonical cell partial — which must start
-// exactly at End() — and reports whether the stopping rule binds at
-// its end boundary. Once the rule has bound, further feeds fold but
-// never re-bind.
+// exactly at End() and pass CheckPartials — and reports whether the
+// stopping rule binds at its end boundary. Once the rule has bound,
+// further feeds fold but never re-bind. A partial the checks refuse
+// panics: partials from outside the process go through CheckPartials
+// first.
 func (s *StopScan) Feed(pt *Partial) bool {
-	if pt.Start != s.end {
-		panic(fmt.Sprintf("sim: stop scan fed cell [%d,%d), want prefix continuation at %d", pt.Start, pt.End, s.end))
+	if err := s.f.add(pt); err != nil {
+		panic(err)
 	}
-	s.acc.Merge(&pt.Avail)
-	s.events += pt.DownIters
-	if s.weighted {
-		if pt.WAvail == nil {
-			panic(fmt.Sprintf("sim: stop scan fed unweighted cell [%d,%d) for a biased run", pt.Start, pt.End))
-		}
-		s.wacc.Merge(pt.WAvail)
-	}
-	s.end = pt.End
-	if s.stopAt == 0 && s.end >= s.floor && s.met() {
-		s.stopAt = s.end
-		return true
-	}
-	return false
-}
-
-// met evaluates the rule on the stream the run estimates from.
-func (s *StopScan) met() bool {
-	if s.weighted {
-		return s.rule.MetWeighted(&s.wacc)
-	}
-	return s.rule.Met(&s.acc, s.events)
+	return s.f.bind()
 }
 
 // End returns the contiguous prefix folded so far, in iterations.
-func (s *StopScan) End() int { return s.end }
+func (s *StopScan) End() int { return s.f.end }
 
 // StopAt returns the boundary the rule bound at, or 0 while unbound.
-func (s *StopScan) StopAt() int { return s.stopAt }
+func (s *StopScan) StopAt() int { return s.f.stopAt }
 
 // EffectiveHalfWidth returns the rule's safeguarded half-width of the
 // folded prefix (+Inf while the safeguards are unmet).
 func (s *StopScan) EffectiveHalfWidth() float64 {
-	if s.weighted {
-		return s.rule.EffectiveHalfWidthWeighted(&s.wacc)
+	if s.f.biased {
+		return s.f.rule.EffectiveHalfWidthWeighted(&s.f.wav)
 	}
-	return s.rule.EffectiveHalfWidth(&s.acc, s.events)
-}
-
-// runAdaptive executes an adaptive run in this process: cells stream
-// in completion order off RunRangeStream, the scan folds them in index
-// order, and the first bound boundary cancels the outstanding cells.
-func runAdaptive(p ArrayParams, o Options) (Summary, error) {
-	scan, err := NewStopScan(o)
-	if err != nil {
-		return Summary{}, err
-	}
-	capIters := o.IterationCap()
-	oo := o
-	oo.Iterations = capIters
-
-	// Validation failures surface through the stream: it closes out
-	// immediately and the error returns below.
-	out := make(chan Partial, len(Cells(capIters)))
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() { errc <- RunRangeStream(p, oo, 0, capIters, out, stop) }()
-
-	// Cells arrive in completion order; pending parks the out-of-order
-	// ones until the prefix reaches them.
-	pending := make(map[int]Partial)
-	var kept []Partial
-	stopAt := 0
-	for pt := range out {
-		if stopAt != 0 {
-			continue // draining after the rule bound
-		}
-		pending[pt.Start] = pt
-		for {
-			next, ok := pending[scan.End()]
-			if !ok {
-				break
-			}
-			delete(pending, next.Start)
-			met := scan.Feed(&next)
-			kept = append(kept, next)
-			if met {
-				stopAt = scan.StopAt()
-				close(stop)
-				break
-			}
-		}
-	}
-	streamErr := <-errc
-	if stopAt == 0 {
-		if streamErr != nil {
-			return Summary{}, streamErr
-		}
-		stopAt = capIters
-	} else if streamErr != nil && streamErr != ErrStopped {
-		// ErrStopped is the stream acknowledging the cancellation; any
-		// other error is real.
-		return Summary{}, streamErr
-	}
-
-	so := o
-	so.Iterations = stopAt
-	return Summarize(so, kept)
+	return s.f.rule.EffectiveHalfWidth(&s.f.acc, s.f.downIters)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"herald/internal/stats"
 )
@@ -282,72 +283,49 @@ func TestSummarizeArrivalOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestRunRangeStreamMatchesRunRange pins that streaming delivery is a
-// pure reordering: the delivered cell set equals RunRange's output.
+// TestRunRangeStreamMatchesRunRange pins that the stoppable form is
+// RunRange whatever the schedule: every worker count, with or without
+// a (never closed) stop channel, returns the same cell partials in
+// cell order.
 func TestRunRangeStreamMatchesRunRange(t *testing.T) {
 	p := adaptiveTestParams(AutoFailover)
-	o := Options{Iterations: 4000, MissionTime: 2e5, Seed: 17, Workers: 3}
+	o := Options{Iterations: 4000, MissionTime: 2e5, Seed: 17, Workers: 1}
 	want, err := RunRange(p, o, 0, o.Iterations)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(chan Partial, len(Cells(o.Iterations)))
-	if err := RunRangeStream(p, o, 0, o.Iterations, out, nil); err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[int]Partial)
-	for pt := range out {
-		got[pt.Start] = pt
-	}
-	if len(got) != len(want) {
-		t.Fatalf("stream delivered %d cells, want %d", len(got), len(want))
-	}
-	for _, w := range want {
-		g, ok := got[w.Start]
-		if !ok {
-			t.Fatalf("cell [%d,%d) not delivered", w.Start, w.End)
-		}
-		gb, _ := json.Marshal(g)
-		wb, _ := json.Marshal(w)
-		if string(gb) != string(wb) {
-			t.Errorf("cell [%d,%d) diverged between stream and RunRange", w.Start, w.End)
+	wb, _ := json.Marshal(want)
+	for _, workers := range []int{1, 3, 8} {
+		for _, stop := range []chan struct{}{nil, make(chan struct{})} {
+			oo := o
+			oo.Workers = workers
+			got, err := RunRangeUntil(p, oo, 0, oo.Iterations, stop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gb, _ := json.Marshal(got); string(gb) != string(wb) {
+				t.Errorf("workers=%d stop=%v: partials diverged from RunRange", workers, stop != nil)
+			}
 		}
 	}
 }
 
-// TestRunRangeStreamStop pins cancellation: closing stop after the
-// first delivery ends the stream early with ErrStopped, and every
-// delivered cell is still valid.
+// TestRunRangeStreamStop pins cancellation: a stop closed before or
+// during the run ends it early with ErrStopped.
 func TestRunRangeStreamStop(t *testing.T) {
 	p := adaptiveTestParams(Conventional)
-	o := Options{Iterations: 50000, MissionTime: 2e5, Seed: 23, Workers: 2}
-	// Unbuffered: workers block on delivery, so cells provably cannot
-	// all drain before the stop lands, however the test goroutine is
-	// scheduled.
-	out := make(chan Partial)
+	o := Options{Iterations: 5_000_000, MissionTime: 2e5, Seed: 23, Workers: 2}
+	closed := make(chan struct{})
+	close(closed)
+	if _, err := RunRangeUntil(p, o, 0, o.Iterations, closed); err != ErrStopped {
+		t.Fatalf("pre-stopped run returned %v, want ErrStopped", err)
+	}
 	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() { errc <- RunRangeStream(p, o, 0, o.Iterations, out, stop) }()
-
-	first, ok := <-out
-	if !ok {
-		t.Fatal("stream closed without delivering anything")
-	}
-	close(stop)
-	n := 1
-	for pt := range out {
-		if pt.Avail.N() != int64(pt.End-pt.Start) {
-			t.Errorf("cell [%d,%d) carries %d observations", pt.Start, pt.End, pt.Avail.N())
-		}
-		n++
-	}
-	if err := <-errc; err != ErrStopped {
-		t.Fatalf("stream returned %v, want ErrStopped", err)
-	}
-	if first.Avail.N() != int64(first.End-first.Start) {
-		t.Error("first delivered cell invalid")
-	}
-	if n >= len(Cells(o.Iterations)) {
-		t.Errorf("stream delivered all %d cells despite the stop", n)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(stop)
+	}()
+	if _, err := RunRangeUntil(p, o, 0, o.Iterations, stop); err != ErrStopped {
+		t.Fatalf("stopped run returned %v, want ErrStopped", err)
 	}
 }

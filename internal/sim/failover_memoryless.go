@@ -50,19 +50,19 @@ type foMemK struct {
 	// nominal holding rates. lnQuietCycle is the benign cycle's combined
 	// quiet weight (EXP1 + OPns), precomputed for the chunk loop. All 0
 	// when the bias factor is 1.
-	lnQuietEXP1  float64
-	lnFailEXP1   float64
-	lnQuietOPns  float64
-	lnFailOPns   float64
+	lnQuietEXP1   float64
+	lnFailEXP1    float64
+	lnQuietOPns   float64
+	lnFailOPns    float64
 	lnQuietEXPns1 float64
 	lnFailEXPns1  float64
 	lnQuietEXPns2 float64
 	lnFailEXPns2  float64
-	lnQuietDU1   float64
-	lnFailDU1    float64
-	lnQuietDU2   float64
-	lnFailDU2    float64
-	lnQuietCycle float64
+	lnQuietDU1    float64
+	lnFailDU1     float64
+	lnQuietDU2    float64
+	lnFailDU2     float64
+	lnQuietCycle  float64
 }
 
 func makeFoMemK(p *ArrayParams, m memRates, bias float64) foMemK {

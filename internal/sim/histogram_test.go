@@ -65,3 +65,24 @@ func TestHistogramDisabledByDefault(t *testing.T) {
 		t.Fatal("histogram collected without being requested")
 	}
 }
+
+// TestSummarizeRejectsMissingHistogram pins that a partial without the
+// histogram its options ask for is refused — by Summarize and by the
+// CheckPartials test of outside partials — rather than silently
+// dropped from the Summary's histogram.
+func TestSummarizeRejectsMissingHistogram(t *testing.T) {
+	p := PaperDefaults(4, 1e-4, 0.002)
+	o := Options{Iterations: 4000, MissionTime: 1e5, Seed: 9, Workers: 2, HistogramBins: 20}
+	parts, err := RunRange(p, o, 0, o.Iterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts[3].Hist = nil
+	if s, err := Summarize(o, parts); err == nil {
+		t.Errorf("partial without histogram accepted; histogram holds %d of %d iterations",
+			s.DowntimeHistogram.Total(), s.Iterations)
+	}
+	if err := CheckPartials(p, o, 0, o.Iterations, parts); err == nil {
+		t.Error("CheckPartials accepted a partial without histogram")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,9 +12,9 @@ import (
 
 // This file is the partitioning layer of the Monte-Carlo engine: it
 // decomposes a run's iteration range [0, N) into canonical
-// "accumulation cells", exposes RunRange to compute the cells of any
-// aligned sub-range, and Summarize to fold cell partials back into a
-// Summary. The decomposition is a pure function of N — never of the
+// "accumulation cells" and runs the cells of any aligned sub-range
+// through one executor (RunRange); fold.go merges cell partials back
+// into a Summary. The decomposition is a pure function of N — never of the
 // worker count, shard count or schedule — so every partitioning of a
 // run produces the same floating-point merge tree and hence a
 // bit-identical Summary. internal/shard distributes RunRange calls
@@ -211,65 +210,52 @@ func prepareRange(p *ArrayParams, o *Options, start, end int) (Options, []Range,
 	return opts, cellsIn(o.Iterations, start, end), nil
 }
 
-// ErrStopped is returned by RunRangeStream when the stop channel
-// closed before every cell of the range was delivered.
+// ErrStopped is returned by RunRangeUntil when the stop channel
+// closed before every cell of the range completed.
 var ErrStopped = errors.New("sim: run stopped before completing its range")
 
-// RunRangeStream executes the iterations of [start, end) like RunRange
-// but delivers each cell's Partial on out as soon as its cell
-// completes — in completion order, not index order — so a consumer can
-// merge and act on partials while later cells still run. The adaptive
-// runs are built on this: the stopping rule is re-checked as partials
-// land instead of waiting on a barrier merge.
-//
-// out is closed before RunRangeStream returns. A close of stop (nil
-// for non-cancellable runs) abandons cells not yet started and
-// undelivered results; RunRangeStream then returns ErrStopped. Cell
-// contents are identical to RunRange's — only the delivery order
-// varies with the schedule.
-func RunRangeStream(p ArrayParams, o Options, start, end int, out chan<- Partial, stop <-chan struct{}) error {
-	defer close(out)
-	opts, cells, err := prepareRange(&p, &o, start, end)
-	if err != nil {
-		return err
-	}
+// execute runs cells across opts.Workers goroutines (the calling
+// goroutine alone when one suffices). Workers claim cells off one
+// cursor and hand each partial to emit with its cell index, from
+// whichever goroutine computed it; they stop claiming once stop (nil
+// for never) closes or an emit returns false. A claimed cell is always
+// computed and emitted, so execute reports whether every cell was.
+func execute(p *ArrayParams, opts Options, cells []Range, stop <-chan struct{}, emit func(ci int, pt Partial) bool) bool {
 	histMax := histMaxFor(opts)
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var next, delivered atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ci := int(next.Add(1)) - 1
-				if ci >= len(cells) {
-					return
-				}
-				pt := sc.runCell(cells[ci], opts, histMax)
-				select {
-				case out <- pt:
-					delivered.Add(1)
-				case <-stop:
-					return
-				}
+	var next atomic.Int64
+	var halt atomic.Bool
+	work := func() {
+		sc := newScratch(p, opts.Kernel, opts.noBatch, opts.Bias)
+		for !halt.Load() {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
+			ci := int(next.Add(1)) - 1
+			if ci >= len(cells) {
+				return
+			}
+			if !emit(ci, sc.runCell(cells[ci], opts, histMax)) {
+				halt.Store(true)
+			}
+		}
 	}
-	wg.Wait()
-	if int(delivered.Load()) != len(cells) {
-		return ErrStopped
+	workers := min(opts.Workers, len(cells))
+	if workers == 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	return nil
+	return int(next.Load()) >= len(cells)
 }
 
 // RunRange executes the iterations of [start, end) and returns one
@@ -279,198 +265,26 @@ func RunRangeStream(p ArrayParams, o Options, start, end int, out chan<- Partial
 // parallel across Options.Workers goroutines, but each cell is
 // accumulated sequentially, so the returned partials do not depend on
 // the schedule.
-//
-// The cell contents are identical to RunRangeStream's; RunRange keeps
-// its own indexed assembly (no channel) so the barrier path stays as
-// cheap as it was before streaming existed.
 func RunRange(p ArrayParams, o Options, start, end int) ([]Partial, error) {
+	return RunRangeUntil(p, o, start, end, nil)
+}
+
+// RunRangeUntil is RunRange that a close of stop (nil for never)
+// abandons: cells not yet started are skipped and RunRangeUntil
+// returns ErrStopped, unless every cell had already completed. Shard
+// workers run jobs through it so a coordinator can cancel iterations
+// its stopping rule no longer needs.
+func RunRangeUntil(p ArrayParams, o Options, start, end int, stop <-chan struct{}) ([]Partial, error) {
 	opts, cells, err := prepareRange(&p, &o, start, end)
 	if err != nil {
 		return nil, err
 	}
-	histMax := histMaxFor(opts)
 	parts := make([]Partial, len(cells))
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
+	if !execute(&p, opts, cells, stop, func(ci int, pt Partial) bool {
+		parts[ci] = pt
+		return true
+	}) {
+		return nil, ErrStopped
 	}
-	if workers == 1 {
-		// Single-worker runs walk the cells inline: no goroutine,
-		// no atomic cursor. Same scratch, same cell order, so the
-		// output is bit-identical to the concurrent path.
-		sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-		for ci := range cells {
-			parts[ci] = sc.runCell(cells[ci], opts, histMax)
-		}
-		return parts, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(cells) {
-					return
-				}
-				parts[ci] = sc.runCell(cells[ci], opts, histMax)
-			}
-		}()
-	}
-	wg.Wait()
 	return parts, nil
-}
-
-// Summarize folds partials covering [0, o.Iterations) into a Summary.
-// It enforces exactly-once merging: the partials, sorted by Start,
-// must tile the run with no gap, overlap or duplicate, each must carry
-// exactly End-Start observations, and each must have been produced
-// under the same seed and mission time. Partials produced along the
-// canonical cell boundaries (RunRange output, in any grouping) fold in
-// a fixed order, so the Summary is bit-identical however the run was
-// partitioned.
-func Summarize(o Options, parts []Partial) (Summary, error) {
-	if err := o.Validate(); err != nil {
-		return Summary{}, err
-	}
-	opts := o.withDefaults()
-	if len(parts) == 0 {
-		return Summary{}, fmt.Errorf("sim: no partials to summarize")
-	}
-	sorted := append([]Partial(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Start != sorted[j].Start {
-			return sorted[i].Start < sorted[j].Start
-		}
-		return sorted[i].End < sorted[j].End
-	})
-
-	var acc, du, dl stats.Accumulator
-	var wav, wdu, wdl stats.WeightedAccumulator
-	var events EventCounts
-	var downIters int64
-	var hist *stats.Histogram
-	biased := opts.Biased()
-	biasFactor := 0.0
-	cursor := 0
-	for i := range sorted {
-		pt := &sorted[i]
-		if pt.Seed != opts.Seed {
-			return Summary{}, fmt.Errorf("sim: partial [%d,%d) ran under seed %d, want %d",
-				pt.Start, pt.End, pt.Seed, opts.Seed)
-		}
-		if pt.MissionTime != opts.MissionTime {
-			return Summary{}, fmt.Errorf("sim: partial [%d,%d) ran under mission time %v, want %v",
-				pt.Start, pt.End, pt.MissionTime, opts.MissionTime)
-		}
-		if pt.End <= pt.Start || pt.End > opts.Iterations {
-			return Summary{}, fmt.Errorf("sim: invalid partial range [%d,%d)", pt.Start, pt.End)
-		}
-		if pt.Start < cursor {
-			return Summary{}, fmt.Errorf("sim: partial [%d,%d) duplicates or overlaps iterations before %d",
-				pt.Start, pt.End, cursor)
-		}
-		if pt.Start > cursor {
-			return Summary{}, fmt.Errorf("sim: iterations [%d,%d) missing from partials", cursor, pt.Start)
-		}
-		if got, want := pt.Avail.N(), int64(pt.End-pt.Start); got != want {
-			return Summary{}, fmt.Errorf("sim: partial [%d,%d) carries %d observations, want %d",
-				pt.Start, pt.End, got, want)
-		}
-		if biased {
-			if pt.Bias <= 0 || pt.WAvail == nil || pt.WDownDU == nil || pt.WDownDL == nil {
-				return Summary{}, fmt.Errorf("sim: partial [%d,%d) carries no importance weights for a biased run",
-					pt.Start, pt.End)
-			}
-			if biasFactor == 0 {
-				biasFactor = pt.Bias
-			} else if pt.Bias != biasFactor {
-				return Summary{}, fmt.Errorf("sim: partial [%d,%d) sampled under bias %v, want %v",
-					pt.Start, pt.End, pt.Bias, biasFactor)
-			}
-			if got, want := pt.WAvail.N(), int64(pt.End-pt.Start); got != want {
-				return Summary{}, fmt.Errorf("sim: partial [%d,%d) carries %d weighted observations, want %d",
-					pt.Start, pt.End, got, want)
-			}
-			wav.Merge(pt.WAvail)
-			wdu.Merge(pt.WDownDU)
-			wdl.Merge(pt.WDownDL)
-		} else if pt.Bias != 0 {
-			return Summary{}, fmt.Errorf("sim: partial [%d,%d) sampled under bias %v in an unbiased run",
-				pt.Start, pt.End, pt.Bias)
-		}
-		acc.Merge(&pt.Avail)
-		du.Merge(&pt.DownDU)
-		dl.Merge(&pt.DownDL)
-		downIters += pt.DownIters
-		events.Merge(pt.Events)
-		if pt.Hist != nil {
-			if hist == nil {
-				h := *pt.Hist
-				h.Counts = append([]int64(nil), pt.Hist.Counts...)
-				hist = &h
-			} else {
-				if pt.Hist.Lo != hist.Lo || pt.Hist.Hi != hist.Hi || len(pt.Hist.Counts) != len(hist.Counts) {
-					return Summary{}, fmt.Errorf("sim: partial [%d,%d) carries a histogram binned [%v,%v)x%d, want [%v,%v)x%d",
-						pt.Start, pt.End, pt.Hist.Lo, pt.Hist.Hi, len(pt.Hist.Counts), hist.Lo, hist.Hi, len(hist.Counts))
-				}
-				hist.Merge(pt.Hist)
-			}
-		}
-		cursor = pt.End
-	}
-	if cursor != opts.Iterations {
-		return Summary{}, fmt.Errorf("sim: iterations [%d,%d) missing from partials", cursor, opts.Iterations)
-	}
-
-	avail := acc.Mean()
-	halfWidth := acc.HalfWidth(opts.Confidence)
-	meanDU, meanDL := du.Mean(), dl.Mean()
-	ess, availHT := 0.0, 0.0
-	if biased {
-		// A biased run reports the self-normalized weighted estimates;
-		// the weighted fold above walks the same cell order as the
-		// unweighted one, so it is equally partition-independent.
-		avail = wav.Mean()
-		halfWidth = wav.HalfWidth(opts.Confidence)
-		meanDU, meanDL = wdu.Mean(), wdl.Mean()
-		ess = wav.ESS()
-		availHT = wav.MeanHT()
-	}
-	// Converged is the stopping rule's own verdict — with its
-	// effective-N safeguards — not a raw half-width comparison: a
-	// zero-variance or event-starved stream reports half-width 0 but
-	// must never be certified as converged (the fold here reproduces
-	// the StopScan accumulator bit for bit, so the verdict matches the
-	// scan's at the stopping boundary). Biased runs judge the weighted
-	// stream at ESS-based effective degrees of freedom.
-	converged := false
-	if opts.TargetHalfWidth > 0 {
-		rule := stats.StopRule{TargetHalfWidth: opts.TargetHalfWidth, Confidence: opts.Confidence}
-		if biased {
-			converged = rule.MetWeighted(&wav)
-		} else {
-			converged = rule.Met(&acc, downIters)
-		}
-	}
-	return Summary{
-		Availability:      avail,
-		HalfWidth:         halfWidth,
-		Nines:             stats.Nines(avail),
-		MeanDowntimeDU:    meanDU,
-		MeanDowntimeDL:    meanDL,
-		Iterations:        opts.Iterations,
-		MissionTime:       opts.MissionTime,
-		Confidence:        opts.Confidence,
-		TargetHalfWidth:   opts.TargetHalfWidth,
-		Converged:         converged,
-		Events:            events,
-		Bias:              biasFactor,
-		ESS:               ess,
-		AvailabilityHT:    availHT,
-		DowntimeHistogram: hist,
-	}, nil
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"herald/internal/dist"
 	"herald/internal/stats"
@@ -524,31 +525,51 @@ type iterStats struct {
 // Run executes the Monte-Carlo experiment and returns its summary.
 //
 // The run is decomposed into the canonical accumulation cells of
-// [0, Iterations) (see CellSize): workers pull cells off a shared
-// counter, accumulate each cell sequentially, and the cell partials
-// are folded in index order by Summarize. Because the decomposition
-// and fold order depend only on the iteration count, the Summary is
-// bit-identical for every worker count — and identical to a sharded
-// run (internal/shard) that partitions the same cells across
-// processes or machines.
-// Adaptive runs (Options.TargetHalfWidth > 0) instead grow the
-// executed prefix of [0, IterationCap()) and stop at the first cell
-// boundary where the stopping rule binds; see runAdaptive. The
-// decomposition over the cap keeps the same schedule-independence: an
-// adaptive Summary is bit-identical for every worker count, and
-// identical to an adaptive sharded run with the same options.
+// [0, IterationCap()) (see CellSize): workers pull cells off a shared
+// counter and accumulate each cell sequentially, and the contiguous
+// completed prefix of cells is folded in index order as cells land.
+// Because the decomposition and fold order depend only on the
+// iteration count, the Summary is bit-identical for every worker count
+// — and identical to Summarize over the same partials, and to a
+// sharded run (internal/shard) that partitions the same cells across
+// processes or machines. Adaptive runs (Options.TargetHalfWidth > 0)
+// stop claiming cells at the first boundary where the stopping rule
+// binds and report exactly the prefix up to it.
 func Run(p ArrayParams, o Options) (Summary, error) {
-	if o.Iterations < 1 {
-		return Summary{}, fmt.Errorf("sim: iterations %d must be positive", o.Iterations)
-	}
-	if o.Adaptive() {
-		return runAdaptive(p, o)
-	}
-	parts, err := RunRange(p, o, 0, o.Iterations)
+	n := o.IterationCap()
+	ro := o
+	ro.Iterations = n
+	opts, cells, err := prepareRange(&p, &ro, 0, n)
 	if err != nil {
 		return Summary{}, err
 	}
-	return Summarize(o, parts)
+	f, err := newFold(o, 0, n)
+	if err != nil {
+		return Summary{}, err
+	}
+	// landed parks cells that complete ahead of the folded prefix.
+	var mu sync.Mutex
+	landed := make([]*Partial, len(cells))
+	next := 0
+	execute(&p, opts, cells, nil, func(ci int, pt Partial) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if f.stopAt != 0 || err != nil {
+			return false
+		}
+		landed[ci] = &pt
+		for ; next < len(cells) && landed[next] != nil; next++ {
+			if err = f.add(landed[next]); err != nil || f.bind() {
+				return false
+			}
+			landed[next] = nil
+		}
+		return true
+	})
+	if err != nil {
+		return Summary{}, err
+	}
+	return f.summary(), nil
 }
 
 // ---------------------------------------------------------------------
