@@ -1,11 +1,12 @@
 package herald
 
-// Benchmark harness: one benchmark per paper figure/claim (DESIGN.md
-// §4 maps experiment ids to these targets), plus micro-benchmarks of
-// the analytic and simulation kernels. Each figure benchmark runs the
-// full experiment generator at a reduced Monte-Carlo scale and reports
-// the reproduced headline metric via b.ReportMetric, so
-// `go test -bench=.` regenerates the paper's result shapes.
+// Benchmark harness: one benchmark per paper figure/claim (repro.All
+// lists the experiment ids behind these targets), plus
+// micro-benchmarks of the analytic and simulation kernels. Each figure
+// benchmark runs the full experiment generator at a reduced
+// Monte-Carlo scale and reports the reproduced headline metric via
+// b.ReportMetric, so `go test -bench=.` regenerates the paper's result
+// shapes.
 
 import (
 	"strconv"
@@ -105,7 +106,7 @@ func BenchmarkHeadlineUnderestimation(b *testing.B) {
 }
 
 // BenchmarkAblationRates regenerates the interpretation-knob ablation
-// (DESIGN.md §3).
+// (repro.Ablation).
 func BenchmarkAblationRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.Ablation(benchOpts()); err != nil {

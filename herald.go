@@ -25,8 +25,8 @@
 //	if err != nil { ... }
 //	fmt.Printf("availability: %.3f nines\n", res.Nines())
 //
-// All rates are per hour. See DESIGN.md for modelling decisions and
-// EXPERIMENTS.md for paper-vs-measured results.
+// All rates are per hour. See README.md for the simulator's design and
+// cmd/repro for the paper-vs-measured tables.
 package herald
 
 import (
@@ -464,8 +464,8 @@ type ShardPool = shard.Pool
 // ShardRunSpec is one run submitted to a ShardPool.
 type ShardRunSpec = shard.RunSpec
 
-// ShardRunProgress is one progress observation of a pool run (banked
-// iterations, adaptive half-width, convergence).
+// ShardRunProgress is one progress observation of a pool run (folded
+// prefix, adaptive half-width, convergence).
 type ShardRunProgress = shard.RunProgress
 
 // ShardPoolOptions tunes a ShardPool: its warning log and the

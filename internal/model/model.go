@@ -303,8 +303,8 @@ func (p FailoverParams) Validate() error {
 
 // FailoverChain builds the paper's Fig. 3 CTMC for a RAID array with
 // a hot spare and the delayed (automatic fail-over) replacement
-// policy. See DESIGN.md §3.2 for the full transition table and the
-// interpretation knobs.
+// policy. The b.At calls below are the full transition table;
+// InstallAsSpare and DownAltService are the interpretation knobs.
 func FailoverChain(p FailoverParams) (*markov.CTMC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

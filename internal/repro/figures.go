@@ -205,9 +205,10 @@ func Underestimation(opts Options) (*report.Table, error) {
 	return t, nil
 }
 
-// Ablation sweeps the interpretation knobs DESIGN.md §3 calls out:
-// the post-undo resync phase and the two Fig. 3 service branches, plus
-// the sensitivity of the fail-over gain to muCH.
+// Ablation sweeps the model's interpretation knobs: the post-undo
+// resync phase (model.Params.ResyncAfterUndo) and the two Fig. 3
+// service branches (model.FailoverParams.InstallAsSpare and
+// DownAltService), plus the sensitivity of the fail-over gain to muCH.
 func Ablation(opts Options) (*report.Table, error) {
 	const lambda, hep = 1e-6, 0.01
 	t := report.NewTable(

@@ -6,9 +6,8 @@ import (
 )
 
 // TestGoldenAnalyticNumbers pins the analytic (Markov) cells of the
-// experiment tables to their recorded values in EXPERIMENTS.md, so
-// that refactors of the solver or model cannot silently drift the
-// reproduction.
+// experiment tables to the values recorded below, so that refactors
+// of the solver or model cannot silently drift the reproduction.
 func TestGoldenAnalyticNumbers(t *testing.T) {
 	const tol = 0.005 // nines
 

@@ -1,7 +1,7 @@
 // Package repro regenerates every table and figure of the paper's
 // evaluation section (§V) plus its headline claims, as textual tables.
-// Each experiment is addressable by the paper's figure number; see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
+// Each experiment is addressable by the paper's figure number; All
+// lists them, and golden_test.go pins the analytic cells of the
 // paper-vs-measured record.
 package repro
 

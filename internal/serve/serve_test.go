@@ -470,6 +470,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown option", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1, "workers": 4}}`, pj), 400},
 		{"zero iterations", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"mission_time": 1000, "seed": 1}}`, pj), 400},
 		{"bad kernel", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1, "kernel": "warp"}}`, pj), 400},
+		{"negative histogram bins", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1, "histogram_bins": -1}}`, pj), 400},
+		{"histogram bins over cap", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1, "histogram_bins": 1099511627776}}`, pj), 400},
+		{"negative histogram max hours", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1, "histogram_bins": 8, "histogram_max_hours": -5}}`, pj), 400},
 		{"negative shards", "/v1/run", fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1}, "shards": -1}`, pj), 400},
 		{"bad distribution", "/v1/run", `{"params": {"disks": 4, "ttf": {"family": "exponential", "params": [-1]}, "repair": {"family": "exponential", "params": [1]}, "tape_restore": {"family": "exponential", "params": [1]}}, "options": {"iterations": 10, "mission_time": 1000, "seed": 1}}`, 400},
 		{"empty sweep", "/v1/sweep", `{"points": []}`, 400},

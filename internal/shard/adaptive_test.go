@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -279,7 +281,10 @@ func TestPipelineMixedAdaptiveFixed(t *testing.T) {
 
 // TestWorkerCancelProtocol pins the v2 cancel exchange at the protocol
 // level: a job answered by a cancel comes back as a cancelled message
-// and the worker stays usable for the next job.
+// and the worker stays usable for the next job. The cancelled job is a
+// raw line in the form older coordinators send, with the retired
+// "cancellable" job field, so it also pins that such a job still runs
+// and cancels.
 func TestWorkerCancelProtocol(t *testing.T) {
 	server, client := pipeTransports()
 	go func() { _ = serveConn(server) }()
@@ -289,9 +294,19 @@ func TestWorkerCancelProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A large cancellable job the cancel will interrupt.
+	// A large job the cancel will interrupt.
 	o := sim.Options{Iterations: 5_000_000, MissionTime: 2e5, Seed: 1, Workers: 1}
-	if err := client.Send(&Message{Type: MsgJob, Job: &Job{ID: 7, Start: 0, End: o.Iterations, Params: wire, Options: o, Cancellable: true}}); err != nil {
+	pj, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oj, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := fmt.Sprintf(`{"type":"job","id":0,"job":{"id":7,"start":0,"end":%d,"params":%s,"options":%s,"cancellable":true}}`,
+		o.Iterations, pj, oj)
+	if err := client.(*connTransport).enc.Encode(json.RawMessage(legacy)); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Send(&Message{Type: MsgCancel, ID: 7}); err != nil {
@@ -355,7 +370,7 @@ func TestWorkerCancelProtocol(t *testing.T) {
 	if err := client.Send(&Message{Type: MsgCancel, ID: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send(&Message{Type: MsgJob, Job: &Job{ID: 9, Start: 0, End: o.Iterations, Params: wire, Options: o, Cancellable: true}}); err != nil {
+	if err := client.Send(&Message{Type: MsgJob, Job: &Job{ID: 9, Start: 0, End: o.Iterations, Params: wire, Options: o}}); err != nil {
 		t.Fatal(err)
 	}
 	for {

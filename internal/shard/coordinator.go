@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,16 +14,16 @@ import (
 // RunSpec is one run submitted to a Pool.
 type RunSpec struct {
 	// Params and Options configure the simulation exactly as sim.Run
-	// would receive them. Adaptive options (TargetHalfWidth, MaxIters)
-	// switch the run to wave-based precision-targeted handout.
+	// would receive them. A fixed-N run is handed out as one wave;
+	// adaptive options (TargetHalfWidth, MaxIters) make the waves grow
+	// until the stopping rule binds.
 	Params  sim.ArrayParams
 	Options sim.Options
-	// Shards is the number of contiguous iteration shards to partition
-	// the run into (default: one per initial pool slot, split in
-	// proportion to advertised capacities). Shard boundaries always fall
-	// on the canonical cell boundaries, and the count is capped at the
-	// cell count, so over-asking is safe. For adaptive runs it is the
-	// shard count per wave.
+	// Shards is the number of contiguous iteration shards per wave
+	// (default: one per initial pool slot, with an adaptive run's waves
+	// split in proportion to advertised capacities). Shard boundaries
+	// always fall on the canonical cell boundaries, and the count is
+	// capped at the cell count, so over-asking is safe.
 	Shards int
 	// Checkpoint, when non-empty, is the path of the resume log:
 	// completed shards are appended as they finish, and a rerun with
@@ -73,39 +72,16 @@ type Stats struct {
 	StoppedEarly bool
 }
 
-// partition returns the contiguous shard ranges of a run of n
-// iterations split shards ways. Boundaries fall on the canonical cell
-// boundaries of internal/sim, so every shard's partials are exactly
-// the cells a single-process run would produce; the count is capped at
-// the cell count.
-func partition(n, shards int) []sim.Range {
-	cells := sim.Cells(n)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > len(cells) {
-		shards = len(cells)
-	}
-	out := make([]sim.Range, 0, shards)
-	for s := 0; s < shards; s++ {
-		lo := s * len(cells) / shards
-		hi := (s + 1) * len(cells) / shards
-		if lo == hi {
-			continue
-		}
-		out = append(out, sim.Range{Start: cells[lo].Start, End: cells[hi-1].End})
-	}
-	return out
-}
-
 // adaptivePartition returns the shard ranges and the per-wave shard-id
-// lists of an adaptive run. Waves grow the handed-out iteration prefix
-// of [0, capIters) geometrically — the first wave covers at least the
+// lists of a run. Waves grow the handed-out iteration prefix of
+// [0, capIters) geometrically — the first wave covers at least the
 // rule's floor and one shard per pool slot, every later wave doubles
 // the cumulative cell count — so the work spent past the stopping
 // boundary is bounded by the prefix already proven necessary. Each
 // wave is split into at most shardsPerWave contiguous shards along the
-// cap run's canonical cells.
+// cap run's canonical cells, so every shard's partials are exactly the
+// cells a single-process run would produce. A fixed-N run's floor is
+// its cap: one wave over the whole run.
 //
 // weights, when non-nil, are the pool slots' advertised capacities
 // (speed-aware wave sizing): each wave's cells are split proportionally
@@ -206,9 +182,10 @@ type runState struct {
 	// Iterations raised to the cap, adaptive fields stripped (workers
 	// always execute fixed ranges).
 	jobOptions sim.Options
-	adaptive   bool
 	capIters   int
-	scan       *sim.StopScan
+	// scan folds the contiguous banked prefix; the run's Summary is
+	// read off it.
+	scan *sim.StopScan
 
 	shards   []sim.Range
 	waves    [][]int // shard ids per handout wave
@@ -216,21 +193,20 @@ type runState struct {
 	queue    []int // pending shard ids
 	inflight int
 
+	// done holds every banked shard id; a shard's partials are
+	// released (set nil) once the scan folds them.
 	done      map[int][]sim.Partial
 	malformed map[int]int
 	cp        *checkpoint
 
-	// prefixShard is the next shard id whose cells the stopping scan
-	// has not folded yet (adaptive runs only).
+	// prefixShard is the next shard id whose cells the scan has not
+	// folded yet.
 	prefixShard int
 
 	// progress, when non-nil, observes the run's advance (see
 	// RunProgress). It is invoked with the dispatcher lock held and must
 	// not block or call back into the pool.
 	progress func(RunProgress)
-	// bankedIters counts iterations banked so far (fixed runs report it
-	// as progress; adaptive runs report the folded prefix instead).
-	bankedIters int
 	// jobIDs records every job id issued for this run, so the pool can
 	// drop the run's jobIndex entries once it is compacted out.
 	jobIDs []int
@@ -264,18 +240,11 @@ func (r *runState) emitProgress(final bool) {
 	if r.progress == nil {
 		return
 	}
-	pr := RunProgress{Cap: r.capIters, Waves: r.stats.Waves, Final: final}
-	switch {
-	case final:
-		pr.Iterations = r.summary.Iterations
-		pr.HalfWidth = r.summary.HalfWidth
-		pr.Converged = r.summary.Converged
-	case r.adaptive:
-		pr.Iterations = r.scan.End()
+	pr := RunProgress{Iterations: r.scan.End(), Cap: r.capIters, Waves: r.stats.Waves, Final: final}
+	if final {
+		pr.HalfWidth, pr.Converged = r.summary.HalfWidth, r.summary.Converged
+	} else {
 		pr.HalfWidth = r.scan.EffectiveHalfWidth()
-	default:
-		pr.Iterations = r.bankedIters
-		pr.HalfWidth = math.Inf(1) // unknown until the merge
 	}
 	r.progress(pr)
 }
@@ -288,7 +257,8 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 	if err := spec.Params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := spec.Options.Validate(); err != nil {
+	scan, err := sim.NewStopScan(spec.Options) // validates the options
+	if err != nil {
 		return nil, err
 	}
 	wire, err := EncodeParams(spec.Params)
@@ -299,35 +269,28 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 		idx:      idx,
 		spec:     spec,
 		wire:     wire,
-		adaptive: spec.Options.Adaptive(),
 		capIters: spec.Options.IterationCap(),
+		scan:     scan,
 		notify:   make(chan struct{}),
 	}
 	shardCount := spec.Shards
-	weights := []int(nil)
 	if shardCount < 1 {
 		shardCount = len(caps)
-		weights = caps
 	}
-	if r.adaptive {
-		scan, err := sim.NewStopScan(spec.Options)
-		if err != nil {
-			return nil, err
-		}
-		r.scan = scan
-		floor := 0
+	// A fixed-N run is one evenly split wave. An adaptive run's waves
+	// grow from the rule's floor, split in proportion to the pool's
+	// capacities unless spec.Shards fixes the count.
+	floor, weights := r.capIters, []int(nil)
+	if spec.Options.Adaptive() {
+		floor = 0
 		if spec.Options.MaxIters > 0 {
 			floor = spec.Options.Iterations
 		}
-		r.shards, r.waves = adaptivePartition(r.capIters, floor, shardCount, weights)
-	} else {
-		r.shards = partition(spec.Options.Iterations, shardCount)
-		all := make([]int, len(r.shards))
-		for i := range all {
-			all[i] = i
+		if spec.Shards < 1 {
+			weights = caps
 		}
-		r.waves = [][]int{all}
 	}
+	r.shards, r.waves = adaptivePartition(r.capIters, floor, shardCount, weights)
 	r.stats.Shards = len(r.shards)
 	r.jobOptions = spec.Options
 	r.jobOptions.Iterations = r.capIters
@@ -344,7 +307,6 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 		r.stats.FromCheckpoint = len(done)
 		for id := range done {
 			sortParts(done[id])
-			r.bankedIters += r.shards[id].Len()
 		}
 	}
 	if r.done == nil {
@@ -569,8 +531,7 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 			d.assigned[jid] = &assignment{key: key, w: w}
 			r.jobIDs = append(r.jobIDs, jid)
 			rg := r.shards[id]
-			return &Job{ID: jid, Start: rg.Start, End: rg.End, Params: r.wire,
-				Options: r.jobOptions, Cancellable: r.adaptive}, key, true
+			return &Job{ID: jid, Start: rg.Start, End: rg.End, Params: r.wire, Options: r.jobOptions}, key, true
 		}
 		d.cond.Wait()
 	}
@@ -613,8 +574,9 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 		return
 	}
 	if r.finished {
-		// An adaptive run that already bound its stopping boundary no
-		// longer needs this shard (a cancel lost the race).
+		// A run that already finished no longer needs this shard (a
+		// cancel lost the race, or a reassigned shard was answered
+		// twice).
 		fmt.Fprintf(d.logw, "shard: dropping late result for finished run %d shard %d\n", r.idx, key.shard)
 		d.cond.Broadcast()
 		return
@@ -627,10 +589,10 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 	}
 	rg := r.shards[key.shard]
 	if err := sim.CheckPartials(r.spec.Params, r.jobOptions, rg.Start, rg.End, parts); err != nil {
-		// A malformed result (one Summarize would refuse) is dropped
-		// and the shard recomputed, like a worker death — up to a cap,
-		// beyond which the defect is clearly deterministic and the run
-		// is dead.
+		// A malformed result (one the run's scan would refuse) is
+		// dropped and the shard recomputed, like a worker death — up
+		// to a cap, beyond which the defect is clearly deterministic
+		// and the run is dead.
 		if r.malformed == nil {
 			r.malformed = make(map[int]int)
 		}
@@ -651,7 +613,6 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 	sortParts(parts)
 	r.done[key.shard] = parts
 	r.stats.Computed++
-	r.bankedIters += rg.Len()
 	// Remove the shard from the queue if a stray delivery beat a
 	// pending reassignment to it.
 	for i := range r.queue {
@@ -664,112 +625,85 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 		d.failLocked(err)
 		return
 	}
-	if !r.adaptive {
-		r.emitProgress(false)
-	}
 	d.advanceLocked(r)
 	d.cond.Broadcast()
 }
 
-// advanceLocked moves a run's completion state forward after new
-// shards banked: adaptive runs fold the contiguous banked prefix into
-// the stopping scan cell by cell (completion-order merging — partials
-// are folded as soon as the prefix reaches them, not at a barrier) and
-// finish at the first bound boundary; fixed runs finish when every
-// shard banked. Callers hold d.mu.
+// advanceLocked folds a run's contiguous banked prefix into its scan
+// cell by cell as shards land (completion-order merging: partials fold
+// as soon as the prefix reaches them, not at a barrier) and releases
+// each shard's partials once folded. The run finishes at the first
+// boundary where the stopping rule binds — its in-flight jobs are then
+// cancelled — or when the prefix reaches the cap. Callers hold d.mu.
 func (d *dispatcher) advanceLocked(r *runState) {
-	if r.finished {
-		return
-	}
-	if !r.adaptive {
-		if len(r.done) == len(r.shards) {
-			d.finishLocked(r, r.spec.Options.Iterations)
-		}
-		return
-	}
 	moved := false
 	for r.prefixShard < len(r.shards) {
 		parts, ok := r.done[r.prefixShard]
 		if !ok {
-			if moved {
-				r.emitProgress(false)
-			}
-			return
+			break
 		}
 		for i := range parts {
 			if r.scan.Feed(&parts[i]) {
-				d.stopLocked(r, r.scan.StopAt())
+				r.stats.StoppedEarly = true
+				d.cancelJobsLocked(r)
+				d.finishLocked(r)
 				return
 			}
 		}
+		r.done[r.prefixShard] = nil
 		r.prefixShard++
 		moved = true
 	}
-	// Every shard banked without the rule binding: the cap is the run.
-	d.finishLocked(r, r.capIters)
+	if r.prefixShard == len(r.shards) {
+		d.finishLocked(r)
+	} else if moved {
+		r.emitProgress(false)
+	}
 }
 
-// stopLocked ends an adaptive run at the bound stopping boundary:
-// outstanding handout is dropped, in-flight jobs are cancelled
-// (best-effort, asynchronously — their workers stay usable), and the
-// summary covers exactly [0, stopAt). Callers hold d.mu.
-func (d *dispatcher) stopLocked(r *runState, stopAt int) {
-	r.queue = nil
-	r.nextWave = len(r.waves)
-	r.stats.StoppedEarly = true
+// cancelJobsLocked cancels the in-flight jobs of run r, or of every run
+// when r is nil: best-effort and asynchronously, so the workers stay
+// usable. Their late answers are absorbed by the finished-run guards.
+// Callers hold d.mu.
+func (d *dispatcher) cancelJobsLocked(r *runState) {
 	for jid, a := range d.assigned {
-		if a.key.r != r {
+		if r != nil && a.key.r != r {
 			continue
 		}
 		if c, ok := a.w.(JobCanceler); ok {
 			go c.CancelJob(jid)
 		}
 	}
-	d.finishLocked(r, stopAt)
 }
 
-// finishLocked merges a run's kept iterations into its Summary.
+// finishLocked resolves a run with the Summary of its folded prefix.
 // Callers hold d.mu.
-func (d *dispatcher) finishLocked(r *runState, stopAt int) {
-	var parts []sim.Partial
-	for id := 0; id < len(r.shards) && r.shards[id].Start < stopAt; id++ {
-		for _, pt := range r.done[id] {
-			if pt.Start < stopAt {
-				parts = append(parts, pt)
-			}
-		}
-	}
-	so := r.spec.Options
-	so.Iterations = stopAt
-	sum, err := sim.Summarize(so, parts)
-	if err != nil {
-		d.failLocked(err)
-		return
-	}
-	r.summary = sum
-	r.finished = true
+func (d *dispatcher) finishLocked(r *runState) {
+	r.summary = r.scan.Summary()
 	r.wall = time.Since(d.start)
-	// A finished run's partials are dead weight for the rest of the
-	// pool's life — release them so a long sweep's heap stays one point
-	// deep. Every post-finish path is guarded by r.finished before it
-	// touches r.done.
+	r.emitProgress(true)
+	d.endLocked(r)
+}
+
+// endLocked moves a run to its terminal state. Its queue, partials
+// and checkpoint are released — every later path checks r.finished
+// before it touches them, and closing the checkpoint here keeps a
+// long-lived pool's fd count flat — and its ticket wakes. Callers hold
+// d.mu.
+func (d *dispatcher) endLocked(r *runState) {
+	r.finished = true
+	r.queue = nil
 	r.done = nil
-	// The checkpoint takes no more records after finish; closing it here
-	// (rather than at pool shutdown) keeps a long-lived pool's fd count
-	// flat.
 	r.cp.close()
 	r.cp = nil
-	r.emitProgress(true)
 	r.signalTerminal()
 	d.cond.Broadcast()
 }
 
 // abortRun ends a run before its natural completion: queued shards are
 // dropped, in-flight jobs are cancelled through the protocol's v2
-// cancel path (best-effort, asynchronously — the workers stay usable),
-// and the ticket resolves with cause. Late results and cancel acks for
-// the run are absorbed by the normal finished-run guards. Idempotent;
-// a run that already finished is left alone.
+// cancel path, and the ticket resolves with cause. Idempotent; a run
+// that already finished is left alone.
 func (d *dispatcher) abortRun(r *runState, cause error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -777,23 +711,9 @@ func (d *dispatcher) abortRun(r *runState, cause error) {
 		return
 	}
 	r.aborted = cause
-	r.queue = nil
-	r.nextWave = len(r.waves)
-	for jid, a := range d.assigned {
-		if a.key.r != r {
-			continue
-		}
-		if c, ok := a.w.(JobCanceler); ok {
-			go c.CancelJob(jid)
-		}
-	}
-	r.finished = true
-	r.done = nil
-	r.cp.close()
-	r.cp = nil
+	d.cancelJobsLocked(r)
 	fmt.Fprintf(d.logw, "shard: run %d aborted: %v\n", r.idx, cause)
-	r.signalTerminal()
-	d.cond.Broadcast()
+	d.endLocked(r)
 }
 
 // cancelled accounts for a job a worker abandoned on request. The

@@ -9,21 +9,20 @@ import (
 )
 
 // RunProgress is one observation of a run's advance, delivered to the
-// progress callback passed to Pool.Submit. For adaptive runs it tracks
-// the stopping scan's folded prefix (the iterations whose contribution
-// to the confidence interval is already proven); for fixed runs it
-// tracks banked iterations. The final observation carries the merged
-// summary's numbers.
+// progress callback passed to Pool.Submit. Every run, fixed-N or
+// adaptive, folds its contiguous banked prefix of shards as they land,
+// and an observation follows each advance of that prefix; the final
+// observation carries the run's Summary numbers.
 type RunProgress struct {
-	// Iterations banked (fixed runs) or folded into the stopping scan
-	// (adaptive runs). Monotone non-decreasing across observations.
+	// Iterations folded so far: the banked prefix, shard-aligned and
+	// monotone non-decreasing across observations.
 	Iterations int
-	// Cap is the run's iteration ceiling (Iterations for fixed runs,
-	// IterationCap for adaptive ones).
+	// Cap is the run's iteration ceiling (Options.IterationCap).
 	Cap int
-	// HalfWidth is the scan's current effective half-width (adaptive
-	// runs; +Inf while the rule's safeguards are unmet) or the final
-	// summary's half-width. +Inf for non-final fixed-run observations.
+	// HalfWidth is the stopping rule's safeguarded half-width of the
+	// folded prefix, +Inf while its safeguards are unmet and for every
+	// non-final observation of a fixed-N run; the final observation
+	// carries the Summary's half-width.
 	HalfWidth float64
 	// Converged is only meaningful on the final observation.
 	Converged bool
@@ -381,11 +380,7 @@ func (p *Pool) Close() error {
 		d := p.d
 		d.mu.Lock()
 		d.closing = true
-		for jid, a := range d.assigned {
-			if c, ok := a.w.(JobCanceler); ok {
-				go c.CancelJob(jid)
-			}
-		}
+		d.cancelJobsLocked(nil)
 		d.mu.Unlock()
 		d.signalDone()
 		d.cond.Broadcast()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -92,60 +93,79 @@ func TestPoolConcurrentSubmits(t *testing.T) {
 	}
 }
 
-// TestPoolAdaptiveProgress submits an adaptive run with a progress
-// observer and checks the contract the streaming API builds on:
-// iterations are monotone non-decreasing, the last event is final and
-// carries the converged summary's numbers, and the stopping boundary
-// matches the in-process baseline.
+// TestPoolAdaptiveProgress submits an adaptive and a fixed-N run with
+// a progress observer and checks the contract the streaming API builds
+// on: iterations are monotone non-decreasing, the last event is final
+// and carries the summary's numbers, and the summary is byte-identical
+// to the in-process baseline. The adaptive run ends converged; the
+// fixed run reports +Inf half-widths until its final event and never
+// converges.
 func TestPoolAdaptiveProgress(t *testing.T) {
 	p := testParams(sim.Conventional)
-	o := adaptiveOptions()
-	base, err := sim.Run(p, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
-	pool, err := NewPool(workers, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	var mu sync.Mutex
-	var events []RunProgress
-	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o}, func(pr RunProgress) {
-		mu.Lock()
-		events = append(events, pr)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tk.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Fatal("no progress events")
-	}
-	last := events[len(events)-1]
-	if !last.Final {
-		t.Errorf("last event not final: %+v", last)
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Iterations < events[i-1].Iterations {
-			t.Errorf("iterations not monotone: event %d %d after %d", i, events[i].Iterations, events[i-1].Iterations)
+	for _, spec := range []RunSpec{
+		{Params: p, Options: adaptiveOptions()},
+		{Params: p, Options: testOptions(), Shards: 8},
+	} {
+		adaptive := spec.Options.Adaptive()
+		base, err := sim.Run(p, spec.Options)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if last.Iterations != base.Iterations || last.Iterations != res.Summary.Iterations {
-		t.Errorf("final iterations %d, baseline %d, summary %d", last.Iterations, base.Iterations, res.Summary.Iterations)
-	}
-	if !last.Converged {
-		t.Error("final event not converged")
-	}
-	if last.HalfWidth != res.Summary.HalfWidth {
-		t.Errorf("final half-width %g, summary %g", last.HalfWidth, res.Summary.HalfWidth)
+		workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
+		pool, err := NewPool(workers, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var events []RunProgress
+		tk, err := pool.Submit(context.Background(), spec, func(pr RunProgress) {
+			mu.Lock()
+			events = append(events, pr)
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Wait()
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if len(events) == 0 {
+			t.Fatalf("adaptive=%v: no progress events", adaptive)
+		}
+		last := events[len(events)-1]
+		if !last.Final {
+			t.Errorf("adaptive=%v: last event not final: %+v", adaptive, last)
+		}
+		for i := 1; i < len(events); i++ {
+			if events[i].Iterations < events[i-1].Iterations {
+				t.Errorf("adaptive=%v: iterations not monotone: event %d %d after %d",
+					adaptive, i, events[i].Iterations, events[i-1].Iterations)
+			}
+		}
+		if !adaptive {
+			for i, ev := range events[:len(events)-1] {
+				if !math.IsInf(ev.HalfWidth, 1) {
+					t.Errorf("fixed run: non-final event %d has half-width %g, want +Inf", i, ev.HalfWidth)
+				}
+			}
+		}
+		if last.Iterations != base.Iterations || last.Iterations != res.Summary.Iterations {
+			t.Errorf("adaptive=%v: final iterations %d, baseline %d, summary %d",
+				adaptive, last.Iterations, base.Iterations, res.Summary.Iterations)
+		}
+		if last.Converged != adaptive {
+			t.Errorf("adaptive=%v: final event converged = %v", adaptive, last.Converged)
+		}
+		if last.HalfWidth != res.Summary.HalfWidth {
+			t.Errorf("adaptive=%v: final half-width %g, summary %g", adaptive, last.HalfWidth, res.Summary.HalfWidth)
+		}
+		if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+			t.Errorf("adaptive=%v: pooled summary diverged from sim.Run", adaptive)
+		}
+		mu.Unlock()
 	}
 }
 

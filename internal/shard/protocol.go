@@ -7,14 +7,16 @@
 // to a single-process sim.Run, whatever the shard count, worker count
 // or schedule.
 //
-// Beyond single fixed-N runs, the coordinator also executes adaptive
-// (precision-targeted) runs — shards handed out in geometrically
-// growing waves, results merged in completion order, the stopping rule
-// re-checked at every cell boundary of the banked prefix, and
-// outstanding jobs cancelled once it binds (sim.StopScan) — and
-// pipelines several runs through one shared worker pool so a scenario
-// sweep's next point starts while the previous one drains. Pool is the
-// one execution engine: RunPipeline wraps it for a fixed list of runs
+// Every run follows one lifecycle: shards are handed out in waves, and
+// results fold into the run's sim.StopScan in completion order as its
+// contiguous banked prefix grows; the Summary is read off that fold. A
+// fixed-N run is one wave whose stopping rule never binds. An adaptive
+// (precision-targeted) run's waves grow geometrically, the rule is
+// re-checked at every cell boundary of the prefix, and outstanding jobs
+// are cancelled once it binds. The coordinator pipelines several runs
+// through one shared worker pool so a scenario sweep's next point
+// starts while the previous one drains. Pool is the one execution
+// engine: RunPipeline wraps it for a fixed list of runs
 // (internal/sweep.MonteCarlo), and long-lived processes submit to it
 // directly (internal/serve).
 //
@@ -137,11 +139,6 @@ type Job struct {
 	End     int         `json:"end"`
 	Params  WireParams  `json:"params"`
 	Options sim.Options `json:"options"`
-	// Cancellable marks jobs the coordinator may cancel mid-flight
-	// (shards of an adaptive run). Since protocol v3 every job executes
-	// off the receive loop and can be interrupted, so the flag is
-	// informational, kept on the wire for observability.
-	Cancellable bool `json:"cancellable,omitempty"`
 }
 
 // WireParams is the serializable form of sim.ArrayParams, with every

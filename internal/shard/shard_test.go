@@ -187,14 +187,17 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestPartition pins the shard partition: contiguous, cell-aligned,
-// exactly tiling [0, n).
+// TestPartition pins a fixed-N run's shard plan: one wave,
+// contiguous, cell-aligned, exactly tiling [0, n).
 func TestPartition(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 2000, 1_000_000} {
 		for _, s := range []int{1, 2, 7, 256, 100000} {
-			shards := partition(n, s)
+			shards, waves := adaptivePartition(n, n, s, nil)
 			if len(shards) == 0 {
 				t.Fatalf("n=%d shards=%d: empty partition", n, s)
+			}
+			if len(waves) != 1 || len(waves[0]) != len(shards) {
+				t.Fatalf("n=%d shards=%d: %d waves, want one over all %d shards", n, s, len(waves), len(shards))
 			}
 			cursor := 0
 			for _, r := range shards {

@@ -1,6 +1,6 @@
 package sim
 
-import "fmt"
+import "math"
 
 // Adaptive (precision-targeted) execution. A fixed-N run answers "what
 // does 1e6 iterations say"; an adaptive run answers the question the
@@ -17,23 +17,24 @@ import "fmt"
 // pinned on the iterations actually *kept*: re-running with the same
 // options keeps the same prefix and reproduces the Summary bit for
 // bit, for every worker count, in process or sharded
-// (internal/shard reuses this scan for its wave coordinator).
+// (internal/shard folds every run, fixed or adaptive, through this
+// scan).
 
-// StopScan drives an adaptive run's stopping decision. Cell partials
-// are fed strictly in canonical cell order; after each fold the
-// Student-t stopping rule is re-evaluated at the cell's end boundary.
-// It folds through the same merge as Run and Summarize, so the shard
-// coordinator stops at the boundary an in-process run stops at.
+// StopScan is the prefix fold of one run. Cell partials are fed
+// strictly in canonical cell order; after each fold the Student-t
+// stopping rule of adaptive options is re-evaluated at the cell's end
+// boundary. It folds through the same merge as Run and Summarize, so
+// the shard coordinator stops at the boundary an in-process run stops
+// at and reads the same Summary off the scan. A fixed-N run is the
+// case whose rule never binds: its scan folds the run to the cap.
 type StopScan struct {
 	f *fold
 }
 
-// NewStopScan builds the scan for adaptive options. It errors unless
-// the options request an adaptive run.
+// NewStopScan builds the scan of a run under o, adaptive or fixed-N,
+// whose prefix may grow to o.IterationCap(). It errors when o fails
+// Validate.
 func NewStopScan(o Options) (*StopScan, error) {
-	if !o.Adaptive() {
-		return nil, fmt.Errorf("sim: stop scan needs a positive target half-width")
-	}
 	f, err := newFold(o, 0, o.IterationCap())
 	if err != nil {
 		return nil, err
@@ -44,9 +45,9 @@ func NewStopScan(o Options) (*StopScan, error) {
 // Feed folds the next canonical cell partial — which must start
 // exactly at End() and pass CheckPartials — and reports whether the
 // stopping rule binds at its end boundary. Once the rule has bound,
-// further feeds fold but never re-bind. A partial the checks refuse
-// panics: partials from outside the process go through CheckPartials
-// first.
+// further feeds fold but never re-bind; for fixed-N options it never
+// binds. A partial the checks refuse panics: partials from outside the
+// process go through CheckPartials first.
 func (s *StopScan) Feed(pt *Partial) bool {
 	if err := s.f.add(pt); err != nil {
 		panic(err)
@@ -57,13 +58,20 @@ func (s *StopScan) Feed(pt *Partial) bool {
 // End returns the contiguous prefix folded so far, in iterations.
 func (s *StopScan) End() int { return s.f.end }
 
-// StopAt returns the boundary the rule bound at, or 0 while unbound.
-func (s *StopScan) StopAt() int { return s.f.stopAt }
+// Summary reports the folded prefix as a Summary: the run's result once
+// the rule bound or the prefix reached the cap, bit-identical to Run
+// and to Summarize over the same partials. The Summary shares the
+// scan's histogram, so feed nothing further once it is read.
+func (s *StopScan) Summary() Summary { return s.f.summary() }
 
 // EffectiveHalfWidth returns the rule's safeguarded half-width of the
-// folded prefix (+Inf while the safeguards are unmet).
+// folded prefix: +Inf while the safeguards are unmet, and always for
+// fixed-N options, which have no rule.
 func (s *StopScan) EffectiveHalfWidth() float64 {
-	if s.f.biased {
+	switch {
+	case s.f.rule.TargetHalfWidth == 0:
+		return math.Inf(1)
+	case s.f.biased:
 		return s.f.rule.EffectiveHalfWidthWeighted(&s.f.wav)
 	}
 	return s.f.rule.EffectiveHalfWidth(&s.f.acc, s.f.downIters)

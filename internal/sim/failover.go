@@ -4,7 +4,7 @@ package sim
 // mirroring the paper's Fig. 3 states (the with-spare unavailable
 // variants DU1/DU2/EXP2 arise there only through service branches the
 // simulator's single-technician discipline does not take; see
-// DESIGN.md §3.2).
+// model.FailoverParams.InstallAsSpare and DownAltService).
 type foPhase int
 
 const (

@@ -262,10 +262,11 @@ type Options struct {
 	Confidence float64
 	// HistogramBins, when positive, collects a histogram of
 	// per-iteration total downtime hours over
-	// [0, HistogramMaxHours) into Summary.DowntimeHistogram.
+	// [0, HistogramMaxHours) into Summary.DowntimeHistogram. At most
+	// maxHistogramBins.
 	HistogramBins int
-	// HistogramMaxHours is the histogram's upper edge (default: 1% of
-	// the mission time).
+	// HistogramMaxHours is the histogram's upper edge (default, and
+	// when zero: 1% of the mission time). Finite when set.
 	HistogramMaxHours float64
 	// Kernel selects the walker specialization (default KernelAuto).
 	Kernel Kernel
@@ -342,6 +343,13 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// maxHistogramBins bounds Options.HistogramBins. Every partial
+// allocates the bins, so an unbounded count from a request body or a
+// shard job is an out-of-memory crash, not an error; at this bound a
+// checkpoint record of maxCells partials stays far below
+// internal/ndjson's line limit.
+const maxHistogramBins = 4096
+
 // Validate checks the options.
 func (o *Options) Validate() error {
 	if o.Iterations < 1 {
@@ -371,6 +379,12 @@ func (o *Options) Validate() error {
 		if o.MaxIters < o.Iterations {
 			return fmt.Errorf("sim: MaxIters %d below the Iterations minimum %d", o.MaxIters, o.Iterations)
 		}
+	}
+	if o.HistogramBins < 0 || o.HistogramBins > maxHistogramBins {
+		return fmt.Errorf("sim: histogram bins %d outside [0,%d]", o.HistogramBins, maxHistogramBins)
+	}
+	if !(o.HistogramMaxHours >= 0) || math.IsInf(o.HistogramMaxHours, 0) {
+		return fmt.Errorf("sim: histogram max hours %v must be zero (default) or positive and finite", o.HistogramMaxHours)
 	}
 	// The negated form catches NaN; Inf must be rejected explicitly.
 	if o.Bias != 0 && o.Bias != BiasAuto && (!(o.Bias >= 1) || math.IsInf(o.Bias, 0)) {

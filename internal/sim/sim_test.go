@@ -114,7 +114,7 @@ func TestRAID1Simulation(t *testing.T) {
 func TestFailoverMatchesReducedMarkov(t *testing.T) {
 	// The MC fail-over discipline (single technician, undo-first)
 	// corresponds to the Fig. 3 chain without the alternative service
-	// branches; see DESIGN.md.
+	// branches: the two knobs switched off below.
 	lambda, hep := 1e-4, 0.02
 	p := PaperDefaults(4, lambda, hep)
 	p.Policy = AutoFailover
@@ -280,6 +280,12 @@ func TestValidationErrors(t *testing.T) {
 		{Iterations: 10, MissionTime: math.Inf(1)},
 		{Iterations: 10, MissionTime: 100, Confidence: 1},
 		{Iterations: 10, MissionTime: 100, Confidence: -0.5},
+		{Iterations: 10, MissionTime: 100, HistogramBins: -1},
+		{Iterations: 10, MissionTime: 100, HistogramBins: maxHistogramBins + 1},
+		{Iterations: 10, MissionTime: 100, HistogramBins: 1 << 40},
+		{Iterations: 10, MissionTime: 100, HistogramBins: 8, HistogramMaxHours: -5},
+		{Iterations: 10, MissionTime: 100, HistogramBins: 8, HistogramMaxHours: math.NaN()},
+		{Iterations: 10, MissionTime: 100, HistogramBins: 8, HistogramMaxHours: math.Inf(1)},
 	}
 	for i, o := range badOpts {
 		if _, err := Run(good, o); err == nil {
