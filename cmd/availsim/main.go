@@ -19,10 +19,12 @@
 //	availsim -policy failover -disks 4 -lambda 1e-5 -hep 0.01
 //
 // Paper-scale runs shard across processes and machines (see README.md
-// "Sharded execution"): -shards partitions the iteration range,
-// -workers sets the local worker-process count, -checkpoint makes the
-// run resumable, -shard-serve turns this host into a TCP worker that
-// -shard-connect attaches. Alternatively the coordinator opens a
+// "Sharded execution"): workers claim the run's cells in guided
+// batches, -shards N > 1 sizes each batch as 1/N of the work left (by
+// default, one share per live worker slot), -workers sets the local
+// worker-process count, -checkpoint makes the run resumable, and
+// -shard-serve turns this host into a TCP worker that -shard-connect
+// attaches. Alternatively the coordinator opens a
 // registration port with -shard-listen and worker boxes dial in with
 // -shard-join, joining (and leaving) while the run executes. Both
 // modes authenticate with -shard-token and encrypt with the
@@ -37,7 +39,8 @@
 //
 // Adaptive (precision-targeted) runs stop at a requested CI half-width
 // instead of a preset count (README.md "Adaptive precision"); -iters
-// becomes the cap, and sharded adaptive runs hand shards out in waves:
+// becomes the cap, and sharded adaptive runs claim cells up to the
+// stopping point projected from the iterations folded so far:
 //
 //	availsim -target-halfwidth 5e-9 -iters 1000000
 //	availsim -target-halfwidth 5e-9 -iters 1000000 -shards 16 -workers 8
@@ -202,8 +205,8 @@ func main() {
 		workers     = flag.Int("workers", 0, "parallel workers: goroutines single-process, local worker processes when sharded (0 = GOMAXPROCS)")
 		confidence  = flag.Float64("confidence", 0.99, "confidence level for the interval")
 
-		shards       = flag.Int("shards", 1, "partition the run into N shards executed by worker processes/machines (results are bit-identical for every N)")
-		checkpoint   = flag.String("checkpoint", "", "checkpoint log path: completed shards are recorded and a rerun resumes from them (implies sharded execution)")
+		shards       = flag.Int("shards", 0, "shard the run across worker processes/machines, each claim taking 1/N of the work left (N > 1 implies sharded execution; 0 = one share per live worker slot; results are bit-identical for every N)")
+		checkpoint   = flag.String("checkpoint", "", "checkpoint log path: completed ranges are recorded and a rerun resumes from them under any -shards (implies sharded execution)")
 		shardConnect = flag.String("shard-connect", "", "comma-separated host:port list of remote TCP workers (availsim -shard-serve) to attach")
 		shardServe   = flag.String("shard-serve", "", "run as a TCP shard worker on this address instead of simulating")
 

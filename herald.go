@@ -215,10 +215,11 @@ type ShardWorker = shard.Worker
 // SimulateSharded; it returns immediately otherwise.
 func MaybeShardWorker() { shard.MaybeWorker() }
 
-// SimulateSharded runs the Monte-Carlo model partitioned into shards
-// executed by workerProcs local single-threaded worker processes
-// (0 = one per core). The Summary is bit-identical to Simulate with
-// the same parameters, whatever the shard and worker counts; an
+// SimulateSharded runs the Monte-Carlo model on workerProcs local
+// single-threaded worker processes (0 = one per core), which claim its
+// cells in batches of 1/shards of the work left (0 = one share per
+// worker slot). The Summary is bit-identical to Simulate with the same
+// parameters, whatever the shard and worker counts; an
 // optional non-empty checkpoint path makes the run resumable after a
 // kill. The calling binary's main must start with MaybeShardWorker.
 func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpoint string) (SimSummary, error) {
@@ -448,7 +449,15 @@ func RunAllExperiments(w io.Writer, o ExperimentOptions) error {
 // options, schedule-only knobs excluded). Equal fingerprints mean
 // byte-identical Summaries, whatever the worker or shard count — it
 // is the exact cache key availserve and SweepResult.Fingerprint use.
+// Parameters or options that fail validation are an error, never a
+// fingerprint.
 func SimFingerprint(p SimParams, o SimOptions) (string, error) {
+	if err := p.Validate(); err != nil {
+		return "", err
+	}
+	if err := o.Validate(); err != nil {
+		return "", err
+	}
 	w, err := shard.EncodeParams(p)
 	if err != nil {
 		return "", err

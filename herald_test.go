@@ -51,6 +51,18 @@ func TestFacadeSimulation(t *testing.T) {
 	if s.Availability <= 0 || s.Availability >= 1 {
 		t.Fatalf("availability = %v", s.Availability)
 	}
+
+	// The fingerprint refuses options that fail validation instead of
+	// hashing them: with +Inf histogram hours the options could not
+	// encode, and distinct runs would share one fingerprint.
+	bad := SimOptions{Iterations: 1000, MissionTime: 1e5, Seed: 1, HistogramMaxHours: math.Inf(1)}
+	other := bad
+	other.Iterations, other.Seed = 5, 2
+	for _, o := range []SimOptions{bad, other} {
+		if fp, err := SimFingerprint(PaperSimParams(4, 1e-4, 0.01), o); err == nil {
+			t.Errorf("SimFingerprint(%+v) = %s, want a validation error", o, fp)
+		}
+	}
 }
 
 func TestFacadeSimulationPolicies(t *testing.T) {

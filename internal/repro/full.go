@@ -38,10 +38,6 @@ func Full(o Options, out io.Writer) error {
 	if procs <= 0 {
 		procs = runtime.GOMAXPROCS(0)
 	}
-	// Twice as many shards as workers keeps the tail balanced when one
-	// worker lags.
-	shardCount := 2 * procs
-
 	const lambda = 1e-6
 	policies := []sim.Policy{sim.Conventional, sim.AutoFailover, sim.DualParity}
 	heps := []float64{0, 0.001, 0.01}
@@ -62,7 +58,6 @@ func Full(o Options, out io.Writer) error {
 					Bias:            o.Bias,
 					TargetHalfWidth: o.TargetHalfWidth,
 				},
-				Shards: shardCount,
 			})
 		}
 	}
@@ -84,11 +79,11 @@ func Full(o Options, out io.Writer) error {
 	}
 	total := time.Since(start)
 
-	title := fmt.Sprintf("Paper-scale sweep: %d iterations/point, %d shards/point pipelined over %d local worker processes",
-		iters, shardCount, procs)
+	title := fmt.Sprintf("Paper-scale sweep: %d iterations/point pipelined over %d local worker processes",
+		iters, procs)
 	if o.TargetHalfWidth > 0 {
-		title = fmt.Sprintf("Paper-scale sweep: adaptive to half-width %.3g (cap %d iterations/point), %d shards/wave pipelined over %d local worker processes",
-			o.TargetHalfWidth, iters, shardCount, procs)
+		title = fmt.Sprintf("Paper-scale sweep: adaptive to half-width %.3g (cap %d iterations/point) pipelined over %d local worker processes",
+			o.TargetHalfWidth, iters, procs)
 	}
 	t := report.NewTable(title,
 		"policy", "hep", "availability", "nines", "ci half-width", "iters", "done at s")

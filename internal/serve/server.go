@@ -243,9 +243,10 @@ type RunOptions struct {
 type RunRequest struct {
 	Params  shard.WireParams `json:"params"`
 	Options RunOptions       `json:"options"`
-	// Shards optionally fixes the run's shard partition; 0 lets the
-	// pool choose. The result is bit-identical either way and the
-	// cache key ignores it.
+	// Shards optionally fixes the run's claim divisor
+	// (shard.RunSpec.Shards): each claim takes 1/Shards of the work
+	// left, and 0 means the pool's live slots. The result is
+	// bit-identical either way and the cache key ignores it.
 	Shards int `json:"shards,omitempty"`
 }
 

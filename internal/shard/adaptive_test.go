@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -424,47 +426,82 @@ func TestInProcessWorkerCancel(t *testing.T) {
 	}
 }
 
-// TestAdaptivePartition pins the wave plan: shards tile a prefix
-// structure of [0, cap) contiguously, cell-aligned, with geometric
-// cumulative growth and the floor inside the first wave.
+// planDispatcher is a worker-less dispatcher through which tests bank
+// a run's claims by hand.
+func planDispatcher() *dispatcher {
+	d := &dispatcher{logw: io.Discard, jobIndex: map[int]jobKey{}, assigned: map[int]*assignment{}, done: make(chan struct{})}
+	d.cond = sync.NewCond(&d.mu)
+	return d
+}
+
+// roundUpCell rounds n up to a cell boundary of a cap-iteration run,
+// stopping at the cap.
+func roundUpCell(n, cap int) int {
+	cs := sim.CellSize(cap)
+	return min((n+cs-1)/cs*cs, cap)
+}
+
+// TestAdaptivePartition pins an adaptive run's horizon: the first
+// claims stop at max(floor, P cells); the cursor never passes the
+// horizon; and the horizon always lies at least one cell past the
+// folded prefix, so the run never stalls. Claims bank in cell order,
+// one at a time, until the rule binds or the cap is reached.
 func TestAdaptivePartition(t *testing.T) {
-	for _, tc := range []struct{ cap, floor, spw int }{
+	for _, tc := range []struct{ cap, floor, p int }{
 		{1_000_000, 0, 8}, {1_000_000, 100_000, 4}, {2000, 0, 2}, {64, 0, 16}, {50_000, 50_000, 3},
 	} {
-		shards, waves := adaptivePartition(tc.cap, tc.floor, tc.spw, nil)
+		o := adaptiveOptions()
+		o.Iterations = tc.cap
+		if tc.floor > 0 {
+			o.Iterations, o.MaxIters = tc.floor, tc.cap
+		}
+		r, err := newRunState(0, &RunSpec{Params: testParams(sim.Conventional), Options: o}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cs := sim.CellSize(tc.cap)
-		cursor := 0
-		seen := 0
-		for wi, ids := range waves {
-			if len(ids) == 0 {
-				t.Fatalf("%+v: empty wave %d", tc, wi)
-			}
-			if len(ids) > tc.spw {
-				t.Errorf("%+v: wave %d has %d shards, cap %d", tc, wi, len(ids), tc.spw)
-			}
-			for _, id := range ids {
-				if id != seen {
-					t.Fatalf("%+v: wave %d lists shard %d, want %d (ids must be dense in wave order)", tc, wi, id, seen)
+		d := planDispatcher()
+		var pending []sim.Range
+		claimAll := func() {
+			for {
+				rg, ok := r.claimRange(tc.p)
+				if n := r.scan.End(); r.horizon < min(n+cs, tc.cap) {
+					t.Fatalf("%+v: horizon %d not a cell past the folded prefix %d", tc, r.horizon, n)
 				}
-				seen++
-				r := shards[id]
-				if r.Start != cursor || r.End <= r.Start {
-					t.Fatalf("%+v: shard %d range %+v at cursor %d", tc, id, r, cursor)
+				if !ok {
+					return
 				}
-				if r.Start%cs != 0 || (r.End%cs != 0 && r.End != tc.cap) {
-					t.Fatalf("%+v: shard %d range %+v not cell-aligned (cell %d)", tc, id, r, cs)
+				if rg.End > r.horizon || rg.Start%cs != 0 {
+					t.Fatalf("%+v: claim %+v passes the horizon %d or is not cell-aligned", tc, rg, r.horizon)
 				}
-				cursor = r.End
-			}
-			if wi == 0 && tc.floor > 0 && cursor < tc.floor {
-				t.Errorf("%+v: first wave ends at %d, below the floor %d", tc, cursor, tc.floor)
+				pending = append(pending, rg)
 			}
 		}
-		if cursor != tc.cap {
-			t.Fatalf("%+v: waves end at %d, want %d", tc, cursor, tc.cap)
+		claimAll()
+		if want := roundUpCell(max(tc.floor, tc.p*cs), tc.cap); r.cursor != want {
+			t.Errorf("%+v: first claims stop at %d, want %d", tc, r.cursor, want)
 		}
-		if seen != len(shards) {
-			t.Fatalf("%+v: %d shards listed in waves, want %d", tc, seen, len(shards))
+		for !r.finished {
+			if len(pending) == 0 {
+				t.Fatalf("%+v: run stalled at cursor %d, horizon %d, folded %d", tc, r.cursor, r.horizon, r.scan.End())
+			}
+			rg := pending[0]
+			pending = pending[1:]
+			parts, err := sim.RunRange(r.spec.Params, r.jobOptions, rg.Start, rg.End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.bank(jobKey{r: r, rg: rg}, 0, parts, false)
+			if !r.finished {
+				claimAll()
+			}
+		}
+		base, err := sim.Run(r.spec.Params, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(summaryBytes(t, r.summary)) != string(summaryBytes(t, base)) {
+			t.Errorf("%+v: hand-banked summary diverged from sim.Run", tc)
 		}
 	}
 }
@@ -500,73 +537,41 @@ func TestAdaptiveTCPWorker(t *testing.T) {
 	}
 }
 
-// TestAdaptivePartitionWeighted pins the speed-aware wave split: with
-// heterogeneous pool capacities, each wave's shards tile the same
-// canonical cells as the even split, sized proportionally to the
-// descending-sorted weights (largest shard first, so the greedy
-// min-id handout starts with the biggest piece).
+// TestAdaptivePartitionWeighted pins guided sizing: every claim off
+// the cursor is ⌈remaining/P⌉ cells, at least one, where remaining runs
+// to the horizon — the cap for a fixed-N run, max(floor, P cells) for
+// an adaptive run that has folded nothing yet. Capacities weigh
+// nothing: a faster worker simply claims again sooner.
 func TestAdaptivePartitionWeighted(t *testing.T) {
-	const cap = 1_000_000
-	weights := []int{1, 6, 3}
-	shards, waves := adaptivePartition(cap, 0, 3, weights)
-	even, _ := adaptivePartition(cap, 0, 3, nil)
-
-	// Same total tiling as the even split.
-	cursor := 0
-	for _, ids := range waves {
-		for _, id := range ids {
-			if shards[id].Start != cursor {
-				t.Fatalf("shard %d starts at %d, want %d", id, shards[id].Start, cursor)
+	fixed := sim.Options{Iterations: 1_000_000, MissionTime: 2e5, Seed: 1}
+	adaptive := adaptiveOptions()
+	adaptive.Iterations, adaptive.MaxIters = 100_000, 1_000_000
+	for _, o := range []sim.Options{fixed, adaptive} {
+		for _, p := range []int{1, 3, 4, 16} {
+			r, err := newRunState(0, &RunSpec{Params: testParams(sim.Conventional), Options: o}, io.Discard)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cursor = shards[id].End
-		}
-	}
-	if cursor != cap {
-		t.Fatalf("weighted waves end at %d, want %d", cursor, cap)
-	}
-	if lastEven := even[len(even)-1].End; lastEven != cap {
-		t.Fatalf("even waves end at %d, want %d", lastEven, cap)
-	}
-
-	// Within a full-width wave the shard sizes follow the sorted
-	// weights 6:3:1 (to cell rounding), in descending order.
-	for wi, ids := range waves {
-		if len(ids) != 3 {
-			continue
-		}
-		sz := make([]int, len(ids))
-		total := 0
-		for i, id := range ids {
-			sz[i] = shards[id].End - shards[id].Start
-			total += sz[i]
-		}
-		if !(sz[0] >= sz[1] && sz[1] >= sz[2]) {
-			t.Errorf("wave %d shard sizes %v not descending", wi, sz)
-		}
-		// The largest share is 6/10 of the wave; allow one cell of
-		// integer rounding.
-		cs := sim.CellSize(cap)
-		if diff := sz[0] - total*6/10; diff < -cs || diff > cs {
-			t.Errorf("wave %d largest shard %d, want ~%d (weights 6:3:1)", wi, sz[0], total*6/10)
-		}
-	}
-
-	// Uniform weights fall back to the even split exactly.
-	uni, uw := adaptivePartition(cap, 0, 3, []int{2, 2, 2})
-	if len(uni) != len(even) || len(uw) != len(waves) {
-		t.Fatalf("uniform weights changed the plan: %d shards, want %d", len(uni), len(even))
-	}
-	for i := range uni {
-		if uni[i] != even[i] {
-			t.Fatalf("uniform weights shard %d = %+v, want %+v", i, uni[i], even[i])
+			cs := sim.CellSize(o.IterationCap())
+			for rg, ok := r.claimRange(p); ok; rg, ok = r.claimRange(p) {
+				remaining := (r.horizon - rg.Start + cs - 1) / cs // cells
+				want := min(rg.Start+max(1, (remaining+p-1)/p)*cs, r.horizon)
+				if rg.End != want {
+					t.Fatalf("adaptive=%v p=%d: claim %+v, want [%d,%d) (%d cells left)",
+						o.Adaptive(), p, rg, rg.Start, want, remaining)
+				}
+			}
+			if want := roundUpCell(max(o.Iterations, p*cs), o.IterationCap()); r.cursor != want {
+				t.Errorf("adaptive=%v p=%d: claims stop at %d, want the horizon %d", o.Adaptive(), p, r.cursor, want)
+			}
 		}
 	}
 }
 
 // TestAdaptiveHeterogeneousPoolBitIdentical runs the adaptive run on a
-// capacity-skewed pool (a wide worker next to a narrow one): the wave
-// plan is capacity-proportional, and the Summary must stay
-// byte-identical to the in-process run — shard sizing may move work
+// capacity-skewed pool (a wide worker next to a narrow one): the wide
+// worker returns sooner and claims more, and the Summary must stay
+// byte-identical to the in-process run — who claims what may move work
 // between workers, never change the result.
 func TestAdaptiveHeterogeneousPoolBitIdentical(t *testing.T) {
 	for _, pol := range []sim.Policy{sim.Conventional, sim.AutoFailover} {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,20 +15,19 @@ import (
 // RunSpec is one run submitted to a Pool.
 type RunSpec struct {
 	// Params and Options configure the simulation exactly as sim.Run
-	// would receive them. A fixed-N run is handed out as one wave;
-	// adaptive options (TargetHalfWidth, MaxIters) make the waves grow
-	// until the stopping rule binds.
+	// would receive them. Adaptive options (TargetHalfWidth, MaxIters)
+	// stop the run where the rule binds instead of at the cap.
 	Params  sim.ArrayParams
 	Options sim.Options
-	// Shards is the number of contiguous iteration shards per wave
-	// (default: one per initial pool slot, with an adaptive run's waves
-	// split in proportion to advertised capacities). Shard boundaries
-	// always fall on the canonical cell boundaries, and the count is
-	// capped at the cell count, so over-asking is safe.
+	// Shards is the divisor of guided claiming: a pool slot claims
+	// 1/Shards of the run's work left before its horizon, at least one
+	// canonical cell. 0 divides by the pool's live serve slots at claim
+	// time. Claimed ranges always fall on the canonical cell boundaries,
+	// so the Summary is the same for every value.
 	Shards int
 	// Checkpoint, when non-empty, is the path of the resume log:
-	// completed shards are appended as they finish, and a rerun with
-	// the same path and configuration skips them.
+	// completed ranges are appended as they finish, and a rerun with
+	// the same path and configuration skips them, under any Shards.
 	Checkpoint string
 }
 
@@ -47,22 +47,24 @@ type RunResult struct {
 // Stats reports how a distributed run unfolded, for observability and
 // fault-injection tests.
 type Stats struct {
-	// Shards is the partition size of the run (for adaptive runs, the
-	// full wave plan's shard count — not all of which necessarily ran).
+	// Shards counts the run's ranges: those claimed off its cursor plus
+	// those restored from the resume log (an adaptive run's claims need
+	// not all complete).
 	Shards int
-	// FromCheckpoint counts shards restored from the resume log
+	// FromCheckpoint counts ranges restored from the resume log
 	// without recomputation.
 	FromCheckpoint int
-	// Computed counts shards executed by workers this run.
+	// Computed counts ranges executed by workers this run.
 	Computed int
-	// DuplicateResults counts shard results that arrived for an
-	// already-completed shard and were dropped (exactly-once merging).
+	// DuplicateResults counts results that arrived for an already
+	// banked range and were dropped (exactly-once merging).
 	DuplicateResults int
 	// WorkerFailures counts workers that died mid-run and had their
-	// shards reassigned — once per worker, however many jobs it held —
+	// ranges reassigned — once per worker, however many jobs it held —
 	// plus each malformed result dropped and recomputed.
 	WorkerFailures int
-	// Waves counts the handout waves opened (1 for fixed-N runs).
+	// Waves counts the ranges claimed off the run's cursor; a retried
+	// range is not counted again.
 	Waves int
 	// CancelledJobs counts in-flight jobs abandoned after the stopping
 	// rule bound.
@@ -72,108 +74,10 @@ type Stats struct {
 	StoppedEarly bool
 }
 
-// adaptivePartition returns the shard ranges and the per-wave shard-id
-// lists of a run. Waves grow the handed-out iteration prefix of
-// [0, capIters) geometrically — the first wave covers at least the
-// rule's floor and one shard per pool slot, every later wave doubles
-// the cumulative cell count — so the work spent past the stopping
-// boundary is bounded by the prefix already proven necessary. Each
-// wave is split into at most shardsPerWave contiguous shards along the
-// cap run's canonical cells, so every shard's partials are exactly the
-// cells a single-process run would produce. A fixed-N run's floor is
-// its cap: one wave over the whole run.
-//
-// weights, when non-nil, are the pool slots' advertised capacities
-// (speed-aware wave sizing): each wave's cells are split proportionally
-// to them, sorted descending so the largest shard carries the lowest id
-// and is handed out first. A heterogeneous pool then finishes each wave
-// roughly together — shard sizes match throughput — while the merge
-// stays bit-identical, because shards still tile the same canonical
-// cells in the same order whatever the split. nil (or uniform) weights
-// reproduce the even split.
-func adaptivePartition(capIters, floorIters, shardsPerWave int, weights []int) (shards []sim.Range, waves [][]int) {
-	cells := sim.Cells(capIters)
-	cs := sim.CellSize(capIters)
-	if shardsPerWave < 1 {
-		shardsPerWave = 1
-	}
-	if len(weights) == shardsPerWave && shardsPerWave > 1 {
-		w := append([]int(nil), weights...)
-		sort.Sort(sort.Reverse(sort.IntSlice(w)))
-		if w[0] != w[len(w)-1] && w[len(w)-1] > 0 {
-			weights = w
-		} else {
-			weights = nil // uniform or degenerate: even split
-		}
-	} else {
-		weights = nil
-	}
-	first := shardsPerWave
-	if fc := (floorIters + cs - 1) / cs; fc > first {
-		first = fc
-	}
-	if first > len(cells) {
-		first = len(cells)
-	}
-	for cum := 0; cum < len(cells); {
-		next := first
-		if cum > 0 {
-			next = 2 * cum
-		}
-		if next > len(cells) {
-			next = len(cells)
-		}
-		n := next - cum
-		k := shardsPerWave
-		if k > n {
-			k = n
-		}
-		ids := make([]int, 0, k)
-		wsum := 0
-		if weights != nil {
-			for _, wv := range weights[:k] {
-				wsum += wv
-			}
-		}
-		pref := 0
-		for s := 0; s < k; s++ {
-			var lo, hi int
-			if weights == nil {
-				lo = cum + s*n/k
-				hi = cum + (s+1)*n/k
-			} else {
-				lo = cum + pref*n/wsum
-				pref += weights[s]
-				hi = cum + pref*n/wsum
-			}
-			if lo == hi {
-				continue
-			}
-			ids = append(ids, len(shards))
-			shards = append(shards, sim.Range{Start: cells[lo].Start, End: cells[hi-1].End})
-		}
-		waves = append(waves, ids)
-		cum = next
-	}
-	return shards, waves
-}
-
-// poolCapacities maps the initial worker pool to wave-sizing weights:
-// the advertised capacity where a worker reports one, one slot
-// otherwise.
-func poolCapacities(workers []Worker) []int {
-	caps := make([]int, 0, len(workers))
-	for _, w := range workers {
-		c := 1
-		if cr, ok := w.(CapacityReporter); ok && cr.Capacity() > 0 {
-			c = cr.Capacity()
-		}
-		caps = append(caps, c)
-	}
-	return caps
-}
-
 // runState is one run's private state inside the pool's dispatcher.
+// Slots claim its canonical cells in contiguous batches off one cursor
+// (guided self-scheduling), and its scan folds the banked ranges in
+// cell order, so the Summary never depends on who claimed what.
 type runState struct {
 	idx  int
 	spec *RunSpec
@@ -182,26 +86,24 @@ type runState struct {
 	// Iterations raised to the cap, adaptive fields stripped (workers
 	// always execute fixed ranges).
 	jobOptions sim.Options
-	capIters   int
+	// capIters is the run's iteration cap and cell its canonical cell
+	// width. The horizon never starts below floor: the rule's floor
+	// for an adaptive run, the cap for a fixed-N run.
+	capIters, cell, floor int
 	// scan folds the contiguous banked prefix; the run's Summary is
 	// read off it.
 	scan *sim.StopScan
 
-	shards   []sim.Range
-	waves    [][]int // shard ids per handout wave
-	nextWave int
-	queue    []int // pending shard ids
-	inflight int
-
-	// done holds every banked shard id; a shard's partials are
-	// released (set nil) once the scan folds them.
+	// cursor is the first iteration no slot has claimed, and horizon
+	// how far claims may run ahead of the fold (see horizonLocked).
+	cursor, horizon int
+	// retry holds claimed ranges to hand out again.
+	retry []sim.Range
+	// done holds the banked ranges the scan has not folded yet, keyed
+	// by start, restored ones included; folding deletes them.
 	done      map[int][]sim.Partial
-	malformed map[int]int
+	malformed map[int]int // malformed results per range start
 	cp        *checkpoint
-
-	// prefixShard is the next shard id whose cells the scan has not
-	// folded yet.
-	prefixShard int
 
 	// progress, when non-nil, observes the run's advance (see
 	// RunProgress). It is invoked with the dispatcher lock held and must
@@ -240,7 +142,7 @@ func (r *runState) emitProgress(final bool) {
 	if r.progress == nil {
 		return
 	}
-	pr := RunProgress{Iterations: r.scan.End(), Cap: r.capIters, Waves: r.stats.Waves, Final: final}
+	pr := RunProgress{Iterations: r.scan.End(), Cap: r.capIters, Final: final}
 	if final {
 		pr.HalfWidth, pr.Converged = r.summary.HalfWidth, r.summary.Converged
 	} else {
@@ -249,11 +151,9 @@ func (r *runState) emitProgress(final bool) {
 	r.progress(pr)
 }
 
-// newRunState validates and partitions one run, restoring its
-// checkpoint when configured. caps are the initial pool's wave-sizing
-// weights (one entry per worker); an explicit spec.Shards overrides
-// both the count and the proportional split with even shards.
-func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState, error) {
+// newRunState validates one run and restores its checkpoint when
+// configured.
+func newRunState(idx int, spec *RunSpec, logw io.Writer) (*runState, error) {
 	if err := spec.Params.Validate(); err != nil {
 		return nil, err
 	}
@@ -265,49 +165,33 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 	if err != nil {
 		return nil, err
 	}
+	o := spec.Options
 	r := &runState{
 		idx:      idx,
 		spec:     spec,
 		wire:     wire,
-		capIters: spec.Options.IterationCap(),
+		capIters: o.IterationCap(),
+		cell:     sim.CellSize(o.IterationCap()),
+		floor:    o.Iterations,
 		scan:     scan,
 		notify:   make(chan struct{}),
 	}
-	shardCount := spec.Shards
-	if shardCount < 1 {
-		shardCount = len(caps)
+	if o.Adaptive() && o.MaxIters == 0 {
+		r.floor = 0 // Iterations is the cap; the rule has no floor
 	}
-	// A fixed-N run is one evenly split wave. An adaptive run's waves
-	// grow from the rule's floor, split in proportion to the pool's
-	// capacities unless spec.Shards fixes the count.
-	floor, weights := r.capIters, []int(nil)
-	if spec.Options.Adaptive() {
-		floor = 0
-		if spec.Options.MaxIters > 0 {
-			floor = spec.Options.Iterations
-		}
-		if spec.Shards < 1 {
-			weights = caps
-		}
-	}
-	r.shards, r.waves = adaptivePartition(r.capIters, floor, shardCount, weights)
-	r.stats.Shards = len(r.shards)
-	r.jobOptions = spec.Options
+	r.jobOptions = o
 	r.jobOptions.Iterations = r.capIters
 	r.jobOptions.TargetHalfWidth = 0
 	r.jobOptions.MaxIters = 0
 
 	if spec.Checkpoint != "" {
-		fp := RunFingerprint(wire, spec.Options)
-		done, cp, err := openCheckpoint(spec.Checkpoint, fp, r.shards, spec.Params, r.jobOptions, logw)
+		done, cp, err := openCheckpoint(spec.Checkpoint, RunFingerprint(wire, o), spec.Params, r.jobOptions, logw)
 		if err != nil {
 			return nil, err
 		}
 		r.done, r.cp = done, cp
 		r.stats.FromCheckpoint = len(done)
-		for id := range done {
-			sortParts(done[id])
-		}
+		r.stats.Shards = len(done)
 	}
 	if r.done == nil {
 		r.done = make(map[int][]sim.Partial)
@@ -315,18 +199,112 @@ func newRunState(idx int, spec *RunSpec, caps []int, logw io.Writer) (*runState,
 	return r, nil
 }
 
-// sortParts orders a shard's cell partials canonically for the stopping
+// sortParts orders a range's cell partials canonically for the stopping
 // scan (sim.CheckPartials accepts them in any order).
 func sortParts(parts []sim.Partial) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Start < parts[j].Start })
 }
 
-// jobKey names a (run, shard) pair; job ids map onto it. The run is
+// horizonLocked returns how far run r's cursor may advance, p being the
+// claim divisor. It starts at max(floor, p cells). Once n iterations
+// have folded it is the projected stopping point n·(hw/target)², or 2n
+// while the rule's safeguards leave hw at +Inf, and never below the
+// floor — so a fixed-N run's horizon is its cap. The horizon never
+// shrinks, lies on a cell boundary at least one cell past n, and stops
+// at the cap. It cannot stall a run: once everything claimed has
+// folded without the rule binding, either the floor lies ahead or hw
+// exceeds the target, so the horizon lies past the cursor. Callers
+// hold d.mu.
+func (r *runState) horizonLocked(p int) int {
+	if r.horizon == r.capIters {
+		return r.horizon
+	}
+	n := float64(r.scan.End())
+	h := float64(p) * float64(r.cell)
+	if n > 0 {
+		h = 2 * n
+		if hw := r.scan.EffectiveHalfWidth(); !math.IsInf(hw, 1) {
+			ratio := hw / r.spec.Options.TargetHalfWidth
+			h = n * ratio * ratio
+		}
+	}
+	h = math.Min(math.Max(math.Max(h, float64(r.floor)), n+1), float64(r.capIters))
+	r.horizon = max(r.horizon, min(int(math.Ceil(h/float64(r.cell)))*r.cell, r.capIters))
+	return r.horizon
+}
+
+// claimRange takes run r's next range for a pool slot, p being the
+// claim divisor: the retried range with the lowest start, else the
+// next batch off the cursor — ⌈(horizon − cursor)/(p·cell)⌉ cells, at
+// least one, ending before any range restored from the checkpoint. It
+// reports false when nothing is retried and the cursor sits at the
+// horizon. Callers hold d.mu.
+func (r *runState) claimRange(p int) (sim.Range, bool) {
+	for len(r.retry) > 0 {
+		lo := 0
+		for i := range r.retry {
+			if r.retry[i].Start < r.retry[lo].Start {
+				lo = i
+			}
+		}
+		rg := r.retry[lo]
+		r.retry = append(r.retry[:lo], r.retry[lo+1:]...)
+		if !r.banked(rg.Start) { // else a stray delivery beat the retry
+			return rg, true
+		}
+	}
+	// The cursor steps over restored ranges, folded or still banked.
+	r.cursor = max(r.cursor, r.scan.End())
+	for parts, ok := r.done[r.cursor]; ok; parts, ok = r.done[r.cursor] {
+		r.cursor = parts[len(parts)-1].End
+	}
+	h := r.horizonLocked(p)
+	if r.cursor >= h {
+		return sim.Range{}, false
+	}
+	cells := (h - r.cursor + r.cell - 1) / r.cell
+	end := min(r.cursor+((cells-1)/p+1)*r.cell, h)
+	for start := range r.done {
+		if start > r.cursor && start < end {
+			end = start
+		}
+	}
+	rg := sim.Range{Start: r.cursor, End: end}
+	r.cursor = end
+	r.stats.Waves++
+	r.stats.Shards++
+	return rg, true
+}
+
+// banked reports whether the range starting at start has landed:
+// folded, or waiting in done.
+func (r *runState) banked(start int) bool {
+	_, ok := r.done[start]
+	return ok || start < r.scan.End()
+}
+
+// requeueLocked hands claimed range rg out again unless the run is
+// over, rg has landed, or it is queued already. It is the one path
+// back for a dead worker's jobs, malformed results and cancels that
+// lost their race. Callers hold d.mu.
+func (r *runState) requeueLocked(rg sim.Range) {
+	if r.finished || r.banked(rg.Start) {
+		return
+	}
+	for _, q := range r.retry {
+		if q == rg {
+			return
+		}
+	}
+	r.retry = append(r.retry, rg)
+}
+
+// jobKey names a (run, range) pair; job ids map onto it. The run is
 // held by pointer so the pool can compact finished runs out of its scan
 // list while in-flight replies still resolve.
 type jobKey struct {
-	r     *runState
-	shard int
+	r  *runState
+	rg sim.Range
 }
 
 // assignment tracks one in-flight job for cancellation.
@@ -345,9 +323,6 @@ type dispatcher struct {
 	fatal error
 	start time.Time
 
-	// caps snapshots the initial pool's wave-sizing weights; runs
-	// submitted later reuse them (joiners do not reshape waves).
-	caps []int
 	// nextIdx numbers runs in submission order (the pipelining
 	// priority).
 	nextIdx int
@@ -368,8 +343,10 @@ type dispatcher struct {
 	fallback      Worker
 	fallbackArmed bool
 
-	wg   sync.WaitGroup // serve goroutines
-	live int            // serve goroutines not yet exited
+	wg sync.WaitGroup // serve goroutines
+	// live counts serve goroutines not yet exited: the claim divisor of
+	// runs without RunSpec.Shards.
+	live int
 	// sourceOpen is true while an elastic worker source may still
 	// deliver joiners; it keeps a workerless pool waiting instead of
 	// declaring it dead.
@@ -382,7 +359,7 @@ func (d *dispatcher) signalDone() { d.doneOnce.Do(func() { close(d.done) }) }
 
 // addWorker plugs a worker into the pool: the coordinator's stray sink
 // is installed, and one serve goroutine per pipeline slot starts
-// claiming shards (PipelineDepth slots for workers that support
+// claiming ranges (PipelineDepth slots for workers that support
 // double-buffering, one otherwise).
 func (d *dispatcher) addWorker(w Worker) {
 	d.mu.Lock()
@@ -457,7 +434,7 @@ func (d *dispatcher) drainedLocked() {
 var jobSeq atomic.Int64
 
 // serve drives one worker: claim a job, run it, bank the result; on
-// worker death requeue the shard and retire.
+// worker death requeue the range and retire.
 func (d *dispatcher) serve(w Worker) {
 	for {
 		job, key, ok := d.claim(w)
@@ -474,7 +451,7 @@ func (d *dispatcher) serve(w Worker) {
 			if je, isJob := err.(*jobError); isJob {
 				// The worker is alive but rejected the job: rerunning
 				// elsewhere would fail identically, so the pool is dead.
-				d.fail(key, job.ID, fmt.Errorf("shard: %w", je))
+				d.fail(job.ID, fmt.Errorf("shard: %w", je))
 				return
 			}
 			d.mu.Lock()
@@ -483,12 +460,10 @@ func (d *dispatcher) serve(w Worker) {
 				d.deadWorker[w] = true
 				r.stats.WorkerFailures++
 			}
-			r.inflight--
 			delete(d.assigned, job.ID)
-			if _, alreadyDone := r.done[key.shard]; !alreadyDone && !r.finished && !queued(r.queue, key.shard) {
-				r.queue = append(r.queue, key.shard)
-			}
-			fmt.Fprintf(d.logw, "shard: worker %s died (%v); run %d shard %d reassigned\n", w.Name(), err, r.idx, key.shard)
+			r.requeueLocked(key.rg)
+			fmt.Fprintf(d.logw, "shard: worker %s died (%v); run %d range [%d,%d) reassigned\n",
+				w.Name(), err, r.idx, key.rg.Start, key.rg.End)
 			d.cond.Broadcast()
 			d.mu.Unlock()
 			return
@@ -496,11 +471,13 @@ func (d *dispatcher) serve(w Worker) {
 	}
 }
 
-// claim blocks until a shard of some run is available, or the pool
+// claim blocks until some run has a range to hand out, or the pool
 // unwinds. Runs are scanned in submission order, which is what
 // pipelines them: run k+1 work is only taken when run k has nothing
-// queued right now. An idle serve parks here until a submission or a
-// requeue brings work.
+// to retry and its cursor sits at its horizon. The claim divisor is
+// the run's Shards, else the pool's live slots right now. An idle
+// serve parks here until a submission, a requeue or a bank brings
+// work.
 func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -512,116 +489,80 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 			if r.finished {
 				continue
 			}
-			d.refillLocked(r)
-			if len(r.queue) == 0 {
+			p := r.spec.Shards
+			if p < 1 {
+				p = d.live
+			}
+			rg, ok := r.claimRange(p)
+			if !ok {
 				continue
 			}
-			min := 0
-			for i := range r.queue {
-				if r.queue[i] < r.queue[min] {
-					min = i
-				}
-			}
-			id := r.queue[min]
-			r.queue = append(r.queue[:min], r.queue[min+1:]...)
-			r.inflight++
 			jid := int(jobSeq.Add(1))
-			key := jobKey{r: r, shard: id}
+			key := jobKey{r: r, rg: rg}
 			d.jobIndex[jid] = key
 			d.assigned[jid] = &assignment{key: key, w: w}
 			r.jobIDs = append(r.jobIDs, jid)
-			rg := r.shards[id]
 			return &Job{ID: jid, Start: rg.Start, End: rg.End, Params: r.wire, Options: r.jobOptions}, key, true
 		}
 		d.cond.Wait()
 	}
 }
 
-// refillLocked opens the next wave(s) of an unfinished run whose
-// current wave fully banked. Callers hold d.mu.
-func (d *dispatcher) refillLocked(r *runState) {
-	for len(r.queue) == 0 && r.inflight == 0 && !r.finished && r.nextWave < len(r.waves) {
-		for _, id := range r.waves[r.nextWave] {
-			if _, ok := r.done[id]; !ok {
-				r.queue = append(r.queue, id)
-			}
-		}
-		r.nextWave++
-		r.stats.Waves++
-	}
-}
-
-// maxMalformedPerShard bounds how often a shard's results may fail
+// maxMalformedPerShard bounds how often a range's results may fail
 // validation before the run is declared dead — without it, a lone
 // worker with a deterministic defect (e.g. a version-skewed binary
-// whose seeding changed) would recompute the same shard forever.
+// whose seeding changed) would recompute the same range forever.
 const maxMalformedPerShard = 3
 
-// bank records a completed shard exactly once; duplicates are counted
+// bank records a completed range exactly once: a result for a range
+// the scan has folded or that waits in done is a duplicate, counted
 // and dropped. fromRun marks results produced by this dispatcher's own
-// claim (to balance the inflight counter) versus stray deliveries.
+// claim (whose assignment ends here) versus stray deliveries.
 func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r := key.r
+	r, rg := key.r, key.rg
 	if fromRun {
-		r.inflight--
 		delete(d.assigned, jobID)
 	}
-	if key.shard < 0 || key.shard >= len(r.shards) {
-		fmt.Fprintf(d.logw, "shard: dropping result for unknown shard %d of run %d\n", key.shard, r.idx)
-		d.cond.Broadcast()
-		return
-	}
 	if r.finished {
-		// A run that already finished no longer needs this shard (a
-		// cancel lost the race, or a reassigned shard was answered
+		// A run that already finished no longer needs this range (a
+		// cancel lost the race, or a reassigned range was answered
 		// twice).
-		fmt.Fprintf(d.logw, "shard: dropping late result for finished run %d shard %d\n", r.idx, key.shard)
+		fmt.Fprintf(d.logw, "shard: dropping late result for finished run %d range [%d,%d)\n", r.idx, rg.Start, rg.End)
 		d.cond.Broadcast()
 		return
 	}
-	if _, dup := r.done[key.shard]; dup {
+	if r.banked(rg.Start) {
 		r.stats.DuplicateResults++
-		fmt.Fprintf(d.logw, "shard: dropping duplicate result for shard %d\n", key.shard)
+		fmt.Fprintf(d.logw, "shard: dropping duplicate result for range [%d,%d)\n", rg.Start, rg.End)
 		d.cond.Broadcast()
 		return
 	}
-	rg := r.shards[key.shard]
 	if err := sim.CheckPartials(r.spec.Params, r.jobOptions, rg.Start, rg.End, parts); err != nil {
 		// A malformed result (one the run's scan would refuse) is
-		// dropped and the shard recomputed, like a worker death — up
+		// dropped and the range recomputed, like a worker death — up
 		// to a cap, beyond which the defect is clearly deterministic
 		// and the run is dead.
 		if r.malformed == nil {
 			r.malformed = make(map[int]int)
 		}
-		r.malformed[key.shard]++
+		r.malformed[rg.Start]++
 		r.stats.WorkerFailures++
-		if r.malformed[key.shard] >= maxMalformedPerShard {
-			d.failLocked(fmt.Errorf("shard: shard %d returned %d malformed results; aborting (worker defect?)",
-				key.shard, r.malformed[key.shard]))
+		if r.malformed[rg.Start] >= maxMalformedPerShard {
+			d.failLocked(fmt.Errorf("shard: range [%d,%d) returned %d malformed results; aborting (worker defect?)",
+				rg.Start, rg.End, r.malformed[rg.Start]))
 			return
 		}
-		fmt.Fprintf(d.logw, "shard: dropping malformed result for shard %d: %v\n", key.shard, err)
-		if !queued(r.queue, key.shard) {
-			r.queue = append(r.queue, key.shard)
-		}
+		fmt.Fprintf(d.logw, "shard: dropping malformed result for range [%d,%d): %v\n", rg.Start, rg.End, err)
+		r.requeueLocked(rg)
 		d.cond.Broadcast()
 		return
 	}
 	sortParts(parts)
-	r.done[key.shard] = parts
+	r.done[rg.Start] = parts
 	r.stats.Computed++
-	// Remove the shard from the queue if a stray delivery beat a
-	// pending reassignment to it.
-	for i := range r.queue {
-		if r.queue[i] == key.shard {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			break
-		}
-	}
-	if err := r.cp.record(key.shard, parts); err != nil {
+	if err := r.cp.record(parts); err != nil {
 		d.failLocked(err)
 		return
 	}
@@ -630,18 +571,20 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bo
 }
 
 // advanceLocked folds a run's contiguous banked prefix into its scan
-// cell by cell as shards land (completion-order merging: partials fold
-// as soon as the prefix reaches them, not at a barrier) and releases
-// each shard's partials once folded. The run finishes at the first
-// boundary where the stopping rule binds — its in-flight jobs are then
-// cancelled — or when the prefix reaches the cap. Callers hold d.mu.
+// cell by cell as ranges land (completion-order merging: partials fold
+// as soon as the prefix reaches them, not at a barrier) and deletes
+// each range once folded. The run finishes at the first boundary where
+// the stopping rule binds — its in-flight jobs are then cancelled — or
+// when the prefix reaches the cap. Callers hold d.mu.
 func (d *dispatcher) advanceLocked(r *runState) {
 	moved := false
-	for r.prefixShard < len(r.shards) {
-		parts, ok := r.done[r.prefixShard]
+	for {
+		start := r.scan.End()
+		parts, ok := r.done[start]
 		if !ok {
 			break
 		}
+		delete(r.done, start)
 		for i := range parts {
 			if r.scan.Feed(&parts[i]) {
 				r.stats.StoppedEarly = true
@@ -650,11 +593,9 @@ func (d *dispatcher) advanceLocked(r *runState) {
 				return
 			}
 		}
-		r.done[r.prefixShard] = nil
-		r.prefixShard++
 		moved = true
 	}
-	if r.prefixShard == len(r.shards) {
+	if r.scan.End() == r.capIters {
 		d.finishLocked(r)
 	} else if moved {
 		r.emitProgress(false)
@@ -685,14 +626,14 @@ func (d *dispatcher) finishLocked(r *runState) {
 	d.endLocked(r)
 }
 
-// endLocked moves a run to its terminal state. Its queue, partials
+// endLocked moves a run to its terminal state. Its retries, partials
 // and checkpoint are released — every later path checks r.finished
 // before it touches them, and closing the checkpoint here keeps a
 // long-lived pool's fd count flat — and its ticket wakes. Callers hold
 // d.mu.
 func (d *dispatcher) endLocked(r *runState) {
 	r.finished = true
-	r.queue = nil
+	r.retry = nil
 	r.done = nil
 	r.cp.close()
 	r.cp = nil
@@ -700,7 +641,7 @@ func (d *dispatcher) endLocked(r *runState) {
 	d.cond.Broadcast()
 }
 
-// abortRun ends a run before its natural completion: queued shards are
+// abortRun ends a run before its natural completion: retries are
 // dropped, in-flight jobs are cancelled through the protocol's v2
 // cancel path, and the ticket resolves with cause. Idempotent; a run
 // that already finished is left alone.
@@ -717,33 +658,15 @@ func (d *dispatcher) abortRun(r *runState, cause error) {
 }
 
 // cancelled accounts for a job a worker abandoned on request. The
-// worker stays in the pool.
+// worker stays in the pool. Cancels are only sent once the run is
+// over, but one that raced a live run must not lose its range.
 func (d *dispatcher) cancelled(key jobKey, jobID int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r := key.r
-	r.inflight--
 	delete(d.assigned, jobID)
-	r.stats.CancelledJobs++
-	if !r.finished {
-		// A cancel that raced a still-running run (should not happen —
-		// cancels are only sent after the run finished — but a shard
-		// must never be silently lost).
-		if _, done := r.done[key.shard]; !done && !queued(r.queue, key.shard) {
-			r.queue = append(r.queue, key.shard)
-		}
-	}
+	key.r.stats.CancelledJobs++
+	key.r.requeueLocked(key.rg)
 	d.cond.Broadcast()
-}
-
-// queued reports whether shard id is in the pending queue.
-func queued(queue []int, id int) bool {
-	for _, q := range queue {
-		if q == id {
-			return true
-		}
-	}
-	return false
 }
 
 // bankStray records a result that arrived outside the request/response
@@ -760,10 +683,9 @@ func (d *dispatcher) bankStray(jobID int, parts []sim.Partial) {
 	d.bank(key, jobID, parts, false)
 }
 
-func (d *dispatcher) fail(key jobKey, jobID int, err error) {
+func (d *dispatcher) fail(jobID int, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key.r.inflight--
 	delete(d.assigned, jobID)
 	d.failLocked(err)
 }

@@ -263,8 +263,9 @@ func TestMalformedResultRecomputed(t *testing.T) {
 }
 
 // TestCheckpointDropsUnweightedRecord strips the importance weights
-// from one checkpointed shard of a biased run: resume must drop that
-// record and recompute its shard rather than fail the merge.
+// from one checkpointed range of a biased run: resume must drop that
+// record and recompute its range rather than fail the merge. A record
+// overlapping an earlier one is dropped too, and nothing recomputes.
 func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
@@ -309,15 +310,54 @@ func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	if !strings.Contains(log.String(), "dropping invalid record") {
 		t.Errorf("log does not mention the dropped record:\n%s", log.String())
 	}
-	if st.FromCheckpoint != 3 || st.Computed != 1 {
-		t.Errorf("restored %d / computed %d, want 3 / 1", st.FromCheckpoint, st.Computed)
+	if st.FromCheckpoint != 9 || st.Computed != 1 {
+		t.Errorf("restored %d / computed %d, want 9 / 1", st.FromCheckpoint, st.Computed)
 	}
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 		t.Error("summary diverged after dropping the unweighted record")
 	}
+
+	// The resume left a complete checkpoint. Append a valid record for
+	// the run's first cell, which the first record already covers.
+	jo := o
+	jo.Iterations = o.IterationCap()
+	first, err := sim.RunRange(p, jo, 0, sim.CellSize(jo.Iterations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(checkpointRecord{Type: "shard", Partials: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(cpPath, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	log.Reset()
+	got, st, err = runStats(runCfg{
+		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
+		Log:     &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "overlapping") {
+		t.Errorf("log does not mention the overlapping record:\n%s", log.String())
+	}
+	if st.FromCheckpoint != 10 || st.Computed != 0 {
+		t.Errorf("restored %d / computed %d, want 10 / 0", st.FromCheckpoint, st.Computed)
+	}
+	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
+		t.Error("summary diverged after dropping the overlapping record")
+	}
 }
 
-// TestCheckpointResume interrupts a run after some shards complete and
+// TestCheckpointResume interrupts a run after some ranges complete and
 // resumes from the checkpoint: the resumed run must only compute the
 // remainder and end byte-identical.
 func TestCheckpointResume(t *testing.T) {
@@ -329,8 +369,8 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
 
-	// First attempt: the only worker dies after 3 of 8 shards, so the
-	// run fails — but the 3 shards are checkpointed.
+	// First attempt: the only worker dies after 3 ranges, so the run
+	// fails — but the 3 ranges, [0,704), are checkpointed.
 	_, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
 		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}},
@@ -342,7 +382,8 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("first attempt computed %d shards, want 3", st.Computed)
 	}
 
-	// Resume with a healthy worker: only the remaining 5 recompute.
+	// Resume with a healthy worker: only [704,2000) recomputes, in the
+	// 13 guided claims of 8 shards (3, 3, 2, 2, 2, 2, then 1 cell each).
 	got, st, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
@@ -350,8 +391,8 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FromCheckpoint != 3 || st.Computed != 5 {
-		t.Errorf("resume restored %d / computed %d, want 3 / 5", st.FromCheckpoint, st.Computed)
+	if st.FromCheckpoint != 3 || st.Computed != 13 {
+		t.Errorf("resume restored %d / computed %d, want 3 / 13", st.FromCheckpoint, st.Computed)
 	}
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 		t.Error("resumed summary diverged from single-process baseline")
@@ -360,7 +401,7 @@ func TestCheckpointResume(t *testing.T) {
 
 // TestCheckpointShortWrite tears the checkpoint mid-record (a crash
 // during an append) and checks resume drops the torn tail, recomputes
-// the torn shard, and still matches the baseline.
+// the torn range, and still matches the baseline.
 func TestCheckpointShortWrite(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
@@ -370,7 +411,8 @@ func TestCheckpointShortWrite(t *testing.T) {
 	}
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
 
-	// Complete a full run to get a valid checkpoint of all 6 shards.
+	// Complete a full run to get a valid checkpoint of its 13 claimed
+	// ranges (6 shards: 6, 5, 4, 3, 3, 2, 2, 2 cells, then 1 cell each).
 	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 6, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
@@ -384,8 +426,8 @@ func TestCheckpointShortWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	if len(lines) != 7 { // header + 6 shards
-		t.Fatalf("checkpoint has %d lines, want 7", len(lines))
+	if len(lines) != 14 { // header + 13 ranges
+		t.Fatalf("checkpoint has %d lines, want 14", len(lines))
 	}
 	last := lines[len(lines)-1]
 	torn := append(bytes.Join(lines[:len(lines)-1], []byte("\n")), '\n')
@@ -406,8 +448,8 @@ func TestCheckpointShortWrite(t *testing.T) {
 	if !strings.Contains(log.String(), "torn") {
 		t.Errorf("log does not mention the torn record:\n%s", log.String())
 	}
-	if st.FromCheckpoint != 5 || st.Computed != 1 {
-		t.Errorf("restored %d / computed %d, want 5 / 1", st.FromCheckpoint, st.Computed)
+	if st.FromCheckpoint != 12 || st.Computed != 1 {
+		t.Errorf("restored %d / computed %d, want 12 / 1", st.FromCheckpoint, st.Computed)
 	}
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 		t.Error("summary diverged after torn checkpoint")
@@ -465,8 +507,8 @@ func TestCheckpointResumeDifferentWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume with different Workers refused: %v", err)
 	}
-	if st.FromCheckpoint != 4 {
-		t.Errorf("restored %d shards, want 4", st.FromCheckpoint)
+	if st.FromCheckpoint != 10 {
+		t.Errorf("restored %d ranges, want 10", st.FromCheckpoint)
 	}
 }
 
@@ -514,12 +556,23 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 }
 
 // TestCheckpointBindsRunAndPartition pins the checkpoint identity: the
-// header carries the run's RunFingerprint and shard count, and a rerun
-// with another partition is refused rather than misread.
+// header binds the run's RunFingerprint alone and each record is keyed
+// by the range its partials cover, so a checkpoint resumes under any
+// shard count. So does a file in the older format, whose header carries
+// a shard count and whose records carry shard ids.
 func TestCheckpointBindsRunAndPartition(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
+	base, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := fingerprintOf(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpPath := filepath.Join(dir, "run.ckpt")
 	if _, _, err := runStats(runCfg{
 		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
 		Workers: []Worker{NewInProcessWorker("w", 1)},
@@ -530,23 +583,52 @@ func TestCheckpointBindsRunAndPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h checkpointHeader
+	var h map[string]any
 	if err := json.Unmarshal(bytes.SplitN(raw, []byte("\n"), 2)[0], &h); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := fingerprintOf(p, o)
-	if err != nil {
+	if _, ok := h["shards"]; h["fingerprint"] != fp || ok {
+		t.Errorf("header %v, want fingerprint %s and no shard count", h, fp)
+	}
+
+	// The older format: the four shards of the former even split, with
+	// ids and a shard count.
+	legacy := filepath.Join(dir, "legacy.ckpt")
+	lines := []any{map[string]any{"type": "header", "fingerprint": fp, "iterations": o.Iterations, "seed": o.Seed, "shards": 4}}
+	for id, rg := range []sim.Range{{Start: 0, End: 512}, {Start: 512, End: 1024}, {Start: 1024, End: 1536}, {Start: 1536, End: 2000}} {
+		parts, err := sim.RunRange(p, o, rg.Start, rg.End)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, map[string]any{"type": "shard", "id": id, "partials": parts})
+	}
+	var buf bytes.Buffer
+	for _, l := range lines {
+		if err := json.NewEncoder(&buf).Encode(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if h.Fingerprint != fp || h.Shards != 4 {
-		t.Errorf("header binds %s over %d shards, want %s over 4", h.Fingerprint, h.Shards, fp)
-	}
-	_, _, err = runStats(runCfg{
-		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	})
-	if err == nil || !strings.Contains(err.Error(), "different run") {
-		t.Fatalf("expected partition mismatch error, got %v", err)
+
+	for _, tc := range []struct {
+		path     string
+		restored int
+	}{{cpPath, 10}, {legacy, 4}} {
+		got, st, err := runStats(runCfg{
+			Params: p, Options: o, Shards: 2, Checkpoint: tc.path,
+			Workers: []Worker{NewInProcessWorker("w", 1)},
+		})
+		if err != nil {
+			t.Fatalf("%s: resume under another shard count refused: %v", filepath.Base(tc.path), err)
+		}
+		if st.FromCheckpoint != tc.restored || st.Computed != 0 {
+			t.Errorf("%s: restored %d / computed %d, want %d / 0", filepath.Base(tc.path), st.FromCheckpoint, st.Computed, tc.restored)
+		}
+		if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
+			t.Errorf("%s: resumed summary diverged from sim.Run", filepath.Base(tc.path))
+		}
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // hashed with FNV-1a over canonical JSON. Because execution is
 // bit-identical across worker and shard counts, two runs with equal
 // fingerprints produce byte-identical Summaries — an exact cache key,
-// not an approximate one. A checkpoint binds this fingerprint plus its
-// shard count: results are partition-independent, but a checkpoint's
-// records are not.
+// not an approximate one. A checkpoint binds this fingerprint alone:
+// its records are canonical cells, whoever claimed them.
 //
 // The string is stable across processes, machines and repo versions
 // (pinned by a test); changing what it covers requires bumping the

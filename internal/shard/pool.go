@@ -10,11 +10,11 @@ import (
 
 // RunProgress is one observation of a run's advance, delivered to the
 // progress callback passed to Pool.Submit. Every run, fixed-N or
-// adaptive, folds its contiguous banked prefix of shards as they land,
+// adaptive, folds its contiguous banked prefix of ranges as they land,
 // and an observation follows each advance of that prefix; the final
 // observation carries the run's Summary numbers.
 type RunProgress struct {
-	// Iterations folded so far: the banked prefix, shard-aligned and
+	// Iterations folded so far: the banked prefix, cell-aligned and
 	// monotone non-decreasing across observations.
 	Iterations int
 	// Cap is the run's iteration ceiling (Options.IterationCap).
@@ -26,8 +26,6 @@ type RunProgress struct {
 	HalfWidth float64
 	// Converged is only meaningful on the final observation.
 	Converged bool
-	// Waves counts handout waves opened so far.
-	Waves int
 	// Final marks the last observation of the run: the run finished and
 	// its Ticket is resolvable.
 	Final bool
@@ -36,8 +34,8 @@ type RunProgress struct {
 // Pool is the shard execution engine: a dispatcher over one worker set
 // — local processes, remote dials, elastic joiners — that accepts runs
 // for as long as it lives. Runs are prioritized in submission order: a
-// worker takes run k+1 work only when run k has nothing queued, so a
-// later run's shards start while an earlier run drains. Every run's
+// worker takes run k+1 work only when run k has nothing to hand out, so
+// a later run's ranges start while an earlier run drains. Every run's
 // Summary is bit-identical to executing it alone. RunPipeline is the
 // one-call form for a fixed list of runs.
 //
@@ -60,17 +58,17 @@ type PoolOptions struct {
 	// a bounded in-process worker with this parallelism joins so parked
 	// runs keep progressing instead of waiting for a rejoiner the
 	// deadline may outlast. The fallback stays in the pool once armed;
-	// rejoining supervised workers simply take shards alongside it.
+	// rejoining supervised workers simply take ranges alongside it.
 	LocalFallback int
 }
 
 // NewPool builds a pool over the initial workers plus an optional
 // elastic source: every Worker delivered on source joins the pool and
-// starts taking shards. While source is open, a pool whose last worker
-// died parks its runs until a joiner arrives instead of failing them.
-// The initial workers remain the caller's to close — after Close
-// returns; workers delivered by source are closed by the pool.
-// Wave-sizing weights are snapshotted from the initial workers.
+// starts claiming ranges of every run, submitted before or after it.
+// While source is open, a pool whose last worker died parks its runs
+// until a joiner arrives instead of failing them. The initial workers
+// remain the caller's to close — after Close returns; workers delivered
+// by source are closed by the pool.
 func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, error) {
 	var o PoolOptions
 	if opts != nil {
@@ -95,10 +93,6 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 		d.fallback = NewInProcessWorker("local-fallback", o.LocalFallback)
 	}
 	d.cond = sync.NewCond(&d.mu)
-	d.caps = poolCapacities(workers)
-	if len(d.caps) == 0 {
-		d.caps = []int{1}
-	}
 	p := &Pool{d: d}
 	for _, w := range workers {
 		d.addWorker(w)
@@ -175,13 +169,14 @@ type Ticket struct {
 	r *runState
 }
 
-// Submit validates, partitions and enqueues one run on the pool.
-// Submission order is the pipelining priority. When ctx ends before the
-// run does, the run is aborted — queued shards dropped, in-flight jobs
-// cancelled through the protocol's cancel path — and the ticket
-// resolves with an error wrapping the context's cause; this is how a
-// client disconnect or a per-request deadline reaches the shard wire.
-// The pool itself stays usable.
+// Submit validates one run, restores its checkpoint, and opens it to
+// the pool's slots, which claim its cells in guided batches off the
+// run's cursor. Submission order is the pipelining priority. When ctx
+// ends before the run does, the run is aborted — retries dropped,
+// in-flight jobs cancelled through the protocol's cancel path — and
+// the ticket resolves with an error wrapping the context's cause; this
+// is how a client disconnect or a per-request deadline reaches the
+// shard wire. The pool itself stays usable.
 //
 // progress, when non-nil, observes the run's advance; it is invoked
 // with the pool's dispatch lock held and must return quickly without
@@ -197,14 +192,13 @@ func (p *Pool) Submit(ctx context.Context, spec RunSpec, progress func(RunProgre
 		d.mu.Unlock()
 		return nil, err
 	}
-	caps := d.caps
 	idx := d.nextIdx
 	d.nextIdx++
 	d.mu.Unlock()
 
-	// Validation, partitioning and checkpoint restore run outside the
-	// dispatch lock (they may read files).
-	r, err := newRunState(idx, &spec, caps, d.logw)
+	// Validation and checkpoint restore run outside the dispatch lock
+	// (they may read files).
+	r, err := newRunState(idx, &spec, d.logw)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +284,7 @@ func (p *Pool) Err() error {
 	return p.d.fatal
 }
 
-// Cancel aborts the run if it has not finished: queued shards are
+// Cancel aborts the run if it has not finished: retries are
 // dropped, in-flight jobs are cancelled on their workers, and Wait
 // returns an error. Cancelling a finished run is a no-op. The pool
 // stays usable.

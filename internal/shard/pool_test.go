@@ -7,16 +7,32 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"herald/internal/sim"
 )
 
+// countingWorker counts the jobs its wrapped worker runs, keeping the
+// wrapped worker's pipeline depth.
+type countingWorker struct {
+	Worker
+	jobs atomic.Int32
+}
+
+func (w *countingWorker) Run(job *Job) ([]sim.Partial, error) {
+	w.jobs.Add(1)
+	return w.Worker.Run(job)
+}
+
+func (w *countingWorker) PipelineDepth() int { return w.Worker.(Pipeliner).PipelineDepth() }
+
 // TestPoolSubmitMatchesSim pins the persistent-pool contract: runs
 // submitted one by one to a long-lived Pool return Summaries
 // byte-identical to in-process sim.Run, and the pool stays usable
-// between them.
+// between them. A pool of joiners alone divides a run without Shards
+// by its live slots, so every joiner takes part.
 func TestPoolSubmitMatchesSim(t *testing.T) {
 	workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
 	pool, err := NewPool(workers, nil, nil)
@@ -41,6 +57,60 @@ func TestPoolSubmitMatchesSim(t *testing.T) {
 		}
 		if g, w := summaryBytes(t, res.Summary), summaryBytes(t, base); string(g) != string(w) {
 			t.Errorf("%v: pool summary diverged\n got %s\nwant %s", pol, g, w)
+		}
+	}
+
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	joinErr := make(chan error, 2)
+	source := make(chan Worker, 2)
+	var joined []*countingWorker
+	for i := 0; i < 2; i++ {
+		go func() { joinErr <- Join(ln.Addr().String(), 1, NetConfig{}, nil) }()
+		w := &countingWorker{Worker: <-joiners}
+		joined = append(joined, w)
+		source <- w
+	}
+	jpool, err := NewPool(nil, source, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The claim divisor is read at claim time: submit once both
+	// joiners' slots are live.
+	for deadline := time.Now().Add(10 * time.Second); jpool.Health().LiveSlots < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("join-only pool health %+v, want both joiners' 4 slots", jpool.Health())
+		}
+	}
+	// Long enough that every slot wakes and claims before the first
+	// claims finish.
+	p, o := testParams(sim.Conventional), testOptions()
+	o.Iterations = 500_000
+	base, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := jpool.Submit(context.Background(), RunSpec{Params: p, Options: o}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	jpool.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := summaryBytes(t, res.Summary), summaryBytes(t, base); string(g) != string(w) {
+		t.Errorf("join-only pool summary diverged\n got %s\nwant %s", g, w)
+	}
+	for i, w := range joined {
+		if w.jobs.Load() == 0 {
+			t.Errorf("joiner %d ran no job of the run (stats %+v)", i, res.Stats)
+		}
+		if err := <-joinErr; err != nil {
+			t.Errorf("join returned %v, want clean close", err)
 		}
 	}
 }

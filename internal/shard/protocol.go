@@ -1,24 +1,26 @@
 // Package shard distributes Monte-Carlo availability runs across
-// processes and machines. A coordinator partitions a run's iteration
-// range [0, N) into contiguous shards along the canonical accumulation
-// cells of internal/sim, hands shards to workers — local processes
-// spawned via os/exec, or remote machines attached over TCP — and
-// folds the returned cell partials into a Summary that is bit-identical
-// to a single-process sim.Run, whatever the shard count, worker count
-// or schedule.
+// processes and machines. Workers — local processes spawned via
+// os/exec, or remote machines attached over TCP — claim a run's
+// canonical accumulation cells (internal/sim) in contiguous ranges off
+// one cursor, and the coordinator folds the returned cell partials
+// into a Summary that is bit-identical to a single-process sim.Run,
+// whatever the shard count, worker count or schedule.
 //
-// Every run follows one lifecycle: shards are handed out in waves, and
-// results fold into the run's sim.StopScan in completion order as its
-// contiguous banked prefix grows; the Summary is read off that fold. A
-// fixed-N run is one wave whose stopping rule never binds. An adaptive
-// (precision-targeted) run's waves grow geometrically, the rule is
-// re-checked at every cell boundary of the prefix, and outstanding jobs
-// are cancelled once it binds. The coordinator pipelines several runs
-// through one shared worker pool so a scenario sweep's next point
-// starts while the previous one drains. Pool is the one execution
-// engine: RunPipeline wraps it for a fixed list of runs
-// (internal/sweep.MonteCarlo), and long-lived processes submit to it
-// directly (internal/serve).
+// Every run follows one lifecycle. Each pool slot claims the next
+// batch off the run's cursor — a share of the work left before the
+// run's horizon, guided self-scheduling — and claims again when it
+// returns, so faster workers simply claim more. Results fold into the
+// run's sim.StopScan in completion order as its contiguous banked
+// prefix grows; the Summary is read off that fold. A fixed-N run's
+// horizon is its cap and its stopping rule never binds. An adaptive
+// (precision-targeted) run's horizon is the stopping point projected
+// from the folded prefix, the rule is re-checked at every cell boundary
+// of the prefix, and outstanding jobs are cancelled once it binds. The
+// coordinator pipelines several runs through one shared worker pool so
+// a scenario sweep's next point starts while the previous one drains.
+// Pool is the one execution engine: RunPipeline wraps it for a fixed
+// list of runs (internal/sweep.MonteCarlo), and long-lived processes
+// submit to it directly (internal/serve).
 //
 // The determinism rests on two contracts from lower layers: every
 // iteration reseeds its RNG stream from (seed, iteration index), so a
@@ -29,15 +31,15 @@
 //
 // Workers speak a newline-delimited JSON protocol (one message object
 // per line): hello for the version/auth handshake, job to assign a
-// shard, result/error to answer, cancel/cancelled to abandon a job
+// claimed range, result/error to answer, cancel/cancelled to abandon a job
 // whose iterations an adaptive run no longer needs, ping as a liveness
 // heartbeat. TCP links (coordinator-dials-worker and
 // worker-joins-coordinator alike) open with a three-message
 // authenticated hello exchange — optionally inside TLS — and carry
 // heartbeats both ways, so a half-open or stalled peer is detected
 // within a bounded deadline instead of wedging a receive loop forever.
-// Completed shards are appended to a checkpoint log, so a killed
-// coordinator resumes without recomputing them, and shards assigned to
+// Completed ranges are appended to a checkpoint log, so a killed
+// coordinator resumes without recomputing them, and ranges assigned to
 // a worker that dies are handed to the survivors. See README.md
 // ("Sharded execution" and "Adaptive precision") for the full protocol
 // and failure-handling story.

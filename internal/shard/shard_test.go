@@ -187,31 +187,41 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestPartition pins a fixed-N run's shard plan: one wave,
-// contiguous, cell-aligned, exactly tiling [0, n).
+// TestPartition pins a fixed-N run's claims: claimRange hands out
+// guided batches off the cursor that are contiguous, cell-aligned,
+// never grow, and tile [0, n) exactly, whatever the divisor.
 func TestPartition(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 2000, 1_000_000} {
 		for _, s := range []int{1, 2, 7, 256, 100000} {
-			shards, waves := adaptivePartition(n, n, s, nil)
-			if len(shards) == 0 {
-				t.Fatalf("n=%d shards=%d: empty partition", n, s)
+			r, err := newRunState(0, &RunSpec{Params: testParams(sim.Conventional),
+				Options: sim.Options{Iterations: n, MissionTime: 2e5, Seed: 1}}, io.Discard)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(waves) != 1 || len(waves[0]) != len(shards) {
-				t.Fatalf("n=%d shards=%d: %d waves, want one over all %d shards", n, s, len(waves), len(shards))
-			}
-			cursor := 0
-			for _, r := range shards {
-				if r.Start != cursor || r.End <= r.Start {
-					t.Fatalf("n=%d shards=%d: bad range %+v at cursor %d", n, s, r, cursor)
+			cs := sim.CellSize(n)
+			cursor, last, claims := 0, n, 0
+			for rg, ok := r.claimRange(s); ok; rg, ok = r.claimRange(s) {
+				if rg.Start != cursor || rg.End <= rg.Start {
+					t.Fatalf("n=%d shards=%d: bad range %+v at cursor %d", n, s, rg, cursor)
 				}
-				cs := sim.CellSize(n)
-				if r.Start%cs != 0 || (r.End%cs != 0 && r.End != n) {
-					t.Fatalf("n=%d shards=%d: range %+v not cell-aligned (cell %d)", n, s, r, cs)
+				if rg.Start%cs != 0 || (rg.End%cs != 0 && rg.End != n) {
+					t.Fatalf("n=%d shards=%d: range %+v not cell-aligned (cell %d)", n, s, rg, cs)
 				}
-				cursor = r.End
+				if rg.Len() > last {
+					t.Fatalf("n=%d shards=%d: range %+v grew past the previous claim's %d iterations", n, s, rg, last)
+				}
+				cursor, last = rg.End, rg.Len()
+				claims++
 			}
 			if cursor != n {
-				t.Fatalf("n=%d shards=%d: partition ends at %d", n, s, cursor)
+				t.Fatalf("n=%d shards=%d: claims end at %d", n, s, cursor)
+			}
+			if s == 1 && claims != 1 {
+				t.Errorf("n=%d: one shard claimed the run in %d ranges, want 1", n, claims)
+			}
+			if r.stats.Waves != claims || r.stats.Shards != claims {
+				t.Errorf("n=%d shards=%d: stats count %d waves, %d shards; want %d claims",
+					n, s, r.stats.Waves, r.stats.Shards, claims)
 			}
 		}
 	}

@@ -272,10 +272,8 @@ type JobCanceler interface {
 
 // CapacityReporter is an optional Worker facet: the worker's job
 // parallelism (a join-mode worker's hello advertisement, an in-process
-// worker's configured width). The coordinator uses it to size wave
-// shards proportionally, so a heterogeneous pool drains each wave
-// together instead of idling its fast members behind the slowest one.
-// Workers that return 0 (or lack the interface) count as one slot.
+// worker's configured width). Dispatch does not weigh it — a wider
+// worker returns sooner and claims again — but wrappers forward it.
 type CapacityReporter interface {
 	Capacity() int
 }

@@ -283,6 +283,49 @@ func TestSummarizeArrivalOrderInvariance(t *testing.T) {
 	}
 }
 
+// TestCheckPartialsRefusesNonCanonicalCells pins that the fold accepts
+// only partials that are each one canonical cell of the run's cap. A
+// worker running the same range under another cap computes the same
+// iterations, but in cells of another width: folding them would build
+// another merge tree and break byte-identity. So CheckPartials and
+// Summarize must refuse them, while an adaptive fold, whose cells are
+// those of its cap, still takes them.
+func TestCheckPartialsRefusesNonCanonicalCells(t *testing.T) {
+	p := adaptiveTestParams(Conventional)
+	o := Options{Iterations: 2000, MissionTime: 2e5, Seed: 20170327, Workers: 2}
+	wide := o
+	wide.Iterations = 512_000 // cells of 2000 iterations
+	parts, err := RunRange(p, wide, 0, o.Iterations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 {
+		t.Fatalf("RunRange under the wide cap returned %d partials, want 1", len(parts))
+	}
+	if err := CheckPartials(p, o, 0, o.Iterations, parts); err == nil {
+		t.Error("CheckPartials accepted a 2000-iteration partial for a run of 64-iteration cells")
+	}
+	if _, err := Summarize(o, parts); err == nil {
+		t.Error("Summarize accepted a 2000-iteration partial for a run of 64-iteration cells")
+	}
+	// A whole cell shifted below zero is aligned but outside every run.
+	cells, err := RunRange(p, o, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells[0].Start, cells[0].End = -64, 0
+	if err := CheckPartials(p, o, -64, 0, cells); err == nil {
+		t.Error("CheckPartials accepted a cell below iteration 0")
+	}
+	// A kept prefix folds under its cap's cells (perfbench replays
+	// adaptive runs this way).
+	prefix := o
+	prefix.MaxIters, prefix.TargetHalfWidth = wide.Iterations, 1e-9
+	if _, err := Summarize(prefix, parts); err != nil {
+		t.Errorf("Summarize refused the cap's own cell: %v", err)
+	}
+}
+
 // TestRunRangeStreamMatchesRunRange pins that the stoppable form is
 // RunRange whatever the schedule: every worker count, with or without
 // a (never closed) stop channel, returns the same cell partials in

@@ -54,14 +54,20 @@ func newFold(o Options, start, limit int) (*fold, error) {
 }
 
 // check reports why pt cannot be the next partial of the fold: a range
-// that does not continue the prefix, a foreign seed or mission time,
-// an observation count off its range, missing or inconsistent
-// importance weights, or a histogram other than the options ask for.
+// that is not one canonical cell of the run's cap or does not continue
+// the prefix, a foreign seed or mission time, an observation count off
+// its range, missing or inconsistent importance weights, or a
+// histogram other than the options ask for.
 func (f *fold) check(pt *Partial) error {
 	n := int64(pt.End - pt.Start)
+	capIters := f.o.IterationCap()
+	cell := CellSize(capIters)
 	switch {
-	case pt.End <= pt.Start || pt.End > f.limit:
+	case pt.Start < 0 || pt.End <= pt.Start || pt.End > f.limit:
 		return fmt.Errorf("sim: invalid partial range [%d,%d)", pt.Start, pt.End)
+	case pt.Start%cell != 0 || pt.End != min(pt.Start+cell, capIters):
+		return fmt.Errorf("sim: partial [%d,%d) is not one canonical %d-iteration cell of a %d-iteration run",
+			pt.Start, pt.End, cell, capIters)
 	case pt.Start < f.end:
 		return fmt.Errorf("sim: partial [%d,%d) duplicates or overlaps iterations before %d", pt.Start, pt.End, f.end)
 	case pt.Start > f.end:

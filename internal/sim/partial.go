@@ -52,11 +52,6 @@ func CellSize(n int) int {
 	return c
 }
 
-// Cells returns the canonical cell decomposition of [0, n).
-func Cells(n int) []Range {
-	return cellsIn(n, 0, n)
-}
-
 // cellsIn returns the canonical cells of a run of n iterations that
 // tile [start, end). The bounds must be cell-aligned.
 func cellsIn(n, start, end int) []Range {

@@ -26,8 +26,9 @@ type MCPoint struct {
 	// receive them; adaptive options make the point precision-targeted.
 	Params  sim.ArrayParams
 	Options sim.Options
-	// Shards overrides the point's shard count (0 = one per worker;
-	// for adaptive points, per wave).
+	// Shards is the point's claim divisor (shard.RunSpec.Shards): each
+	// claim takes 1/Shards of the work left, and 0 means the pool's
+	// live slots.
 	Shards int
 	// Checkpoint, when non-empty, makes the point resumable.
 	Checkpoint string
