@@ -65,7 +65,7 @@ func main() {
 		maxQueue     = flag.Int("max-queue", 16, "requests waiting for a run slot before 429 (negative: refuse immediately)")
 		maxPerClient = flag.Int("max-inflight-per-client", 0, "per-client bound on executing+queued runs (0 = no per-client bound)")
 		retryAfter   = flag.Duration("retry-after", 5*time.Second, "Retry-After hint on 429 responses")
-		maxSweep     = flag.Int("max-sweep-points", 64, "points allowed in one /v1/sweep request")
+		maxSweep     = flag.Int("max-sweep-points", 64, "points allowed in one /v1/sweep request; its body may be this many MiB")
 		runTimeout   = flag.Duration("run-timeout", 0, "per-run execution deadline; overdue runs abort via the shard cancel path (0 = none)")
 		authToken    = flag.String("auth-token", "", "require 'Authorization: Bearer <token>' on /v1 endpoints (health stays open)")
 		localFB      = flag.Int("local-fallback", 0, "arm an in-process worker with this parallelism when the pool drains (degraded mode; 0 = off)")

@@ -10,14 +10,14 @@
 //     automatic fail-over / delayed replacement policy with a hot
 //     spare (paper Fig. 3), both extended with the human error states
 //     (wrong disk replacement) the paper introduces, plus a
-//     dual-parity extension.
+//     dual-parity extension (cmd/availcalc).
 //   - A Monte-Carlo reference simulator (paper §III) supporting
 //     arbitrary time-to-failure laws — exponential and Weibull in the
 //     paper — and both replacement policies.
 //   - RAID geometry / Effective Replication Factor planning for
 //     equal-usable-capacity comparisons (paper §V-C).
 //   - A reproduction harness regenerating every figure of the paper's
-//     evaluation (Run with an experiment id, or cmd/repro).
+//     evaluation (cmd/repro).
 //
 // # Quick start
 //
@@ -30,14 +30,11 @@
 package herald
 
 import (
-	"io"
 	"net"
 
 	"herald/internal/dist"
 	"herald/internal/model"
 	"herald/internal/raid"
-	"herald/internal/report"
-	"herald/internal/repro"
 	"herald/internal/serve"
 	"herald/internal/shard"
 	"herald/internal/sim"
@@ -88,16 +85,6 @@ func SolveConventional(p ConventionalParams) (*ModelResult, error) {
 func SolveFailover(p FailoverParams) (*ModelResult, error) {
 	return model.Failover(p)
 }
-
-// SolveDualParity builds and solves the dual-parity (RAID6-style)
-// extension model.
-func SolveDualParity(p ConventionalParams) (*ModelResult, error) {
-	return model.DualParity(p)
-}
-
-// MTTDL returns the mean time to data loss (hours) of the conventional
-// model with DL absorbing.
-func MTTDL(p ConventionalParams) (float64, error) { return model.MTTDL(p) }
 
 // UnderestimationRatio returns unavail(hep)/unavail(0) for the given
 // configuration: the factor by which a human-error-blind model
@@ -171,22 +158,6 @@ func ParseSimKernel(s string) (SimKernel, error) {
 	return sim.ParseKernel(s)
 }
 
-// SimBiasAuto is the SimOptions.Bias sentinel asking a run to pick
-// its failure-inflation factor from the configuration's failure/repair
-// rate ratio; see the README's "Rare-event acceleration" section.
-const SimBiasAuto = sim.BiasAuto
-
-// ParseSimBias maps a bias token onto a SimOptions.Bias value: ""
-// (off), "auto" (SimBiasAuto), or a finite factor >= 1.
-func ParseSimBias(s string) (float64, error) { return sim.ParseBias(s) }
-
-// ResolveSimBias reports the concrete failure-inflation factor a
-// simulation of p under o samples with (1 when unbiased); it errors
-// when auto resolution is requested on non-exponential laws.
-func ResolveSimBias(p SimParams, o SimOptions) (float64, error) {
-	return sim.ResolveBias(p, o)
-}
-
 // PaperSimParams returns the simulator defaults matching PaperParams.
 func PaperSimParams(n int, lambda, hep float64) SimParams {
 	return sim.PaperDefaults(n, lambda, hep)
@@ -198,13 +169,19 @@ func PaperSimParams(n int, lambda, hep float64) SimParams {
 // fields report where and whether it stopped.
 func Simulate(p SimParams, o SimOptions) (SimSummary, error) { return sim.Run(p, o) }
 
+// FleetSimSummary is the Monte-Carlo estimate for a series fleet of
+// identical arrays.
+type FleetSimSummary = sim.FleetSummary
+
+// SimulateFleet estimates the availability of count identical arrays
+// in series, with delta-method CI propagation.
+func SimulateFleet(p SimParams, count int, o SimOptions) (FleetSimSummary, error) {
+	return sim.RunFleet(p, count, o)
+}
+
 // ---------------------------------------------------------------------
 // Sharded (multi-process / multi-machine) simulation
 // ---------------------------------------------------------------------
-
-// SimPartial is the mergeable outcome of a contiguous iteration range;
-// see SimulateRange and MergeSimPartials.
-type SimPartial = sim.Partial
 
 // ShardWorker executes shard jobs for a ShardPool.
 type ShardWorker = shard.Worker
@@ -218,21 +195,16 @@ func MaybeShardWorker() { shard.MaybeWorker() }
 // SimulateSharded runs the Monte-Carlo model on workerProcs local
 // single-threaded worker processes (0 = one per core), which claim its
 // cells in batches of 1/shards of the work left (0 = one share per
-// worker slot). The Summary is bit-identical to Simulate with the same
-// parameters, whatever the shard and worker counts; an
-// optional non-empty checkpoint path makes the run resumable after a
-// kill. The calling binary's main must start with MaybeShardWorker.
+// worker slot): a one-point SimulateSweep. The Summary is bit-identical
+// to Simulate with the same parameters, whatever the shard and worker
+// counts; an optional non-empty checkpoint path makes the run
+// resumable after a kill. The calling binary's main must start with
+// MaybeShardWorker.
 func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpoint string) (SimSummary, error) {
-	workers, err := shard.SpawnLocal(workerProcs)
-	if err != nil {
+	res, err := SimulateSweep([]SweepPoint{{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}}, workerProcs)
+	if len(res) == 0 {
 		return SimSummary{}, err
 	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	res, err := shard.RunPipeline([]ShardRunSpec{{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}}, workers, nil)
 	return res[0].Summary, err
 }
 
@@ -272,14 +244,6 @@ func ListenShardWorkers(addr string, nc ShardNetConfig) (net.Listener, <-chan Sh
 	return shard.ListenWorkers(addr, nc)
 }
 
-// SimulateRange computes the canonical cell partials of the aligned
-// iteration range [start, end) of a run; MergeSimPartials folds
-// partials that exactly tile the run back into a Summary. Together
-// they are the building blocks SimulateSharded distributes.
-func SimulateRange(p SimParams, o SimOptions, start, end int) ([]SimPartial, error) {
-	return sim.RunRange(p, o, start, end)
-}
-
 // ---------------------------------------------------------------------
 // Pipelined scenario sweeps
 // ---------------------------------------------------------------------
@@ -311,21 +275,12 @@ func SimulateSweep(points []SweepPoint, workerProcs int) ([]SweepResult, error) 
 	return sweep.MonteCarlo(points, workers, nil)
 }
 
-// MergeSimPartials merges partials covering [0, o.Iterations) exactly
-// once into a Summary, rejecting gaps, overlaps and duplicates.
-func MergeSimPartials(o SimOptions, parts []SimPartial) (SimSummary, error) {
-	return sim.Summarize(o, parts)
-}
-
 // ---------------------------------------------------------------------
 // Distributions
 // ---------------------------------------------------------------------
 
 // Distribution is the sampling interface consumed by the simulator.
 type Distribution = dist.Distribution
-
-// Exponential returns an exponential law with the given rate (1/h).
-func Exponential(rate float64) Distribution { return dist.NewExponential(rate) }
 
 // Weibull returns a Weibull law with the given shape and scale (h).
 func Weibull(shape, scale float64) Distribution { return dist.NewWeibull(shape, scale) }
@@ -335,44 +290,6 @@ func Weibull(shape, scale float64) Distribution { return dist.NewWeibull(shape, 
 func WeibullFromMeanRate(rate, shape float64) Distribution {
 	return dist.WeibullFromMeanRate(rate, shape)
 }
-
-// Deterministic returns a point mass: a service of fixed duration (h).
-func Deterministic(value float64) Distribution { return dist.NewDeterministic(value) }
-
-// Uniform returns the constant-density law on [lo, hi) hours.
-func Uniform(lo, hi float64) Distribution { return dist.NewUniform(lo, hi) }
-
-// Lognormal returns the lognormal law with log-mean mu and log-stddev
-// sigma: the HRA literature's standard human task-time model.
-func Lognormal(mu, sigma float64) Distribution { return dist.NewLognormal(mu, sigma) }
-
-// LognormalFromMeanMedian returns the lognormal law with the given
-// mean and median (hours), the statistics HRA tables report.
-func LognormalFromMeanMedian(mean, median float64) Distribution {
-	return dist.LognormalFromMeanMedian(mean, median)
-}
-
-// Gamma returns the gamma law with the given shape and rate (1/h).
-func Gamma(shape, rate float64) Distribution { return dist.NewGamma(shape, rate) }
-
-// Erlang returns the k-stage Erlang law: a service procedure of k
-// sequential exponential steps of the given rate.
-func Erlang(k int, rate float64) Distribution { return dist.NewErlang(k, rate) }
-
-// HyperExponential returns a weighted mixture of exponential laws for
-// multi-mode durations (e.g. a wrong pull noticed within minutes or
-// discovered hours later).
-func HyperExponential(weights, rates []float64) Distribution {
-	return dist.NewHyperExponential(weights, rates)
-}
-
-// MixtureOf returns a weighted mixture of arbitrary component laws.
-func MixtureOf(weights []float64, components ...Distribution) Distribution {
-	return dist.NewMixture(weights, components...)
-}
-
-// NormQuantile returns the standard normal inverse CDF at p in (0,1).
-func NormQuantile(p float64) float64 { return dist.NormQuantile(p) }
 
 // ---------------------------------------------------------------------
 // RAID geometry
@@ -420,27 +337,6 @@ func DowntimeHoursPerYear(availability float64) float64 {
 }
 
 // ---------------------------------------------------------------------
-// Reproduction harness
-// ---------------------------------------------------------------------
-
-// ExperimentOptions scales the reproduction experiments.
-type ExperimentOptions = repro.Options
-
-// Experiments lists the available experiment ids ("4".."7",
-// "underestimation", "ablation").
-func Experiments() []string { return repro.All() }
-
-// RunExperiment regenerates one paper figure/claim as tables.
-func RunExperiment(id string, o ExperimentOptions) ([]*report.Table, error) {
-	return repro.Run(id, o)
-}
-
-// RunAllExperiments writes every experiment's tables to w.
-func RunAllExperiments(w io.Writer, o ExperimentOptions) error {
-	return repro.RunAll(w, o)
-}
-
-// ---------------------------------------------------------------------
 // Availability as a service
 // ---------------------------------------------------------------------
 
@@ -449,20 +345,13 @@ func RunAllExperiments(w io.Writer, o ExperimentOptions) error {
 // options, schedule-only knobs excluded). Equal fingerprints mean
 // byte-identical Summaries, whatever the worker or shard count — it
 // is the exact cache key availserve and SweepResult.Fingerprint use.
-// Parameters or options that fail validation are an error, never a
-// fingerprint.
+// The kernel is resolved first, the way availserve resolves it, so an
+// auto-kernel run and the same run with its resolved kernel share one
+// fingerprint. Parameters or options that fail validation are an
+// error, never a fingerprint.
 func SimFingerprint(p SimParams, o SimOptions) (string, error) {
-	if err := p.Validate(); err != nil {
-		return "", err
-	}
-	if err := o.Validate(); err != nil {
-		return "", err
-	}
-	w, err := shard.EncodeParams(p)
-	if err != nil {
-		return "", err
-	}
-	return shard.RunFingerprint(w, o), nil
+	_, fp, err := shard.Identify(p, o)
+	return fp, err
 }
 
 // ShardPool is the shard execution engine: a worker pool accepting

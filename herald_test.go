@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"herald/internal/dist"
+	"herald/internal/model"
+	"herald/internal/repro"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -28,7 +32,7 @@ func TestFacadeModelConsistency(t *testing.T) {
 	if fo.Availability <= conv.Availability {
 		t.Fatal("fail-over should beat conventional under human error")
 	}
-	dp, err := SolveDualParity(PaperParams(6, 1e-5, 0.01))
+	dp, err := model.DualParity(PaperParams(6, 1e-5, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +67,25 @@ func TestFacadeSimulation(t *testing.T) {
 			t.Errorf("SimFingerprint(%+v) = %s, want a validation error", o, fp)
 		}
 	}
+
+	// The fingerprint resolves the kernel as availserve does: on an
+	// exponential configuration auto runs the memoryless kernel, so the
+	// two are one run with one fingerprint, and the generic kernel is
+	// another run.
+	fps := map[SimKernel]string{}
+	for _, k := range []SimKernel{SimKernelAuto, SimKernelMemoryless, SimKernelGeneric} {
+		fp, err := SimFingerprint(PaperSimParams(4, 1e-4, 0.01), SimOptions{Iterations: 64, MissionTime: 1e4, Seed: 7, Kernel: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[k] = fp
+	}
+	if fps[SimKernelAuto] != fps[SimKernelMemoryless] {
+		t.Errorf("auto fingerprint %s, memoryless %s: want one run", fps[SimKernelAuto], fps[SimKernelMemoryless])
+	}
+	if fps[SimKernelAuto] == fps[SimKernelGeneric] {
+		t.Errorf("auto and generic kernels share fingerprint %s", fps[SimKernelAuto])
+	}
 }
 
 func TestFacadeSimulationPolicies(t *testing.T) {
@@ -87,7 +110,7 @@ func TestFacadeSimulationPolicies(t *testing.T) {
 }
 
 func TestFacadeDistributions(t *testing.T) {
-	if Exponential(0.1).Mean() != 10 {
+	if dist.NewExponential(0.1).Mean() != 10 {
 		t.Error("exponential mean wrong")
 	}
 	w := WeibullFromMeanRate(1e-6, 1.48)
@@ -100,39 +123,39 @@ func TestFacadeDistributions(t *testing.T) {
 }
 
 func TestFacadeNewDistributionFamilies(t *testing.T) {
-	if Deterministic(5).Mean() != 5 || Deterministic(5).Var() != 0 {
+	if dist.NewDeterministic(5).Mean() != 5 || dist.NewDeterministic(5).Var() != 0 {
 		t.Error("deterministic moments wrong")
 	}
-	if Uniform(2, 10).Mean() != 6 {
+	if dist.NewUniform(2, 10).Mean() != 6 {
 		t.Error("uniform mean wrong")
 	}
-	if got, want := Lognormal(1, 0.5).Mean(), math.Exp(1.125); math.Abs(got-want) > 1e-12 {
+	if got, want := dist.NewLognormal(1, 0.5).Mean(), math.Exp(1.125); math.Abs(got-want) > 1e-12 {
 		t.Errorf("lognormal mean = %v, want %v", got, want)
 	}
-	if got := LognormalFromMeanMedian(20, 15).Mean(); math.Abs(got-20) > 1e-9 {
+	if got := dist.LognormalFromMeanMedian(20, 15).Mean(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("lognormal-from-moments mean = %v, want 20", got)
 	}
-	if Gamma(2.5, 0.5).Mean() != 5 {
+	if dist.NewGamma(2.5, 0.5).Mean() != 5 {
 		t.Error("gamma mean wrong")
 	}
-	if Erlang(4, 2).Mean() != 2 {
+	if dist.NewErlang(4, 2).Mean() != 2 {
 		t.Error("erlang mean wrong")
 	}
-	h := HyperExponential([]float64{0.5, 0.5}, []float64{1, 0.1})
+	h := dist.NewHyperExponential([]float64{0.5, 0.5}, []float64{1, 0.1})
 	if math.Abs(h.Mean()-5.5) > 1e-12 {
 		t.Errorf("hyper-exponential mean = %v, want 5.5", h.Mean())
 	}
-	m := MixtureOf([]float64{1, 1}, Deterministic(2), Deterministic(4))
+	m := dist.NewMixture([]float64{1, 1}, dist.NewDeterministic(2), dist.NewDeterministic(4))
 	if math.Abs(m.Mean()-3) > 1e-12 {
 		t.Errorf("mixture mean = %v, want 3", m.Mean())
 	}
-	if got := NormQuantile(0.975); math.Abs(got-1.959963984540054) > 1e-9 {
+	if got := dist.NormQuantile(0.975); math.Abs(got-1.959963984540054) > 1e-9 {
 		t.Errorf("NormQuantile(0.975) = %v", got)
 	}
 	// New families plug straight into the simulator.
 	p := PaperSimParams(4, 1e-4, 0.01)
-	p.Repair = Erlang(3, 0.3)
-	p.HERecovery = HyperExponential([]float64{0.8, 0.2}, []float64{2, 0.1})
+	p.Repair = dist.NewErlang(3, 0.3)
+	p.HERecovery = dist.NewHyperExponential([]float64{0.8, 0.2}, []float64{2, 0.1})
 	s, err := Simulate(p, SimOptions{Iterations: 200, MissionTime: 1e5, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +203,7 @@ func TestFacadeHeadline(t *testing.T) {
 	if ratio < 200 || ratio > 350 {
 		t.Fatalf("underestimation ratio = %v, want ~263", ratio)
 	}
-	mttdl, err := MTTDL(PaperParams(4, 1e-6, 0.01))
+	mttdl, err := model.MTTDL(PaperParams(4, 1e-6, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +213,10 @@ func TestFacadeHeadline(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) < 5 {
+	if len(repro.All()) < 5 {
 		t.Fatal("experiment list too short")
 	}
-	tables, err := RunExperiment("7", ExperimentOptions{MCIterations: 50, MissionTime: 1e5})
+	tables, err := repro.Run("7", repro.Options{MCIterations: 50, MissionTime: 1e5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +230,7 @@ func TestRunAllExperimentsSmoke(t *testing.T) {
 		t.Skip("full experiment sweep in -short mode")
 	}
 	var sb strings.Builder
-	err := RunAllExperiments(&sb, ExperimentOptions{MCIterations: 100, MissionTime: 1e5, Workers: 2})
+	err := repro.RunAll(&sb, repro.Options{MCIterations: 100, MissionTime: 1e5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,11 @@ package herald
 import (
 	"math"
 	"testing"
+
+	"herald/internal/human"
+	"herald/internal/model"
+	"herald/internal/trace"
+	"herald/internal/xrand"
 )
 
 // TestThreeFormalismsAgree pins the Fig. 2 model's availability across
@@ -20,7 +25,7 @@ func TestThreeFormalismsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dtmc, err := ConventionalHourlyDTMC(p)
+	dtmc, err := model.ConventionalHourlyDTMC(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +55,9 @@ func TestThreeFormalismsAgree(t *testing.T) {
 func TestFieldStudyPipelineEndToEnd(t *testing.T) {
 	const trueRate, trueShape = 2e-5, 1.3
 	hidden := WeibullFromMeanRate(trueRate, trueShape)
-	log := GenerateFailureLog(hidden, 4000, 2e5, 99)
+	log := trace.Generate(hidden, 4000, 2e5, xrand.New(99))
 
-	choice, err := ChooseLifetimeModel(log)
+	choice, err := trace.Choose(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,7 @@ func TestFieldStudyPipelineEndToEnd(t *testing.T) {
 // TestProcedureFeedsModel derives hep from a THERP-style procedure and
 // pushes it through the availability model.
 func TestProcedureFeedsModel(t *testing.T) {
-	proc := DiskReplacementProcedure(HEPEnterpriseHigh)
+	proc := human.DiskReplacementProcedure(human.HEPEnterpriseHigh)
 	hep, err := proc.ErrorProbabilityTotal()
 	if err != nil {
 		t.Fatal(err)

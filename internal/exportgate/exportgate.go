@@ -6,6 +6,7 @@
 package exportgate
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -18,10 +19,14 @@ import (
 
 // Dead returns, sorted, the exported top-level names declared by the
 // non-test files in dir — the package importPath — that no non-test Go
-// file under root outside dir names, and that appear in the signature,
-// fields or methods of no name that is. Directories starting with a
-// dot and testdata directories are skipped. keep names exports to
-// treat as live regardless (fixtures for other packages' tests).
+// file under root outside the package names, and that appear in the
+// signature, fields or methods of no name that is. Only the Go files
+// directly in dir are the package: its subdirectories hold other
+// packages and are searched like the rest of root. Directories
+// starting with a dot and testdata directories are skipped. keep names
+// exports to treat as live regardless (fixtures for other packages'
+// tests, or names a document promises); a kept name the package does
+// not export is an error, so a keep list cannot outlive its names.
 func Dead(dir, importPath, root string, keep ...string) ([]string, error) {
 	decls, err := exportedDecls(dir)
 	if err != nil {
@@ -33,6 +38,9 @@ func Dead(dir, importPath, root string, keep ...string) ([]string, error) {
 	}
 	live := map[string]bool{}
 	for _, name := range keep {
+		if decls[name] == nil {
+			return nil, fmt.Errorf("exportgate: kept name %s is not an exported top-level name of %s", name, importPath)
+		}
 		live[name] = true
 	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -40,13 +48,15 @@ func Dead(dir, importPath, root string, keep ...string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
-			abs, _ := filepath.Abs(path)
-			if abs == here || (strings.HasPrefix(d.Name(), ".") && path != root) || d.Name() == "testdata" {
+			if (strings.HasPrefix(d.Name(), ".") && path != root) || d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if parent, _ := filepath.Abs(filepath.Dir(path)); parent == here {
 			return nil
 		}
 		names, err := selectorsOf(path, importPath)

@@ -460,6 +460,10 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	goodParams, _ := shard.EncodeParams(testParams)
 	pj, _ := json.Marshal(goodParams)
+	// A valid run padded past the 1 MiB /v1/run body bound is refused
+	// before it is buffered, not decoded.
+	validRun := fmt.Sprintf(`{"params": %s, "options": {"iterations": 10, "mission_time": 1000, "seed": 1}}`, pj)
+	pad := strings.Repeat(" ", 1<<20)
 
 	cases := []struct {
 		name, path, body string
@@ -477,10 +481,28 @@ func TestMalformedRequests(t *testing.T) {
 		{"bad distribution", "/v1/run", `{"params": {"disks": 4, "ttf": {"family": "exponential", "params": [-1]}, "repair": {"family": "exponential", "params": [1]}, "tape_restore": {"family": "exponential", "params": [1]}}, "options": {"iterations": 10, "mission_time": 1000, "seed": 1}}`, 400},
 		{"empty sweep", "/v1/sweep", `{"points": []}`, 400},
 		{"bad sweep point", "/v1/sweep", fmt.Sprintf(`{"points": [{"params": %s, "options": {"mission_time": 1000, "seed": 1}}]}`, pj), 400},
+		{"oversized run", "/v1/run", pad + validRun, 413},
 	}
 	for _, tc := range cases {
 		if got := post(tc.path, tc.body); got != tc.want {
 			t.Errorf("%s: status = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	// A sweep body may be MaxSweepPoints times the run bound: with two
+	// points allowed, 1.5 MiB of padding passes and 2 MiB does not.
+	small, _, _ := newTestServer(t, serve.Config{MaxSweepPoints: 2})
+	sweep := `{"points": [` + validRun + `]}`
+	for _, tc := range []struct {
+		pad  int
+		want int
+	}{{3 << 19, 200}, {2 << 20, 413}} {
+		resp, err := http.Post(small.URL+"/v1/sweep", "application/json", strings.NewReader(strings.Repeat(" ", tc.pad)+sweep))
+		if err != nil {
+			t.Fatalf("POST /v1/sweep: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("sweep padded by %d bytes: status = %d, want %d", tc.pad, resp.StatusCode, tc.want)
 		}
 	}
 	for _, path := range []string{"/v1/run", "/v1/sweep"} {

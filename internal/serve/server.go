@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,7 +38,8 @@ type Config struct {
 	// RetryAfter is the hint sent with 429 responses (default 5s).
 	RetryAfter time.Duration
 	// MaxSweepPoints bounds the points of one /v1/sweep request
-	// (default 64).
+	// (default 64), and its body at this many times the 1 MiB /v1/run
+	// body bound.
 	MaxSweepPoints int
 	// MaxInFlightPerClient additionally bounds admission per client —
 	// the bearer token when authenticated, the remote host otherwise —
@@ -307,16 +309,34 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxRunBody bounds the bytes of a /v1/run body, far above any real
+// request; a /v1/sweep body may carry MaxSweepPoints times as many.
+const maxRunBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields
+// (400) and bodies over limit bytes (413) before buffering more.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return &httpError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
+		}
+		return &httpError{code: http.StatusBadRequest, msg: err.Error()}
+	}
+	return nil
+}
+
 // compile validates a request and lowers it to a pool RunSpec plus its
-// canonical fingerprint. The kernel is resolved to its concrete form
-// first, so "auto" and the kernel it resolves to share one cache key
-// (they are the same run).
+// canonical fingerprint. shard.Identify resolves the kernel to its
+// concrete form first, so "auto" and the kernel it resolves to share
+// one cache key (they are the same run), and refuses a biased run on
+// the generic kernel here, so the caller gets a 400, not a mid-run
+// failure from the pool.
 func compile(req *RunRequest) (shard.RunSpec, string, error) {
 	p, err := req.Params.Decode()
 	if err != nil {
-		return shard.RunSpec{}, "", err
-	}
-	if err := p.Validate(); err != nil {
 		return shard.RunSpec{}, "", err
 	}
 	ks := req.Options.Kernel
@@ -327,20 +347,14 @@ func compile(req *RunRequest) (shard.RunSpec, string, error) {
 	if err != nil {
 		return shard.RunSpec{}, "", err
 	}
-	kernel, err = sim.ResolveKernel(p, kernel)
-	if err != nil {
-		return shard.RunSpec{}, "", err
-	}
 	bias, err := sim.ParseBias(req.Options.Bias)
 	if err != nil {
 		return shard.RunSpec{}, "", err
 	}
-	if bias != 0 && kernel != sim.KernelMemoryless {
-		// Reject at compile time so the caller gets a 400, not a
-		// mid-run failure from the pool.
-		return shard.RunSpec{}, "", fmt.Errorf("serve: bias %q requires the memoryless kernel (configuration resolved %v)", req.Options.Bias, kernel)
+	if req.Shards < 0 {
+		return shard.RunSpec{}, "", fmt.Errorf("serve: shards must be non-negative")
 	}
-	o := sim.Options{
+	o, fp, err := shard.Identify(p, sim.Options{
 		Iterations:        req.Options.Iterations,
 		MissionTime:       req.Options.MissionTime,
 		Seed:              req.Options.Seed,
@@ -351,18 +365,10 @@ func compile(req *RunRequest) (shard.RunSpec, string, error) {
 		MaxIters:          req.Options.MaxIters,
 		HistogramBins:     req.Options.HistogramBins,
 		HistogramMaxHours: req.Options.HistogramMaxHours,
-	}
-	if err := o.Validate(); err != nil {
-		return shard.RunSpec{}, "", err
-	}
-	if req.Shards < 0 {
-		return shard.RunSpec{}, "", fmt.Errorf("serve: shards must be non-negative")
-	}
-	wire, err := shard.EncodeParams(p)
+	})
 	if err != nil {
 		return shard.RunSpec{}, "", err
 	}
-	fp := shard.RunFingerprint(wire, o)
 	return shard.RunSpec{Params: p, Options: o, Shards: req.Shards}, fp, nil
 }
 
@@ -533,10 +539,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
+	if herr := decodeBody(w, r, maxRunBody, &req); herr != nil {
+		s.writeError(w, herr)
 		return
 	}
 	spec, fp, err := compile(&req)
@@ -661,10 +665,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
+	if herr := decodeBody(w, r, int64(s.cfg.MaxSweepPoints)*maxRunBody, &req); herr != nil {
+		s.writeError(w, herr)
 		return
 	}
 	if len(req.Points) == 0 {

@@ -36,3 +36,32 @@ func RunFingerprint(p WireParams, o sim.Options) string {
 	_ = enc.Encode(o)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
+
+// Identify resolves a run to the options it executes with and their
+// RunFingerprint: it validates p and o, resolves o.Kernel to the
+// concrete kernel (sim.ResolveKernel), and refuses a biased run whose
+// kernel resolves generic. Every result key is computed here —
+// availserve's cache, herald.SimFingerprint and sweep rows — so an
+// auto-kernel run and the same run with its resolved kernel share one
+// fingerprint.
+func Identify(p sim.ArrayParams, o sim.Options) (sim.Options, string, error) {
+	if err := p.Validate(); err != nil {
+		return sim.Options{}, "", err
+	}
+	if err := o.Validate(); err != nil {
+		return sim.Options{}, "", err
+	}
+	k, err := sim.ResolveKernel(p, o.Kernel)
+	if err != nil {
+		return sim.Options{}, "", err
+	}
+	if o.Biased() && k != sim.KernelMemoryless {
+		return sim.Options{}, "", fmt.Errorf("shard: bias %v requires the memoryless kernel (configuration resolved %v)", o.Bias, k)
+	}
+	o.Kernel = k
+	w, err := EncodeParams(p)
+	if err != nil {
+		return sim.Options{}, "", err
+	}
+	return o, RunFingerprint(w, o), nil
+}

@@ -29,7 +29,7 @@ import (
 
 // BiasAuto is the Options.Bias sentinel asking the run to pick the
 // inflation factor from the configuration's failure/repair rate ratio
-// (see ResolveBias).
+// (see resolveBias).
 const BiasAuto = -1.0
 
 // ParseBias maps a CLI or API token onto an Options.Bias value: the
@@ -49,13 +49,13 @@ func ParseBias(s string) (float64, error) {
 	return v, nil
 }
 
-// ResolveBias returns the concrete failure-inflation factor a run of p
+// resolveBias returns the concrete failure-inflation factor a run of p
 // under o samples with: 1 for unbiased options, o.Bias when explicit,
 // and the auto heuristic below when o.Bias is BiasAuto. Auto
 // resolution needs the configuration's rates and errors when they are
 // not fully memoryless — the same constraint the kernels themselves
 // impose on biased runs.
-func ResolveBias(p ArrayParams, o Options) (float64, error) {
+func resolveBias(p ArrayParams, o Options) (float64, error) {
 	if !o.Biased() {
 		return 1, nil
 	}

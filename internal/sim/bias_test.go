@@ -76,7 +76,7 @@ func TestResolveBiasAuto(t *testing.T) {
 	// b_bal ~ 33333; cycles = 4, kappa = 2 => b_var ~ 16668 wins.
 	p := PaperDefaults(4, 1e-6, 0)
 	o := Options{Iterations: 100, MissionTime: 1e6, Bias: BiasAuto}
-	b, err := ResolveBias(p, o)
+	b, err := resolveBias(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestResolveBiasAuto(t *testing.T) {
 	// => b_var ~ 2084): the HEP downtime stream rides quiet weights, so
 	// auto trades event yield for weight stability.
 	hep := PaperDefaults(4, 1e-6, 0.001)
-	bh, err := ResolveBias(hep, o)
+	bh, err := resolveBias(hep, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +101,18 @@ func TestResolveBiasAuto(t *testing.T) {
 
 	// Explicit factors resolve to themselves; unbiased options to 1.
 	o.Bias = 7.5
-	if got, _ := ResolveBias(p, o); got != 7.5 {
+	if got, _ := resolveBias(p, o); got != 7.5 {
 		t.Errorf("explicit bias resolved to %v", got)
 	}
 	o.Bias = 0
-	if got, _ := ResolveBias(p, o); got != 1 {
+	if got, _ := resolveBias(p, o); got != 1 {
 		t.Errorf("unbiased options resolved to %v", got)
 	}
 
 	// The balance cap binds when missions hold few benign cycles.
 	dense := PaperDefaults(4, 1e-3, 0.01)
 	o = Options{Iterations: 100, MissionTime: 1e5, Bias: BiasAuto}
-	b, err = ResolveBias(dense, o)
+	b, err = resolveBias(dense, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestResolveBiasAuto(t *testing.T) {
 	// Auto on non-exponential laws errors instead of guessing.
 	weib := PaperDefaults(4, 1e-4, 0.01)
 	weib.TTF = dist.WeibullFromMeanRate(1e-4, 1.48)
-	if _, err := ResolveBias(weib, o); err == nil {
+	if _, err := resolveBias(weib, o); err == nil {
 		t.Error("auto bias resolved on a Weibull TTF")
 	}
 }

@@ -232,7 +232,7 @@ func CheckPartials(p ArrayParams, o Options, start, end int, parts []Partial) er
 		return err
 	}
 	if f.biased {
-		if f.bias, err = ResolveBias(p, o); err != nil {
+		if f.bias, err = resolveBias(p, o); err != nil {
 			return err
 		}
 	}

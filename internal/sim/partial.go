@@ -196,7 +196,7 @@ func prepareRange(p *ArrayParams, o *Options, start, end int) (Options, []Range,
 				"sim: bias factor %v requires the memoryless kernel (exponential laws throughout; kernel %v resolved generic)",
 				o.Bias, o.Kernel)
 		}
-		b, err := ResolveBias(*p, *o)
+		b, err := resolveBias(*p, *o)
 		if err != nil {
 			return Options{}, nil, err
 		}

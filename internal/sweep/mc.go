@@ -48,10 +48,11 @@ type MCResult struct {
 	// the last point's Done is the sweep's total wall time.
 	Done time.Duration
 	// Fingerprint is the point's canonical run identity
-	// (shard.RunFingerprint): equal fingerprints mean byte-identical
+	// (shard.Identify): equal fingerprints mean byte-identical
 	// Summaries, so it keys result caches and joins sweep rows to
-	// availserve responses. Empty when the point's parameters fail to
-	// encode (the run then failed too).
+	// availserve responses. The kernel is resolved first, the way
+	// availserve resolves it. Empty when the point fails validation
+	// (the run then failed too).
 	Fingerprint string
 }
 
@@ -76,10 +77,8 @@ func MonteCarlo(points []MCPoint, workers []shard.Worker, logw io.Writer) ([]MCR
 	res, err := shard.RunPipeline(specs, workers, &shard.PoolOptions{Log: logw})
 	out := make([]MCResult, len(res))
 	for i := range res {
-		var fp string
-		if w, err := shard.EncodeParams(points[i].Params); err == nil {
-			fp = shard.RunFingerprint(w, points[i].Options)
-		}
+		// A point Identify refuses fails its run too: err reports it.
+		_, fp, _ := shard.Identify(points[i].Params, points[i].Options)
 		out[i] = MCResult{
 			Label:       points[i].Label,
 			Summary:     res[i].Summary,

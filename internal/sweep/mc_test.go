@@ -30,6 +30,10 @@ func TestMonteCarloMatchesSolo(t *testing.T) {
 	// shape once -target-halfwidth lands in repro.
 	points[1].Options.TargetHalfWidth = 2e-5
 	points[1].Options.Iterations = 60000
+	// The last point is the first with the kernel auto resolves to: the
+	// same run, so the same fingerprint, the one availserve reports.
+	points = append(points, points[0])
+	points[3].Options.Kernel = sim.KernelMemoryless
 
 	var want []string
 	for _, pt := range points {
@@ -66,6 +70,9 @@ func TestMonteCarloMatchesSolo(t *testing.T) {
 	}
 	if !res[1].Stats.StoppedEarly {
 		t.Error("adaptive middle point did not stop early")
+	}
+	if res[0].Fingerprint == "" || res[0].Fingerprint != res[3].Fingerprint {
+		t.Errorf("auto fingerprint %q, memoryless twin %q: want one non-empty value", res[0].Fingerprint, res[3].Fingerprint)
 	}
 }
 
