@@ -209,9 +209,9 @@ func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpo
 }
 
 // ShardNetConfig tunes the TCP transport of the shard protocol:
-// shared-token authentication, TLS, connect/handshake timeouts, the
-// heartbeat cadence bounding half-open-connection detection, and the
-// reconnect policy of a joining worker. The zero value is a plaintext,
+// shared-token authentication, TLS, the heartbeat cadence bounding
+// half-open-connection detection, whether a joining worker reconnects,
+// and the listeners' log. The zero value is a plaintext,
 // unauthenticated link.
 type ShardNetConfig = shard.NetConfig
 

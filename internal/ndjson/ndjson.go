@@ -17,9 +17,11 @@ import (
 	"os"
 )
 
-// maxLine bounds one line of a log (a checkpointed shard's partials, a
+// MaxLine bounds one line of a log (a checkpointed shard's partials, a
 // cached summary). Scan rejects longer lines instead of buffering them.
-const maxLine = 64 << 20
+// The shard protocol bounds its frames by it too: a result frame
+// carries the partials of one checkpoint record.
+const MaxLine = 64 << 20
 
 // ErrEmpty reports a log without a header line.
 var ErrEmpty = errors.New("ndjson: empty log")
@@ -91,7 +93,7 @@ func Scan[H, R any](path string, header func(*H) error, record func(*R) bool) (t
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), maxLine)
+	sc.Buffer(make([]byte, 0, 1<<20), MaxLine)
 	line := 0
 	for sc.Scan() {
 		line++

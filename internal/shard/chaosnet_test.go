@@ -21,9 +21,9 @@ func chaosNC(seed uint64) NetConfig {
 	return NetConfig{
 		Token:             "chaos",
 		HeartbeatInterval: 50 * time.Millisecond,
-		RetryBase:         20 * time.Millisecond,
-		RetryMax:          100 * time.Millisecond,
-		RetrySeed:         seed,
+		retryBase:         20 * time.Millisecond,
+		retryMax:          100 * time.Millisecond,
+		retrySeed:         seed,
 	}
 }
 

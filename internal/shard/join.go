@@ -62,13 +62,13 @@ func (b *joinBackoff) reset() { b.attempt = 0 }
 // clean coordinator close or a close of stop.
 func joinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
 	nc = nc.withDefaults()
-	seed := nc.RetrySeed
+	seed := nc.retrySeed
 	if seed == 0 {
 		// Derive from the process identity: workers on one box (or
 		// respawns of the same worker) land on distinct streams.
 		seed = uint64(os.Getpid())*1e9 + uint64(time.Now().UnixNano()&0xffffffff)
 	}
-	backoff := newJoinBackoff(nc.RetryBase, nc.RetryMax, seed)
+	backoff := newJoinBackoff(nc.retryBase, nc.retryMax, seed)
 	for {
 		joined, err := joinOnce(addr, capacity, nc, stop)
 		if stopped(stop) {

@@ -86,7 +86,7 @@ func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // free the port: dials now fail fast
-	nc := NetConfig{RetryBase: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond, RetrySeed: 1}
+	nc := NetConfig{retryBase: 5 * time.Millisecond, retryMax: 20 * time.Millisecond, retrySeed: 1}
 	stop := make(chan struct{})
 	logw := &syncLog{}
 	done := make(chan error, 1)
@@ -121,7 +121,7 @@ func TestJoinLoopCleanCloseEndsLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc := NetConfig{Token: "join-loop", RetryBase: 10 * time.Millisecond, RetryMax: 50 * time.Millisecond, RetrySeed: 2}
+	nc := NetConfig{Token: "join-loop", retryBase: 10 * time.Millisecond, retryMax: 50 * time.Millisecond, retrySeed: 2}
 	ln, joiners, err := ListenWorkers("127.0.0.1:0", nc)
 	if err != nil {
 		t.Fatal(err)

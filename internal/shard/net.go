@@ -7,7 +7,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -15,13 +14,15 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"herald/internal/ndjson"
 )
 
-// NetConfig tunes the TCP transport of the shard protocol: shared-token
-// authentication, TLS, connection and handshake timeouts, and the
-// heartbeat cadence that bounds half-open-connection detection. The
-// zero value is a plaintext, unauthenticated link with the default
-// timings — the pre-v3 behavior, minus the unbounded blocking.
+// NetConfig tunes the TCP links of the shard protocol: shared-token
+// authentication, TLS, the heartbeat cadence that bounds half-open
+// detection, supervised joins, and the listeners' log. Connect and
+// handshake timeouts (10s each) and the join backoff (500ms doubling
+// to 30s) are fixed. The zero value is a plaintext, unauthenticated link.
 type NetConfig struct {
 	// Token, when non-empty, requires the peer to prove knowledge of
 	// the same token during the hello handshake (HMAC-SHA256 over both
@@ -41,145 +42,41 @@ type NetConfig struct {
 	// heartbeatDeadlineFactor times the advertised interval, so a
 	// half-open connection is detected within that bound. Default 3s.
 	HeartbeatInterval time.Duration
-	// DialTimeout bounds the TCP connect of DialNet and Join (the OS
-	// default can be minutes for an unroutable address). Default 10s.
-	DialTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange (and TLS handshake)
-	// after the connection is up. Default 10s.
-	HandshakeTimeout time.Duration
 	// Retry makes Join supervise its session: transport and handshake
 	// failures reconnect with backoff instead of ending Join (see Join).
 	Retry bool
-	// RetryBase and RetryMax bound a retrying Join's reconnect backoff:
-	// the delay starts at RetryBase, doubles per consecutive failure,
-	// and is capped at RetryMax (defaults 500ms and 30s). A session that
-	// got past the handshake resets the ladder.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// RetrySeed seeds the deterministic jitter stream of the reconnect
-	// backoff (each delay is scaled into [1/2, 1) of its nominal value
-	// off an xrand stream), so reconnect storms desynchronize while
-	// tests replay the exact delay sequence. Zero derives a seed from
-	// the process identity — distinct workers then spread out — which
-	// is the right default everywhere outside a test.
-	RetrySeed uint64
 	// Log receives one line per rejected connection of a listening side
 	// (ListenAndServeNetStop, ListenWorkers), per accepted joiner, and
 	// per failed session of a retrying Join. Nil discards them.
 	Log io.Writer
+
+	// Fixed for deployments and shortened by tests: the TCP connect and
+	// hello-exchange timeouts, and a retrying Join's backoff ladder and
+	// jitter seed (see joinBackoff; a zero seed derives one per process).
+	dialTimeout, handshakeTimeout, retryBase, retryMax time.Duration
+	retrySeed                                          uint64
 }
 
 const (
 	defaultHeartbeatInterval = 3 * time.Second
 	defaultDialTimeout       = 10 * time.Second
 	defaultHandshakeTimeout  = 10 * time.Second
-	// heartbeatDeadlineFactor sizes the read deadline from the peer's
-	// advertised heartbeat interval: several missed beats, not one, so
-	// scheduling jitter never kills a healthy link.
-	heartbeatDeadlineFactor = 4
-	// netWriteTimeout bounds every message write: a peer that stopped
-	// draining its socket (full TCP buffer on a half-open link) fails
-	// the Send instead of wedging it.
-	netWriteTimeout = 15 * time.Second
 )
 
 func (nc NetConfig) withDefaults() NetConfig {
 	if nc.HeartbeatInterval <= 0 {
 		nc.HeartbeatInterval = defaultHeartbeatInterval
 	}
-	if nc.DialTimeout <= 0 {
-		nc.DialTimeout = defaultDialTimeout
+	if nc.dialTimeout <= 0 {
+		nc.dialTimeout = defaultDialTimeout
 	}
-	if nc.HandshakeTimeout <= 0 {
-		nc.HandshakeTimeout = defaultHandshakeTimeout
+	if nc.handshakeTimeout <= 0 {
+		nc.handshakeTimeout = defaultHandshakeTimeout
 	}
 	if nc.Log == nil {
 		nc.Log = io.Discard
 	}
 	return nc
-}
-
-// ---------------------------------------------------------------------
-// Deadline-aware transport with heartbeats
-// ---------------------------------------------------------------------
-
-// netTransport frames the ndjson protocol over a net.Conn with
-// per-operation deadlines and a background heartbeat pinger. Reads are
-// bounded by the peer's advertised heartbeat interval (a silent peer is
-// a dead peer), writes by netWriteTimeout.
-type netTransport struct {
-	mu  sync.Mutex // serializes Send
-	enc *json.Encoder
-	dec *json.Decoder
-	c   net.Conn
-
-	readTimeout time.Duration // guarded by rmu; set once after handshake
-
-	pingStop chan struct{}
-	pingOnce sync.Once
-	once     sync.Once
-}
-
-func newNetTransport(c net.Conn) *netTransport {
-	return &netTransport{
-		enc:      json.NewEncoder(c),
-		dec:      json.NewDecoder(c),
-		c:        c,
-		pingStop: make(chan struct{}),
-	}
-}
-
-func (t *netTransport) Send(m *Message) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_ = t.c.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	return t.enc.Encode(m)
-}
-
-func (t *netTransport) Recv() (*Message, error) {
-	if t.readTimeout > 0 {
-		_ = t.c.SetReadDeadline(time.Now().Add(t.readTimeout))
-	}
-	var m Message
-	if err := t.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func (t *netTransport) Close() error {
-	var err error
-	t.once.Do(func() {
-		t.pingOnce.Do(func() { close(t.pingStop) })
-		err = t.c.Close()
-	})
-	return err
-}
-
-// startHeartbeat begins the outgoing ping cadence and arms the read
-// deadline from the peer's advertised interval. Call exactly once,
-// after the handshake and before concurrent use.
-func (t *netTransport) startHeartbeat(own time.Duration, peerMS int) {
-	if peerMS > 0 {
-		t.readTimeout = heartbeatDeadlineFactor * time.Duration(peerMS) * time.Millisecond
-	}
-	if own <= 0 {
-		return
-	}
-	go func() {
-		tick := time.NewTicker(own)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.pingStop:
-				return
-			case <-tick.C:
-				if t.Send(&Message{Type: MsgPing}) != nil {
-					return // connection is gone; Recv surfaces it
-				}
-			}
-		}
-	}()
 }
 
 // ---------------------------------------------------------------------
@@ -328,9 +225,10 @@ func handshakeListener(t transport, nc NetConfig, capacity int) (*Message, error
 
 // setupConn wraps a fresh connection for the protocol: optional TLS,
 // a handshake deadline covering the whole exchange, then the hello
-// handshake in the given role. It returns the transport (heartbeats
-// already started) and the peer's hello.
-func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTransport, *Message, error) {
+// handshake in the given role, with frames held to handshakeFrameLimit
+// until it completes. It returns the transport (heartbeats already
+// started) and the peer's hello.
+func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*connTransport, *Message, error) {
 	if nc.TLS != nil {
 		if dialer {
 			conn = tls.Client(conn, nc.TLS)
@@ -338,8 +236,9 @@ func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTran
 			conn = tls.Server(conn, nc.TLS)
 		}
 	}
-	_ = conn.SetDeadline(time.Now().Add(nc.HandshakeTimeout))
-	t := newNetTransport(conn)
+	_ = conn.SetDeadline(time.Now().Add(nc.handshakeTimeout))
+	t := newTransport(conn)
+	t.in.limit = handshakeFrameLimit
 	var peer *Message
 	var err error
 	if dialer {
@@ -352,8 +251,50 @@ func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTran
 		return nil, nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
+	t.in.limit = ndjson.MaxLine
 	t.startHeartbeat(nc.HeartbeatInterval, peer.HeartbeatMS)
 	return t, peer, nil
+}
+
+// dial connects to addr and runs the dialing side of the handshake,
+// advertising capacity (0 when dialing as a coordinator): the one
+// connect path of DialNet and Join.
+func dial(addr string, nc NetConfig, capacity int) (*connTransport, *Message, error) {
+	nc = nc.withDefaults()
+	nc.TLS = clientTLSFor(nc.TLS, addr)
+	conn, err := net.DialTimeout("tcp", addr, nc.dialTimeout)
+	if err != nil {
+		return nil, nil, err
+	}
+	return setupConn(conn, nc, true, capacity)
+}
+
+// acceptLoop is the one accept loop of both listening sides. It
+// accepts connections on ln until ln closes and runs each one's
+// handshake, as listener advertising capacity, on a goroutine of its
+// own, so a silent client holds up nobody behind it; an established
+// link goes to serve on that goroutine, and a failed handshake is
+// logged as a rejected peer. It returns the Accept error once every
+// connection's goroutine has returned. nc must have its defaults.
+func acceptLoop(ln net.Listener, nc NetConfig, peer string, capacity int, serve func(*connTransport, *Message, net.Addr)) error {
+	var conns sync.WaitGroup
+	defer conns.Wait()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return err
+		}
+		conns.Add(1)
+		go func() {
+			defer conns.Done()
+			t, hello, err := setupConn(conn, nc, false, capacity)
+			if err != nil {
+				fmt.Fprintf(nc.Log, "shard: rejected %s %s: %v\n", peer, conn.RemoteAddr(), err)
+				return
+			}
+			serve(t, hello, conn.RemoteAddr())
+		}()
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -363,18 +304,11 @@ func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTran
 // DialNet attaches a remote TCP worker (a process running
 // ListenAndServeNetStop, e.g. `availsim -shard-serve`). Jobs sent to it
 // use all of the remote machine's cores. The zero NetConfig is a
-// plaintext, unauthenticated link with heartbeats; the connect is
-// bounded by nc.DialTimeout and the handshake by nc.HandshakeTimeout,
-// so an unroutable or wedged address fails quickly with the address
-// named in the error.
+// plaintext, unauthenticated link with heartbeats; the connect and the
+// handshake are each bounded by a 10s timeout, so an unroutable or
+// wedged address fails quickly with the address named in the error.
 func DialNet(addr string, nc NetConfig) (Worker, error) {
-	nc = nc.withDefaults()
-	nc.TLS = clientTLSFor(nc.TLS, addr)
-	conn, err := net.DialTimeout("tcp", addr, nc.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("shard: dial %s: %w", addr, err)
-	}
-	t, peer, err := setupConn(conn, nc, true, 0)
+	t, peer, err := dial(addr, nc, 0)
 	if err != nil {
 		return nil, fmt.Errorf("shard: dial %s: %w", addr, err)
 	}
@@ -410,33 +344,14 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 			ln.Close() // unblocks Accept
 		}()
 	}
-	var conns sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if stop != nil {
-				select {
-				case <-stop:
-					conns.Wait() // every connection drains before exit
-					return nil
-				default:
-				}
-			}
-			conns.Wait()
-			return err
-		}
-		conns.Add(1)
-		go func(c net.Conn) {
-			defer conns.Done()
-			t, _, err := setupConn(c, nc, false, workerCapacity(0))
-			if err != nil {
-				fmt.Fprintf(nc.Log, "shard: %s: %v\n", c.RemoteAddr(), err)
-				return
-			}
-			defer t.Close()
-			_ = serveJobs(t, stop)
-		}(conn)
+	err = acceptLoop(ln, nc, "coordinator", workerCapacity(0), func(t *connTransport, _ *Message, _ net.Addr) {
+		defer t.Close()
+		_ = serveJobs(t, stop)
+	})
+	if stopped(stop) {
+		return nil // every connection drained before acceptLoop returned
 	}
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -458,8 +373,8 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 // With nc.Retry set, Join supervises the session instead of returning
 // its failure: transport and handshake errors (connection refused,
 // mid-frame cut, a stalled peer tripping the read deadline, auth
-// rejection) reconnect with capped exponential backoff and
-// deterministic jitter (nc.Retry*), forever, so a worker box outlives
+// rejection) reconnect forever, with backoff from 500ms doubling to a
+// 30s cap and deterministic jitter, so a worker box outlives
 // coordinator restarts and network partitions. Only a clean coordinator
 // close or a close of stop ends it. A session that got past the
 // handshake resets the backoff ladder, so a long-healthy worker redials
@@ -481,13 +396,7 @@ func Join(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
 // stalled peer, read deadline); an error with joined=false never got
 // past dialing or the hello exchange.
 func joinOnce(addr string, capacity int, nc NetConfig, stop <-chan struct{}) (joined bool, err error) {
-	nc = nc.withDefaults()
-	nc.TLS = clientTLSFor(nc.TLS, addr)
-	conn, err := net.DialTimeout("tcp", addr, nc.DialTimeout)
-	if err != nil {
-		return false, fmt.Errorf("shard: join %s: %w", addr, err)
-	}
-	t, _, err := setupConn(conn, nc, true, workerCapacity(capacity))
+	t, _, err := dial(addr, nc, workerCapacity(capacity))
 	if err != nil {
 		return false, fmt.Errorf("shard: join %s: %w", addr, err)
 	}
@@ -507,9 +416,11 @@ func workerCapacity(capacity int) int {
 // ListenWorkers opens a coordinator-side registration listener:
 // workers that Join addr (and pass authentication) are wrapped as
 // remote Workers and delivered on the returned channel, ready to be
-// handed to NewPool as its elastic source. Closing the listener stops
-// the accept loop and closes the channel. nc.Log receives one line per
-// accepted or rejected registration.
+// handed to NewPool as its elastic source. Each connection handshakes
+// on its own goroutine, so a silent client delays no joiner. Closing
+// the listener stops the accept loop and, once every connection still
+// in its handshake has finished, closes the channel. nc.Log receives
+// one line per accepted or rejected registration.
 func ListenWorkers(addr string, nc NetConfig) (net.Listener, <-chan Worker, error) {
 	nc = nc.withDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -519,20 +430,11 @@ func ListenWorkers(addr string, nc NetConfig) (net.Listener, <-chan Worker, erro
 	ch := make(chan Worker, 16)
 	go func() {
 		defer close(ch)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			t, peer, err := setupConn(conn, nc, false, 0)
-			if err != nil {
-				fmt.Fprintf(nc.Log, "shard: rejected worker %s: %v\n", conn.RemoteAddr(), err)
-				continue
-			}
-			name := fmt.Sprintf("join:%s", conn.RemoteAddr())
+		_ = acceptLoop(ln, nc, "worker", 0, func(t *connTransport, peer *Message, from net.Addr) {
+			name := "join:" + from.String()
 			fmt.Fprintf(nc.Log, "shard: worker %s joined (capacity %d)\n", name, peer.Capacity)
 			ch <- newRemoteWorker(name, t, peer.Capacity)
-		}
+		})
 	}()
 	return ln, ch, nil
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/ed25519"
@@ -82,7 +83,7 @@ func TestAuthRejection(t *testing.T) {
 	addr := startWorkerServer(t, NetConfig{Token: "conf-date-2017"})
 
 	for _, bad := range []string{"wrong-token", ""} {
-		w, err := DialNet(addr, NetConfig{Token: bad, HandshakeTimeout: 5 * time.Second})
+		w, err := DialNet(addr, NetConfig{Token: bad, handshakeTimeout: 5 * time.Second})
 		if err == nil {
 			w.Close()
 			t.Fatalf("dial with token %q succeeded, want auth rejection", bad)
@@ -108,7 +109,7 @@ func TestAuthRejection(t *testing.T) {
 // the token, so a spoofed worker cannot feed results into a run.
 func TestWorkerRejectsUnauthenticatedCoordinator(t *testing.T) {
 	addr := startWorkerServer(t, NetConfig{}) // open worker, no token
-	w, err := DialNet(addr, NetConfig{Token: "secret", HandshakeTimeout: 5 * time.Second})
+	w, err := DialNet(addr, NetConfig{Token: "secret", handshakeTimeout: 5 * time.Second})
 	if err == nil {
 		w.Close()
 		t.Fatal("token-holding dial accepted a tokenless worker")
@@ -272,7 +273,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 	defer ln.Close()
 
-	err = Join(ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second}, nil)
+	err = Join(ln.Addr().String(), 1, NetConfig{Token: "wrong", handshakeTimeout: 5 * time.Second}, nil)
 	if err == nil {
 		t.Fatal("join with wrong token succeeded")
 	}
@@ -291,6 +292,47 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 	if !strings.Contains(logbuf.String(), "rejected worker") {
 		t.Error("listener log does not record the rejected registration")
+	}
+}
+
+// TestSilentClientDoesNotBlockJoiners pins the shared accept loop: a
+// connection that never speaks holds up only its own handshake, so a
+// joiner arriving behind it registers at once, not after the
+// handshake timeout.
+func TestSilentClientDoesNotBlockJoiners(t *testing.T) {
+	nc := NetConfig{Token: "silent", handshakeTimeout: 30 * time.Second}
+	ln, source, err := ListenWorkers("127.0.0.1:0", nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener's hello proves the silent connection is accepted and
+	// waiting in its handshake before the joiner dials.
+	_ = silent.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := bufio.NewReader(silent).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+
+	joinErr := make(chan error, 1)
+	go func() { joinErr <- Join(ln.Addr().String(), 1, nc, nil) }()
+	select {
+	case w := <-source:
+		w.Close()
+	case <-time.After(2 * time.Second):
+		t.Fatal("joiner not registered within 2s behind a silent connection")
+	}
+	select {
+	case err := <-joinErr:
+		if err != nil {
+			t.Errorf("join returned %v, want clean close", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("join did not return after the coordinator closed it")
 	}
 }
 
@@ -329,7 +371,7 @@ func startFrozenWorker(t *testing.T, heartbeat time.Duration) string {
 		if err != nil {
 			return
 		}
-		tr := newNetTransport(conn)
+		tr := newTransport(conn)
 		if _, err := handshakeListener(tr, NetConfig{HeartbeatInterval: heartbeat}, 1); err != nil {
 			conn.Close()
 			return
@@ -405,7 +447,7 @@ func TestDialErrorsNameAddress(t *testing.T) {
 
 	addr := ln.Addr().String()
 	start := time.Now()
-	w, err := DialNet(addr, NetConfig{HandshakeTimeout: 200 * time.Millisecond})
+	w, err := DialNet(addr, NetConfig{handshakeTimeout: 200 * time.Millisecond})
 	if err == nil {
 		w.Close()
 		t.Fatal("dial of a silent listener succeeded")
@@ -421,7 +463,7 @@ func TestDialErrorsNameAddress(t *testing.T) {
 	// naming the address.
 	dead := ln.Addr().String()
 	ln.Close()
-	if _, err := DialNet(dead, NetConfig{DialTimeout: 2 * time.Second}); err == nil {
+	if _, err := DialNet(dead, NetConfig{dialTimeout: 2 * time.Second}); err == nil {
 		t.Error("dial of a closed port succeeded")
 	} else if !strings.Contains(err.Error(), dead) {
 		t.Errorf("error %q does not name the failing address %s", err, dead)

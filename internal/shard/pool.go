@@ -366,9 +366,10 @@ func (p *Pool) Health() PoolHealth {
 
 // Close shuts the pool down: no further submissions are accepted,
 // in-flight jobs are cancelled (best-effort), serve goroutines retire,
-// joined workers are closed and remaining checkpoints released. Runs
-// that had not finished resolve their tickets with an error. Close is
-// idempotent; the initial workers are the caller's to close afterwards.
+// joined workers and the local fallback are closed and remaining
+// checkpoints released. Runs that had not finished resolve their
+// tickets with an error. Close is idempotent; the initial workers are
+// the caller's to close afterwards.
 func (p *Pool) Close() error {
 	p.closeOnce.Do(func() {
 		d := p.d
@@ -382,6 +383,9 @@ func (p *Pool) Close() error {
 		d.wg.Wait()
 		for _, w := range p.joined {
 			w.Close()
+		}
+		if d.fallback != nil {
+			d.fallback.Close()
 		}
 		d.mu.Lock()
 		for _, r := range d.runs {

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,53 @@ func TestPoolOptionsFallbackOnly(t *testing.T) {
 	if g, w := summaryBytes(t, res.Summary), summaryBytes(t, base); string(g) != string(w) {
 		t.Errorf("fallback-only summary diverged\n got %s\nwant %s", g, w)
 	}
+}
+
+// TestInProcessWorkersReleaseGoroutines pins that in-process workers
+// release what they start: after 50 of them each ran a job and were
+// closed, and after a pool whose local fallback ran a run was closed,
+// the goroutine count is back at its baseline.
+func TestInProcessWorkersReleaseGoroutines(t *testing.T) {
+	backToBaseline := func(base int, what string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", what, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	p, o := testParams(sim.Conventional), testOptions()
+	wire, err := EncodeParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &Job{ID: 1, Start: 0, End: sim.CellSize(o.Iterations), Params: wire, Options: o}
+	base := runtime.NumGoroutine()
+	workers := make([]Worker, 50)
+	for i := range workers {
+		workers[i] = NewInProcessWorker("w", 1)
+		if _, err := workers[i].Run(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range workers {
+		w.Close()
+	}
+	backToBaseline(base, "closed in-process workers")
+
+	pool, err := NewPool(nil, nil, &PoolOptions{LocalFallback: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	backToBaseline(base, "closed pool with a local fallback")
 }
 
 // TestPoolHealthTransitions pins the /readyz source of truth: a

@@ -1,10 +1,10 @@
 // Package shard distributes Monte-Carlo availability runs across
-// processes and machines. Workers — local processes spawned via
-// os/exec, or remote machines attached over TCP — claim a run's
-// canonical accumulation cells (internal/sim) in contiguous ranges off
-// one cursor, and the coordinator folds the returned cell partials
-// into a Summary that is bit-identical to a single-process sim.Run,
-// whatever the shard count, worker count or schedule.
+// processes and machines. Workers — in-process executors, local
+// processes spawned via os/exec, or remote machines over TCP — claim a
+// run's canonical accumulation cells (internal/sim) in contiguous
+// ranges off one cursor, and the coordinator folds the returned cell
+// partials into a Summary that is bit-identical to a single-process
+// sim.Run, whatever the shard count, worker count or schedule.
 //
 // Every run follows one lifecycle. Each pool slot claims the next
 // batch off the run's cursor — a share of the work left before the
@@ -33,8 +33,11 @@
 // per line): hello for the version/auth handshake, job to assign a
 // claimed range, result/error to answer, cancel/cancelled to abandon a job
 // whose iterations an adaptive run no longer needs, ping as a liveness
-// heartbeat. TCP links (coordinator-dials-worker and
-// worker-joins-coordinator alike) open with a three-message
+// heartbeat. Every Worker the package builds drives one link: the one
+// byte-stream transport (stdio pipes or TCP, every frame bounded), or
+// the codec-free in-memory link of an in-process worker; at its far
+// end one job executor runs every job. TCP links (coordinator-dials-
+// worker and worker-joins-coordinator alike) open with a three-message
 // authenticated hello exchange — optionally inside TLS — and carry
 // heartbeats both ways, so a half-open or stalled peer is detected
 // within a bounded deadline instead of wedging a receive loop forever.
@@ -49,9 +52,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"herald/internal/dist"
+	"herald/internal/ndjson"
 	"herald/internal/sim"
 )
 
@@ -249,45 +255,99 @@ func (w WireParams) Decode() (sim.ArrayParams, error) {
 	return p, nil
 }
 
-// transport frames Messages over a byte stream: newline-delimited JSON
-// in both directions. Send is safe for concurrent use; Recv is not.
+// transport frames Messages over a link. Send is safe for concurrent
+// use; Recv is not.
 type transport interface {
 	Send(*Message) error
 	Recv() (*Message, error)
 	Close() error
 }
 
-// connTransport implements transport over any read-write stream (a
-// TCP connection, a child process's stdio pipes, an in-memory pipe in
-// tests).
+const (
+	// handshakeFrameLimit bounds every frame a TCP link receives before
+	// its handshake completes. Hellos are a few hundred bytes, so an
+	// unauthenticated peer cannot make a listener buffer more than this.
+	handshakeFrameLimit = 64 << 10
+	// heartbeatDeadlineFactor sizes the read deadline from the peer's
+	// advertised heartbeat interval: several missed beats, not one, so
+	// scheduling jitter never kills a healthy link.
+	heartbeatDeadlineFactor = 4
+	// netWriteTimeout bounds every message write on a TCP link: a peer
+	// that stopped draining its socket (full TCP buffer on a half-open
+	// link) fails the Send instead of wedging it.
+	netWriteTimeout = 15 * time.Second
+)
+
+// connTransport is the one byte-stream transport: newline-delimited
+// JSON over stdio pipes, a TCP (or TLS) connection, or an in-memory
+// pipe in tests. One Recv decodes at most in.limit bytes, so a peer
+// streaming an endless frame ends the link instead of growing the
+// decoder's buffer. On a net.Conn every Send carries a write deadline,
+// and after startHeartbeat every Recv a read deadline; stdio gets none.
 type connTransport struct {
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes Send
 	enc  *json.Encoder
 	dec  *json.Decoder
-	c    io.Closer
-	once sync.Once
+	in   *frameReader
+	c    io.Closer // nil when the stream cannot be closed
+	conn net.Conn  // nil unless the stream is a network connection
+
+	readTimeout time.Duration // set once by startHeartbeat
+	stop        chan struct{} // closed by Close; ends the pinger
+	once        sync.Once
 }
 
-// newTransport frames newline-delimited JSON messages over rw. If rw
-// is an io.Closer, Close closes it.
-func newTransport(rw io.ReadWriter) transport {
+// frameReader meters what the decoder pulls off the stream: a Read
+// past left fails, so one Recv never buffers more than limit bytes.
+type frameReader struct {
+	r                 io.Reader
+	limit, left, read int64
+}
+
+func (f *frameReader) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, fmt.Errorf("shard: frame exceeds %d bytes", f.limit)
+	}
+	if int64(len(p)) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.r.Read(p)
+	f.left -= int64(n)
+	f.read += int64(n)
+	return n, err
+}
+
+// newTransport frames newline-delimited JSON messages over rw, each
+// frame bounded by the checkpoint log's line limit. If rw is an
+// io.Closer, Close closes it.
+func newTransport(rw io.ReadWriter) *connTransport {
 	t := &connTransport{
-		enc: json.NewEncoder(rw),
-		dec: json.NewDecoder(rw),
+		enc:  json.NewEncoder(rw),
+		in:   &frameReader{r: rw, limit: ndjson.MaxLine},
+		stop: make(chan struct{}),
 	}
-	if c, ok := rw.(io.Closer); ok {
-		t.c = c
-	}
+	t.dec = json.NewDecoder(t.in)
+	t.c, _ = rw.(io.Closer)
+	t.conn, _ = rw.(net.Conn)
 	return t
 }
 
 func (t *connTransport) Send(m *Message) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.conn != nil {
+		_ = t.conn.SetWriteDeadline(time.Now().Add(netWriteTimeout))
+	}
 	return t.enc.Encode(m)
 }
 
 func (t *connTransport) Recv() (*Message, error) {
+	if t.readTimeout > 0 {
+		_ = t.conn.SetReadDeadline(time.Now().Add(t.readTimeout))
+	}
+	// Bytes the decoder already buffered past the previous frame count
+	// against this one.
+	t.in.left = t.in.limit - (t.in.read - t.dec.InputOffset())
 	var m Message
 	if err := t.dec.Decode(&m); err != nil {
 		return nil, err
@@ -298,9 +358,36 @@ func (t *connTransport) Recv() (*Message, error) {
 func (t *connTransport) Close() error {
 	var err error
 	t.once.Do(func() {
+		close(t.stop)
 		if t.c != nil {
 			err = t.c.Close()
 		}
 	})
 	return err
+}
+
+// startHeartbeat begins the outgoing ping cadence and arms the read
+// deadline from the peer's advertised interval. Call it once, on a
+// network connection, after the handshake and before concurrent use.
+func (t *connTransport) startHeartbeat(own time.Duration, peerMS int) {
+	if peerMS > 0 {
+		t.readTimeout = heartbeatDeadlineFactor * time.Duration(peerMS) * time.Millisecond
+	}
+	if own <= 0 {
+		return
+	}
+	go func() {
+		tick := time.NewTicker(own)
+		defer tick.Stop()
+		for {
+			select {
+			case <-t.stop:
+				return
+			case <-tick.C:
+				if t.Send(&Message{Type: MsgPing}) != nil {
+					return // connection is gone; Recv surfaces it
+				}
+			}
+		}
+	}()
 }

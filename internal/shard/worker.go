@@ -12,10 +12,10 @@ import (
 )
 
 // serveConn runs the worker side of the shard protocol over an
-// unauthenticated transport (stdio pipes, in-memory pipes): it
+// unauthenticated stream (stdio pipes, in-memory pipes in tests): it
 // announces itself with a hello, then runs the job loop until the
-// coordinator closes the stream. TCP connections run the hello
-// handshake in net.go first and then the same job loop.
+// coordinator closes the stream. TCP links handshake first (net.go),
+// in-memory links need no hello, and both then run the same job loop.
 func serveConn(t transport) error {
 	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion}); err != nil {
 		return err
@@ -212,29 +212,24 @@ func (e *jobExecutor) shutdown() {
 	<-e.done
 }
 
-// jobReply executes one job and wraps its outcome as the protocol
-// answer.
+// jobReply executes one job in this process and wraps its outcome as
+// the protocol answer. A close of stop abandons the job (the
+// coordinator only cancels iterations its stopping rule no longer
+// needs), answered cancelled.
 func jobReply(j *Job, stop <-chan struct{}) *Message {
-	parts, jerr := runJob(j, stop)
+	p, err := j.Params.Decode()
+	var parts []sim.Partial
+	if err == nil {
+		parts, err = sim.RunRangeUntil(p, j.Options, j.Start, j.End, stop)
+	}
 	switch {
-	case errors.Is(jerr, sim.ErrStopped):
+	case errors.Is(err, sim.ErrStopped):
 		return &Message{Type: MsgCancelled, ID: j.ID}
-	case jerr != nil:
-		return &Message{Type: MsgError, ID: j.ID, Error: jerr.Error()}
+	case err != nil:
+		return &Message{Type: MsgError, ID: j.ID, Error: err.Error()}
 	default:
 		return &Message{Type: MsgResult, ID: j.ID, Partials: parts}
 	}
-}
-
-// runJob executes one shard assignment in this process; a close of
-// stop abandons it with sim.ErrStopped (the coordinator only cancels
-// iterations its stopping rule no longer needs).
-func runJob(j *Job, stop <-chan struct{}) ([]sim.Partial, error) {
-	p, err := j.Params.Decode()
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunRangeUntil(p, j.Options, j.Start, j.End, stop)
 }
 
 // Worker executes shard jobs on behalf of the coordinator.
@@ -293,13 +288,14 @@ type jobError struct {
 
 func (e *jobError) Error() string { return fmt.Sprintf("shard %d: %s", e.ID, e.Msg) }
 
-// remoteWorker drives one protocol connection as a Worker. A single
-// pump goroutine owns the transport's receive side and routes each
-// reply to the pending Run that sent the job, so several Runs can be
-// in flight at once (PipelineDepth). Stray result messages — answers
-// for shards no Run is waiting on, e.g. re-deliveries after a
-// presumed-lost connection — are handed to onStray so the coordinator
-// can still bank them (or drop duplicates) instead of losing them.
+// remoteWorker drives one link (stdio, TCP or in-memory) as a Worker;
+// every Worker this package builds is one. A single pump goroutine owns
+// the transport's receive side and routes each reply to the pending Run
+// that sent the job, so several Runs can be in flight at once
+// (PipelineDepth). Stray result messages — answers for shards no Run is
+// waiting on, e.g. re-deliveries after a presumed-lost connection — are
+// handed to onStray so the coordinator can still bank them (or drop
+// duplicates) instead of losing them.
 type remoteWorker struct {
 	name string
 	t    transport
@@ -308,6 +304,8 @@ type remoteWorker struct {
 	// 0 lets a remote machine use all of its cores; a join-mode
 	// worker's advertised capacity caps it there.
 	jobWorkers int
+	// depth is the number of jobs kept in flight (PipelineDepth).
+	depth int
 
 	mu       sync.Mutex
 	pending  map[int]chan *Message
@@ -336,6 +334,7 @@ func newRemoteWorker(name string, t transport, jobWorkers int) *remoteWorker {
 		name:       name,
 		t:          t,
 		jobWorkers: jobWorkers,
+		depth:      2,
 		pending:    make(map[int]chan *Message),
 		pumpDone:   make(chan struct{}),
 	}
@@ -348,10 +347,12 @@ func (w *remoteWorker) Name() string { return w.name }
 // an unknown number of cores) advertises nothing.
 func (w *remoteWorker) Capacity() int { return w.jobWorkers }
 
-// PipelineDepth keeps two jobs in flight per connection: while one
-// executes remotely the next is already queued in the worker's
-// executor, so the worker never idles for the result round-trip.
-func (w *remoteWorker) PipelineDepth() int { return 2 }
+// PipelineDepth keeps two jobs in flight per stdio or TCP connection:
+// while one executes remotely the next is already queued in the
+// worker's executor, so the worker never idles for the result
+// round-trip. An in-process worker has no round-trip to hide and keeps
+// one.
+func (w *remoteWorker) PipelineDepth() int { return w.depth }
 
 // pump is the sole reader of the transport: it routes each reply to
 // its pending Run, banks strays, and on any receive failure records
@@ -458,75 +459,62 @@ func (w *remoteWorker) CancelJob(id int) {
 
 func (w *remoteWorker) Close() error { return w.t.Close() }
 
-// inProcessWorker runs jobs directly in the coordinator's process.
-type inProcessWorker struct {
-	name    string
-	workers int
-
-	mu sync.Mutex
-	// stop holds running jobs' cancel channels; cancelled tombstones
-	// cancels that raced ahead of their job's Run.
-	stop      map[int]chan struct{}
-	cancelled map[int]bool
-}
-
 // NewInProcessWorker returns a Worker that executes jobs in this
-// process with the given parallelism (0 = GOMAXPROCS). It is the
-// zero-overhead backend for single-machine runs and tests.
+// process with the given parallelism (0 = GOMAXPROCS), one job at a
+// time. It is a remoteWorker like every other: serveJobs serves the far
+// end of an in-memory link, over which Messages pass by pointer with no
+// codec. Close ends its goroutines. It backs the pool's local fallback
+// and the process-free pools of tests and benchmarks.
 func NewInProcessWorker(name string, workers int) Worker {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &inProcessWorker{
-		name:      name,
-		workers:   workers,
-		stop:      make(map[int]chan struct{}),
-		cancelled: make(map[int]bool),
+	coord, worker := newLink()
+	go serveJobs(worker, nil)
+	w := newRemoteWorker(name, coord, workers)
+	w.depth = 1
+	return w
+}
+
+// link is one end of the in-memory link under an in-process worker.
+// Closing either end closes both: Send fails and Recv reports io.EOF,
+// though a message already buffered may still arrive first. Each
+// direction buffers 16 messages, far more than one exchange queues (a
+// job, its cancel, its one reply), so a Send never waits on a receiver
+// that is itself sending.
+type link struct {
+	in     <-chan *Message
+	out    chan<- *Message
+	closed chan struct{}
+	once   *sync.Once
+}
+
+func newLink() (a, b *link) {
+	ab, ba := make(chan *Message, 16), make(chan *Message, 16)
+	closed, once := make(chan struct{}), new(sync.Once)
+	return &link{in: ba, out: ab, closed: closed, once: once},
+		&link{in: ab, out: ba, closed: closed, once: once}
+}
+
+func (l *link) Send(m *Message) error {
+	select {
+	case <-l.closed:
+		return io.ErrClosedPipe
+	case l.out <- m:
+		return nil
 	}
 }
 
-func (w *inProcessWorker) Name() string { return w.name }
-
-// Capacity reports the worker's configured parallelism.
-func (w *inProcessWorker) Capacity() int { return w.workers }
-
-func (w *inProcessWorker) Run(job *Job) ([]sim.Partial, error) {
-	j := *job
-	j.Options.Workers = w.workers
-	st := make(chan struct{})
-	w.mu.Lock()
-	if w.cancelled[j.ID] {
-		delete(w.cancelled, j.ID)
-		w.mu.Unlock()
-		return nil, ErrJobCancelled
+func (l *link) Recv() (*Message, error) {
+	select {
+	case <-l.closed:
+		return nil, io.EOF
+	case m := <-l.in:
+		return m, nil
 	}
-	w.stop[j.ID] = st
-	w.mu.Unlock()
-	parts, err := runJob(&j, st)
-	w.mu.Lock()
-	delete(w.stop, j.ID)
-	w.mu.Unlock()
-	if errors.Is(err, sim.ErrStopped) {
-		return nil, ErrJobCancelled
-	}
-	if err != nil {
-		return nil, &jobError{ID: job.ID, Msg: err.Error()}
-	}
-	return parts, nil
 }
 
-// CancelJob abandons the job with the given id: the in-flight run is
-// stopped, or — when the cancel races ahead of Run — a tombstone makes
-// the upcoming Run return ErrJobCancelled without executing.
-func (w *inProcessWorker) CancelJob(id int) {
-	w.mu.Lock()
-	if st, ok := w.stop[id]; ok {
-		close(st)
-		delete(w.stop, id)
-	} else {
-		w.cancelled[id] = true
-	}
-	w.mu.Unlock()
+func (l *link) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
 }
-
-func (w *inProcessWorker) Close() error { return nil }
