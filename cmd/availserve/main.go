@@ -60,11 +60,9 @@ func main() {
 
 		cacheEntries = flag.Int("cache-entries", 256, "result-cache capacity (fingerprint-keyed LRU)")
 		cacheFile    = flag.String("cache-file", "", "persist the result cache to this ndjson snapshot across restarts")
-		cacheEvery   = flag.Int("cache-snapshot-every", 32, "snapshot the cache every N insertions (with -cache-file)")
 		maxInFlight  = flag.Int("max-inflight", 4, "concurrently executing runs")
 		maxQueue     = flag.Int("max-queue", 16, "requests waiting for a run slot before 429 (negative: refuse immediately)")
 		maxPerClient = flag.Int("max-inflight-per-client", 0, "per-client bound on executing+queued runs (0 = no per-client bound)")
-		retryAfter   = flag.Duration("retry-after", 5*time.Second, "Retry-After hint on 429 responses")
 		maxSweep     = flag.Int("max-sweep-points", 64, "points allowed in one /v1/sweep request; its body may be this many MiB")
 		runTimeout   = flag.Duration("run-timeout", 0, "per-run execution deadline; overdue runs abort via the shard cancel path (0 = none)")
 		authToken    = flag.String("auth-token", "", "require 'Authorization: Bearer <token>' on /v1 endpoints (health stays open)")
@@ -117,11 +115,9 @@ func main() {
 		Pool:                 pool,
 		CacheEntries:         *cacheEntries,
 		CacheFile:            *cacheFile,
-		CacheSnapshotEvery:   *cacheEvery,
 		MaxInFlight:          *maxInFlight,
 		MaxQueued:            *maxQueue,
 		MaxInFlightPerClient: *maxPerClient,
-		RetryAfter:           *retryAfter,
 		MaxSweepPoints:       *maxSweep,
 		RunTimeout:           *runTimeout,
 		AuthToken:            *authToken,

@@ -1,8 +1,9 @@
 // Package serve exposes the availability simulator as a long-lived
-// HTTP/JSON service: one shared shard pool executes every request,
-// results are cached under the canonical run fingerprint, concurrent
-// identical requests coalesce into a single run, and adaptive runs can
-// stream their convergence progress to the client.
+// HTTP/JSON service: one shared shard pool executes every request, one
+// table maps each canonical run fingerprint to its flight — the run
+// while it executes, its cached result once it has finished — so
+// identical requests share one run whenever they arrive, and adaptive
+// runs can stream their convergence progress to the client.
 //
 // Because simulation results are bit-identical for equal fingerprints
 // regardless of worker or shard count (see shard.RunFingerprint), the
@@ -11,10 +12,12 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"sync"
@@ -35,22 +38,25 @@ type CacheStats struct {
 	Loaded int `json:"loaded,omitempty"`
 }
 
-// resultCache is an LRU map from run fingerprint to the marshalled
-// Summary bytes of the finished run. Entries are immutable once
-// inserted; the stored slice is shared, never mutated.
+// resultCache is the one table of run identities: it maps each
+// fingerprint to one flight, running until it finishes and the cached
+// entry after that. Finished flights form an LRU of marshalled Summary
+// bytes, shared and never mutated; a failed run leaves the table, so a
+// retry runs afresh.
 //
 // When a snapshot path is configured the cache persists across process
 // restarts: the whole LRU is written as an ndjson snapshot (header line
 // then one entry per line, least- to most-recently-used, so a reload
-// reconstructs the recency order) every snapEvery insertions and on
-// drain, as an internal/ndjson log — written to a temp file, fsynced
+// reconstructs the recency order) every cacheSnapEvery insertions and
+// on drain, as an internal/ndjson log — written to a temp file, fsynced
 // and renamed — so a crash mid-snapshot leaves the previous snapshot
-// intact and a torn tail only costs the entries behind it.
+// intact. Each entry carries a CRC-32C of its fingerprint and body, and
+// a torn or damaged line costs only the entries from it on.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
-	ll        *list.List // front = most recently used
-	byFP      map[string]*list.Element
+	ll        *list.List         // finished flights; front = most recently used
+	byFP      map[string]*flight // running and finished flights
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -58,7 +64,6 @@ type resultCache struct {
 	loaded    int
 
 	path      string
-	snapEvery int
 	sinceSnap int
 	snapping  bool
 	logw      io.Writer
@@ -66,62 +71,87 @@ type resultCache struct {
 	snapMu sync.Mutex // serializes snapshot writers
 }
 
-type cacheEntry struct {
-	fp   string
-	body []byte
-}
+// cacheSnapEvery is the insertion cadence of automatic snapshots.
+const cacheSnapEvery = 32
 
-func newResultCache(capacity int) *resultCache {
+// newResultCache builds an empty table; a non-empty path arms
+// persistence (call load to restore an existing snapshot).
+func newResultCache(capacity int, path string, logw io.Writer) *resultCache {
 	return &resultCache{
 		cap:  capacity,
 		ll:   list.New(),
-		byFP: make(map[string]*list.Element),
+		byFP: make(map[string]*flight),
+		path: path,
+		logw: logw,
 	}
 }
 
-// get returns the cached summary bytes for fp, or nil on a miss.
-func (c *resultCache) get(fp string) []byte {
+// get is a request's first lookup of fp, counted as one hit or miss. It
+// returns fp's flight, joined as lookup does (nil when there is none),
+// and whether it is a hit: a finished run.
+func (c *resultCache) get(fp string) (*flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byFP[fp]
-	if !ok {
+	fl, hit := c.lookup(fp)
+	if hit {
+		c.hits++
+	} else {
 		c.misses++
-		return nil
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body
+	return fl, hit
 }
 
-// put inserts (or refreshes) fp's summary bytes, evicting the least
-// recently used entry when over capacity. With persistence configured,
-// every snapEvery-th insertion triggers an asynchronous snapshot.
-func (c *resultCache) put(fp string, body []byte) {
+// lead returns fp's flight as get does, counting nothing, and creates
+// one when there is none; led reports that the caller leads its run.
+func (c *resultCache) lead(fp string) (fl *flight, hit, led bool) {
 	c.mu.Lock()
-	if el, ok := c.byFP[fp]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).body = body
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if led = c.byFP[fp] == nil; led {
+		c.byFP[fp] = newFlight(fp)
 	}
-	c.inserts++
-	c.byFP[fp] = c.ll.PushFront(&cacheEntry{fp: fp, body: body})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.byFP, last.Value.(*cacheEntry).fp)
-		c.evictions++
+	fl, hit = c.lookup(fp)
+	return fl, hit, led
+}
+
+// lookup returns fp's flight joined for the caller, who must leave it,
+// and refreshes a hit's recency. The caller holds c.mu.
+func (c *resultCache) lookup(fp string) (*flight, bool) {
+	fl := c.byFP[fp]
+	if fl == nil {
+		return nil, false
 	}
+	fl.waiters.Add(1)
+	if fl.el == nil {
+		return fl, false
+	}
+	c.ll.MoveToFront(fl.el)
+	return fl, true
+}
+
+// finish records fl's outcome under the table's lock, before any
+// request can see fl as a hit, then releases its waiters. A success
+// becomes the most recently used entry and, with persistence armed,
+// every cacheSnapEvery-th success triggers an asynchronous snapshot; a
+// failure leaves the table, so a retry runs afresh.
+func (c *resultCache) finish(fl *flight, body []byte, err error) {
+	c.mu.Lock()
+	fl.body, fl.err = body, err
 	snap := false
-	if c.path != "" {
-		c.sinceSnap++
-		if c.sinceSnap >= c.snapEvery && !c.snapping {
-			c.snapping = true
-			c.sinceSnap = 0
-			snap = true
+	if err != nil {
+		delete(c.byFP, fl.fp)
+	} else {
+		c.inserts++
+		c.add(fl)
+		if c.path != "" {
+			c.sinceSnap++
+			if snap = c.sinceSnap >= cacheSnapEvery && !c.snapping; snap {
+				c.snapping = true
+				c.sinceSnap = 0
+			}
 		}
 	}
 	c.mu.Unlock()
+	close(fl.done)
 	if snap {
 		go func() {
 			c.snapshotNow()
@@ -129,6 +159,18 @@ func (c *resultCache) put(fp string, body []byte) {
 			c.snapping = false
 			c.mu.Unlock()
 		}()
+	}
+}
+
+// add makes the finished fl the most recently used entry, evicting the
+// least recently used past capacity. The caller holds c.mu.
+func (c *resultCache) add(fl *flight) {
+	fl.el = c.ll.PushFront(fl)
+	c.byFP[fl.fp] = fl
+	for c.ll.Len() > c.cap {
+		old := c.ll.Remove(c.ll.Back()).(*flight)
+		delete(c.byFP, old.fp)
+		c.evictions++
 	}
 }
 
@@ -160,68 +202,56 @@ type cacheSnapEntry struct {
 	Type string          `json:"type"` // "entry"
 	FP   string          `json:"fp"`
 	Body json.RawMessage `json:"body"`
+	Sum  uint32          `json:"sum"` // entrySum(FP, Body)
 }
 
 const cacheSnapFormat = "herald-result-cache"
 
-// persistTo arms persistence: snapshots go to path every snapEvery
-// insertions (and on snapshotNow), and an existing snapshot is loaded
-// immediately. Loading failures other than a missing file are returned;
-// a torn tail is dropped with a warning, keeping everything before it.
-func (c *resultCache) persistTo(path string, snapEvery int, logw io.Writer) error {
-	if snapEvery <= 0 {
-		snapEvery = 32
-	}
-	if logw == nil {
-		logw = io.Discard
-	}
-	c.mu.Lock()
-	c.path = path
-	c.snapEvery = snapEvery
-	c.logw = logw
-	c.mu.Unlock()
-	return c.load()
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// entrySum is a snapshot entry's checksum: CRC-32C over the
+// fingerprint, a newline and the body.
+func entrySum(fp string, body []byte) uint32 {
+	return crc32.Update(crc32.Checksum([]byte(fp+"\n"), castagnoli), castagnoli, body)
 }
 
-// load replays an existing snapshot into the (empty) cache. Entries
-// are inserted in file order — LRU first — so the reloaded cache has
-// the same eviction order the old process had.
+// load replays an existing snapshot into the empty table. Entries go in
+// as finished flights in file order — LRU first — so the reloaded cache
+// has the eviction order the old process had; they count as neither
+// insertions nor misses, so a reload never snapshots itself. Loading
+// failures other than a missing file are returned. The first torn or
+// damaged entry — one that fails its checksum, is not in the form the
+// snapshot writes, or repeats a fingerprint — is dropped with a
+// warning, along with the entries after it.
 func (c *resultCache) load() error {
-	// Replay must not trigger a snapshot of the file being read;
-	// holding the snapping latch suppresses the insertion trigger.
-	c.mu.Lock()
-	c.snapping = true
-	c.mu.Unlock()
-	n := 0
 	torn, err := ndjson.Scan(c.path, func(h *cacheSnapHeader) error {
 		if h.Type != "header" || h.Format != cacheSnapFormat {
 			return errors.New("malformed header")
 		}
 		return nil
 	}, func(e *cacheSnapEntry) bool {
-		if e.Type != "entry" || e.FP == "" || len(e.Body) == 0 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		// The writer re-encodes a body compact and HTML-escaped; a body in
+		// any other form would not survive the next snapshot.
+		canon, err := json.Marshal(e.Body)
+		if err != nil || !bytes.Equal(canon, e.Body) || e.Type != "entry" || e.FP == "" ||
+			c.byFP[e.FP] != nil || e.Sum != entrySum(e.FP, e.Body) {
 			return false
 		}
-		c.put(e.FP, []byte(e.Body))
-		n++
+		fl := newFlight(e.FP)
+		fl.body = e.Body
+		close(fl.done)
+		c.add(fl)
+		c.loaded++
 		return true
 	})
 	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, ndjson.ErrEmpty) {
 		err = nil
 	}
 	if torn > 0 {
-		// A torn tail from a crash mid-write: keep what precedes it.
-		fmt.Fprintf(c.logw, "serve: cache snapshot %s: dropping torn entry at line %d\n", c.path, torn)
+		fmt.Fprintf(c.logw, "serve: cache snapshot %s: dropping torn or damaged entry at line %d and the entries after it\n", c.path, torn)
 	}
-	c.mu.Lock()
-	c.loaded = n
-	// Replaying the snapshot must not count as fresh insertions, or a
-	// reload would immediately re-trigger a snapshot of itself.
-	c.inserts = 0
-	c.misses = 0
-	c.sinceSnap = 0
-	c.snapping = false
-	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("serve: cache snapshot %s: %w", c.path, err)
 	}
@@ -232,21 +262,20 @@ func (c *resultCache) load() error {
 // fsync, rename), serializing concurrent writers. A cache without a
 // configured path is a no-op.
 func (c *resultCache) snapshotNow() {
-	c.mu.Lock()
-	path, logw := c.path, c.logw
-	entries := make([]cacheSnapEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() { // LRU → MRU
-		e := el.Value.(*cacheEntry)
-		entries = append(entries, cacheSnapEntry{Type: "entry", FP: e.fp, Body: json.RawMessage(e.body)})
-	}
-	c.mu.Unlock()
-	if path == "" {
+	if c.path == "" {
 		return
 	}
+	c.mu.Lock()
+	entries := make([]cacheSnapEntry, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() { // LRU → MRU
+		fl := el.Value.(*flight)
+		entries = append(entries, cacheSnapEntry{Type: "entry", FP: fl.fp, Body: fl.body, Sum: entrySum(fl.fp, fl.body)})
+	}
+	c.mu.Unlock()
 	c.snapMu.Lock()
 	defer c.snapMu.Unlock()
 	hdr := cacheSnapHeader{Type: "header", Format: cacheSnapFormat, Version: 1}
-	if err := ndjson.Replace(path, hdr, entries); err != nil {
-		fmt.Fprintf(logw, "serve: cache snapshot %s: %v\n", path, err)
+	if err := ndjson.Replace(c.path, hdr, entries); err != nil {
+		fmt.Fprintf(c.logw, "serve: cache snapshot %s: %v\n", c.path, err)
 	}
 }

@@ -1,44 +1,54 @@
 package serve
 
 import (
+	"container/list"
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"herald/internal/shard"
 )
 
-// flight is one in-progress run shared by every request that asked for
-// the same fingerprint (singleflight). The first request becomes the
-// leader and executes the run; later identical requests join, block on
-// done, and read the same bytes. Streaming requests subscribe to the
-// run's progress feed; slow subscribers are coalesced, never blocked
-// on, because the publisher runs under the shard dispatcher's lock.
+// flight is one run identity in the result table: the run while it
+// executes, shared by every request that asked for the same fingerprint
+// (singleflight), and the cached entry once it has finished. The
+// request that creates it leads and executes the run; later identical
+// requests join, block on done, and read the same bytes. Streaming
+// requests subscribe to the run's progress feed; slow subscribers are
+// coalesced, never blocked on, because the publisher runs under the
+// shard dispatcher's lock.
 type flight struct {
 	fp   string
 	done chan struct{}
+
+	// ctx is the run's context. waiters counts requests with a live
+	// interest in the outcome; the table joins one per lookup, and the
+	// last to leave cancels ctx: before the run finished, that aborts it,
+	// since nobody is left to read it.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	waiters atomic.Int32
 
 	mu      sync.Mutex
 	subs    map[chan shard.RunProgress]struct{}
 	last    shard.RunProgress
 	hasLast bool
 
-	// waiters counts requests with a live interest in the outcome; when
-	// the last one leaves before the run finished, the flight is
-	// abandoned and its run cancelled (nobody is left to read it).
-	waiters   int
-	cancel    func()
-	abandoned bool
-	ended     bool
-
-	// Set before done closes, immutable after.
+	// Set under the table's lock before done closes, immutable after.
+	// el is the flight's LRU element once the run succeeded.
+	el   *list.Element
 	body []byte
 	err  error
 }
 
 func newFlight(fp string) *flight {
+	ctx, cancel := context.WithCancel(context.Background())
 	return &flight{
-		fp:   fp,
-		done: make(chan struct{}),
-		subs: make(map[chan shard.RunProgress]struct{}),
+		fp:     fp,
+		done:   make(chan struct{}),
+		ctx:    ctx,
+		cancel: cancel,
+		subs:   make(map[chan shard.RunProgress]struct{}),
 	}
 }
 
@@ -88,52 +98,11 @@ func (f *flight) unsubscribe(ch chan shard.RunProgress) {
 	delete(f.subs, ch)
 }
 
-// join registers one waiter. Every request that will block on the
-// flight's outcome must join before blocking and leave afterwards.
-func (f *flight) join() {
-	f.mu.Lock()
-	f.waiters++
-	f.mu.Unlock()
-}
-
-// leave drops one waiter. The last leave before the flight finished
-// abandons it: the run's cancel hook fires, propagating the collective
-// client disconnect down to the shard layer.
+// leave drops the waiter a table lookup joined. The last leave cancels
+// the run's context, propagating the collective client disconnect down
+// to the shard layer; once the run has finished that is a no-op.
 func (f *flight) leave() {
-	f.mu.Lock()
-	var cancel func()
-	f.waiters--
-	if f.waiters <= 0 && !f.ended && !f.abandoned {
-		f.abandoned = true
-		cancel = f.cancel
+	if f.waiters.Add(-1) == 0 {
+		f.cancel()
 	}
-	f.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// setCancel installs the run's cancel hook (the leader calls it once
-// the run is submitted). If every waiter already left — the
-// registration lost the race to the abandonment — it fires immediately.
-func (f *flight) setCancel(c func()) {
-	f.mu.Lock()
-	fire := f.abandoned
-	f.cancel = c
-	f.mu.Unlock()
-	if fire {
-		c()
-	}
-}
-
-// finish records the run's outcome and releases every waiter. The
-// leader calls it exactly once, after the result has been inserted
-// into the cache (so no request can observe neither flight nor cache).
-func (f *flight) finish(body []byte, err error) {
-	f.mu.Lock()
-	f.ended = true
-	f.mu.Unlock()
-	f.body = body
-	f.err = err
-	close(f.done)
 }

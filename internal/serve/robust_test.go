@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -125,6 +126,50 @@ func TestCachePersistsAcrossRestart(t *testing.T) {
 	resp, rr = postRun(t, hs3.URL, body)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(rr.Summary, want) {
 		t.Fatalf("torn-tail reload cannot serve the prior result (status %d)", resp.StatusCode)
+	}
+}
+
+// TestSnapshotBitFlipNeverServed pins the snapshot checksum: with any
+// one bit of the file flipped, a restarted server either refuses to
+// start (a damaged header) or answers the request with the original
+// bytes or an error, never with other bytes.
+func TestSnapshotBitFlipNeverServed(t *testing.T) {
+	cf := filepath.Join(t.TempDir(), "cache.ndjson")
+	o := sim.Options{Iterations: 200, MissionTime: 2e5, Seed: 11}
+	body := wireRequest(t, testParams, runOpts(o), 1)
+	want := simBytes(t, testParams, o)
+	hs, srv, pool := startServer(t, serve.Config{CacheFile: cf})
+	resp, rr := postRun(t, hs.URL, body)
+	hs.Close()
+	srv.Drain()
+	pool.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(rr.Summary, want) {
+		t.Fatalf("first run: status %d, summary %s", resp.StatusCode, rr.Summary)
+	}
+	orig, err := os.ReadFile(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range orig {
+		damaged := bytes.Clone(orig)
+		damaged[i] ^= 1 << (i % 8)
+		if err := os.WriteFile(cf, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		pool, err := shard.NewPool([]shard.Worker{failingWorker{}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.NewServer(serve.Config{Pool: pool, CacheFile: cf})
+		if err == nil {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			var rr serve.RunResponse
+			if rec.Code == http.StatusOK && (json.Unmarshal(rec.Body.Bytes(), &rr) != nil || !bytes.Equal(rr.Summary, want)) {
+				t.Fatalf("byte %d with bit %d flipped: served %s", i, i%8, rec.Body.Bytes())
+			}
+		}
+		pool.Close()
 	}
 }
 

@@ -252,6 +252,196 @@ func TestConcurrentIdenticalRequestsRunOnce(t *testing.T) {
 	}
 }
 
+// post sends body to url and returns the reply of a 200. It reports
+// every failure as an error, so request goroutines may call it.
+func post(url string, body []byte) ([]byte, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("POST %s: status %d: %s", url, resp.StatusCode, raw)
+	}
+	return raw, err
+}
+
+// TestQueuedIdenticalRequestsRunOnce pins dedup across admission: two
+// identical requests that both wait for the only execution slot run
+// once. The one admitted first leads and replies cached false; the
+// other finds the run finished once admitted and replies cached true.
+func TestQueuedIdenticalRequestsRunOnce(t *testing.T) {
+	bw := newBlockingWorker()
+	hs, _, _ := newTestServer(t, serve.Config{MaxInFlight: 1, MaxQueued: 4}, bw)
+	distinct := testOptions
+	distinct.Seed = 99
+	holder := make(chan error, 1)
+	go func() {
+		_, err := post(hs.URL+"/v1/run", wireRequest(t, testParams, runOpts(distinct), 1))
+		holder <- err
+	}()
+	<-bw.started // the distinct run holds the only slot
+
+	body := wireRequest(t, testParams, runOpts(testOptions), 1)
+	type outcome struct {
+		raw []byte
+		err error
+	}
+	pair := make(chan outcome, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			raw, err := post(hs.URL+"/v1/run", body)
+			pair <- outcome{raw, err}
+		}()
+	}
+	// Both have missed the table and wait for admission.
+	deadline := time.Now().Add(10 * time.Second)
+	for cacheStats(t, hs.URL).Misses < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("identical requests never reached admission: %+v", cacheStats(t, hs.URL))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(bw.release)
+
+	if err := <-holder; err != nil {
+		t.Fatalf("distinct run: %v", err)
+	}
+	want := simBytes(t, testParams, testOptions)
+	cached := 0
+	for i := 0; i < 2; i++ {
+		o := <-pair
+		if o.err != nil {
+			t.Fatalf("identical request: %v", o.err)
+		}
+		var rr serve.RunResponse
+		if err := json.Unmarshal(o.raw, &rr); err != nil {
+			t.Fatalf("decode %q: %v", o.raw, err)
+		}
+		if !bytes.Equal(rr.Summary, want) {
+			t.Fatalf("summary differs from in-process run:\n got %s\nwant %s", rr.Summary, want)
+		}
+		if rr.Cached {
+			cached++
+		}
+	}
+	if cached != 1 {
+		t.Errorf("%d of the pair replied cached, want exactly 1", cached)
+	}
+	if got := bw.jobCount(); got != 2 {
+		t.Fatalf("worker executed %d jobs, want 2 (the distinct run and one of the pair)", got)
+	}
+}
+
+// TestTableUnderConcurrency drives the one table from many goroutines:
+// plain, streamed and sweep requests over a few fingerprints, sweeps
+// repeating a point, on a table of two entries, so entries are evicted
+// while other requests still hold them. Every reply is the in-process
+// run's bytes, every request returns, and Drain returns.
+func TestTableUnderConcurrency(t *testing.T) {
+	hs, srv, _ := newTestServer(t, serve.Config{CacheEntries: 2})
+	wp, err := shard.EncodeParams(testParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fps, goroutines, rounds = 3, 6, 6
+	points := make([]serve.RunRequest, fps)
+	bodies := make([][]byte, fps)
+	want := make([][]byte, fps)
+	for i := range points {
+		o := testOptions
+		o.Iterations = 500
+		o.Seed = uint64(i + 1)
+		points[i] = serve.RunRequest{Params: wp, Options: runOpts(o), Shards: 2}
+		bodies[i] = wireRequest(t, testParams, runOpts(o), 2)
+		want[i] = simBytes(t, testParams, o)
+	}
+	check := func(i int, summary []byte) error {
+		if !bytes.Equal(summary, want[i]) {
+			return fmt.Errorf("point %d: summary differs from in-process run:\n got %s\nwant %s", i, summary, want[i])
+		}
+		return nil
+	}
+	plain := func(i int) error {
+		raw, err := post(hs.URL+"/v1/run", bodies[i])
+		var rr serve.RunResponse
+		if err == nil {
+			err = json.Unmarshal(raw, &rr)
+		}
+		if err != nil {
+			return err
+		}
+		return check(i, rr.Summary)
+	}
+	streamed := func(i int) error {
+		raw, err := post(hs.URL+"/v1/run?stream=1", bodies[i])
+		if err != nil {
+			return err
+		}
+		lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+		var last struct {
+			Type    string          `json:"type"`
+			Summary json.RawMessage `json:"summary"`
+			Error   string          `json:"error"`
+		}
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+			return err
+		}
+		if last.Type != "result" {
+			return fmt.Errorf("point %d: stream ended %q: %s", i, last.Type, last.Error)
+		}
+		return check(i, last.Summary)
+	}
+	sweep := func(i int) error {
+		j := (i + 1) % fps
+		b, err := json.Marshal(serve.SweepRequest{Points: []serve.RunRequest{points[i], points[j], points[i]}})
+		if err != nil {
+			return err
+		}
+		raw, err := post(hs.URL+"/v1/sweep", b)
+		var sr serve.SweepResponse
+		if err == nil {
+			err = json.Unmarshal(raw, &sr)
+		}
+		if err != nil {
+			return err
+		}
+		if len(sr.Results) != 3 {
+			return fmt.Errorf("sweep got %d results, want 3", len(sr.Results))
+		}
+		for k, p := range []int{i, j, i} {
+			if err := check(p, sr.Results[k].Summary); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	kinds := []func(int) error{plain, streamed, sweep}
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < rounds && errs[g] == nil; k++ {
+				errs[g] = kinds[(g+2*k)%len(kinds)]((g + k) % fps)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	srv.Drain()
+	if st := cacheStats(t, hs.URL); st.Entries > 2 || st.Evictions == 0 {
+		t.Errorf("cache stats = %+v, want at most 2 entries and some evictions", st)
+	}
+}
+
 // TestAdmissionRefusesDeterministically pins the 429 path: with one
 // slot and no queue, a second distinct request is refused immediately
 // with Retry-After set, and the first still completes.
@@ -482,6 +672,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"empty sweep", "/v1/sweep", `{"points": []}`, 400},
 		{"bad sweep point", "/v1/sweep", fmt.Sprintf(`{"points": [{"params": %s, "options": {"mission_time": 1000, "seed": 1}}]}`, pj), 400},
 		{"oversized run", "/v1/run", pad + validRun, 413},
+		{"run with a trailing object", "/v1/run", validRun + ` {"params": 7} garbage`, 400},
+		{"sweep with trailing garbage", "/v1/sweep", `{"points": [` + validRun + `]} garbage`, 400},
+		{"run with a trailing newline", "/v1/run", validRun + "\n", 200},
 	}
 	for _, tc := range cases {
 		if got := post(tc.path, tc.body); got != tc.want {

@@ -32,11 +32,9 @@ type Config struct {
 	// Cache hits and singleflight joins bypass admission entirely.
 	MaxInFlight int
 	// MaxQueued bounds requests waiting for an execution slot; beyond
-	// it new work is refused with 429 + Retry-After (default 16;
+	// it new work is refused with 429 and a 5 s Retry-After (default 16;
 	// negative means refuse immediately once the slots are full).
 	MaxQueued int
-	// RetryAfter is the hint sent with 429 responses (default 5s).
-	RetryAfter time.Duration
 	// MaxSweepPoints bounds the points of one /v1/sweep request
 	// (default 64), and its body at this many times the 1 MiB /v1/run
 	// body bound.
@@ -57,12 +55,9 @@ type Config struct {
 	RunTimeout time.Duration
 	// CacheFile, when non-empty, persists the result cache across
 	// restarts: an existing snapshot is loaded at construction, and the
-	// cache is re-snapshotted every CacheSnapshotEvery insertions and
-	// on Drain (ndjson, temp-file + fsync + rename).
+	// cache is re-snapshotted every 32 insertions and on Drain (ndjson,
+	// temp-file + fsync + rename, a CRC-32C per entry).
 	CacheFile string
-	// CacheSnapshotEvery is the insertion cadence of automatic cache
-	// snapshots (default 32).
-	CacheSnapshotEvery int
 	// Log receives request-level diagnostics (default: discard).
 	Log io.Writer
 }
@@ -74,8 +69,7 @@ type Server struct {
 	mux   *http.ServeMux
 	cache *resultCache
 
-	mu        sync.Mutex
-	flights   map[string]*flight
+	mu        sync.Mutex // guards queued and perClient
 	queued    int
 	perClient map[string]int
 
@@ -102,9 +96,6 @@ func NewServer(cfg Config) (*Server, error) {
 	} else if cfg.MaxQueued == 0 {
 		cfg.MaxQueued = 16
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
-	}
 	if cfg.MaxSweepPoints <= 0 {
 		cfg.MaxSweepPoints = 64
 	}
@@ -114,14 +105,13 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		cache:     newResultCache(cfg.CacheEntries),
-		flights:   make(map[string]*flight),
+		cache:     newResultCache(cfg.CacheEntries, cfg.CacheFile, cfg.Log),
 		perClient: make(map[string]int),
 		slots:     make(chan struct{}, cfg.MaxInFlight),
 		drainCh:   make(chan struct{}),
 	}
 	if cfg.CacheFile != "" {
-		if err := s.cache.persistTo(cfg.CacheFile, cfg.CacheSnapshotEvery, cfg.Log); err != nil {
+		if err := s.cache.load(); err != nil {
 			return nil, err
 		}
 		if n := s.cache.stats().Loaded; n > 0 {
@@ -214,9 +204,7 @@ func (s *Server) BeginDrain() {
 func (s *Server) Drain() {
 	s.BeginDrain()
 	s.wg.Wait()
-	if s.cfg.CacheFile != "" {
-		s.cache.snapshotNow()
-	}
+	s.cache.snapshotNow()
 }
 
 // CacheStats snapshots the result cache.
@@ -313,19 +301,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // request; a /v1/sweep body may carry MaxSweepPoints times as many.
 const maxRunBody = 1 << 20
 
-// decodeBody decodes r's JSON body into v, refusing unknown fields
-// (400) and bodies over limit bytes (413) before buffering more.
+// retryAfter is the hint sent with 429 responses.
+const retryAfter = 5 * time.Second
+
+// decodeBody decodes r's JSON body into v, refusing unknown fields and
+// anything but whitespace after the value (400), and bodies over limit
+// bytes (413) before buffering more.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return &httpError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return nil
 		}
-		return &httpError{code: http.StatusBadRequest, msg: err.Error()}
+		if err == nil {
+			err = errors.New("serve: data after the request body")
+		}
 	}
-	return nil
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &httpError{code: http.StatusRequestEntityTooLarge, msg: err.Error()}
+	}
+	return &httpError{code: http.StatusBadRequest, msg: err.Error()}
 }
 
 // compile validates a request and lowers it to a pool RunSpec plus its
@@ -377,7 +375,7 @@ func compile(req *RunRequest) (shard.RunSpec, string, error) {
 // when per-client admission is configured, additionally charges the
 // request against that client's own bound — covering its queued wait
 // too, so a client cannot fill the queue either.
-func (s *Server) acquire(ctx ctxDone, client string) (func(), *httpError) {
+func (s *Server) acquire(ctx context.Context, client string) (func(), *httpError) {
 	select {
 	case <-s.drainCh:
 		return nil, &httpError{code: http.StatusServiceUnavailable, msg: "server is draining"}
@@ -391,7 +389,7 @@ func (s *Server) acquire(ctx ctxDone, client string) (func(), *httpError) {
 			return nil, &httpError{
 				code:       http.StatusTooManyRequests,
 				msg:        fmt.Sprintf("client at capacity: %d in flight", s.cfg.MaxInFlightPerClient),
-				retryAfter: s.cfg.RetryAfter,
+				retryAfter: retryAfter,
 			}
 		}
 		s.perClient[client]++
@@ -413,7 +411,7 @@ func (s *Server) acquire(ctx ctxDone, client string) (func(), *httpError) {
 }
 
 // acquireGlobal is the client-agnostic slot claim.
-func (s *Server) acquireGlobal(ctx ctxDone) (func(), *httpError) {
+func (s *Server) acquireGlobal(ctx context.Context) (func(), *httpError) {
 	release := func() { <-s.slots }
 	select {
 	case s.slots <- struct{}{}:
@@ -426,7 +424,7 @@ func (s *Server) acquireGlobal(ctx ctxDone) (func(), *httpError) {
 		return nil, &httpError{
 			code:       http.StatusTooManyRequests,
 			msg:        fmt.Sprintf("at capacity: %d in flight, %d queued", s.cfg.MaxInFlight, s.cfg.MaxQueued),
-			retryAfter: s.cfg.RetryAfter,
+			retryAfter: retryAfter,
 		}
 	}
 	s.queued++
@@ -446,57 +444,52 @@ func (s *Server) acquireGlobal(ctx ctxDone) (func(), *httpError) {
 	}
 }
 
-type ctxDone interface{ Done() <-chan struct{} }
-
-// joinOrLead returns fp's flight, creating and executing it when
-// absent. The caller hands over an admission-slot release; if an
-// existing flight is joined instead, the slot is released immediately.
-func (s *Server) joinOrLead(fp string, spec *shard.RunSpec, release func()) *flight {
-	s.mu.Lock()
-	if fl, ok := s.flights[fp]; ok {
-		s.mu.Unlock()
-		release()
-		return fl
+// resolve returns fp's flight, joined for the caller, who must leave
+// it, and whether it is a hit: a finished run. When the table has no
+// flight for fp, admit grants an execution slot (nil: the caller rides
+// on a slot it already holds, as sweep points do) and the request looks
+// again: if another request led or finished the run meanwhile, the
+// slot goes back and that flight is returned; otherwise this request
+// leads the run on the slot.
+func (s *Server) resolve(fp string, spec *shard.RunSpec, admit func() (func(), *httpError)) (*flight, bool, *httpError) {
+	if fl, hit := s.cache.get(fp); fl != nil {
+		return fl, hit, nil
 	}
-	fl := newFlight(fp)
-	s.flights[fp] = fl
-	s.mu.Unlock()
+	release := func() {}
+	if admit != nil {
+		var herr *httpError
+		if release, herr = admit(); herr != nil {
+			return nil, false, herr
+		}
+	}
+	fl, hit, led := s.cache.lead(fp)
+	if !led {
+		release()
+		return fl, hit, nil
+	}
 	s.wg.Add(1)
 	go s.execute(fl, spec, release)
-	return fl
+	return fl, false, nil
 }
 
-// execute is the flight leader: run once on the pool, insert the
-// result into the cache, then retire the flight and wake every waiter.
-// Cache insertion precedes flight removal so a request observing
-// neither can only re-derive the identical bytes, never lose them.
-//
-// The run executes under its own context — bounded by RunTimeout and
-// cancelled when the flight's last waiter leaves — so an abandoned or
-// overdue run tears down its in-flight shard jobs instead of leaking
-// them.
+// execute is the flight leader: it runs spec once on the pool and
+// records the outcome in the table. The run executes under the flight's
+// context, bounded by RunTimeout, so an abandoned or overdue run tears
+// down its in-flight shard jobs instead of leaking them.
 func (s *Server) execute(fl *flight, spec *shard.RunSpec, release func()) {
 	defer s.wg.Done()
 	defer release()
-	ctx := context.Background()
-	var cancel context.CancelFunc
+	ctx := fl.ctx
 	if s.cfg.RunTimeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RunTimeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-	fl.setCancel(cancel)
 	body, err := s.runOnce(ctx, spec, fl.publish)
-	if err == nil {
-		s.cache.put(fl.fp, body)
-	} else {
+	s.cache.finish(fl, body, err)
+	if err != nil {
 		fmt.Fprintf(s.cfg.Log, "serve: run %s failed: %v\n", fl.fp, err)
 	}
-	s.mu.Lock()
-	delete(s.flights, fl.fp)
-	s.mu.Unlock()
-	fl.finish(body, err)
 }
 
 func (s *Server) runOnce(ctx context.Context, spec *shard.RunSpec, progress func(shard.RunProgress)) ([]byte, error) {
@@ -511,25 +504,15 @@ func (s *Server) runOnce(ctx context.Context, spec *shard.RunSpec, progress func
 	return json.Marshal(res.Summary)
 }
 
-// flightOrCached resolves fp to either cached bytes or a flight to
-// wait on, admitting a new run if neither exists yet. A returned
-// flight has NOT been joined; the caller must join before blocking on
-// it and leave afterwards.
-func (s *Server) flightOrCached(ctx ctxDone, fp, client string, spec *shard.RunSpec) (*flight, []byte, *httpError) {
-	if b := s.cache.get(fp); b != nil {
-		return nil, b, nil
+// await blocks until fl has finished or ctx ends, returning the run's
+// summary bytes or its error.
+func await(ctx context.Context, fl *flight) ([]byte, error) {
+	select {
+	case <-fl.done:
+		return fl.body, fl.err
+	case <-ctx.Done():
+		return nil, errors.New("serve: client went away")
 	}
-	s.mu.Lock()
-	fl, ok := s.flights[fp]
-	s.mu.Unlock()
-	if ok {
-		return fl, nil, nil
-	}
-	release, herr := s.acquire(ctx, client)
-	if herr != nil {
-		return nil, nil, herr
-	}
-	return s.joinOrLead(fp, spec, release), nil, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -548,38 +531,32 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
-	if r.URL.Query().Get("stream") == "1" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamRun(w, r, fp, &spec)
-		return
-	}
-	fl, body, herr := s.flightOrCached(r.Context(), fp, s.clientKey(r), &spec)
+	fl, hit, herr := s.resolve(fp, &spec, func() (func(), *httpError) {
+		return s.acquire(r.Context(), s.clientKey(r))
+	})
 	if herr != nil {
 		s.writeError(w, herr)
 		return
 	}
-	if fl != nil {
-		fl.join()
-		defer fl.leave()
-		select {
-		case <-fl.done:
-		case <-r.Context().Done():
-			return
-		}
-		if fl.err != nil {
-			s.writeError(w, &httpError{code: http.StatusInternalServerError, msg: fl.err.Error()})
-			return
-		}
-		body = fl.body
+	defer fl.leave()
+	if r.URL.Query().Get("stream") == "1" ||
+		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		s.streamRun(w, r, fl, hit)
+		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Cached: fl == nil, Summary: body})
+	body, err := await(r.Context(), fl)
+	if err != nil {
+		s.writeError(w, &httpError{code: http.StatusInternalServerError, msg: err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Cached: hit, Summary: body})
 }
 
 // streamRun serves one run as a live event stream: ndjson by default,
 // SSE when the client asks for text/event-stream. Progress events are
 // coalesced (freshest wins, monotone); the terminal event carries the
 // same summary bytes a non-streaming request would have received.
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, fp string, spec *shard.RunSpec) {
+func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, fl *flight, hit bool) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	flusher, _ := w.(http.Flusher)
 	emit := func(ev streamEvent) {
@@ -596,31 +573,19 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, fp string, sp
 			flusher.Flush()
 		}
 	}
-	start := func() {
-		if sse {
-			w.Header().Set("Content-Type", "text/event-stream")
-			w.Header().Set("Cache-Control", "no-cache")
-		} else {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-		}
-		w.WriteHeader(http.StatusOK)
+	if sse {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-
-	fl, body, herr := s.flightOrCached(r.Context(), fp, s.clientKey(r), spec)
-	if herr != nil {
-		s.writeError(w, herr)
+	w.WriteHeader(http.StatusOK)
+	if hit {
+		emit(streamEvent{Type: "result", Fingerprint: fl.fp, Cached: true, Summary: fl.body})
 		return
 	}
-	if fl == nil {
-		start()
-		emit(streamEvent{Type: "result", Fingerprint: fp, Cached: true, Summary: body})
-		return
-	}
-	fl.join()
-	defer fl.leave()
 	sub := fl.subscribe()
 	defer fl.unsubscribe(sub)
-	start()
 	for {
 		select {
 		case pr := <-sub:
@@ -632,9 +597,9 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, fp string, sp
 			default:
 			}
 			if fl.err != nil {
-				emit(streamEvent{Type: "error", Fingerprint: fp, Error: fl.err.Error()})
+				emit(streamEvent{Type: "error", Fingerprint: fl.fp, Error: fl.err.Error()})
 			} else {
-				emit(streamEvent{Type: "result", Fingerprint: fp, Summary: fl.body})
+				emit(streamEvent{Type: "result", Fingerprint: fl.fp, Summary: fl.body})
 			}
 			return
 		case <-r.Context().Done():
@@ -709,12 +674,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, cached, err := s.resolvePoint(r.Context(), fps[i], &specs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = RunResponse{Fingerprint: fps[i], Cached: cached, Summary: body}
+			fl, hit, _ := s.resolve(fps[i], &specs[i], nil)
+			defer fl.leave()
+			body, err := await(r.Context(), fl)
+			results[i], errs[i] = RunResponse{Fingerprint: fps[i], Cached: hit, Summary: body}, err
 		}(i)
 	}
 	wg.Wait()
@@ -728,24 +691,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, SweepResponse{Results: results})
-}
-
-// resolvePoint is the sweep-side resolve: identical cache and
-// singleflight behaviour, but new flights ride on the sweep's already
-// held admission slot instead of acquiring their own.
-func (s *Server) resolvePoint(ctx ctxDone, fp string, spec *shard.RunSpec) ([]byte, bool, error) {
-	if b := s.cache.get(fp); b != nil {
-		return b, true, nil
-	}
-	fl := s.joinOrLead(fp, spec, func() {})
-	fl.join()
-	defer fl.leave()
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		return nil, false, fmt.Errorf("serve: client went away")
-	}
-	return fl.body, false, fl.err
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
