@@ -88,6 +88,22 @@ func TestFacadeSimulation(t *testing.T) {
 	}
 }
 
+// TestSimFingerprintRefusesNonFiniteParams: parameters that cannot
+// encode are an error, never a fingerprint. The fingerprint drops what
+// its encoder refuses, so a NaN HEP or crash rate that validated would
+// leave only the options hashed, and these two runs would share a key.
+func TestSimFingerprintRefusesNonFiniteParams(t *testing.T) {
+	nanHEP := PaperSimParams(4, 1e-4, math.NaN())
+	nanCrash := PaperSimParams(8, 1e-3, 0.001)
+	nanCrash.CrashRate = math.NaN()
+	o := SimOptions{Iterations: 2000, MissionTime: 1e5, Seed: 42}
+	for _, p := range []SimParams{nanHEP, nanCrash} {
+		if fp, err := SimFingerprint(p, o); err == nil {
+			t.Errorf("SimFingerprint(%d disks, HEP %v, crash %v) = %s, want a validation error", p.Disks, p.HEP, p.CrashRate, fp)
+		}
+	}
+}
+
 func TestFacadeSimulationPolicies(t *testing.T) {
 	p := PaperSimParams(4, 1e-4, 0.02)
 	p.Policy = PolicyAutoFailover

@@ -21,11 +21,14 @@ import (
 //	failure win in state s: the same minus ln b
 //
 // where F_s / G_s are the state's failure and non-failure exit
-// totals. Mission-censored holds and the Bernoulli(HEP) thinning draws
-// are measure-invariant and contribute nothing. Estimates are
-// reweighted through stats.WeightedAccumulator (self-normalized mean,
-// Horvitz–Thompson diagnostic, ESS); see the README's "Rare-event
-// acceleration" section for the estimator math.
+// totals. newRace (engine.go) applies this rule, once for every state
+// of the three kernels: each race carries its state's lnQuiet and
+// lnFail next to the biased winner cut points. Mission-censored holds
+// and the Bernoulli(HEP) thinning draws are measure-invariant and
+// contribute nothing. Estimates are reweighted through
+// stats.WeightedAccumulator (self-normalized mean, Horvitz–Thompson
+// diagnostic, ESS); see the README's "Rare-event acceleration" section
+// for the estimator math.
 
 // BiasAuto is the Options.Bias sentinel asking the run to pick the
 // inflation factor from the configuration's failure/repair rate ratio

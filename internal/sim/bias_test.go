@@ -71,6 +71,64 @@ func TestBiasOptionValidation(t *testing.T) {
 	}
 }
 
+// TestRaceWeights checks the change-of-measure rule where newRace
+// applies it, for every race the three memoryless kernels build: b = 1
+// leaves the race unbiased (zero weights, winner normalizer G+F), the
+// likelihood ratio has mean 1 under the proposal's winner draw, and
+// the cut points partition the draw in order.
+func TestRaceWeights(t *testing.T) {
+	for _, n := range []int{4, 5, 8} {
+		for _, lambda := range []float64{1e-6, 1e-4, 1e-2} {
+			for _, hep := range []float64{0, 0.01} {
+				for _, crash := range []float64{0, 0.01, 2} {
+					p := PaperDefaults(n, lambda, hep)
+					p.CrashRate = crash
+					p.Policy = AutoFailover // resolves the spare rates too
+					m, ok := memorylessRates(&p)
+					if !ok {
+						t.Fatalf("n=%d lambda=%g hep=%g: rates not memoryless", n, lambda, hep)
+					}
+					for _, b := range []float64{1, 1.5, 40, 1e4} {
+						conv := makeConvMemK(&p, m, b)
+						fo := makeFoMemK(&p, m, b)
+						dp := makeDpMemK(&p, m, b)
+						races := map[string]race{
+							"conv.exp": conv.exp, "conv.du": conv.du,
+							"fo.exp1": fo.exp1, "fo.opns": fo.opns, "fo.expns1": fo.expns1,
+							"fo.expns2": fo.expns2, "fo.du1": fo.du1, "fo.du2": fo.du2,
+							"dp.e1": dp.e1, "dp.e2": dp.e2, "dp.du": dp.du,
+						}
+						for name, r := range races {
+							at := func(format string, args ...any) {
+								t.Helper()
+								t.Errorf("%s (n=%d lambda=%g hep=%g crash=%g b=%g): "+format,
+									append([]any{name, n, lambda, hep, crash, b}, args...)...)
+							}
+							if !(r.cutU <= r.cutC && r.cutC <= r.tot) {
+								at("cuts %g, %g out of order below tot %g", r.cutU, r.cutC, r.tot)
+							}
+							if b == 1 {
+								if r.lnQuiet != 0 || r.lnFail != 0 {
+									at("unbiased weights %g, %g", r.lnQuiet, r.lnFail)
+								}
+								if r.tot != r.cutC+r.cutF || r.inv != inv(r.tot) {
+									at("unbiased tot %g is not G+F (hold 1/%g)", r.tot, 1/r.inv)
+								}
+							}
+							if r.tot > 0 {
+								mean := r.cutC/r.tot*math.Exp(r.lnQuiet) + r.cutF/r.tot*math.Exp(r.lnFail)
+								if math.Abs(mean-1) > 1e-12 {
+									at("likelihood ratio has mean %.17g under the proposal", mean)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestResolveBiasAuto(t *testing.T) {
 	// Paper configuration without human error: f = 3e-6, g = 0.1 =>
 	// b_bal ~ 33333; cycles = 4, kappa = 2 => b_var ~ 16668 wins.

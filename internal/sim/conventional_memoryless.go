@@ -27,66 +27,24 @@ import "math"
 // at paper rates) and sits well inside the CI-overlap tolerances
 // TestMemorylessMatchesGenericCIOverlap pins.
 
-// convMemK holds the conventional kernel's precomputed state
-// constants: the inverse total exit rate of each state (expInv
-// multiplies instead of divides) and the unnormalized cut points that
-// split a uniform draw over [0, total) among the competing risks.
-//
-// Under failure-biasing importance sampling (Options.Bias), only the
-// winner-selection constants change: every disk-failure share of a
-// race is inflated by the bias factor while holding times keep their
-// nominal law (the inv* fields), so the clock stays calibrated and the
-// per-transition likelihood ratio reduces to a state constant. The
-// ln* fields are those constants — the log-weight a quiet (non-failure)
-// or failure win of each race contributes, all exactly 0 when the
-// bias factor is 1.
+// convMemK holds the conventional kernel's state constants: the
+// all-up hold, the exposed race (replacement service against a second
+// failure), the DU race (undo and crash of the pulled disk against a
+// further failure) and the tape-restore hold.
 type convMemK struct {
-	invOP    float64 // 1/(n*lambda): all members up
-	invEXP   float64 // 1/(muDF + (n-1)*lambda): repair vs second failure
-	pFailEXP float64 // probability the second failure wins that race
-	raceInv  float64 // geomInv(pFailEXP): the race's skip-draw divisor
-	raceQCap float64 // geomQCap(pFailEXP): its censoring threshold
-	totDU    float64 // muHE + crash + b*(n-2)*lambda: the DU race's winner normalizer
-	invDU    float64 // 1/(muHE + crash + (n-2)*lambda): its nominal hold
-	cutDU1   float64 // undo-attempt share
-	cutDU2   float64 // + crash share
-	invTape  float64
-
-	lnQuietEXP float64 // repair wins the exposed race
-	lnFailEXP  float64 // second failure wins it
-	lnQuietDU  float64 // undo or crash wins the DU race
-	lnFailDU   float64 // a further failure wins it
+	invOP   float64 // 1/(n*lambda): all members up
+	exp, du race
+	invTape float64
 }
 
 func makeConvMemK(p *ArrayParams, m memRates, bias float64) convMemK {
 	n := float64(p.Disks)
-	totEXP := m.muDF + (n-1)*m.lambda
-	totEXPb := m.muDF + bias*(n-1)*m.lambda
-	totDU := m.muHE + p.CrashRate + (n-2)*m.lambda
-	totDUb := m.muHE + p.CrashRate + bias*(n-2)*m.lambda
-	pFail := bias * (n - 1) * m.lambda / totEXPb
-	k := convMemK{
-		invOP:    inv(n * m.lambda),
-		invEXP:   inv(totEXP),
-		pFailEXP: pFail,
-		raceInv:  geomInv(pFail),
-		raceQCap: geomQCap(pFail),
-		totDU:    totDUb,
-		invDU:    inv(totDU),
-		cutDU1:   m.muHE,
-		cutDU2:   m.muHE + p.CrashRate,
-		invTape:  inv(m.muDDF),
+	return convMemK{
+		invOP:   inv(n * m.lambda),
+		exp:     newRace(m.muDF, 0, n-1, m.lambda, bias),
+		du:      newRace(m.muHE, p.CrashRate, n-2, m.lambda, bias),
+		invTape: inv(m.muDDF),
 	}
-	if bias > 1 {
-		lnB := math.Log(bias)
-		k.lnQuietEXP = math.Log(totEXPb / totEXP)
-		k.lnFailEXP = k.lnQuietEXP - lnB
-		if totDU > 0 {
-			k.lnQuietDU = math.Log(totDUb / totDU)
-			k.lnFailDU = k.lnQuietDU - lnB
-		}
-	}
-	return k
 }
 
 // conventionalMemoryless walks one lifetime of the conventional
@@ -118,13 +76,13 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 	// failure rate whose first hold is infinite).
 	cycleRate := 0.0
 	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.invEXP)
+		cycleRate = 1 / (k.invOP + k.exp.inv)
 	}
 
 	for t < mission {
 		if cycleRate > 0 {
 			if raceGap < 0 || (raceGap == 0 && !raceExact) {
-				raceGap, raceExact = drawGeomGap(r, k.raceInv, k.raceQCap)
+				raceGap, raceExact = drawGeomGap(r, k.exp.gapInv, k.exp.gapQCap)
 			}
 			if hepGap < 0 || (hepGap == 0 && !hepExact) {
 				hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
@@ -135,14 +93,14 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 					break
 				}
 				opSum := sc.erlangChunk(c, k.invOP)
-				exSum := sc.erlangChunk(c, k.invEXP)
+				exSum := sc.erlangChunk(c, k.exp.inv)
 				if t+opSum+exSum >= mission {
-					sc.resolveChunk2(&st, t, mission, c, opSum, exSum, k.lnQuietEXP)
+					sc.resolveChunk(&st, t, mission, c, []float64{opSum, exSum}, []float64{0, k.exp.lnQuiet})
 					return st
 				}
 				t += opSum + exSum
 				st.events.Failures += int64(c)
-				st.logW += float64(c) * k.lnQuietEXP
+				st.logW += float64(c) * k.exp.lnQuiet
 				raceGap -= c
 				hepGap -= c
 			}
@@ -167,13 +125,13 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 			st.events.Failures++
 
 			// Exposed: replacement service races a second member failure.
-			dt := sc.expNext() * k.invEXP
+			dt := sc.expNext() * k.exp.inv
 			if t+dt >= mission {
 				return st // exposed is up; mission ends first
 			}
 			t += dt
 			if raceGap < 0 || (raceGap == 0 && !raceExact) {
-				raceGap, raceExact = drawGeomGap(r, k.raceInv, k.raceQCap)
+				raceGap, raceExact = drawGeomGap(r, k.exp.gapInv, k.exp.gapQCap)
 				redrawn = true
 			}
 			if raceGap == 0 {
@@ -181,12 +139,12 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				raceGap = -1
 				st.events.Failures++
 				st.events.DoubleFailures++
-				st.logW += k.lnFailEXP
+				st.logW += k.exp.lnFail
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				break
 			}
 			raceGap--
-			st.logW += k.lnQuietEXP
+			st.logW += k.exp.lnQuiet
 			if hepGap < 0 || (hepGap == 0 && !hepExact) {
 				hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
 				redrawn = true
@@ -206,16 +164,16 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 			st.events.HumanErrors++
 			duStart := t
 			for {
-				dt := sc.expNext() * k.invDU
+				dt := sc.expNext() * k.du.inv
 				if t+dt >= mission {
 					st.downDU += mission - duStart
 					t = mission
 					break
 				}
 				t += dt
-				u := r.Float64() * k.totDU
-				if u < k.cutDU1 {
-					st.logW += k.lnQuietDU
+				u := r.Float64() * k.du.tot
+				if u < k.du.cutU {
+					st.logW += k.du.lnQuiet
 					st.events.UndoAttempts++
 					if hepGap < 0 || (hepGap == 0 && !hepExact) {
 						hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
@@ -238,13 +196,13 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 					break
 				}
 				st.downDU += t - duStart
-				if u < k.cutDU2 {
+				if u < k.du.cutC {
 					// The wrongly removed disk crashed while out.
-					st.logW += k.lnQuietDU
+					st.logW += k.du.lnQuiet
 					st.events.Crashes++
 				} else {
 					// A further member failed while unavailable.
-					st.logW += k.lnFailDU
+					st.logW += k.du.lnFail
 					st.events.Failures++
 					st.events.DoubleFailures++
 				}

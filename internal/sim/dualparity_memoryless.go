@@ -5,76 +5,24 @@ import "math"
 // dpMemK holds the dual-parity memoryless kernel's state constants.
 // The walker state collapses to the number of missing members (failed
 // or wrongly pulled): 0, 1 or 2 while up, plus the DU state where a
-// third member is inaccessible. Semantics mirror dualparity.go.
+// third member is inaccessible. Semantics mirror dualparity.go. e1
+// and e2 race the replacement service against a further failure with
+// one and two members missing; du is the DU state's race.
 type dpMemK struct {
-	invOP float64 // n*lambda: fully redundant
-
-	totE1   float64 // muDF + (n-1)*lambda: exposed-1 service vs failure
-	invE1   float64
-	cutE1   float64 // failure share
-	gapInv  float64 // geomInv of the failure-beats-service probability
-	gapQCap float64 // its censoring threshold
-
-	totE2 float64 // muDF + (n-2)*lambda: exposed-2 service vs failure
-	invE2 float64
-	cutE2 float64 // failure share
-
-	totDU float64 // muHE + crash + (n-3)*lambda: the DU race
-	invDU float64
-	cutU  float64 // undo share
-	cutC  float64 // + crash share
-
-	invTape float64
-
-	// Importance-sampling log-weight constants (see convMemK): the
-	// tot*/cut* fields hold bias-inflated winner normalizers, the inv*
-	// fields the nominal holding rates. All 0 when the bias factor is 1.
-	lnQuietE1 float64
-	lnFailE1  float64
-	lnQuietE2 float64
-	lnFailE2  float64
-	lnQuietDU float64
-	lnFailDU  float64
+	invOP      float64 // 1/(n*lambda): fully redundant
+	e1, e2, du race
+	invTape    float64
 }
 
 func makeDpMemK(p *ArrayParams, m memRates, bias float64) dpMemK {
 	n := float64(p.Disks)
-	var k dpMemK
-	k.invOP = inv(n * m.lambda)
-
-	totE1 := m.muDF + (n-1)*m.lambda
-	k.totE1 = m.muDF + bias*(n-1)*m.lambda
-	k.invE1 = inv(totE1)
-	k.cutE1 = bias * (n - 1) * m.lambda
-	p1 := k.cutE1 * inv(k.totE1)
-	k.gapInv = geomInv(p1)
-	k.gapQCap = geomQCap(p1)
-
-	totE2 := m.muDF + (n-2)*m.lambda
-	k.totE2 = m.muDF + bias*(n-2)*m.lambda
-	k.invE2 = inv(totE2)
-	k.cutE2 = bias * (n - 2) * m.lambda
-
-	totDU := m.muHE + p.CrashRate + (n-3)*m.lambda
-	k.totDU = m.muHE + p.CrashRate + bias*(n-3)*m.lambda
-	k.invDU = inv(totDU)
-	k.cutU = m.muHE
-	k.cutC = m.muHE + p.CrashRate
-
-	k.invTape = inv(m.muDDF)
-
-	if bias > 1 {
-		lnB := math.Log(bias)
-		k.lnQuietE1 = math.Log(k.totE1 / totE1)
-		k.lnFailE1 = k.lnQuietE1 - lnB
-		k.lnQuietE2 = math.Log(k.totE2 / totE2)
-		k.lnFailE2 = k.lnQuietE2 - lnB
-		if totDU > 0 {
-			k.lnQuietDU = math.Log(k.totDU / totDU)
-			k.lnFailDU = k.lnQuietDU - lnB
-		}
+	return dpMemK{
+		invOP:   inv(n * m.lambda),
+		e1:      newRace(m.muDF, 0, n-1, m.lambda, bias),
+		e2:      newRace(m.muDF, 0, n-2, m.lambda, bias),
+		du:      newRace(m.muHE, p.CrashRate, n-3, m.lambda, bias),
+		invTape: inv(m.muDDF),
 	}
-	return k
 }
 
 // dualParityMemoryless walks one lifetime of the dual-parity policy's
@@ -97,7 +45,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 
 	cycleRate := 0.0
 	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.invE1)
+		cycleRate = 1 / (k.invOP + k.e1.inv)
 	}
 
 	for t < mission {
@@ -108,7 +56,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 				// failure-repair cycles collapse into two-Erlang chunks
 				// (see conventionalMemoryless).
 				if gap1 < 0 || (gap1 == 0 && !exact1) {
-					gap1, exact1 = drawGeomGap(r, k.gapInv, k.gapQCap)
+					gap1, exact1 = drawGeomGap(r, k.e1.gapInv, k.e1.gapQCap)
 				}
 				if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
 					sc.drawHEPGap(r)
@@ -119,14 +67,14 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 						break
 					}
 					opSum := sc.erlangChunk(c, k.invOP)
-					e1Sum := sc.erlangChunk(c, k.invE1)
+					e1Sum := sc.erlangChunk(c, k.e1.inv)
 					if t+opSum+e1Sum >= mission {
-						sc.resolveChunk2(&st, t, mission, c, opSum, e1Sum, k.lnQuietE1)
+						sc.resolveChunk(&st, t, mission, c, []float64{opSum, e1Sum}, []float64{0, k.e1.lnQuiet})
 						return st
 					}
 					t += opSum + e1Sum
 					st.events.Failures += int64(c)
-					st.logW += float64(c) * k.lnQuietE1
+					st.logW += float64(c) * k.e1.lnQuiet
 					gap1 -= c
 					sc.hepGap -= c
 				}
@@ -141,23 +89,23 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 
 		case 1:
 			// Exposed-1: repair service races a second failure.
-			dt := sc.expNext() * k.invE1
+			dt := sc.expNext() * k.e1.inv
 			if t+dt >= mission {
 				return st
 			}
 			t += dt
 			if gap1 < 0 || (gap1 == 0 && !exact1) {
-				gap1, exact1 = drawGeomGap(r, k.gapInv, k.gapQCap)
+				gap1, exact1 = drawGeomGap(r, k.e1.gapInv, k.e1.gapQCap)
 			}
 			if gap1 == 0 {
 				gap1 = -1
 				st.events.Failures++
-				st.logW += k.lnFailE1
+				st.logW += k.e1.lnFail
 				missing = 2
 				continue
 			}
 			gap1--
-			st.logW += k.lnQuietE1
+			st.logW += k.e1.lnQuiet
 			if !sc.hepTrial(r) {
 				missing = 0
 				continue
@@ -169,21 +117,21 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 
 		default:
 			// Exposed-2 (up, critical): repair races a third loss.
-			dt := sc.expNext() * k.invE2
+			dt := sc.expNext() * k.e2.inv
 			if t+dt >= mission {
 				return st
 			}
 			t += dt
-			if r.Float64()*k.totE2 < k.cutE2 {
+			if r.Float64()*k.e2.tot < k.e2.cutF {
 				// Third concurrent loss: data gone.
 				st.events.Failures++
 				st.events.DoubleFailures++
-				st.logW += k.lnFailE2
+				st.logW += k.e2.lnFail
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				missing = 0
 				continue
 			}
-			st.logW += k.lnQuietE2
+			st.logW += k.e2.lnQuiet
 			if !sc.hepTrial(r) {
 				missing = 1 // one member repaired
 				continue
@@ -193,15 +141,15 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 			st.events.HumanErrors++
 			duStart := t
 			for {
-				dt := sc.expNext() * k.invDU
+				dt := sc.expNext() * k.du.inv
 				if t+dt >= mission {
 					st.downDU += mission - duStart
 					return st
 				}
 				t += dt
-				u := r.Float64() * k.totDU
-				if u < k.cutU {
-					st.logW += k.lnQuietDU
+				u := r.Float64() * k.du.tot
+				if u < k.du.cutU {
+					st.logW += k.du.lnQuiet
 					st.events.UndoAttempts++
 					if sc.hepTrial(r) {
 						st.events.HumanErrors++
@@ -222,12 +170,12 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 					break
 				}
 				st.downDU += t - duStart
-				if u < k.cutC {
-					st.logW += k.lnQuietDU
+				if u < k.du.cutC {
+					st.logW += k.du.lnQuiet
 					st.events.Crashes++
 				} else {
 					// Fourth loss while unavailable: catastrophic.
-					st.logW += k.lnFailDU
+					st.logW += k.du.lnFail
 					st.events.Failures++
 					st.events.DoubleFailures++
 				}

@@ -79,6 +79,57 @@ type memRates struct {
 	muCH   float64 // spare swap
 }
 
+// race is one CTMC state's exit race, as the memoryless kernels walk
+// it: a nominal holding time, then a winner draw u ~ U[0, tot) that
+// picks the undo (or service) exit below cutU, the crash exit below
+// cutC and a disk failure above it (or, where a walker tests it
+// first, below cutF). G = undo + crash is the non-failure exit total
+// and F = k·lambda the failure total of the k members still racing.
+//
+// Under failure-biasing importance sampling (Options.Bias) only the
+// winner draw changes: the failure share is inflated to b·F while the
+// hold keeps its nominal rate G+F, so the clock stays calibrated and
+// the likelihood ratio of each win is a constant of the race — lnQuiet
+// for a non-failure win, lnFail for a failure win (the change-of-measure
+// rule of bias.go). A walker adds the weight only once the hold has
+// completed within the mission: a hold the mission censors decides no
+// winner and weighs nothing. b = 1 reproduces the unbiased constants
+// exactly: multiplying by 1 is exact and both weights are 0.
+type race struct {
+	inv              float64 // 1/(G+F): the nominal hold
+	tot              float64 // G + b·F: the winner draw's normalizer
+	cutU, cutC, cutF float64 // undo share, G, and the biased failure share b·F
+	// gapInv and gapQCap skip-sample the failure outcome (drawGeomGap)
+	// at its biased probability cutF/tot.
+	gapInv, gapQCap float64
+	lnQuiet, lnFail float64
+}
+
+// newRace builds the race of a state whose non-failure exits are undo
+// (or a service) and crash, with k members failing at rate lambda each,
+// under failure-bias factor b (1 unbiased).
+func newRace(undo, crash, k, lambda, b float64) race {
+	g := undo + crash
+	nominal := g + k*lambda
+	r := race{
+		inv:  inv(nominal),
+		tot:  g + b*k*lambda,
+		cutU: undo,
+		cutC: g,
+		cutF: b * k * lambda,
+	}
+	p := 0.0
+	if r.tot > 0 {
+		p = r.cutF / r.tot
+	}
+	r.gapInv, r.gapQCap = geomInv(p), geomQCap(p)
+	if b > 1 && nominal > 0 {
+		r.lnQuiet = math.Log(r.tot / nominal)
+		r.lnFail = r.lnQuiet - math.Log(b)
+	}
+	return r
+}
+
 // memorylessRates resolves the configuration's rates when every law
 // the policy draws from answers dist.Memoryless.
 func memorylessRates(p *ArrayParams) (memRates, bool) {
@@ -206,11 +257,11 @@ type scratch struct {
 	// iterations.
 	expBuf [expBufLen]float64
 
-	// aggA/aggB/aggC are the per-phase stage scratch of the censored
-	// chunk resolution (resolveChunk2/resolveChunk3), sized to the
-	// largest aggregation chunk. Cold: touched at most once per
-	// iteration, at mission end.
-	aggA, aggB, aggC [aggMax]float64
+	// agg holds the per-phase stage scratch of the censored chunk
+	// resolution (resolveChunk), one row per phase of the longest
+	// benign cycle, sized to the largest aggregation chunk. Cold:
+	// touched at most once per iteration, at mission end.
+	agg [3][aggMax]float64
 }
 
 // newScratch builds a worker's scratch for the given kernel request.
@@ -219,10 +270,7 @@ type scratch struct {
 // walker here. bias is the resolved failure-inflation factor of an
 // importance-sampled run (values <= 1 mean unbiased; prepareRange
 // rejects biased requests on non-memoryless configurations before any
-// scratch is built). With bias 1 every kernel constant below is
-// bit-identical to the unbiased construction — multiplying a rate by
-// 1.0 is exact and ln(1) is 0 — so unbiased realizations are
-// unchanged.
+// scratch is built).
 func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
 	if bias < 1 {
 		bias = 1
@@ -433,32 +481,9 @@ func (sc *scratch) expNext() float64 {
 	return v
 }
 
-// expB is expInv off the buffered stream: an exponential variate for
-// the precomputed inverse rate, +Inf when the event never fires.
-func (sc *scratch) expB(invRate float64) float64 {
-	if invRate <= 0 {
-		return plusInf
-	}
-	return sc.expNext() * invRate
-}
-
-// aggSmall is the chunk size up to which erlangChunk sums buffered
-// exponentials instead of paying dist.ErlangFloat64's rejection
-// constant: c buffered draws undercut one rejection draw while
-// c*~3ns stays below mtDraw's ~18ns.
-const aggSmall = 1
-
 // erlangChunk draws one Erlang(c) variate scaled by invRate — the
-// elapsed time of c aggregated same-phase holds. Small chunks sum off
-// the refill buffer; larger ones use dist.ErlangFloat64's O(1) draw.
+// elapsed time of c aggregated same-phase holds.
 func (sc *scratch) erlangChunk(c int, invRate float64) float64 {
-	if c <= aggSmall {
-		s := sc.expNext()
-		for i := 1; i < c; i++ {
-			s += sc.expNext()
-		}
-		return s * invRate
-	}
 	return dist.ErlangFloat64(&sc.src, c) * invRate
 }
 
@@ -466,7 +491,7 @@ func (sc *scratch) erlangChunk(c int, invRate float64) float64 {
 // the expected cycles left in the mission — large enough to collapse
 // most of the mission in a couple of chunks, small enough that chunks
 // rarely straddle mission end (an exact but cycle-by-cycle resolution,
-// resolveChunk2/3) — bounded by the quiet cycles the skip counters
+// resolveChunk) — bounded by the quiet cycles the skip counters
 // guarantee and by the cached Erlang constants. 0 means aggregation
 // stops paying and the caller walks cycles individually.
 func quietChunk(expCycles float64, g1, g2, g3 int) int {
@@ -489,82 +514,50 @@ func quietChunk(expCycles float64, g1, g2, g3 int) int {
 	return c
 }
 
-// resolveChunk2 finishes an iteration whose aggregated chunk of c
-// two-phase benign cycles (per-cycle holds aTot-phase then bTot-phase)
-// straddles mission end. Conditioned on an Erlang total, the
-// individual stage holds are the total split proportionally to fresh
-// iid rate-1 exponentials (the Dirichlet(1,...,1) representation of
-// uniform order-statistic spacings), so the walk below replays the
-// chunk cycle by cycle and counts the member failures — one per
-// completed first-phase hold — that precede mission end, exactly as
-// the unaggregated walk would. The array is up throughout a benign
-// cycle, so no downtime accrues, and the iteration ends inside the
-// chunk by construction.
+// resolveChunk finishes an iteration whose aggregated chunk of c
+// benign cycles straddles mission end. A cycle runs len(tot) phases in
+// order — OP hold, then the exposed race, then (fail-over) the spare
+// swap — and tot[ph] is the chunk's drawn Erlang total of phase ph.
+// Conditioned on an Erlang total, the individual stage holds are the
+// total split proportionally to fresh iid rate-1 exponentials (the
+// Dirichlet(1,...,1) representation of uniform order-statistic
+// spacings), so the walk below replays the chunk cycle by cycle and
+// counts the member failures — one per completed first-phase hold —
+// that precede mission end, exactly as the unaggregated walk would.
+// The array is up throughout a benign cycle, so no downtime accrues,
+// and the iteration ends inside the chunk by construction.
 //
-// lnB is the per-cycle quiet-race log-weight of an importance-sampled
-// run (0 unbiased): a cycle's race trial only manifests once its
-// b-phase hold completes within the mission, so the weight lands after
-// that censoring check — the chunk's skip counters stay untouched for
-// a straddling chunk, and trials the mission cuts off must not weigh.
-func (sc *scratch) resolveChunk2(st *iterStats, t, mission float64, c int, aTot, bTot, lnB float64) {
-	a, b := sc.aggA[:c], sc.aggB[:c]
-	sc.src.ExpFloat64N(a)
-	sc.src.ExpFloat64N(b)
-	sumA, sumB := 0.0, 0.0
-	for i := 0; i < c; i++ {
-		sumA += a[i]
-		sumB += b[i]
+// ln[ph] is the quiet-race log-weight of a later phase ph under
+// importance sampling (0 unbiased; ln[0] is unused). A race's trial
+// only manifests once its hold completes within the mission, so its
+// weight lands after that phase's censoring check: the chunk's skip
+// counters stay untouched for a straddling chunk, and trials the
+// mission cuts off must not weigh.
+func (sc *scratch) resolveChunk(st *iterStats, t, mission float64, c int, tot, ln []float64) {
+	var scale [len(sc.agg)]float64
+	for ph := range tot {
+		x := sc.agg[ph][:c]
+		sc.src.ExpFloat64N(x)
+		sum := 0.0
+		for _, v := range x {
+			sum += v
+		}
+		scale[ph] = tot[ph] / sum
 	}
-	sa, sb := aTot/sumA, bTot/sumB
 	for i := 0; i < c; i++ {
-		t += a[i] * sa
-		if t >= mission {
-			return
+		for ph := range tot {
+			t += sc.agg[ph][i] * scale[ph]
+			if t >= mission {
+				return
+			}
+			if ph == 0 {
+				st.events.Failures++
+			} else {
+				st.logW += ln[ph]
+			}
 		}
-		st.events.Failures++
-		t += b[i] * sb
-		if t >= mission {
-			return
-		}
-		st.logW += lnB
 	}
 	// Unreachable up to floating-point rounding of the prefix sums;
 	// landing here means the mission boundary fell within rounding of
 	// the chunk's end, with every cycle complete.
-}
-
-// resolveChunk3 is resolveChunk2 for the fail-over policy's
-// three-phase benign cycle (OP hold, then rebuild, then swap); lnB and
-// lnD are the rebuild and swap phases' quiet-race log-weights. The two
-// tail holds advance time separately so each race's weight sits behind
-// its own censoring check.
-func (sc *scratch) resolveChunk3(st *iterStats, t, mission float64, c int, aTot, bTot, cTot, lnB, lnD float64) {
-	a, b, d := sc.aggA[:c], sc.aggB[:c], sc.aggC[:c]
-	sc.src.ExpFloat64N(a)
-	sc.src.ExpFloat64N(b)
-	sc.src.ExpFloat64N(d)
-	sumA, sumB, sumD := 0.0, 0.0, 0.0
-	for i := 0; i < c; i++ {
-		sumA += a[i]
-		sumB += b[i]
-		sumD += d[i]
-	}
-	sa, sb, sd := aTot/sumA, bTot/sumB, cTot/sumD
-	for i := 0; i < c; i++ {
-		t += a[i] * sa
-		if t >= mission {
-			return
-		}
-		st.events.Failures++
-		t += b[i] * sb
-		if t >= mission {
-			return
-		}
-		st.logW += lnB
-		t += d[i] * sd
-		if t >= mission {
-			return
-		}
-		st.logW += lnD
-	}
 }

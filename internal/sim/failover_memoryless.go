@@ -1,134 +1,39 @@
 package sim
 
-import "math"
-
 // foMemK holds the fail-over memoryless kernel's per-phase constants:
-// for each phase of the Fig. 3 machine, the inverse total exit rate
-// and the unnormalized cut points of its competing risks. Phase
-// semantics mirror failover.go; disk identity is collapsed to counts
-// (one failed member, one or two pulled members) by exchangeability
-// and memorylessness.
+// one race per phase of the Fig. 3 machine past OP. Phase semantics
+// mirror failover.go; disk identity is collapsed to counts (one failed
+// member, one or two pulled members) by exchangeability and
+// memorylessness. lnQuietCycle is the benign cycle's combined quiet
+// weight (EXP1 then OPns), precomputed for the chunk loop.
 type foMemK struct {
-	invOP float64 // n*lambda: wait for the first failure
+	invOP float64 // 1/(n*lambda): wait for the first failure
 
-	totEXP1  float64 // muS + (n-1)*lambda: rebuild-to-spare vs failure
-	invEXP1  float64
-	cutEXP1  float64 // failure share
-	gap1Inv  float64 // geomInv of the failure-beats-rebuild probability
-	gap1QCap float64 // its censoring threshold
+	exp1   race // rebuild onto the spare vs a second failure
+	opns   race // spare swap vs a failure
+	expns1 race // direct service (no spare) vs a second failure
+	expns2 race // a healthy member pulled, still up
+	du1    race // one failed and one pulled: unavailable
+	du2    race // two pulled: unavailable
 
-	totOPns  float64 // muCH + n*lambda: spare swap vs failure
-	invOPns  float64
-	cutOPns  float64 // failure share
-	gap2Inv  float64 // geomInv of the failure-beats-swap probability
-	gap2QCap float64 // its censoring threshold
-
-	totEXPns1 float64 // muDF + (n-1)*lambda: direct service vs failure
-	invEXPns1 float64
-	cutEXPns1 float64 // failure share
-
-	totEXPns2  float64 // muHE + crash + (n-1)*lambda: healthy pull, up
-	invEXPns2  float64
-	cutUEXPns2 float64 // undo share
-	cutCEXPns2 float64 // + crash share
-
-	totDU1  float64 // muHE + crash + (n-2)*lambda: failed + pulled
-	invDU1  float64
-	cutUDU1 float64
-	cutCDU1 float64
-
-	totDU2  float64 // muHE + 2*crash + (n-2)*lambda: two pulled
-	invDU2  float64
-	cutUDU2 float64
-	cutCDU2 float64
-
-	invTape float64
-
-	// Importance-sampling log-weight constants, one quiet/fail pair per
-	// biased race (see convMemK): the tot*/cut* fields above hold the
-	// bias-inflated winner normalizers while the inv* fields keep the
-	// nominal holding rates. lnQuietCycle is the benign cycle's combined
-	// quiet weight (EXP1 + OPns), precomputed for the chunk loop. All 0
-	// when the bias factor is 1.
-	lnQuietEXP1   float64
-	lnFailEXP1    float64
-	lnQuietOPns   float64
-	lnFailOPns    float64
-	lnQuietEXPns1 float64
-	lnFailEXPns1  float64
-	lnQuietEXPns2 float64
-	lnFailEXPns2  float64
-	lnQuietDU1    float64
-	lnFailDU1     float64
-	lnQuietDU2    float64
-	lnFailDU2     float64
-	lnQuietCycle  float64
+	invTape      float64
+	lnQuietCycle float64
 }
 
 func makeFoMemK(p *ArrayParams, m memRates, bias float64) foMemK {
 	n := float64(p.Disks)
 	crash := p.CrashRate
-	var k foMemK
-	k.invOP = inv(n * m.lambda)
-
-	totEXP1 := m.muS + (n-1)*m.lambda
-	k.totEXP1 = m.muS + bias*(n-1)*m.lambda
-	k.invEXP1 = inv(totEXP1)
-	k.cutEXP1 = bias * (n - 1) * m.lambda
-	p1 := k.cutEXP1 * inv(k.totEXP1)
-	k.gap1Inv = geomInv(p1)
-	k.gap1QCap = geomQCap(p1)
-
-	totOPns := m.muCH + n*m.lambda
-	k.totOPns = m.muCH + bias*n*m.lambda
-	k.invOPns = inv(totOPns)
-	k.cutOPns = bias * n * m.lambda
-	p2 := k.cutOPns * inv(k.totOPns)
-	k.gap2Inv = geomInv(p2)
-	k.gap2QCap = geomQCap(p2)
-
-	totEXPns1 := m.muDF + (n-1)*m.lambda
-	k.totEXPns1 = m.muDF + bias*(n-1)*m.lambda
-	k.invEXPns1 = inv(totEXPns1)
-	k.cutEXPns1 = bias * (n - 1) * m.lambda
-
-	totEXPns2 := m.muHE + crash + (n-1)*m.lambda
-	k.totEXPns2 = m.muHE + crash + bias*(n-1)*m.lambda
-	k.invEXPns2 = inv(totEXPns2)
-	k.cutUEXPns2 = m.muHE
-	k.cutCEXPns2 = m.muHE + crash
-
-	totDU1 := m.muHE + crash + (n-2)*m.lambda
-	k.totDU1 = m.muHE + crash + bias*(n-2)*m.lambda
-	k.invDU1 = inv(totDU1)
-	k.cutUDU1 = m.muHE
-	k.cutCDU1 = m.muHE + crash
-
-	totDU2 := m.muHE + 2*crash + (n-2)*m.lambda
-	k.totDU2 = m.muHE + 2*crash + bias*(n-2)*m.lambda
-	k.invDU2 = inv(totDU2)
-	k.cutUDU2 = m.muHE
-	k.cutCDU2 = m.muHE + 2*crash
-
-	k.invTape = inv(m.muDDF)
-
-	if bias > 1 {
-		lnB := math.Log(bias)
-		lnPair := func(biased, nominal float64) (quiet, fail float64) {
-			if nominal <= 0 {
-				return 0, 0
-			}
-			quiet = math.Log(biased / nominal)
-			return quiet, quiet - lnB
-		}
-		k.lnQuietEXP1, k.lnFailEXP1 = lnPair(k.totEXP1, totEXP1)
-		k.lnQuietOPns, k.lnFailOPns = lnPair(k.totOPns, totOPns)
-		k.lnQuietEXPns1, k.lnFailEXPns1 = lnPair(k.totEXPns1, totEXPns1)
-		k.lnQuietEXPns2, k.lnFailEXPns2 = lnPair(k.totEXPns2, totEXPns2)
-		k.lnQuietDU1, k.lnFailDU1 = lnPair(k.totDU1, totDU1)
-		k.lnQuietDU2, k.lnFailDU2 = lnPair(k.totDU2, totDU2)
-		k.lnQuietCycle = k.lnQuietEXP1 + k.lnQuietOPns
+	k := foMemK{
+		invOP:   inv(n * m.lambda),
+		exp1:    newRace(m.muS, 0, n-1, m.lambda, bias),
+		opns:    newRace(m.muCH, 0, n, m.lambda, bias),
+		expns1:  newRace(m.muDF, 0, n-1, m.lambda, bias),
+		expns2:  newRace(m.muHE, crash, n-1, m.lambda, bias),
+		du1:     newRace(m.muHE, crash, n-2, m.lambda, bias),
+		du2:     newRace(m.muHE, 2*crash, n-2, m.lambda, bias),
+		invTape: inv(m.muDDF),
 	}
+	k.lnQuietCycle = k.exp1.lnQuiet + k.opns.lnQuiet
 	return k
 }
 
@@ -157,7 +62,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 	cycleRate := 0.0
 	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.invEXP1 + k.invOPns)
+		cycleRate = 1 / (k.invOP + k.exp1.inv + k.opns.inv)
 	}
 
 	for t < mission {
@@ -165,10 +70,10 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 		case phOP:
 			if cycleRate > 0 {
 				if gap1 < 0 || (gap1 == 0 && !exact1) {
-					gap1, exact1 = drawGeomGap(r, k.gap1Inv, k.gap1QCap)
+					gap1, exact1 = drawGeomGap(r, k.exp1.gapInv, k.exp1.gapQCap)
 				}
 				if gap2 < 0 || (gap2 == 0 && !exact2) {
-					gap2, exact2 = drawGeomGap(r, k.gap2Inv, k.gap2QCap)
+					gap2, exact2 = drawGeomGap(r, k.opns.gapInv, k.opns.gapQCap)
 				}
 				if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
 					sc.drawHEPGap(r)
@@ -179,10 +84,10 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 						break
 					}
 					opSum := sc.erlangChunk(c, k.invOP)
-					exSum := sc.erlangChunk(c, k.invEXP1)
-					nsSum := sc.erlangChunk(c, k.invOPns)
+					exSum := sc.erlangChunk(c, k.exp1.inv)
+					nsSum := sc.erlangChunk(c, k.opns.inv)
 					if t+opSum+exSum+nsSum >= mission {
-						sc.resolveChunk3(&st, t, mission, c, opSum, exSum, nsSum, k.lnQuietEXP1, k.lnQuietOPns)
+						sc.resolveChunk(&st, t, mission, c, []float64{opSum, exSum, nsSum}, []float64{0, k.exp1.lnQuiet, k.opns.lnQuiet})
 						return st
 					}
 					t += opSum + exSum + nsSum
@@ -203,19 +108,19 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phEXP1:
 			// On-line rebuild onto the hot spare; no human involved.
-			dt := sc.expNext() * k.invEXP1
+			dt := sc.expNext() * k.exp1.inv
 			if t+dt >= mission {
 				return st // exposed but up
 			}
 			t += dt
 			if gap1 < 0 || (gap1 == 0 && !exact1) {
-				gap1, exact1 = drawGeomGap(r, k.gap1Inv, k.gap1QCap)
+				gap1, exact1 = drawGeomGap(r, k.exp1.gapInv, k.exp1.gapQCap)
 			}
 			if gap1 == 0 {
 				gap1 = -1
 				st.events.Failures++
 				st.events.DoubleFailures++
-				st.logW += k.lnFailEXP1
+				st.logW += k.exp1.lnFail
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				// Restore rebuilds the full configuration, spare
 				// included (Fig. 3: DL --muDDF--> OP).
@@ -223,29 +128,29 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				continue
 			}
 			gap1--
-			st.logW += k.lnQuietEXP1
+			st.logW += k.exp1.lnQuiet
 			phase = phOPns // spare now carries the data
 
 		case phOPns:
 			// Technician replenishes the spare slot; a wrong pull here
 			// hits a fully redundant array (degraded, still up).
-			dt := sc.expNext() * k.invOPns
+			dt := sc.expNext() * k.opns.inv
 			if t+dt >= mission {
 				return st
 			}
 			t += dt
 			if gap2 < 0 || (gap2 == 0 && !exact2) {
-				gap2, exact2 = drawGeomGap(r, k.gap2Inv, k.gap2QCap)
+				gap2, exact2 = drawGeomGap(r, k.opns.gapInv, k.opns.gapQCap)
 			}
 			if gap2 == 0 {
 				gap2 = -1
 				st.events.Failures++
-				st.logW += k.lnFailOPns
+				st.logW += k.opns.lnFail
 				phase = phEXPns1
 				continue
 			}
 			gap2--
-			st.logW += k.lnQuietOPns
+			st.logW += k.opns.lnQuiet
 			if !sc.hepTrial(r) {
 				phase = phOP // spare slot replenished
 				continue
@@ -256,20 +161,20 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 		case phEXPns1:
 			// Exposed with no spare: direct replace-and-rebuild
 			// service, racing a second member failure.
-			dt := sc.expNext() * k.invEXPns1
+			dt := sc.expNext() * k.expns1.inv
 			if t+dt >= mission {
 				return st
 			}
 			t += dt
-			if r.Float64()*k.totEXPns1 < k.cutEXPns1 {
+			if r.Float64()*k.expns1.tot < k.expns1.cutF {
 				st.events.Failures++
 				st.events.DoubleFailures++
-				st.logW += k.lnFailEXPns1
+				st.logW += k.expns1.lnFail
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				phase = phOPns // DLns --muDDF--> OPns
 				continue
 			}
-			st.logW += k.lnQuietEXPns1
+			st.logW += k.expns1.lnQuiet
 			if !sc.hepTrial(r) {
 				phase = phOPns
 				continue
@@ -280,15 +185,15 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phEXPns2:
 			// A healthy member is out; data still available (n-1 of n).
-			dt := sc.expNext() * k.invEXPns2
+			dt := sc.expNext() * k.expns2.inv
 			if t+dt >= mission {
 				return st
 			}
 			t += dt
-			u := r.Float64() * k.totEXPns2
+			u := r.Float64() * k.expns2.tot
 			switch {
-			case u < k.cutUEXPns2:
-				st.logW += k.lnQuietEXPns2
+			case u < k.expns2.cutU:
+				st.logW += k.expns2.lnQuiet
 				st.events.UndoAttempts++
 				if sc.hepTrial(r) {
 					// Second error pulls another healthy member.
@@ -300,15 +205,15 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				// Re-seat; the new disk becomes the hot spare
 				// (Fig. 3: EXPns2 --(1-hep)muHE--> OP).
 				phase = phOP
-			case u < k.cutCEXPns2:
+			case u < k.expns2.cutC:
 				// Pulled disk died while out: it is now simply a
 				// failed member with no spare.
-				st.logW += k.lnQuietEXPns2
+				st.logW += k.expns2.lnQuiet
 				st.events.Crashes++
 				phase = phEXPns1
 			default:
 				// Failure on top of the pull: unavailable.
-				st.logW += k.lnFailEXPns2
+				st.logW += k.expns2.lnFail
 				st.events.Failures++
 				duStart = t
 				phase = phDUns1
@@ -316,16 +221,16 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phDUns1:
 			// One failed + one pulled: unavailable until undone.
-			dt := sc.expNext() * k.invDU1
+			dt := sc.expNext() * k.du1.inv
 			if t+dt >= mission {
 				st.downDU += mission - duStart
 				return st
 			}
 			t += dt
-			u := r.Float64() * k.totDU1
+			u := r.Float64() * k.du1.tot
 			switch {
-			case u < k.cutUDU1:
-				st.logW += k.lnQuietDU1
+			case u < k.du1.cutU:
+				st.logW += k.du1.lnQuiet
 				st.events.UndoAttempts++
 				if sc.hepTrial(r) {
 					st.events.HumanErrors++
@@ -334,16 +239,16 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				// Pulled disk re-seated; failed member remains.
 				st.downDU += t - duStart
 				phase = phEXPns1
-			case u < k.cutCDU1:
+			case u < k.du1.cutC:
 				// Pulled disk crashed: double loss, restore.
-				st.logW += k.lnQuietDU1
+				st.logW += k.du1.lnQuiet
 				st.events.Crashes++
 				st.downDU += t - duStart
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				phase = phOPns
 			default:
 				// Third member lost: catastrophic, restore all.
-				st.logW += k.lnFailDU1
+				st.logW += k.du1.lnFail
 				st.events.Failures++
 				st.events.DoubleFailures++
 				st.downDU += t - duStart
@@ -353,16 +258,16 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phDUns2:
 			// Two healthy members pulled (double human error).
-			dt := sc.expNext() * k.invDU2
+			dt := sc.expNext() * k.du2.inv
 			if t+dt >= mission {
 				st.downDU += mission - duStart
 				return st
 			}
 			t += dt
-			u := r.Float64() * k.totDU2
+			u := r.Float64() * k.du2.tot
 			switch {
-			case u < k.cutUDU2:
-				st.logW += k.lnQuietDU2
+			case u < k.du2.cutU:
+				st.logW += k.du2.lnQuiet
 				st.events.UndoAttempts++
 				if sc.hepTrial(r) {
 					st.events.HumanErrors++
@@ -371,17 +276,17 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				// One pull undone; still one member out (up again).
 				st.downDU += t - duStart
 				phase = phEXPns2
-			case u < k.cutCDU2:
+			case u < k.du2.cutC:
 				// One of the two pulled disks crashed; it becomes the
 				// failed member of a still-unavailable DUns1.
-				st.logW += k.lnQuietDU2
+				st.logW += k.du2.lnQuiet
 				st.events.Crashes++
 				st.downDU += t - duStart
 				duStart = t
 				phase = phDUns1
 			default:
 				// Failure with two members out: catastrophic.
-				st.logW += k.lnFailDU2
+				st.logW += k.du2.lnFail
 				st.events.Failures++
 				st.events.DoubleFailures++
 				st.downDU += t - duStart

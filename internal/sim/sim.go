@@ -131,14 +131,16 @@ func (p *ArrayParams) Validate() error {
 	if p.TTF == nil || p.Repair == nil || p.TapeRestore == nil {
 		return errors.New("sim: TTF, Repair and TapeRestore distributions are required")
 	}
-	if p.HEP < 0 || p.HEP > 1 {
+	// The negated-range forms catch NaN, which plain comparisons let
+	// through (see Options.Validate).
+	if !(p.HEP >= 0 && p.HEP <= 1) {
 		return fmt.Errorf("sim: HEP %v outside [0,1]", p.HEP)
 	}
 	if p.HEP > 0 && p.HERecovery == nil {
 		return errors.New("sim: HERecovery distribution required when HEP > 0")
 	}
-	if p.CrashRate < 0 {
-		return fmt.Errorf("sim: negative crash rate %v", p.CrashRate)
+	if !(p.CrashRate >= 0) || math.IsInf(p.CrashRate, 1) {
+		return fmt.Errorf("sim: crash rate %v must be non-negative and finite", p.CrashRate)
 	}
 	if p.Policy == AutoFailover && (p.SpareRebuild == nil || p.SpareSwap == nil) {
 		return errors.New("sim: AutoFailover requires SpareRebuild and SpareSwap distributions")

@@ -260,6 +260,9 @@ func TestValidationErrors(t *testing.T) {
 		func() ArrayParams { p := good; p.HEP = 1.1; return p }(),
 		func() ArrayParams { p := good; p.HERecovery = nil; return p }(),
 		func() ArrayParams { p := good; p.CrashRate = -1; return p }(),
+		func() ArrayParams { p := good; p.HEP = math.NaN(); return p }(),
+		func() ArrayParams { p := good; p.CrashRate = math.NaN(); return p }(),
+		func() ArrayParams { p := good; p.CrashRate = math.Inf(1); return p }(),
 		func() ArrayParams { p := good; p.Policy = Policy(9); return p }(),
 		func() ArrayParams {
 			p := good
