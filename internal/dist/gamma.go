@@ -86,7 +86,7 @@ func (g Gamma) SampleN(r *xrand.Source, dst []float64) {
 		invA = 1 / g.Shape
 	}
 	for i := range dst {
-		v := mtDraw(r, d, c)
+		v := r.MarsagliaTsang(d, c)
 		if boosted {
 			v *= math.Pow(r.OpenFloat64(), invA)
 		}
@@ -128,29 +128,7 @@ func ErlangFloat64(r *xrand.Source, k int) float64 {
 	} else {
 		d, c = mtConstants(float64(k))
 	}
-	return mtDraw(r, d, c)
-}
-
-// mtDraw returns one Gamma(d+1/3, 1) variate by Marsaglia-Tsang
-// rejection: x standard normal, v = (1+cx)^3, accept d*v under the
-// squeeze or the exact log test.
-func mtDraw(r *xrand.Source, d, c float64) float64 {
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.OpenFloat64()
-		x2 := x * x
-		if u < 1-0.0331*x2*x2 {
-			return d * v
-		}
-		if math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
+	return r.MarsagliaTsang(d, c)
 }
 
 // Mean returns Shape/Rate.

@@ -18,9 +18,8 @@ type Weibull struct {
 	// Scale is the characteristic life c (hours): the 63.2th
 	// percentile of the law.
 	Scale float64
-	// invShape caches 1/Shape for the batch fast path; constructors
-	// fill it, literal structs leave it zero and fall back to the
-	// division.
+	// invShape caches 1/Shape for the samplers; constructors fill it,
+	// literal structs leave it zero and fall back to the division.
 	invShape float64
 }
 
@@ -46,19 +45,33 @@ func WeibullFromMeanRate(rate, shape float64) Weibull {
 // the stream's ziggurat sampler (variable stream consumption per
 // draw, like Exponential.Sample).
 func (w Weibull) Sample(r *xrand.Source) float64 {
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.Shape)
+	return w.clock(r.ExpFloat64(), w.inv())
 }
 
-// SampleN fills dst with independent draws, hoisting the 1/Shape
-// exponent out of the loop.
+// SampleN fills dst with independent draws, resolving the 1/Shape
+// exponent once for the whole fill.
 func (w Weibull) SampleN(r *xrand.Source, dst []float64) {
-	k := w.invShape
-	if k == 0 {
-		k = 1 / w.Shape
-	}
+	k := w.inv()
 	for i := range dst {
-		dst[i] = w.Scale * math.Pow(r.ExpFloat64(), k)
+		dst[i] = w.clock(r.ExpFloat64(), k)
 	}
+}
+
+// inv returns 1/Shape: the cached value, or the division for a
+// literal struct.
+func (w Weibull) inv() float64 {
+	if w.invShape == 0 {
+		return 1 / w.Shape
+	}
+	return w.invShape
+}
+
+// clock maps a rate-1 exponential e to the variate Scale * e^k, with
+// k = 1/Shape, as Scale * exp(k ln e): one logarithm and one
+// exponential, where math.Pow spends about twice as long on the same
+// power. e = 0 maps to 0 (ln 0 = -Inf).
+func (w Weibull) clock(e, k float64) float64 {
+	return w.Scale * math.Exp(math.Log(e)*k)
 }
 
 // Mean returns Scale * Gamma(1 + 1/Shape).

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 
 	"herald/internal/sim"
 )
@@ -18,9 +17,12 @@ import (
 // not an approximate one. A checkpoint binds this fingerprint alone:
 // its records are canonical cells, whoever claimed them.
 //
-// The string is stable across processes, machines and repo versions
-// (pinned by a test); changing what it covers requires bumping the
-// domain label.
+// The domain label carries sim.Realization, so a build whose kernels
+// realize runs differently fingerprints every run differently, and
+// checkpoints and cache entries of another realization never match.
+// Otherwise the string is stable across processes, machines and repo
+// versions (pinned by a test); changing what it covers requires
+// bumping the label.
 func RunFingerprint(p WireParams, o sim.Options) string {
 	o.Workers = 0
 	if o.Confidence == 0 {
@@ -30,7 +32,7 @@ func RunFingerprint(p WireParams, o sim.Options) string {
 		o.Bias = 0 // an explicit factor of 1 is off; one run either way
 	}
 	h := fnv.New64a()
-	_, _ = io.WriteString(h, "herald-run-fp-v1\n")
+	_, _ = fmt.Fprintf(h, "herald-run-fp-v1 realization %d\n", sim.Realization)
 	enc := json.NewEncoder(h)
 	_ = enc.Encode(p)
 	_ = enc.Encode(o)

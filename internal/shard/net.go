@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"herald/internal/ndjson"
+	"herald/internal/sim"
 )
 
 // NetConfig tunes the TCP links of the shard protocol: shared-token
@@ -84,13 +85,15 @@ func (nc NetConfig) withDefaults() NetConfig {
 // ---------------------------------------------------------------------
 
 // The handshake is three hello messages. The listener volunteers only
-// its protocol version and a random nonce; the dialer answers with its
-// own nonce plus an HMAC over both (proving the token without an
-// observable replayable credential); the listener verifies and answers
-// with the mirrored HMAC, its heartbeat interval and — when it is a
-// worker — its capacity. Either side configured with a token rejects a
-// peer that cannot produce a valid MAC; a side without a token accepts
-// anyone (open mode).
+// its protocol version, its sim.Realization and a random nonce; the
+// dialer answers with its own nonce plus an HMAC over both (proving
+// the token without an observable replayable credential); the listener
+// verifies and answers with the mirrored HMAC, its heartbeat interval
+// and — when it is a worker — its capacity. Either side configured
+// with a token rejects a peer that cannot produce a valid MAC; a side
+// without a token accepts anyone (open mode). Either side refuses a
+// hello of another protocol version or realization with an error
+// message, so the peer sees a clean rejection instead of a reset.
 
 // handshake MAC domain-separation labels: each direction signs a
 // distinct statement so one side's proof can never be replayed as the
@@ -128,31 +131,52 @@ func macValid(token, label, dialerNonce, listenerNonce, got string) bool {
 // whether the token was missing or wrong.
 var errAuth = fmt.Errorf("shard: authentication failed (token mismatch)")
 
+// recvHello receives the peer's next handshake message and accepts it
+// only as a hello of this side's protocol version and realization. A
+// hello of another version or realization is answered with an error
+// message before the error returns; a peer's error message is its
+// rejection of this side.
+func recvHello(t transport) (*Message, error) {
+	m, err := t.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("shard: handshake: %w", err)
+	}
+	if m.Type == MsgError {
+		return nil, fmt.Errorf("shard: handshake rejected: %s", m.Error)
+	}
+	if m.Type != MsgHello {
+		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", m.Type)
+	}
+	if err := helloMismatch(m); err != nil {
+		_ = t.Send(&Message{Type: MsgError, Error: err.Error()})
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	return m, nil
+}
+
 // handshakeDialer runs the dialing side of the hello exchange and
 // returns the listener's final hello (capacity, heartbeat interval).
 // capacity is this side's advertisement (join mode); pass 0 when
 // dialing as a coordinator.
 func handshakeDialer(t transport, nc NetConfig, capacity int) (*Message, error) {
-	srv, err := t.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("shard: handshake: %w", err)
-	}
-	if srv.Type == MsgError {
-		return nil, fmt.Errorf("shard: handshake rejected: %s", srv.Error)
-	}
-	if srv.Type != MsgHello {
-		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", srv.Type)
-	}
-	if srv.Version != protocolVersion {
-		return nil, fmt.Errorf("shard: protocol version %d, want %d", srv.Version, protocolVersion)
-	}
 	nonce, err := newNonce()
+	if err != nil {
+		return nil, err
+	}
+	return helloAsDialer(t, nc, capacity, nonce)
+}
+
+// helloAsDialer is handshakeDialer's exchange with this side's
+// nonce given, so a test can fix it and precompute the peer's MAC.
+func helloAsDialer(t transport, nc NetConfig, capacity int, nonce string) (*Message, error) {
+	srv, err := recvHello(t)
 	if err != nil {
 		return nil, err
 	}
 	hello := &Message{
 		Type:        MsgHello,
 		Version:     protocolVersion,
+		Realization: sim.Realization,
 		Nonce:       nonce,
 		Capacity:    capacity,
 		HeartbeatMS: int(nc.HeartbeatInterval / time.Millisecond),
@@ -163,15 +187,9 @@ func handshakeDialer(t transport, nc NetConfig, capacity int) (*Message, error) 
 	if err := t.Send(hello); err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
 	}
-	ack, err := t.Recv()
+	ack, err := recvHello(t)
 	if err != nil {
-		return nil, fmt.Errorf("shard: handshake: %w", err)
-	}
-	if ack.Type == MsgError {
-		return nil, fmt.Errorf("shard: handshake rejected: %s", ack.Error)
-	}
-	if ack.Type != MsgHello {
-		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", ack.Type)
+		return nil, err
 	}
 	if nc.Token != "" && !macValid(nc.Token, macLabelListener, nonce, srv.Nonce, ack.MAC) {
 		return nil, errAuth
@@ -190,19 +208,18 @@ func handshakeListener(t transport, nc NetConfig, capacity int) (*Message, error
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion, Nonce: nonce}); err != nil {
+	return helloAsListener(t, nc, capacity, nonce)
+}
+
+// helloAsListener is handshakeListener's exchange with this side's
+// nonce given, so a test can fix it and precompute the peer's MAC.
+func helloAsListener(t transport, nc NetConfig, capacity int, nonce string) (*Message, error) {
+	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion, Realization: sim.Realization, Nonce: nonce}); err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
 	}
-	cli, err := t.Recv()
+	cli, err := recvHello(t)
 	if err != nil {
-		return nil, fmt.Errorf("shard: handshake: %w", err)
-	}
-	if cli.Type != MsgHello {
-		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", cli.Type)
-	}
-	if cli.Version != protocolVersion {
-		_ = t.Send(&Message{Type: MsgError, Error: fmt.Sprintf("protocol version %d, want %d", cli.Version, protocolVersion)})
-		return nil, fmt.Errorf("shard: protocol version %d, want %d", cli.Version, protocolVersion)
+		return nil, err
 	}
 	if nc.Token != "" && !macValid(nc.Token, macLabelDialer, cli.Nonce, nonce, cli.MAC) {
 		_ = t.Send(&Message{Type: MsgError, Error: "authentication failed"})
@@ -211,6 +228,7 @@ func handshakeListener(t transport, nc NetConfig, capacity int) (*Message, error
 	ack := &Message{
 		Type:        MsgHello,
 		Version:     protocolVersion,
+		Realization: sim.Realization,
 		Capacity:    capacity,
 		HeartbeatMS: int(nc.HeartbeatInterval / time.Millisecond),
 	}

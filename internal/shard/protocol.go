@@ -72,6 +72,18 @@ import (
 // and the worker executes them strictly in arrival order.
 const protocolVersion = 3
 
+// helloMismatch refuses a hello of another protocol version or another
+// sim.Realization, and returns nil for one of this build's.
+func helloMismatch(m *Message) error {
+	switch {
+	case m.Version != protocolVersion:
+		return fmt.Errorf("protocol version %d, want %d", m.Version, protocolVersion)
+	case m.Realization != sim.Realization:
+		return fmt.Errorf("realization %d, want %d", m.Realization, sim.Realization)
+	}
+	return nil
+}
+
 // Message types.
 const (
 	// MsgHello opens a connection (see the handshake in net.go): it
@@ -109,6 +121,11 @@ type Message struct {
 	Type string `json:"type"`
 	// Version accompanies hello.
 	Version int `json:"version,omitempty"`
+	// Realization accompanies hello: the sender's sim.Realization. A
+	// peer of another realization computes other Summary bytes for the
+	// same job, so the handshake refuses it as it refuses another
+	// protocol version.
+	Realization int `json:"realization,omitempty"`
 	// Nonce is this side's random handshake nonce (hex), carried by
 	// hello messages on authenticated links.
 	Nonce string `json:"nonce,omitempty"`

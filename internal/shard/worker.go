@@ -17,7 +17,7 @@ import (
 // coordinator closes the stream. TCP links handshake first (net.go),
 // in-memory links need no hello, and both then run the same job loop.
 func serveConn(t transport) error {
-	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion}); err != nil {
+	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion, Realization: sim.Realization}); err != nil {
 		return err
 	}
 	return serveJobs(t, nil)
@@ -369,9 +369,9 @@ func (w *remoteWorker) pump() {
 		}
 		switch m.Type {
 		case MsgHello:
-			if m.Version != protocolVersion {
+			if err := helloMismatch(m); err != nil {
 				w.mu.Lock()
-				w.pumpErr = fmt.Errorf("worker %s: protocol version %d, want %d", w.name, m.Version, protocolVersion)
+				w.pumpErr = fmt.Errorf("worker %s: %w", w.name, err)
 				w.mu.Unlock()
 				return
 			}

@@ -126,9 +126,9 @@ func TestAdaptivePaperConfigStopsEarly(t *testing.T) {
 	// pin it so a silent change to the scan or rule shows up here.
 	// (The value moves when a kernel's draw sequence is deliberately
 	// restructured — realization changes are seed-like — most recently
-	// for the batched memoryless kernels.)
-	if s.Iterations != 179722 {
-		t.Errorf("stopped at %d iterations, want the pinned 179722", s.Iterations)
+	// for the aggregation crossover of sim.Realization 2.)
+	if s.Iterations != 171908 {
+		t.Errorf("stopped at %d iterations, want the pinned 171908", s.Iterations)
 	}
 }
 

@@ -248,6 +248,16 @@ func ResolveKernel(p ArrayParams, k Kernel) (Kernel, error) {
 	return KernelGeneric, nil
 }
 
+// Realization numbers the mapping from a run's parameters and options
+// to its Summary bytes. A change after which any run's Summary could
+// differ (a new sampler, another draw order, another estimator) bumps
+// it and re-pins TestRealizationPinned in the same change. Realization
+// 1 is every build before the constant existed. shard.RunFingerprint
+// hashes it and the shard hello carries it, so fingerprints,
+// checkpoints, cache snapshot entries and workers of another
+// realization never mix with this one's.
+const Realization = 2
+
 // Options controls a Monte-Carlo run.
 type Options struct {
 	// Iterations is the number of independent array lifetimes.

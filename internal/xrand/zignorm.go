@@ -12,31 +12,45 @@ import "math"
 // draw; replay reproduces exactly when the whole stream is replayed
 // from its seed.
 func (s *Source) NormFloat64() float64 {
+	u := s.Uint64()
+	j := u >> 12 // 52 uniform bits for the magnitude
+	i := u & 0xff
+	if j < zigNormK[i] {
+		x := float64(j) * zigNormW[i]
+		if u&0x100 != 0 {
+			return -x
+		}
+		return x
+	}
+	return s.normSlow(u)
+}
+
+// normSlow finishes a ziggurat normal draw whose first 64-bit draw u
+// fell outside the fast-accept region (~1% of draws): u's low byte
+// indexes the layer (0 is the tail strip) and bit 8 carries the sign.
+// Factoring it out keeps NormFloat64's fast path small and lets
+// MarsagliaTsang inline that path while sharing the identical slow
+// continuation, so both consume the stream exactly alike.
+func (s *Source) normSlow(u uint64) float64 {
 	for {
-		u := s.Uint64()
-		j := u >> 12        // 52 uniform bits for the magnitude
+		j := u >> 12
 		i := u & 0xff       // layer index from disjoint low bits
 		neg := u&0x100 != 0 // sign from another disjoint bit
 		x := float64(j) * zigNormW[i]
-		if j < zigNormK[i] {
-			if neg {
-				return -x
-			}
-			return x
-		}
-		if i == 0 {
+		switch {
+		case j < zigNormK[i]: // inside the layer's rectangle
+		case i == 0: // the base strip's tail beyond zigNormR
 			x = s.normTail()
-			if neg {
-				return -x
-			}
-			return x
+		case zigNormF[i]+s.Float64()*(zigNormF[i-1]-zigNormF[i]) < math.Exp(-0.5*x*x):
+			// under the density, in the layer's wedge
+		default: // rejected: the next draw starts over
+			u = s.Uint64()
+			continue
 		}
-		if zigNormF[i]+s.Float64()*(zigNormF[i-1]-zigNormF[i]) < math.Exp(-0.5*x*x) {
-			if neg {
-				return -x
-			}
-			return x
+		if neg {
+			return -x
 		}
+		return x
 	}
 }
 

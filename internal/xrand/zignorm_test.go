@@ -151,3 +151,51 @@ func BenchmarkNormFloat64Polar(b *testing.B) {
 }
 
 var sinkNorm float64
+
+// normReference is a plain transcription of the single-loop ziggurat
+// NormFloat64 wrote before its slow continuation moved into normSlow.
+func normReference(s *Source) float64 {
+	for {
+		u := s.Uint64()
+		j := u >> 12
+		i := u & 0xff
+		neg := u&0x100 != 0
+		x := float64(j) * zigNormW[i]
+		if j < zigNormK[i] {
+			if neg {
+				return -x
+			}
+			return x
+		}
+		if i == 0 {
+			x = s.normTail()
+			if neg {
+				return -x
+			}
+			return x
+		}
+		if zigNormF[i]+s.Float64()*(zigNormF[i-1]-zigNormF[i]) < math.Exp(-0.5*x*x) {
+			if neg {
+				return -x
+			}
+			return x
+		}
+	}
+}
+
+// TestNormFloat64MatchesReference pins the fast-path/normSlow split to
+// the single-loop transcription: bit-equal draws, equal stream
+// positions, over enough draws to exercise the wedge and tail paths
+// thousands of times.
+func TestNormFloat64MatchesReference(t *testing.T) {
+	const n = 2_000_000
+	got, want := NewStream(17, 4), NewStream(17, 4)
+	for i := 0; i < n; i++ {
+		if a, b := got.NormFloat64(), normReference(want); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("draw %d: %v, reference %v", i, a, b)
+		}
+	}
+	if *got != *want {
+		t.Fatal("the stream ended at another position than the reference's")
+	}
+}
