@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -71,44 +70,15 @@ func main() {
 	)
 	flag.Parse()
 
-	clientNC := shard.NetConfig{Token: *shardToken, HeartbeatInterval: *shardHB, Log: os.Stderr}
-	serverNC := clientNC
-	var err error
-	if *shardTLSCert != "" || *shardTLSKey != "" {
-		serverNC.TLS, err = shard.ServerTLS(*shardTLSCert, *shardTLSKey, *shardTLSCA)
-		exitOn(err)
-	}
-	if *shardTLSCA != "" {
-		clientNC.TLS, err = shard.ClientTLS(*shardTLSCA, "", *shardTLSCert, *shardTLSKey)
-		exitOn(err)
-	}
+	dialNC, listenNC, err := shard.NetConfigs(shard.NetConfig{Token: *shardToken, HeartbeatInterval: *shardHB, Log: os.Stderr},
+		*shardTLSCert, *shardTLSKey, *shardTLSCA)
+	exitOn(err)
+	workers, joiners, release, err := shard.WorkerSet{
+		Local: *localProcs, Connect: *shardConnect, Listen: *shardListen, Dialer: dialNC, Listener: listenNC,
+	}.Open()
+	exitOn(err)
 
-	var workers []shard.Worker
-	if *shardConnect != "" {
-		for _, addr := range strings.Split(*shardConnect, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			w, err := shard.DialNet(addr, clientNC)
-			exitOn(err)
-			workers = append(workers, w)
-		}
-	}
-	if *localProcs > 0 || (len(workers) == 0 && *shardListen == "") {
-		local, err := shard.SpawnLocal(*localProcs)
-		exitOn(err)
-		workers = append(workers, local...)
-	}
-	var source <-chan shard.Worker
-	var shardLn net.Listener
-	if *shardListen != "" {
-		shardLn, source, err = shard.ListenWorkers(*shardListen, serverNC)
-		exitOn(err)
-		fmt.Fprintf(os.Stderr, "availserve: accepting shard workers on %s\n", shardLn.Addr())
-	}
-
-	pool, err := shard.NewPool(workers, source, &shard.PoolOptions{Log: os.Stderr, LocalFallback: *localFB})
+	pool, err := shard.NewPool(workers, joiners, &shard.PoolOptions{Log: os.Stderr, LocalFallback: *localFB})
 	exitOn(err)
 
 	srv, err := serve.NewServer(serve.Config{
@@ -142,7 +112,8 @@ func main() {
 	}
 
 	// Graceful drain: refuse new runs, let in-flight requests and
-	// their runs finish (bounded), then release the pool.
+	// their runs finish (bounded), then release the pool and the
+	// workers.
 	srv.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -150,12 +121,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "availserve: shutdown: %v\n", err)
 	}
 	srv.Drain()
-	if shardLn != nil {
-		shardLn.Close()
-	}
 	if err := pool.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "availserve: pool close: %v\n", err)
 	}
+	release()
 	fmt.Fprintln(os.Stderr, "availserve: drained, exiting")
 }
 

@@ -57,7 +57,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"herald/internal/dist"
 	"herald/internal/prof"
@@ -236,11 +235,12 @@ func main() {
 	flag.StringVar(&rep.hyperR, "repair-hyper-rates", "", "service branch rates 1/h (hyperexp)")
 	flag.Parse()
 
-	clientNC, serverNC, err := shardNetConfigs(*shardToken, *shardTLSCert, *shardTLSKey, *shardTLSCA, *shardHeartbeat)
+	dialNC, listenNC, err := shard.NetConfigs(shard.NetConfig{Token: *shardToken, HeartbeatInterval: *shardHeartbeat, Log: os.Stderr},
+		*shardTLSCert, *shardTLSKey, *shardTLSCA)
 	exitOn(err)
 
 	if *shardServe != "" {
-		err := shard.ListenAndServeNetStop(*shardServe, serverNC, func(a net.Addr) {
+		err := shard.ListenAndServeNetStop(*shardServe, listenNC, func(a net.Addr) {
 			fmt.Fprintf(os.Stderr, "availsim: serving shard jobs on %s\n", a)
 		}, stopOnSignal())
 		exitOn(err)
@@ -249,8 +249,8 @@ func main() {
 	}
 	if *shardJoin != "" {
 		fmt.Fprintf(os.Stderr, "availsim: joining shard coordinator %s\n", *shardJoin)
-		clientNC.Retry = *joinRetry
-		exitOn(shard.Join(*shardJoin, *shardCapacity, clientNC, stopOnSignal()))
+		dialNC.Retry = *joinRetry
+		exitOn(shard.Join(*shardJoin, *shardCapacity, dialNC, stopOnSignal()))
 		fmt.Fprintln(os.Stderr, "availsim: shard worker drained, exiting")
 		return
 	}
@@ -296,25 +296,10 @@ func main() {
 		exitOn(err)
 	}
 
-	kern, err2 := sim.ParseKernel(*kernel)
-	if err2 != nil {
-		exitOn(err2)
-	}
-	// Resolve eagerly so -kernel memoryless on a non-exponential law
-	// fails before any sharded machinery spins up, and so the report
-	// can name the kernel that actually ran.
-	resolved, err2 := sim.ResolveKernel(p, kern)
-	if err2 != nil {
-		exitOn(err2)
-	}
-	biasF, err2 := parseBiasFlag(*bias)
-	if err2 != nil {
-		exitOn(err2)
-	}
-	if biasF != 0 && resolved != sim.KernelMemoryless {
-		exitOn(fmt.Errorf("-bias %s requires the memoryless kernel (this configuration resolved %v)", *bias, resolved))
-	}
-
+	kern, err := sim.ParseKernel(*kernel)
+	exitOn(err)
+	biasF, err := parseBiasFlag(*bias)
+	exitOn(err)
 	o := sim.Options{
 		Iterations:      *iters,
 		MissionTime:     *mission,
@@ -326,16 +311,22 @@ func main() {
 		TargetHalfWidth: *targetHW,
 		MaxIters:        *maxIters,
 	}
-	if err := o.Validate(); err != nil {
-		exitOn(err)
-	}
+	// Identify validates the run and resolves its kernel, so -kernel
+	// memoryless on a non-exponential law or a biased generic run fails
+	// before any sharded machinery spins up, and the report can name the
+	// kernel that ran. The run keeps the options as given: a checkpoint
+	// binds their fingerprint.
+	resolved, _, err := shard.Identify(p, o)
+	exitOn(err)
 	// Profiles bracket only the Monte-Carlo work, not flag parsing or
 	// report formatting.
 	stopProf, perr := prof.Start(*cpuProfile, *memProfile)
 	exitOn(perr)
 	var s sim.Summary
 	if *shards > 1 || *shardConnect != "" || *checkpoint != "" || *shardListen != "" {
-		s, err = runSharded(p, o, *shards, *workers, *checkpoint, *shardConnect, *shardListen, clientNC, serverNC)
+		s, err = runSharded(p, o, *shards, *checkpoint, shard.WorkerSet{
+			Local: *workers, Connect: *shardConnect, Listen: *shardListen, Dialer: dialNC, Listener: listenNC,
+		})
 	} else {
 		s, err = sim.Run(p, o)
 	}
@@ -371,57 +362,22 @@ func main() {
 	if s.Bias > 0 {
 		biasNote = fmt.Sprintf(", failure bias x%.4g", s.Bias)
 	}
-	t.AddNote("%d iterations x %.3g h mission, seed %d, %s kernel%s", s.Iterations, s.MissionTime, *seed, resolved, biasNote)
+	t.AddNote("%d iterations x %.3g h mission, seed %d, %s kernel%s", s.Iterations, s.MissionTime, *seed, resolved.Kernel, biasNote)
 	if _, err := t.WriteTo(os.Stdout); err != nil {
 		exitOn(err)
 	}
 }
 
-// runSharded executes the run through the shard coordinator: remote
-// TCP workers from -shard-connect, workers joining via -shard-listen,
-// plus nlocal local worker processes (0 = GOMAXPROCS; with remote or
-// joining workers, 0 means no local processes).
-func runSharded(p sim.ArrayParams, o sim.Options, shards, nlocal int, checkpoint, connect, listen string, clientNC, serverNC shard.NetConfig) (sim.Summary, error) {
-	var workers []shard.Worker
-	closeAll := func() {
-		for _, w := range workers {
-			w.Close()
-		}
+// runSharded executes the run through the shard coordinator on the
+// workers set opens: -workers local processes, -shard-connect remotes
+// and -shard-listen joiners.
+func runSharded(p sim.ArrayParams, o sim.Options, shards int, checkpoint string, set shard.WorkerSet) (sim.Summary, error) {
+	workers, joiners, release, err := set.Open()
+	if err != nil {
+		return sim.Summary{}, err
 	}
-	if connect != "" {
-		for _, addr := range strings.Split(connect, ",") {
-			addr = strings.TrimSpace(addr)
-			if addr == "" {
-				continue
-			}
-			w, err := shard.DialNet(addr, clientNC)
-			if err != nil {
-				closeAll()
-				return sim.Summary{}, err
-			}
-			workers = append(workers, w)
-		}
-	}
-	if nlocal > 0 || (len(workers) == 0 && listen == "") {
-		local, err := shard.SpawnLocal(nlocal)
-		if err != nil {
-			closeAll()
-			return sim.Summary{}, err
-		}
-		workers = append(workers, local...)
-	}
-	defer closeAll()
-	var source <-chan shard.Worker
-	if listen != "" {
-		ln, joiners, err := shard.ListenWorkers(listen, serverNC)
-		if err != nil {
-			return sim.Summary{}, err
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "availsim: accepting shard workers on %s\n", ln.Addr())
-		source = joiners
-	}
-	pool, err := shard.NewPool(workers, source, &shard.PoolOptions{Log: os.Stderr})
+	defer release()
+	pool, err := shard.NewPool(workers, joiners, &shard.PoolOptions{Log: os.Stderr})
 	if err != nil {
 		return sim.Summary{}, err
 	}
@@ -432,29 +388,6 @@ func runSharded(p sim.ArrayParams, o sim.Options, shards, nlocal int, checkpoint
 	}
 	res, err := tk.Wait()
 	return res.Summary, err
-}
-
-// shardNetConfigs resolves the -shard-* transport flags into the
-// dialing-side and listening-side network configurations. TLS turns on
-// for listeners when a certificate pair is given, and for dialers when
-// a CA bundle is given (the pair then doubles as the client
-// certificate for mutual TLS).
-func shardNetConfigs(token, cert, key, ca string, heartbeat time.Duration) (client, server shard.NetConfig, err error) {
-	client = shard.NetConfig{Token: token, HeartbeatInterval: heartbeat, Log: os.Stderr}
-	server = client
-	if cert != "" || key != "" {
-		server.TLS, err = shard.ServerTLS(cert, key, ca)
-		if err != nil {
-			return client, server, err
-		}
-	}
-	if ca != "" {
-		client.TLS, err = shard.ClientTLS(ca, "", cert, key)
-		if err != nil {
-			return client, server, err
-		}
-	}
-	return client, server, nil
 }
 
 func exitOn(err error) {

@@ -263,15 +263,11 @@ type SweepResult = sweep.MCResult
 // idles at scenario boundaries. The calling binary's main must start
 // with MaybeShardWorker.
 func SimulateSweep(points []SweepPoint, workerProcs int) ([]SweepResult, error) {
-	workers, err := shard.SpawnLocal(workerProcs)
+	workers, _, release, err := shard.WorkerSet{Local: workerProcs}.Open()
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
+	defer release()
 	return sweep.MonteCarlo(points, workers, nil)
 }
 

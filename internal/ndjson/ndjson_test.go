@@ -1,10 +1,12 @@
 package ndjson
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -182,5 +184,43 @@ func TestScanHeaderErrors(t *testing.T) {
 	}
 	if _, _, err := scanAll(garbage); err == nil || !strings.Contains(err.Error(), "malformed header") {
 		t.Errorf("garbage header: err %v", err)
+	}
+}
+
+// TestScanStopsAtDamagedRecord flips one bit at every offset of a log's
+// record lines: Scan must keep exactly the records before the damaged
+// line and report that line as torn. A record line in the form written
+// before lines were framed is a torn tail too, behind an intact header.
+func TestScanStopsAtDamagedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	recs := testRecords(4)
+	if err := Replace(path, header{Type: "hdr"}, recs); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.IndexByte(raw, '\n') + 1
+	for i := body; i < len(raw); i++ {
+		damaged := bytes.Clone(raw)
+		damaged[i] ^= 1 << (i % 8)
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, torn, err := scanAll(path)
+		line := 2 + bytes.Count(raw[body:i], []byte("\n"))
+		if err != nil || torn != line || !slices.Equal(got, recs[:line-2]) {
+			t.Fatalf("byte %d (line %d) with bit %d flipped: kept %d records, torn line %d, err %v",
+				i, line, i%8, len(got), torn, err)
+		}
+	}
+
+	unframed := `{"type":"hdr"}` + "\n" + `{"type":"rec","id":0,"body":""}` + "\n"
+	if err := os.WriteFile(path, []byte(unframed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, torn, err := scanAll(path); err != nil || torn != 2 || len(got) != 0 {
+		t.Errorf("unframed record: kept %d records, torn line %d, err %v; want 0, 2, nil", len(got), torn, err)
 	}
 }

@@ -62,15 +62,11 @@ func Full(o Options, out io.Writer) error {
 		}
 	}
 
-	workers, err := shard.SpawnLocal(procs)
+	workers, _, release, err := shard.WorkerSet{Local: procs}.Open()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
+	defer release()
 
 	start := time.Now()
 	results, err := sweep.MonteCarlo(points, workers, nil)

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"sync"
@@ -50,8 +49,8 @@ type CacheStats struct {
 // reconstructs the recency order) every cacheSnapEvery insertions and
 // on drain, as an internal/ndjson log — written to a temp file, fsynced
 // and renamed — so a crash mid-snapshot leaves the previous snapshot
-// intact. Each entry carries a CRC-32C of its fingerprint and body, and
-// a torn or damaged line costs only the entries from it on.
+// intact. Each entry line carries the log's CRC-32C, and a torn or
+// damaged line costs only the entries from it on.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
@@ -202,18 +201,9 @@ type cacheSnapEntry struct {
 	Type string          `json:"type"` // "entry"
 	FP   string          `json:"fp"`
 	Body json.RawMessage `json:"body"`
-	Sum  uint32          `json:"sum"` // entrySum(FP, Body)
 }
 
 const cacheSnapFormat = "herald-result-cache"
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// entrySum is a snapshot entry's checksum: CRC-32C over the
-// fingerprint, a newline and the body.
-func entrySum(fp string, body []byte) uint32 {
-	return crc32.Update(crc32.Checksum([]byte(fp+"\n"), castagnoli), castagnoli, body)
-}
 
 // load replays an existing snapshot into the empty table. Entries go in
 // as finished flights in file order — LRU first — so the reloaded cache
@@ -222,7 +212,8 @@ func entrySum(fp string, body []byte) uint32 {
 // failures other than a missing file are returned. The first torn or
 // damaged entry — one that fails its checksum, is not in the form the
 // snapshot writes, or repeats a fingerprint — is dropped with a
-// warning, along with the entries after it.
+// warning, along with the entries after it; so are all the entries of
+// a snapshot written before entry lines were framed.
 func (c *resultCache) load() error {
 	torn, err := ndjson.Scan(c.path, func(h *cacheSnapHeader) error {
 		if h.Type != "header" || h.Format != cacheSnapFormat {
@@ -235,8 +226,7 @@ func (c *resultCache) load() error {
 		// The writer re-encodes a body compact and HTML-escaped; a body in
 		// any other form would not survive the next snapshot.
 		canon, err := json.Marshal(e.Body)
-		if err != nil || !bytes.Equal(canon, e.Body) || e.Type != "entry" || e.FP == "" ||
-			c.byFP[e.FP] != nil || e.Sum != entrySum(e.FP, e.Body) {
+		if err != nil || !bytes.Equal(canon, e.Body) || e.Type != "entry" || e.FP == "" || c.byFP[e.FP] != nil {
 			return false
 		}
 		fl := newFlight(e.FP)
@@ -269,7 +259,7 @@ func (c *resultCache) snapshotNow() {
 	entries := make([]cacheSnapEntry, 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() { // LRU → MRU
 		fl := el.Value.(*flight)
-		entries = append(entries, cacheSnapEntry{Type: "entry", FP: fl.fp, Body: fl.body, Sum: entrySum(fl.fp, fl.body)})
+		entries = append(entries, cacheSnapEntry{Type: "entry", FP: fl.fp, Body: fl.body})
 	}
 	c.mu.Unlock()
 	c.snapMu.Lock()

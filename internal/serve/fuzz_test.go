@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"herald/internal/ndjson"
 	"herald/internal/shard"
 )
 
@@ -145,12 +146,13 @@ func FuzzSnapshot(f *testing.F) {
 	// differently must not load: it would not survive the next snapshot.
 	hdr, rest, _ := bytes.Cut(seed, []byte("\n"))
 	line, _, _ := bytes.Cut(rest, []byte("\n"))
-	var e cacheSnapEntry
-	if err := json.Unmarshal(line, &e); err != nil {
+	var frame struct{ Rec cacheSnapEntry }
+	if err := json.Unmarshal(line, &frame); err != nil {
 		f.Fatal(err)
 	}
+	e := frame.Rec
 	spaced := bytes.Replace(e.Body, []byte(":"), []byte(": "), 1)
-	f.Add(fmt.Appendf(nil, "%s\n{\"type\":\"entry\",\"fp\":%q,\"body\":%s,\"sum\":%d}\n", hdr, e.FP, spaced, entrySum(e.FP, spaced)))
+	f.Add(fmt.Appendf(nil, "%s\n%s", hdr, ndjson.Frame(fmt.Appendf(nil, `{"type":"entry","fp":%q,"body":%s}`, e.FP, spaced))))
 	// Nor may a repeated entry: the table holds one flight per fingerprint.
 	f.Add(fmt.Appendf(nil, "%s%s\n", seed, line))
 

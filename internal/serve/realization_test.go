@@ -3,7 +3,6 @@ package serve_test
 import (
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"herald/internal/ndjson"
 	"herald/internal/serve"
 	"herald/internal/shard"
 	"herald/internal/sim"
@@ -63,13 +63,10 @@ func TestSnapshotOfAnotherRealizationNeverServed(t *testing.T) {
 	}
 	old := labelledFingerprint(wire, o, "herald-run-fp-v1")
 
-	stale := []byte(`{"Availability":0.5}`)
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
-	sum := crc32.Update(crc32.Checksum([]byte(old+"\n"), castagnoli), castagnoli, stale)
 	cf := filepath.Join(t.TempDir(), "cache.ndjson")
-	snap := fmt.Sprintf("{\"type\":\"header\",\"format\":\"herald-result-cache\",\"v\":1}\n"+
-		"{\"type\":\"entry\",\"fp\":%q,\"body\":%s,\"sum\":%d}\n", old, stale, sum)
-	if err := os.WriteFile(cf, []byte(snap), 0o644); err != nil {
+	snap := fmt.Appendf(nil, "{\"type\":\"header\",\"format\":\"herald-result-cache\",\"v\":1}\n%s",
+		ndjson.Frame(fmt.Appendf(nil, `{"type":"entry","fp":%q,"body":{"Availability":0.5}}`, old)))
+	if err := os.WriteFile(cf, snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	hs2, srv2, pool2 := startServer(t, serve.Config{CacheFile: cf}, failingWorker{})

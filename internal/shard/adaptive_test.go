@@ -426,6 +426,42 @@ func TestInProcessWorkerCancel(t *testing.T) {
 	}
 }
 
+// TestCancelTombstonesBounded answers jobs and then cancels them, as a
+// cancel that lost its race to the reply does: the executor keeps at
+// most maxTombstones of those cancels, and a cancel that overtakes its
+// job still answers that job cancelled.
+func TestCancelTombstonesBounded(t *testing.T) {
+	wire, err := EncodeParams(testParams(sim.Conventional))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := sim.Options{Iterations: 16, MissionTime: 1e3, Seed: 1, Workers: 1}
+	job := func(id int) *Job { return &Job{ID: id, Start: 0, End: o.Iterations, Params: wire, Options: o} }
+	coord, worker := newLink()
+	ex := newJobExecutor(worker)
+	defer ex.shutdown()
+	const jobs = 4 * maxTombstones
+	for id := 1; id <= jobs; id++ {
+		ex.enqueue(job(id))
+		if m, err := coord.Recv(); err != nil || m.Type != MsgResult || m.ID != id {
+			t.Fatalf("job %d: got %+v, %v; want its result", id, m, err)
+		}
+		ex.cancel(id)
+	}
+	ex.mu.Lock()
+	n := len(ex.cancelled)
+	ex.mu.Unlock()
+	if n > maxTombstones {
+		t.Errorf("%d jobs answered and then cancelled leave %d tombstones, want at most %d", jobs, n, maxTombstones)
+	}
+
+	ex.cancel(jobs + 1)
+	ex.enqueue(job(jobs + 1))
+	if m, err := coord.Recv(); err != nil || m.Type != MsgCancelled || m.ID != jobs+1 {
+		t.Fatalf("a job behind its cancel: got %+v, %v; want it cancelled", m, err)
+	}
+}
+
 // planDispatcher is a worker-less dispatcher through which tests bank
 // a run's claims by hand.
 func planDispatcher() *dispatcher {

@@ -16,12 +16,13 @@ import (
 // line records one completed range as its cell partials, and the range
 // is the one those partials cover. Records hold canonical cells, so a
 // run resumes under any claim divisor. Appending is the only write mode
-// during a run, so a crash can at worst tear the final line — the
-// loader drops an unparsable or invalid tail and the torn range is
-// simply recomputed. On resume the surviving records are compacted
-// into a fresh file first, so the log never accretes torn garbage
-// between lines. Files whose header carries a shard count and whose
-// records carry a shard id still load: the decoder ignores both keys.
+// during a run, so a crash can at worst tear the final line. Every
+// record line carries the log's checksum, and the loader keeps the
+// records before the first torn or damaged line: the ranges from there
+// on are recomputed, never misread. A file written before record lines
+// were framed keeps its header binding and restores no record. On
+// resume the surviving records are compacted into a fresh file first,
+// so the log never accretes torn garbage between lines.
 
 type checkpointHeader struct {
 	Type        string `json:"type"` // "header"
@@ -64,9 +65,9 @@ func (c *checkpoint) close() error {
 // order. A record is kept when its partials pass sim.CheckPartials for
 // a run of p under the job options o over the range they cover, and
 // that range overlaps no record kept before it; other records are
-// dropped with a warning to logw, as is torn trailing data. A header
-// for another run is an error: the file must not be silently
-// clobbered.
+// dropped with a warning to logw, as is everything from the first line
+// that fails its checksum. A header for another run is an error: the
+// file must not be silently clobbered.
 func loadCheckpoint(path, fp string, p sim.ArrayParams, o sim.Options, logw io.Writer) (map[int][]sim.Partial, error) {
 	done := make(map[int][]sim.Partial)
 	torn, err := ndjson.Scan(path, func(h *checkpointHeader) error {
@@ -106,7 +107,7 @@ func loadCheckpoint(path, fp string, p sim.ArrayParams, o sim.Options, logw io.W
 	}
 	if torn > 0 {
 		// Everything before a torn tail is intact; the rest recomputes.
-		fmt.Fprintf(logw, "shard: checkpoint %s: dropping torn record at line %d\n", path, torn)
+		fmt.Fprintf(logw, "shard: checkpoint %s: dropping torn or damaged record at line %d and the records after it\n", path, torn)
 	}
 	return done, nil
 }

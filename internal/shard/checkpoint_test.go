@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"herald/internal/sim"
@@ -92,4 +94,85 @@ func ranges(done map[int][]sim.Partial) map[int]int {
 		out[start] = parts[len(parts)-1].End
 	}
 	return out
+}
+
+// TestCheckpointBitFlipAndTruncation damages a real checkpoint the two
+// ways storage does: one bit flipped at every byte offset, and the file
+// cut at every offset. Each variant must be refused or restore a prefix
+// of the original records, each with its original partials: a damaged
+// record is dropped, never misread.
+func TestCheckpointBitFlipAndTruncation(t *testing.T) {
+	p := testParams(sim.Conventional)
+	o := testOptions()
+	o.Iterations = 256
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if _, _, err := runStats(runCfg{
+		Params: p, Options: o, Shards: 3, Checkpoint: path,
+		Workers: []Worker{NewInProcessWorker("w", 1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRunState(0, &RunSpec{Params: p, Options: o}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := RunFingerprint(r.wire, o)
+	want, err := loadCheckpoint(path, fp, p, r.jobOptions, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := filepath.Join(dir, "damaged.ckpt")
+	load := func(data []byte) (map[int][]sim.Partial, error) {
+		t.Helper()
+		if err := os.WriteFile(damaged, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return loadCheckpoint(damaged, fp, p, r.jobOptions, io.Discard)
+	}
+	// The records' starts in file order: the one each further line adds.
+	var order []int
+	for i, b := range orig {
+		if b != '\n' {
+			continue
+		}
+		got, err := load(orig[:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := range got {
+			if !slices.Contains(order, start) {
+				order = append(order, start)
+			}
+		}
+	}
+	if len(order) < 3 || len(order) != len(want) {
+		t.Fatalf("the lines add %d records and the file loads %d, want at least 3 of each", len(order), len(want))
+	}
+
+	check := func(what string, data []byte) {
+		t.Helper()
+		got, err := load(data)
+		if err != nil {
+			return // refused
+		}
+		if len(got) > len(order) {
+			t.Fatalf("%s: restored %d records of %d", what, len(got), len(order))
+		}
+		for _, start := range order[:len(got)] {
+			if !reflect.DeepEqual(got[start], want[start]) {
+				t.Fatalf("%s: restored %v, want a prefix of %v with the original partials", what, ranges(got), ranges(want))
+			}
+		}
+	}
+	for i := range orig {
+		flipped := bytes.Clone(orig)
+		flipped[i] ^= 1 << (i % 8)
+		check(fmt.Sprintf("byte %d with bit %d flipped", i, i%8), flipped)
+		check(fmt.Sprintf("cut at %d", i), orig[:i])
+	}
 }

@@ -335,6 +335,10 @@ type dispatcher struct {
 	// deadWorker dedupes WorkerFailures: a pipelined worker holds
 	// several jobs, and its death must count once, not once per job.
 	deadWorker map[Worker]bool
+	// joined counts the live serve slots of each worker the source
+	// delivered. The pool closes such a worker when its last slot
+	// retires after it died, and the rest on Close.
+	joined map[Worker]int
 
 	// fallback, when non-nil, is a bounded in-process worker armed the
 	// moment the pool drains (every serve goroutine gone) instead of
@@ -360,17 +364,18 @@ func (d *dispatcher) signalDone() { d.doneOnce.Do(func() { close(d.done) }) }
 // addWorker plugs a worker into the pool: the coordinator's stray sink
 // is installed, and one serve goroutine per pipeline slot starts
 // claiming ranges (PipelineDepth slots for workers that support
-// double-buffering, one otherwise).
-func (d *dispatcher) addWorker(w Worker) {
+// double-buffering, one otherwise). joined marks a worker the source
+// delivered, which the pool owns.
+func (d *dispatcher) addWorker(w Worker, joined bool) {
 	d.mu.Lock()
-	d.addWorkerLocked(w)
+	d.addWorkerLocked(w, joined)
 	d.mu.Unlock()
 }
 
 // addWorkerLocked is addWorker for callers already holding d.mu (the
 // fallback arming paths, which must install the worker atomically with
 // observing the drained pool).
-func (d *dispatcher) addWorkerLocked(w Worker) {
+func (d *dispatcher) addWorkerLocked(w Worker, joined bool) {
 	if sb, ok := w.(strayBanker); ok {
 		sb.setStray(d.bankStray)
 	}
@@ -379,12 +384,15 @@ func (d *dispatcher) addWorkerLocked(w Worker) {
 		depth = p.PipelineDepth()
 	}
 	d.live += depth
+	if joined {
+		d.joined[w] = depth
+	}
 	for i := 0; i < depth; i++ {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
 			d.serve(w)
-			d.exitServe()
+			d.exitServe(w)
 		}()
 	}
 }
@@ -397,15 +405,28 @@ func (d *dispatcher) armFallbackLocked() {
 	}
 	d.fallbackArmed = true
 	fmt.Fprintf(d.logw, "shard: pool drained; arming in-process fallback worker %s\n", d.fallback.Name())
-	d.addWorkerLocked(d.fallback)
+	d.addWorkerLocked(d.fallback, false)
 }
 
-// exitServe retires one serve goroutine.
-func (d *dispatcher) exitServe() {
+// exitServe retires one serve goroutine of w. The last one of a joined
+// worker that died closes it and forgets it, so a long-lived pool holds
+// no transport of a departed joiner.
+func (d *dispatcher) exitServe(w Worker) {
 	d.mu.Lock()
 	d.live--
+	gone := false
+	if slots, joined := d.joined[w]; joined {
+		d.joined[w] = slots - 1
+		if gone = slots == 1 && d.deadWorker[w]; gone {
+			delete(d.joined, w)
+			delete(d.deadWorker, w)
+		}
+	}
 	d.drainedLocked()
 	d.mu.Unlock()
+	if gone {
+		w.Close()
+	}
 }
 
 // drainedLocked handles a pool that may have lost its last serve

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"herald/internal/ndjson"
 	"herald/internal/sim"
 )
 
@@ -285,16 +286,18 @@ func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	var rec checkpointRecord
-	if err := json.Unmarshal(lines[1], &rec); err != nil {
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	var frame struct{ Rec checkpointRecord }
+	if err := json.Unmarshal(lines[1], &frame); err != nil {
 		t.Fatal(err)
 	}
-	rec.Partials[0].WAvail = nil
-	if lines[1], err = json.Marshal(rec); err != nil {
+	frame.Rec.Partials[0].WAvail = nil
+	rec, err := json.Marshal(frame.Rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cpPath, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+	lines[1] = ndjson.Frame(rec)
+	if err := os.WriteFile(cpPath, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,7 +328,7 @@ func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := json.Marshal(checkpointRecord{Type: "shard", Partials: first})
+	rec, err = json.Marshal(checkpointRecord{Type: "shard", Partials: first})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +336,7 @@ func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if _, err := f.Write(ndjson.Frame(rec)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -558,8 +561,10 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 // TestCheckpointBindsRunAndPartition pins the checkpoint identity: the
 // header binds the run's RunFingerprint alone and each record is keyed
 // by the range its partials cover, so a checkpoint resumes under any
-// shard count. So does a file in the older format, whose header carries
-// a shard count and whose records carry shard ids.
+// shard count. A file in the older format, whose header carries a shard
+// count and whose records carry shard ids and predate framing, keeps
+// its header binding but restores no record: the loader logs its first
+// record as torn, once, and the run recomputes to the same Summary.
 func TestCheckpointBindsRunAndPartition(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
@@ -615,16 +620,22 @@ func TestCheckpointBindsRunAndPartition(t *testing.T) {
 	for _, tc := range []struct {
 		path     string
 		restored int
-	}{{cpPath, 10}, {legacy, 4}} {
+		warnings int
+	}{{cpPath, 10, 0}, {legacy, 0, 1}} {
+		var log bytes.Buffer
 		got, st, err := runStats(runCfg{
 			Params: p, Options: o, Shards: 2, Checkpoint: tc.path,
 			Workers: []Worker{NewInProcessWorker("w", 1)},
+			Log:     &log,
 		})
 		if err != nil {
 			t.Fatalf("%s: resume under another shard count refused: %v", filepath.Base(tc.path), err)
 		}
-		if st.FromCheckpoint != tc.restored || st.Computed != 0 {
-			t.Errorf("%s: restored %d / computed %d, want %d / 0", filepath.Base(tc.path), st.FromCheckpoint, st.Computed, tc.restored)
+		if st.FromCheckpoint != tc.restored || (st.Computed == 0) != (tc.restored > 0) {
+			t.Errorf("%s: restored %d / computed %d, want %d restored and the rest computed", filepath.Base(tc.path), st.FromCheckpoint, st.Computed, tc.restored)
+		}
+		if n := strings.Count(log.String(), "torn"); n != tc.warnings {
+			t.Errorf("%s: %d torn-record warnings, want %d:\n%s", filepath.Base(tc.path), n, tc.warnings, log.String())
 		}
 		if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 			t.Errorf("%s: resumed summary diverged from sim.Run", filepath.Base(tc.path))

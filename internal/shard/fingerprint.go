@@ -58,7 +58,11 @@ func Identify(p sim.ArrayParams, o sim.Options) (sim.Options, string, error) {
 		return sim.Options{}, "", err
 	}
 	if o.Biased() && k != sim.KernelMemoryless {
-		return sim.Options{}, "", fmt.Errorf("shard: bias %v requires the memoryless kernel (configuration resolved %v)", o.Bias, k)
+		bias := fmt.Sprint(o.Bias)
+		if o.Bias == sim.BiasAuto {
+			bias = "auto"
+		}
+		return sim.Options{}, "", fmt.Errorf("shard: bias %s requires the memoryless kernel (configuration resolved %v)", bias, k)
 	}
 	o.Kernel = k
 	w, err := EncodeParams(p)

@@ -12,6 +12,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,8 +36,8 @@ type NetConfig struct {
 	Token string
 	// TLS, when non-nil, wraps the connection: as tls.Client config on
 	// dialing sides (DialNet, Join) and tls.Server config on listening
-	// sides (ListenAndServeNetStop, ListenWorkers). See ServerTLS/ClientTLS
-	// for building one from PEM files.
+	// sides (ListenAndServeNetStop, ListenWorkers). NetConfigs builds
+	// both from PEM files.
 	TLS *tls.Config
 	// HeartbeatInterval is how often this side sends protocol pings on
 	// an established connection; the peer arms its read deadline at
@@ -457,52 +458,108 @@ func ListenWorkers(addr string, nc NetConfig) (net.Listener, <-chan Worker, erro
 	return ln, ch, nil
 }
 
-// ---------------------------------------------------------------------
-// TLS helpers
-// ---------------------------------------------------------------------
-
-// ServerTLS builds the listening-side TLS configuration from PEM
-// files: the server certificate and key, plus an optional CA bundle —
-// when given, client certificates are required and verified against it
-// (mutual TLS).
-func ServerTLS(certFile, keyFile, caFile string) (*tls.Config, error) {
-	cert, err := tls.LoadX509KeyPair(certFile, keyFile)
-	if err != nil {
-		return nil, fmt.Errorf("shard: tls cert: %w", err)
-	}
-	cfg := &tls.Config{Certificates: []tls.Certificate{cert}, MinVersion: tls.VersionTLS12}
-	if caFile != "" {
-		pool, err := loadCertPool(caFile)
-		if err != nil {
-			return nil, err
-		}
-		cfg.ClientCAs = pool
-		cfg.ClientAuth = tls.RequireAndVerifyClientCert
-	}
-	return cfg, nil
+// WorkerSet names the workers a coordinator process opens: Local
+// worker processes (SpawnLocal), remote workers dialed at the Connect
+// addresses (DialNet), and a registration listener on Listen for
+// workers that Join (ListenWorkers). Its zero value opens one local
+// process per core.
+type WorkerSet struct {
+	// Local 0 means one process per core when Connect and Listen are
+	// both empty, and none otherwise.
+	Local int
+	// Connect is a comma-separated host:port list; entries are trimmed
+	// and empty ones skipped.
+	Connect string
+	Listen  string
+	// Dialer configures the Connect links and Listener the listener;
+	// NetConfigs builds both.
+	Dialer, Listener NetConfig
 }
 
-// ClientTLS builds the dialing-side TLS configuration: the CA bundle
-// the peer's certificate must chain to (empty = system roots),
-// serverName to verify against (empty = the dialed host), and an
-// optional client certificate pair for mutual TLS.
-func ClientTLS(caFile, serverName, certFile, keyFile string) (*tls.Config, error) {
-	cfg := &tls.Config{ServerName: serverName, MinVersion: tls.VersionTLS12}
+// Open starts the set: it spawns the local processes, dials every
+// Connect address, and opens the Listen listener, logging its bound
+// address to Listener.Log. It returns the initial workers and the
+// source of joining workers (nil without Listen), NewPool's first two
+// arguments, and release, which closes the listener and every worker
+// Open started. Call release after Pool.Close: the pool closes the
+// workers that joined. On error Open closes what it had opened.
+func (s WorkerSet) Open() (workers []Worker, joiners <-chan Worker, release func(), err error) {
+	var addrs []string
+	for _, addr := range strings.Split(s.Connect, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			addrs = append(addrs, addr)
+		}
+	}
+	var ln net.Listener
+	release = func() {
+		if ln != nil {
+			ln.Close()
+		}
+		for _, w := range workers {
+			w.Close()
+		}
+	}
+	defer func() {
+		if err != nil {
+			release()
+			workers, joiners, release = nil, nil, nil
+		}
+	}()
+	if s.Local > 0 || (len(addrs) == 0 && s.Listen == "") {
+		if workers, err = SpawnLocal(s.Local); err != nil {
+			return
+		}
+	}
+	for _, addr := range addrs {
+		var w Worker
+		if w, err = DialNet(addr, s.Dialer); err != nil {
+			return
+		}
+		workers = append(workers, w)
+	}
+	if s.Listen != "" {
+		if ln, joiners, err = ListenWorkers(s.Listen, s.Listener); err != nil {
+			return
+		}
+		fmt.Fprintf(s.Listener.withDefaults().Log, "shard: accepting workers on %s\n", ln.Addr())
+	}
+	return workers, joiners, release, nil
+}
+
+// ---------------------------------------------------------------------
+// TLS
+// ---------------------------------------------------------------------
+
+// NetConfigs builds a process's dialing and listening NetConfig from
+// base and PEM files. The listening side serves TLS when a certificate
+// or key is given, with the pair certFile and keyFile, and when caFile
+// is given it requires client certificates chained to it (mutual TLS).
+// The dialing side turns TLS on when caFile is given: it verifies the
+// server against caFile, for the dialed host, and presents the
+// certificate pair when one is given.
+func NetConfigs(base NetConfig, certFile, keyFile, caFile string) (dialer, listener NetConfig, err error) {
+	dialer, listener = base, base
+	var pool *x509.CertPool
 	if caFile != "" {
-		pool, err := loadCertPool(caFile)
-		if err != nil {
-			return nil, err
+		if pool, err = loadCertPool(caFile); err != nil {
+			return dialer, listener, err
 		}
-		cfg.RootCAs = pool
+		dialer.TLS = &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS12}
 	}
-	if certFile != "" || keyFile != "" {
-		cert, err := tls.LoadX509KeyPair(certFile, keyFile)
-		if err != nil {
-			return nil, fmt.Errorf("shard: tls client cert: %w", err)
-		}
-		cfg.Certificates = []tls.Certificate{cert}
+	if certFile == "" && keyFile == "" {
+		return dialer, listener, nil
 	}
-	return cfg, nil
+	cert, err := tls.LoadX509KeyPair(certFile, keyFile)
+	if err != nil {
+		return dialer, listener, fmt.Errorf("shard: tls cert: %w", err)
+	}
+	listener.TLS = &tls.Config{Certificates: []tls.Certificate{cert}, MinVersion: tls.VersionTLS12}
+	if pool != nil {
+		listener.TLS.ClientCAs = pool
+		listener.TLS.ClientAuth = tls.RequireAndVerifyClientCert
+		dialer.TLS.Certificates = []tls.Certificate{cert}
+	}
+	return dialer, listener, nil
 }
 
 // clientTLSFor fills in the ServerName a dialing TLS config needs for

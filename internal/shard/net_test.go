@@ -119,8 +119,9 @@ func TestWorkerRejectsUnauthenticatedCoordinator(t *testing.T) {
 	}
 }
 
-// writeTestCerts generates a throwaway CA plus a server certificate
-// for 127.0.0.1 signed by it, returning PEM file paths.
+// writeTestCerts generates a throwaway CA plus a certificate for
+// 127.0.0.1 signed by it, good for both sides of mutual TLS, returning
+// PEM file paths.
 func writeTestCerts(t *testing.T) (certFile, keyFile, caFile string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -153,7 +154,7 @@ func writeTestCerts(t *testing.T) (certFile, keyFile, caFile string) {
 		NotBefore:    time.Now().Add(-time.Hour),
 		NotAfter:     time.Now().Add(24 * time.Hour),
 		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
+		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth, x509.ExtKeyUsageClientAuth},
 		IPAddresses:  []net.IP{net.ParseIP("127.0.0.1")},
 		DNSNames:     []string{"localhost"},
 	}
@@ -184,17 +185,17 @@ func writeTestCerts(t *testing.T) (certFile, keyFile, caFile string) {
 // hence to the single-process baseline).
 func TestTLSTokenByteIdentity(t *testing.T) {
 	certFile, keyFile, caFile := writeTestCerts(t)
-	serverTLS, err := ServerTLS(certFile, keyFile, "")
+	_, serverNC, err := NetConfigs(NetConfig{Token: "s3cret"}, certFile, keyFile, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientTLS, err := ClientTLS(caFile, "", "", "")
+	clientNC, _, err := NetConfigs(NetConfig{Token: "s3cret"}, "", "", caFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	addr := startWorkerServer(t, NetConfig{Token: "s3cret", TLS: serverTLS})
-	w, err := DialNet(addr, NetConfig{Token: "s3cret", TLS: clientTLS})
+	addr := startWorkerServer(t, serverNC)
+	w, err := DialNet(addr, clientNC)
 	if err != nil {
 		t.Fatalf("TLS dial: %v", err)
 	}

@@ -43,7 +43,6 @@ type RunProgress struct {
 type Pool struct {
 	d         *dispatcher
 	intake    sync.WaitGroup
-	joined    []Worker // owned by the intake goroutine until it exits
 	closeOnce sync.Once
 }
 
@@ -86,6 +85,7 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 		jobIndex:   make(map[int]jobKey),
 		assigned:   make(map[int]*assignment),
 		deadWorker: make(map[Worker]bool),
+		joined:     make(map[Worker]int),
 		sourceOpen: source != nil,
 		done:       make(chan struct{}),
 	}
@@ -95,12 +95,10 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 	d.cond = sync.NewCond(&d.mu)
 	p := &Pool{d: d}
 	for _, w := range workers {
-		d.addWorker(w)
+		d.addWorker(w, false)
 	}
 	// The intake goroutine folds joining workers into the pool until
-	// the source closes or the pool unwinds. It owns p.joined until it
-	// exits (and it exits before Close's wg.Wait), so the close loop
-	// reads it race-free.
+	// the source closes or the pool unwinds.
 	if source != nil {
 		p.intake.Add(1)
 		go func() {
@@ -115,8 +113,7 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 						d.mu.Unlock()
 						return
 					}
-					p.joined = append(p.joined, w)
-					d.addWorker(w)
+					d.addWorker(w, true)
 				case <-d.done:
 					d.mu.Lock()
 					d.sourceOpen = false
@@ -381,7 +378,7 @@ func (p *Pool) Close() error {
 		d.cond.Broadcast()
 		p.intake.Wait()
 		d.wg.Wait()
-		for _, w := range p.joined {
+		for w := range d.joined {
 			w.Close()
 		}
 		if d.fallback != nil {

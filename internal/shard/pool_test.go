@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -495,5 +496,78 @@ func TestRunFingerprintScheduleIndependent(t *testing.T) {
 	o8.Bias = 1
 	if fp, _ := fingerprintOf(p, o8); fp != base {
 		t.Error("explicit bias 1 changed the fingerprint")
+	}
+}
+
+// openFDs counts this process's open descriptors, -1 where
+// /proc/self/fd does not exist.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// TestDeadJoinersReleased pins that a long-lived pool keeps nothing of
+// a joiner that left: after joiners join and leave one by one and runs
+// retire their serve slots, the pool retains no dead joiner and, where
+// /proc/self/fd exists, the process holds no more descriptors than
+// before the first one joined.
+func TestDeadJoinersReleased(t *testing.T) {
+	ln, joiners, err := ListenWorkers("127.0.0.1:0", NetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	pool, err := NewPool([]Worker{NewInProcessWorker("local", 1)}, joiners, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	waitSlots := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); pool.Health().LiveSlots != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the pool has %d live slots, want %d", pool.Health().LiveSlots, want)
+			}
+		}
+	}
+	before := openFDs()
+
+	const cycles = 20
+	for i := 0; i < cycles; i++ {
+		stop := make(chan struct{})
+		joinErr := make(chan error, 1)
+		go func() { joinErr <- Join(ln.Addr().String(), 1, NetConfig{}, stop) }()
+		waitSlots(1 + 2*(i+1)) // the in-process worker's slot and two per joiner
+		close(stop)
+		if err := <-joinErr; err != nil {
+			t.Fatalf("cycle %d: Join returned %v", i, err)
+		}
+	}
+	// A departed joiner's slots retire on their next claim, which fails.
+	spec := RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 64}
+	for deadline := time.Now().Add(30 * time.Second); pool.Health().LiveSlots > 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d slots of departed joiners still live", pool.Health().LiveSlots-1)
+		}
+		tk, err := pool.Submit(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := pool.d
+	d.mu.Lock()
+	joined, dead := len(d.joined), len(d.deadWorker)
+	d.mu.Unlock()
+	if joined != 0 || dead != 0 {
+		t.Errorf("the pool retains %d joined and %d dead workers after %d joiners left", joined, dead, cycles)
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("%d descriptors open after %d joiners left, %d before", after, cycles, before)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"herald/internal/ndjson"
 	"herald/internal/sim"
 )
 
@@ -56,14 +57,19 @@ func TestCheckpointOfAnotherRealizationRefused(t *testing.T) {
 	}
 	write := func(path, fp string) []byte {
 		t.Helper()
-		var b bytes.Buffer
-		enc := json.NewEncoder(&b)
-		_ = enc.Encode(checkpointHeader{Type: "header", Fingerprint: fp, Iterations: o.Iterations, Seed: o.Seed})
-		_ = enc.Encode(checkpointRecord{Type: "shard", Partials: parts})
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+		hdr, err := json.Marshal(checkpointHeader{Type: "header", Fingerprint: fp, Iterations: o.Iterations, Seed: o.Seed})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.Bytes()
+		rec, err := json.Marshal(checkpointRecord{Type: "shard", Partials: parts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := append(append(hdr, '\n'), ndjson.Frame(rec)...)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 	resume := func(path string) (sim.Summary, Stats, error) {
 		return runStats(runCfg{Params: p, Options: o, Shards: 4, Checkpoint: path,

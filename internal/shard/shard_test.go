@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 
 	"herald/internal/dist"
@@ -310,6 +311,24 @@ func TestShardedBiasedMatchesSingleProcess(t *testing.T) {
 				t.Errorf("%v shards=%d workers=%d: biased summary diverged\n got %s\nwant %s",
 					pol, cfg.shards, cfg.workers, g, want)
 			}
+		}
+	}
+}
+
+// TestIdentifyNamesBias pins Identify's refusal of a biased run whose
+// kernel resolves generic: the message names the factor as the user
+// gave it, auto for the auto sentinel.
+func TestIdentifyNamesBias(t *testing.T) {
+	p := testParams(sim.Conventional)
+	p.TTF = dist.WeibullFromMeanRate(1e-4, 1.48)
+	for _, tc := range []struct {
+		bias float64
+		want string
+	}{{sim.BiasAuto, "bias auto requires"}, {4, "bias 4 requires"}} {
+		o := testOptions()
+		o.Bias = tc.bias
+		if _, _, err := Identify(p, o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bias %v on a generic run: error %v, want it to say %q", tc.bias, err, tc.want)
 		}
 	}
 }

@@ -85,7 +85,8 @@ func serveJobs(t transport, stop <-chan struct{}) error {
 // receive goroutine. Cancels interrupt the running job (its stop
 // channel), remove a still-queued job, or tombstone a job that has not
 // arrived yet (the coordinator's cancel send can overtake the job
-// send); all three answer with a cancelled message.
+// send); all three answer with a cancelled message. Tombstones are
+// bounded by maxTombstones.
 type jobExecutor struct {
 	t transport
 
@@ -98,6 +99,15 @@ type jobExecutor struct {
 	draining  bool
 	done      chan struct{}
 }
+
+// maxTombstones bounds the cancels an executor remembers for jobs it
+// has not seen. A cancel that lost its race to the job's reply leaves a
+// tombstone no job clears, job ids being unique per coordinator
+// process. A coordinator keeps at most PipelineDepth (2) jobs in flight
+// on a link, so at most two tombstones can still await their job; 64
+// leaves a wide margin. Evicting one can only let a cancelled job run
+// to its end, and the coordinator drops that reply as late.
+const maxTombstones = 64
 
 func newJobExecutor(t transport) *jobExecutor {
 	e := &jobExecutor{
@@ -175,6 +185,14 @@ func (e *jobExecutor) cancel(id int) {
 		}
 	}
 	e.cancelled[id] = true
+	if len(e.cancelled) > maxTombstones {
+		// Job ids rise over a coordinator's life: the least is the oldest.
+		oldest := id
+		for tomb := range e.cancelled {
+			oldest = min(oldest, tomb)
+		}
+		delete(e.cancelled, oldest)
+	}
 	e.mu.Unlock()
 }
 

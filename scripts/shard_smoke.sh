@@ -3,8 +3,9 @@
 # adaptive table must be byte-identical in-process, with two worker
 # goroutines, and sharded over two worker processes; a checkpoint
 # written under one -shards must resume under another with the same
-# table; and a -checkpoint run without -shards must split the run into
-# more than one claimed range.
+# table; a -checkpoint run without -shards must split the run into
+# more than one claimed range; and a finished checkpoint with one digit
+# changed must resume to the clean run's table.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,5 +41,16 @@ cmp "$TMP/fixed.base" "$TMP/default.out" || { echo "FAIL: default-shards table d
 records=$(($(wc -l <"$TMP/default.ckpt") - 1))
 [ "$records" -gt 1 ] || { echo "FAIL: checkpoint holds $records range(s), want more than one"; exit 1; }
 echo "checkpoint holds $records ranges"
+
+echo "--- a finished checkpoint with one digit changed resumes to the clean table ---"
+DAMAGE=(-disks 4 -lambda 1e-4 -hep 0.01 -iters 4096 -mission 1e5 -workers 2 -checkpoint "$TMP/damaged.ckpt")
+"$TMP/availsim" "${DAMAGE[@]}" >"$TMP/damaged.clean"
+cp "$TMP/damaged.ckpt" "$TMP/damaged.orig"
+# On the first record line, the digit after the first "avail" mean's
+# "0.99" becomes 0, or 1 when it is 0.
+sed -E -i '2{s/("avail":\{"n":[0-9]+,"mean":0\.99)[1-9]/\10/;t;s/("avail":\{"n":[0-9]+,"mean":0\.99)0/\11/}' "$TMP/damaged.ckpt"
+if cmp -s "$TMP/damaged.orig" "$TMP/damaged.ckpt"; then echo "FAIL: the edit left the checkpoint unchanged"; exit 1; fi
+"$TMP/availsim" "${DAMAGE[@]}" >"$TMP/damaged.resumed"
+cmp "$TMP/damaged.clean" "$TMP/damaged.resumed" || { echo "FAIL: the damaged checkpoint changed the table"; exit 1; }
 
 echo "PASS"
