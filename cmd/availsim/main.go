@@ -311,12 +311,12 @@ func main() {
 		TargetHalfWidth: *targetHW,
 		MaxIters:        *maxIters,
 	}
-	// Identify validates the run and resolves its kernel, so -kernel
+	// Resolve validates the run and resolves its kernel, so -kernel
 	// memoryless on a non-exponential law or a biased generic run fails
 	// before any sharded machinery spins up, and the report can name the
 	// kernel that ran. The run keeps the options as given: a checkpoint
 	// binds their fingerprint.
-	resolved, _, err := shard.Identify(p, o)
+	resolved, err := sim.Resolve(p, o)
 	exitOn(err)
 	// Profiles bracket only the Monte-Carlo work, not flag parsing or
 	// report formatting.

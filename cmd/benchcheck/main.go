@@ -1,18 +1,15 @@
-// Command benchcheck compares a fresh benchmark report (the JSON
-// scripts/bench.sh emits) against a committed baseline (the newest
-// BENCH_*.json at the repo root) and exits non-zero when a kernel
-// benchmark regressed beyond the threshold. CI runs it after the
-// bench job so a >20% kernel regression fails the build instead of
-// slipping into the trajectory unnoticed.
+// Command benchcheck is CI's micro-benchmark gate. It compares two
+// sides' reports (the JSON scripts/bench.sh emits), recorded in
+// alternation on one machine by scripts/abbench.sh BASE_REV micro, and
+// exits non-zero when a gated benchmark's median ns/op over the change
+// side's reports exceeds the base side's median by more than the
+// threshold. Both sides run on the same host in the same session, so
+// the gate measures the change, not the machine.
 //
 // Usage:
 //
-//	benchcheck -baseline BENCH_2.json -current bench-report.json
-//	benchcheck -baseline BENCH_2.json -current out.json -threshold 0.3 -match 'MCIteration'
-//
-// Both file shapes are accepted: a bare bench.sh report
-// ({"benchmarks": [...]}) or a PR trajectory file whose "after" (or
-// "before") section holds the report.
+//	benchcheck -baseline base-1.json,base-2.json,base-3.json -current change-1.json,change-2.json,change-3.json
+//	benchcheck -baseline base.json -current change.json -threshold 0.3 -match 'MCIteration'
 package main
 
 import (
@@ -22,6 +19,7 @@ import (
 	"os"
 	"regexp"
 	"sort"
+	"strings"
 )
 
 // benchmark is one benchmark line of a report.
@@ -32,52 +30,63 @@ type benchmark struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// report is the JSON shape bench.sh emits; trajectory files nest it
-// under "before"/"after".
+// report is the JSON shape bench.sh emits.
 type report struct {
-	Go         string      `json:"go"`
-	CPU        string      `json:"cpu"`
 	Benchmarks []benchmark `json:"benchmarks"`
-	Before     *report     `json:"before"`
-	After      *report     `json:"after"`
 }
 
-// loadBenchmarks reads a report file and returns its benchmarks by
-// name, preferring the "after" section of trajectory files.
-func loadBenchmarks(path string) (map[string]benchmark, string, error) {
+// loadBenchmarks reads a bench.sh report and returns its benchmarks by
+// name, dropping lines without a positive ns/op.
+func loadBenchmarks(path string) (map[string]benchmark, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var r report
 	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	sel := &r
-	if len(sel.Benchmarks) == 0 && r.After != nil {
-		sel = r.After
-	}
-	if len(sel.Benchmarks) == 0 && r.Before != nil {
-		sel = r.Before
-	}
-	if len(sel.Benchmarks) == 0 {
-		return nil, "", fmt.Errorf("%s: no benchmarks found", path)
-	}
-	out := make(map[string]benchmark, len(sel.Benchmarks))
-	for _, b := range sel.Benchmarks {
+	out := make(map[string]benchmark, len(r.Benchmarks))
+	for _, b := range r.Benchmarks {
 		if b.Name == "" || b.NsPerOp <= 0 {
 			continue
 		}
 		out[b.Name] = b
 	}
-	cpu := sel.CPU
-	if cpu == "" {
-		cpu = r.CPU
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no benchmarks found", path)
 	}
-	return out, cpu, nil
+	return out, nil
 }
 
-// delta is one baseline-vs-current comparison.
+// medians loads one side's reports and returns, for each benchmark, its
+// median ns/op over the reports that carry it (the mean of the middle
+// two for an even count).
+func medians(paths []string) (map[string]benchmark, error) {
+	runs := make(map[string][]float64)
+	for _, path := range paths {
+		m, err := loadBenchmarks(path)
+		if err != nil {
+			return nil, err
+		}
+		for name, b := range m {
+			runs[name] = append(runs[name], b.NsPerOp)
+		}
+	}
+	out := make(map[string]benchmark, len(runs))
+	for name, ns := range runs {
+		sort.Float64s(ns)
+		mid := len(ns) / 2
+		med := ns[mid]
+		if len(ns)%2 == 0 {
+			med = (ns[mid-1] + ns[mid]) / 2
+		}
+		out[name] = benchmark{Name: name, NsPerOp: med}
+	}
+	return out, nil
+}
+
+// delta is one base-vs-change comparison.
 type delta struct {
 	Name       string
 	BaseNs     float64
@@ -87,13 +96,11 @@ type delta struct {
 }
 
 // compare matches benchmarks by name (filtered by match) and flags
-// regressions beyond threshold. Gated baseline benchmarks absent from
-// the current report are returned in missing — a renamed or dropped
-// kernel benchmark must be visible, not silently un-gated. The
-// reverse direction is tolerated by construction: benchmarks present
-// only in the current report (newly added kernels not yet in older
-// BENCH_*.json baselines) are returned in added and never gate — they
-// start gating once a baseline containing them is committed.
+// regressions beyond threshold. Gated base benchmarks absent from the
+// current side are returned in missing — a renamed or dropped kernel
+// benchmark must be visible, not silently un-gated. Benchmarks present
+// only on the current side (added by the change) are returned in added
+// and never gate: the base has nothing to compare them with.
 func compare(base, cur map[string]benchmark, match *regexp.Regexp, threshold float64) (out []delta, missing, added []string) {
 	for name, b := range base {
 		if match != nil && !match.MatchString(name) {
@@ -129,13 +136,13 @@ func compare(base, cur map[string]benchmark, match *regexp.Regexp, threshold flo
 
 func main() {
 	var (
-		baseline  = flag.String("baseline", "", "committed baseline JSON (e.g. the newest BENCH_*.json)")
-		current   = flag.String("current", "", "fresh report JSON (scripts/bench.sh output)")
-		threshold = flag.Float64("threshold", 0.20, "fail when ns/op grows by more than this fraction")
+		baseline  = flag.String("baseline", "", "comma-separated bench.sh reports of the base side")
+		current   = flag.String("current", "", "comma-separated bench.sh reports of the change side")
+		threshold = flag.Float64("threshold", 0.20, "fail when a median ns/op grows by more than this fraction")
 		match     = flag.String("match", "MCIteration|SampleN|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile|SteadyState",
 			"regexp selecting the kernel benchmarks to gate on")
 		missingIs = flag.String("missing", "warn",
-			"how to treat gated baseline benchmarks absent from the current report: warn or fail")
+			"how to treat gated base benchmarks absent from the change side: warn or fail")
 	)
 	flag.Parse()
 	if *baseline == "" || *current == "" {
@@ -147,39 +154,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcheck: bad -match:", err)
 		os.Exit(2)
 	}
-	base, baseCPU, err := loadBenchmarks(*baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	cur, curCPU, err := loadBenchmarks(*current)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcheck:", err)
-		os.Exit(2)
-	}
-	if baseCPU != "" && curCPU != "" && baseCPU != curCPU {
-		fmt.Fprintf(os.Stderr, "benchcheck: note: baseline CPU %q differs from current %q; timings are cross-machine\n",
-			baseCPU, curCPU)
-	}
-
 	if *missingIs != "warn" && *missingIs != "fail" {
 		fmt.Fprintln(os.Stderr, "benchcheck: -missing must be warn or fail")
+		os.Exit(2)
+	}
+	basePaths, curPaths := strings.Split(*baseline, ","), strings.Split(*current, ",")
+	base, err := medians(basePaths)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
+		os.Exit(2)
+	}
+	cur, err := medians(curPaths)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
 
 	deltas, missing, added := compare(base, cur, re, *threshold)
 	for _, name := range missing {
-		fmt.Fprintf(os.Stderr, "benchcheck: %s: gated baseline benchmark %s is missing from the current report\n", *missingIs, name)
+		fmt.Fprintf(os.Stderr, "benchcheck: %s: gated base benchmark %s is missing from the change side\n", *missingIs, name)
 	}
 	for _, name := range added {
-		// New benchmarks (e.g. kernels absent from older BENCH_*.json)
-		// are informational until a baseline containing them lands.
-		fmt.Fprintf(os.Stderr, "benchcheck: note: %s is new in the current report; it gates once a baseline includes it\n", name)
+		fmt.Fprintf(os.Stderr, "benchcheck: note: %s is new on the change side; the base has nothing to compare it with\n", name)
 	}
 	if len(deltas) == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no matching benchmarks shared by baseline and current report")
+		fmt.Fprintln(os.Stderr, "benchcheck: no matching benchmarks shared by the two sides")
 		os.Exit(2)
 	}
+	fmt.Printf("medians of %d base and %d change reports, ns/op\n", len(basePaths), len(curPaths))
 	failed := 0
 	for _, d := range deltas {
 		flag := "  "
@@ -194,8 +196,8 @@ func main() {
 		os.Exit(1)
 	}
 	if len(missing) > 0 && *missingIs == "fail" {
-		fmt.Fprintf(os.Stderr, "benchcheck: %d gated benchmark(s) missing from the current report\n", len(missing))
+		fmt.Fprintf(os.Stderr, "benchcheck: %d gated benchmark(s) missing from the change side\n", len(missing))
 		os.Exit(1)
 	}
-	fmt.Printf("benchcheck: %d benchmarks within %.0f%% of baseline\n", len(deltas), 100**threshold)
+	fmt.Printf("benchcheck: %d benchmarks within %.0f%% of the base\n", len(deltas), 100**threshold)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -24,12 +25,9 @@ func TestLoadBenchmarksBareReport(t *testing.T) {
 			{"name": "BenchmarkBroken", "ns_per_op": 0}
 		]
 	}`)
-	m, cpu, err := loadBenchmarks(path)
+	m, err := loadBenchmarks(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cpu != "TestCPU" {
-		t.Errorf("cpu = %q", cpu)
 	}
 	if len(m) != 1 {
 		t.Errorf("kept %d benchmarks, want 1 (zero ns/op dropped)", len(m))
@@ -39,22 +37,38 @@ func TestLoadBenchmarksBareReport(t *testing.T) {
 	}
 }
 
-func TestLoadBenchmarksTrajectoryFile(t *testing.T) {
-	// BENCH_<pr>.json shape: before/after sections; "after" wins.
-	path := writeFile(t, "BENCH_2.json", `{
-		"pr": 2,
-		"before": {"benchmarks": [{"name": "BenchmarkX", "ns_per_op": 300}]},
-		"after":  {"cpu": "C", "benchmarks": [{"name": "BenchmarkX", "ns_per_op": 100}]}
-	}`)
-	m, cpu, err := loadBenchmarks(path)
+// TestMediansPerSide pins the same-runner gate: each side's benchmark
+// is its median over that side's reports, so one noisy run on either
+// side neither trips nor hides a regression, and a benchmark gates at
+// the threshold on medians alone.
+func TestMediansPerSide(t *testing.T) {
+	report := func(name string, mc, exp float64) string {
+		return writeFile(t, name, fmt.Sprintf(`{"benchmarks": [
+			{"name": "BenchmarkMCIterationConventional", "ns_per_op": %v},
+			{"name": "BenchmarkExpFloat64", "ns_per_op": %v}
+		]}`, mc, exp))
+	}
+	base, err := medians([]string{report("b1.json", 100, 10), report("b2.json", 400, 10), report("b3.json", 110, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cpu != "C" {
-		t.Errorf("cpu = %q, want after-section CPU", cpu)
+	cur, err := medians([]string{report("c1.json", 105, 13), report("c2.json", 104, 30), report("c3.json", 20, 12)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m["BenchmarkX"].NsPerOp != 100 {
-		t.Errorf("ns/op = %v, want the after section's 100", m["BenchmarkX"].NsPerOp)
+	if base["BenchmarkMCIterationConventional"].NsPerOp != 110 || cur["BenchmarkExpFloat64"].NsPerOp != 13 {
+		t.Fatalf("medians %v and %v, want 110 and 13", base["BenchmarkMCIterationConventional"].NsPerOp, cur["BenchmarkExpFloat64"].NsPerOp)
+	}
+	ds, _, _ := compare(base, cur, nil, 0.20)
+	if len(ds) != 2 || ds[0].Name != "BenchmarkExpFloat64" || !ds[0].Regression || ds[1].Regression {
+		t.Errorf("deltas %+v, want ExpFloat64 (10 -> 13 ns) flagged and MCIteration (110 -> 104 ns) not", ds)
+	}
+	even, err := medians([]string{report("e1.json", 100, 10), report("e2.json", 120, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := even["BenchmarkMCIterationConventional"].NsPerOp; got != 110 {
+		t.Errorf("median of two reports = %v, want their mean 110", got)
 	}
 }
 
@@ -100,9 +114,9 @@ func TestCompareImprovementNotFlagged(t *testing.T) {
 }
 
 // TestCompareToleratesNewBenchmarks pins the forward-compatibility
-// contract: kernel benchmarks added in this PR are absent from older
-// BENCH_*.json baselines and must neither gate nor error — they are
-// surfaced in added and start gating once a baseline includes them.
+// contract: kernel benchmarks a change adds are absent from the base
+// side's reports and must neither gate nor error — they are surfaced
+// in added.
 func TestCompareToleratesNewBenchmarks(t *testing.T) {
 	base := map[string]benchmark{
 		"BenchmarkMCIterationConventional": {NsPerOp: 145000},

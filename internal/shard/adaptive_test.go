@@ -465,7 +465,7 @@ func TestCancelTombstonesBounded(t *testing.T) {
 // planDispatcher is a worker-less dispatcher through which tests bank
 // a run's claims by hand.
 func planDispatcher() *dispatcher {
-	d := &dispatcher{logw: io.Discard, jobIndex: map[int]jobKey{}, assigned: map[int]*assignment{}, done: make(chan struct{})}
+	d := &dispatcher{logw: io.Discard, assigned: map[int]*assignment{}, done: make(chan struct{})}
 	d.cond = sync.NewCond(&d.mu)
 	return d
 }
@@ -527,7 +527,7 @@ func TestAdaptivePartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d.bank(jobKey{r: r, rg: rg}, 0, parts, false)
+			d.bank(jobKey{r: r, rg: rg}, 0, parts)
 			if !r.finished {
 				claimAll()
 			}

@@ -56,9 +56,6 @@ type Stats struct {
 	FromCheckpoint int
 	// Computed counts ranges executed by workers this run.
 	Computed int
-	// DuplicateResults counts results that arrived for an already
-	// banked range and were dropped (exactly-once merging).
-	DuplicateResults int
 	// WorkerFailures counts workers that died mid-run and had their
 	// ranges reassigned — once per worker, however many jobs it held —
 	// plus each malformed result dropped and recomputed.
@@ -109,9 +106,6 @@ type runState struct {
 	// RunProgress). It is invoked with the dispatcher lock held and must
 	// not block or call back into the pool.
 	progress func(RunProgress)
-	// jobIDs records every job id issued for this run, so the pool can
-	// drop the run's jobIndex entries once it is compacted out.
-	jobIDs []int
 
 	finished bool
 	// aborted carries the cancellation cause of a run ended by its
@@ -151,13 +145,14 @@ func (r *runState) emitProgress(final bool) {
 	r.progress(pr)
 }
 
-// newRunState validates one run and restores its checkpoint when
-// configured.
+// newRunState resolves one run (sim.Resolve, so the pool refuses what
+// its workers would, before a checkpoint opens or a job leaves) and
+// restores its checkpoint when configured.
 func newRunState(idx int, spec *RunSpec, logw io.Writer) (*runState, error) {
-	if err := spec.Params.Validate(); err != nil {
+	if _, err := sim.Resolve(spec.Params, spec.Options); err != nil {
 		return nil, err
 	}
-	scan, err := sim.NewStopScan(spec.Options) // validates the options
+	scan, err := sim.NewStopScan(spec.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +244,7 @@ func (r *runState) claimRange(p int) (sim.Range, bool) {
 		}
 		rg := r.retry[lo]
 		r.retry = append(r.retry[:lo], r.retry[lo+1:]...)
-		if !r.banked(rg.Start) { // else a stray delivery beat the retry
+		if !r.banked(rg.Start) { // else it landed since it was queued
 			return rg, true
 		}
 	}
@@ -329,12 +324,14 @@ type dispatcher struct {
 	// closing is set by Pool.Close: claims stop, serves retire.
 	closing bool
 
-	jobIndex map[int]jobKey      // every job ever issued (strays resolve here)
-	assigned map[int]*assignment // in-flight jobs only
+	assigned map[int]*assignment // in-flight jobs
 
 	// deadWorker dedupes WorkerFailures: a pipelined worker holds
 	// several jobs, and its death must count once, not once per job.
+	// lastDeath is the latest worker failure, the cause a pool that
+	// loses its last worker names.
 	deadWorker map[Worker]bool
+	lastDeath  error
 	// joined counts the live serve slots of each worker the source
 	// delivered. The pool closes such a worker when its last slot
 	// retires after it died, and the rest on Close.
@@ -361,11 +358,10 @@ type dispatcher struct {
 
 func (d *dispatcher) signalDone() { d.doneOnce.Do(func() { close(d.done) }) }
 
-// addWorker plugs a worker into the pool: the coordinator's stray sink
-// is installed, and one serve goroutine per pipeline slot starts
-// claiming ranges (PipelineDepth slots for workers that support
-// double-buffering, one otherwise). joined marks a worker the source
-// delivered, which the pool owns.
+// addWorker plugs a worker into the pool: one serve goroutine per
+// pipeline slot starts claiming ranges (PipelineDepth slots for workers
+// that support double-buffering, one otherwise). joined marks a worker
+// the source delivered, which the pool owns.
 func (d *dispatcher) addWorker(w Worker, joined bool) {
 	d.mu.Lock()
 	d.addWorkerLocked(w, joined)
@@ -376,9 +372,6 @@ func (d *dispatcher) addWorker(w Worker, joined bool) {
 // fallback arming paths, which must install the worker atomically with
 // observing the drained pool).
 func (d *dispatcher) addWorkerLocked(w Worker, joined bool) {
-	if sb, ok := w.(strayBanker); ok {
-		sb.setStray(d.bankStray)
-	}
 	depth := 1
 	if p, ok := w.(Pipeliner); ok && p.PipelineDepth() > 1 {
 		depth = p.PipelineDepth()
@@ -432,16 +425,18 @@ func (d *dispatcher) exitServe(w Worker) {
 // drainedLocked handles a pool that may have lost its last serve
 // goroutine. It first arms the in-process fallback worker (when
 // configured), so parked runs keep making progress. Without one, the
-// pool declares itself dead, so tickets resolve and future submissions
-// fail fast, unless it is already closing or a joiner may still arrive:
-// with the source open, runs park and resume when a supervised worker
-// rejoins. Callers hold d.mu.
+// pool declares itself dead, naming the last worker failure, so tickets
+// resolve and future submissions fail fast, unless it is already
+// closing or a joiner may still arrive: with the source open, runs park
+// and resume when a supervised worker rejoins. Callers hold d.mu.
 func (d *dispatcher) drainedLocked() {
 	if d.live > 0 {
 		return
 	}
 	if d.fallback != nil && !d.fallbackArmed {
 		d.armFallbackLocked()
+	} else if !d.sourceOpen && !d.closing && d.lastDeath != nil {
+		d.failLocked(fmt.Errorf("shard: no live workers remain (last: %w)", d.lastDeath))
 	} else if !d.sourceOpen && !d.closing {
 		d.failLocked(fmt.Errorf("shard: no live workers remain"))
 	}
@@ -454,8 +449,9 @@ func (d *dispatcher) drainedLocked() {
 // falsely answered as cancelled.
 var jobSeq atomic.Int64
 
-// serve drives one worker: claim a job, run it, bank the result; on
-// worker death requeue the range and retire.
+// serve drives one worker: claim a job, run it, bank the result. A
+// job-scoped error fails the job's run alone; on worker death the range
+// is requeued and the slot retires.
 func (d *dispatcher) serve(w Worker) {
 	for {
 		job, key, ok := d.claim(w)
@@ -463,24 +459,28 @@ func (d *dispatcher) serve(w Worker) {
 			return
 		}
 		parts, err := w.Run(job)
+		je, refused := err.(*jobError)
 		switch {
 		case err == nil:
-			d.bank(key, job.ID, parts, true)
+			d.bank(key, job.ID, parts)
 		case err == ErrJobCancelled:
 			d.cancelled(key, job.ID)
+		case refused:
+			// The worker is alive but refused the job: rerunning it
+			// elsewhere would fail the same, so its run fails, and the
+			// slot claims on.
+			d.mu.Lock()
+			delete(d.assigned, job.ID)
+			d.abortLocked(key.r, fmt.Errorf("shard: %w", je))
+			d.mu.Unlock()
 		default:
-			if je, isJob := err.(*jobError); isJob {
-				// The worker is alive but rejected the job: rerunning
-				// elsewhere would fail identically, so the pool is dead.
-				d.fail(job.ID, fmt.Errorf("shard: %w", je))
-				return
-			}
 			d.mu.Lock()
 			r := key.r
 			if !d.deadWorker[w] {
 				d.deadWorker[w] = true
 				r.stats.WorkerFailures++
 			}
+			d.lastDeath = err
 			delete(d.assigned, job.ID)
 			r.requeueLocked(key.rg)
 			fmt.Fprintf(d.logw, "shard: worker %s died (%v); run %d range [%d,%d) reassigned\n",
@@ -520,9 +520,7 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 			}
 			jid := int(jobSeq.Add(1))
 			key := jobKey{r: r, rg: rg}
-			d.jobIndex[jid] = key
 			d.assigned[jid] = &assignment{key: key, w: w}
-			r.jobIDs = append(r.jobIDs, jid)
 			return &Job{ID: jid, Start: rg.Start, End: rg.End, Params: r.wire, Options: r.jobOptions}, key, true
 		}
 		d.cond.Wait()
@@ -535,27 +533,22 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 // whose seeding changed) would recompute the same range forever.
 const maxMalformedPerShard = 3
 
-// bank records a completed range exactly once: a result for a range
-// the scan has folded or that waits in done is a duplicate, counted
-// and dropped. fromRun marks results produced by this dispatcher's own
-// claim (whose assignment ends here) versus stray deliveries.
-func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial, fromRun bool) {
+// bank records the result of job jobID, which ends its assignment, and
+// banks each range once: a result for a range the scan has folded or
+// that waits in done is dropped, as StopScan.Feed panics on an overlap.
+func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	r, rg := key.r, key.rg
-	if fromRun {
-		delete(d.assigned, jobID)
-	}
+	delete(d.assigned, jobID)
 	if r.finished {
 		// A run that already finished no longer needs this range (a
-		// cancel lost the race, or a reassigned range was answered
-		// twice).
+		// cancel lost the race to the result).
 		fmt.Fprintf(d.logw, "shard: dropping late result for finished run %d range [%d,%d)\n", r.idx, rg.Start, rg.End)
 		d.cond.Broadcast()
 		return
 	}
 	if r.banked(rg.Start) {
-		r.stats.DuplicateResults++
 		fmt.Fprintf(d.logw, "shard: dropping duplicate result for range [%d,%d)\n", rg.Start, rg.End)
 		d.cond.Broadcast()
 		return
@@ -665,10 +658,16 @@ func (d *dispatcher) endLocked(r *runState) {
 // abortRun ends a run before its natural completion: retries are
 // dropped, in-flight jobs are cancelled through the protocol's v2
 // cancel path, and the ticket resolves with cause. Idempotent; a run
-// that already finished is left alone.
+// that already finished is left alone. The pool and its other runs go
+// on.
 func (d *dispatcher) abortRun(r *runState, cause error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.abortLocked(r, cause)
+}
+
+// abortLocked is abortRun for callers holding d.mu.
+func (d *dispatcher) abortLocked(r *runState, cause error) {
 	if r.finished {
 		return
 	}
@@ -688,27 +687,6 @@ func (d *dispatcher) cancelled(key jobKey, jobID int) {
 	key.r.stats.CancelledJobs++
 	key.r.requeueLocked(key.rg)
 	d.cond.Broadcast()
-}
-
-// bankStray records a result that arrived outside the request/response
-// pairing (a re-delivery or a late answer from a presumed-dead
-// worker), resolving the job id against every assignment ever issued.
-func (d *dispatcher) bankStray(jobID int, parts []sim.Partial) {
-	d.mu.Lock()
-	key, ok := d.jobIndex[jobID]
-	d.mu.Unlock()
-	if !ok {
-		fmt.Fprintf(d.logw, "shard: dropping stray result for unknown job %d\n", jobID)
-		return
-	}
-	d.bank(key, jobID, parts, false)
-}
-
-func (d *dispatcher) fail(jobID int, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.assigned, jobID)
-	d.failLocked(err)
 }
 
 func (d *dispatcher) failLocked(err error) {

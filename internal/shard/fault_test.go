@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"herald/internal/ndjson"
 	"herald/internal/sim"
@@ -144,17 +145,22 @@ func TestKilledProcessWorkerReassigned(t *testing.T) {
 }
 
 // duplicatingTransport replays every result message it delivers: the
-// duplicate arrives as a stray while the worker waits for its next
-// job's answer, exercising the exactly-once merge.
+// copy arrives as a reply no Run awaits. It counts the replays it
+// returned and the receives asked of it after the first one.
 type duplicatingTransport struct {
 	transport
-	replay []*Message
+	replay              []*Message
+	replayed, recvAfter int
 }
 
 func (d *duplicatingTransport) Recv() (*Message, error) {
+	if d.replayed > 0 {
+		d.recvAfter++
+	}
 	if len(d.replay) > 0 {
 		m := d.replay[0]
 		d.replay = d.replay[1:]
+		d.replayed++
 		return m, nil
 	}
 	m, err := d.transport.Recv()
@@ -167,9 +173,13 @@ func (d *duplicatingTransport) Recv() (*Message, error) {
 	return m, nil
 }
 
-// TestDuplicateResultIgnored feeds every shard result twice; the
-// duplicates must be dropped, counted, and the Summary byte-identical.
-func TestDuplicateResultIgnored(t *testing.T) {
+// TestUnsolicitedReplyEndsLink runs a worker whose link replays every
+// result beside a healthy one, which starts computing only once the
+// replaying link has ended (or after 10 s), so the run cannot finish
+// before it does: the replaying worker loses its link at its first
+// duplicate, its ranges are reassigned, and the Summary is
+// byte-identical.
+func TestUnsolicitedReplyEndsLink(t *testing.T) {
 	p := testParams(sim.DualParity)
 	o := testOptions()
 	base, err := sim.Run(p, o)
@@ -179,16 +189,39 @@ func TestDuplicateResultIgnored(t *testing.T) {
 
 	server, client := pipeTransports()
 	go func() { _ = serveConn(server) }()
-	w := newRemoteWorker("dup", &duplicatingTransport{transport: client}, 1)
+	dt := &duplicatingTransport{transport: client}
+	w := newRemoteWorker("dup", dt, 1)
 	defer w.Close()
+	ended := make(chan struct{})
+	go func() {
+		select {
+		case <-w.pumpDone:
+		case <-time.After(10 * time.Second):
+		}
+		close(ended)
+	}()
+	healthy := &gatedWorker{inner: NewInProcessWorker("healthy", 1), gate: ended}
+	defer healthy.Close()
 
 	var log bytes.Buffer
-	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 5, Workers: []Worker{w}, Log: &log})
+	got, st, err := runStats(runCfg{Params: p, Options: o, Shards: 5, Workers: []Worker{w, healthy}, Log: &log})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v (log: %s)", err, log.String())
 	}
-	if st.DuplicateResults == 0 {
-		t.Errorf("expected dropped duplicates, got none (log: %s)", log.String())
+	if st.WorkerFailures < 1 {
+		t.Errorf("worker failures = %d, want the replaying worker's link ended (log: %s)", st.WorkerFailures, log.String())
+	}
+	<-ended
+	select {
+	case <-w.pumpDone:
+	default:
+		t.Fatal("the replaying worker's link is still read after its duplicate")
+	}
+	if dt.replayed != 1 || dt.recvAfter != 0 {
+		t.Errorf("the link read %d replays and %d messages after the first; want it ended at the first", dt.replayed, dt.recvAfter)
+	}
+	if !strings.Contains(log.String(), "unsolicited result reply") {
+		t.Errorf("log does not name the unsolicited reply: %s", log.String())
 	}
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 		t.Error("summary diverged under duplicate deliveries")

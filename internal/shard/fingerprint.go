@@ -39,32 +39,17 @@ func RunFingerprint(p WireParams, o sim.Options) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Identify resolves a run to the options it executes with and their
-// RunFingerprint: it validates p and o, resolves o.Kernel to the
-// concrete kernel (sim.ResolveKernel), and refuses a biased run whose
-// kernel resolves generic. Every result key is computed here —
-// availserve's cache, herald.SimFingerprint and sweep rows — so an
+// Identify resolves a run to the options it executes with
+// (sim.Resolve: validated, kernel resolved, a biased generic run
+// refused) and their RunFingerprint. Every result key is computed here
+// — availserve's cache, herald.SimFingerprint and sweep rows — so an
 // auto-kernel run and the same run with its resolved kernel share one
 // fingerprint.
 func Identify(p sim.ArrayParams, o sim.Options) (sim.Options, string, error) {
-	if err := p.Validate(); err != nil {
-		return sim.Options{}, "", err
-	}
-	if err := o.Validate(); err != nil {
-		return sim.Options{}, "", err
-	}
-	k, err := sim.ResolveKernel(p, o.Kernel)
+	o, err := sim.Resolve(p, o)
 	if err != nil {
 		return sim.Options{}, "", err
 	}
-	if o.Biased() && k != sim.KernelMemoryless {
-		bias := fmt.Sprint(o.Bias)
-		if o.Bias == sim.BiasAuto {
-			bias = "auto"
-		}
-		return sim.Options{}, "", fmt.Errorf("shard: bias %s requires the memoryless kernel (configuration resolved %v)", bias, k)
-	}
-	o.Kernel = k
 	w, err := EncodeParams(p)
 	if err != nil {
 		return sim.Options{}, "", err

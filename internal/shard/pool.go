@@ -50,7 +50,7 @@ type Pool struct {
 // means the zero value.
 type PoolOptions struct {
 	// Log receives progress warnings (torn checkpoints, dead workers,
-	// duplicate results). Nil discards them.
+	// dropped results). Nil discards them.
 	Log io.Writer
 	// LocalFallback, when positive, arms degraded-mode execution: if
 	// the pool ever drains completely (every worker dead or departed),
@@ -82,7 +82,6 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 	d := &dispatcher{
 		logw:       o.Log,
 		start:      time.Now(),
-		jobIndex:   make(map[int]jobKey),
 		assigned:   make(map[int]*assignment),
 		deadWorker: make(map[Worker]bool),
 		joined:     make(map[Worker]int),
@@ -127,10 +126,12 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 }
 
 // RunPipeline executes a fixed list of runs on a pool built over
-// workers, waits for every one, and closes the pool. The returned slice
-// always has one RunResult per spec (zero Summary for runs the pool
-// failed before finishing); the error is the first failure, nil when
-// every run completed. The workers remain the caller's to close.
+// workers, waits for every one, and closes the pool. A run refused by
+// Submit or failed by a worker's job-scoped error fails alone: the
+// other runs still finish. The returned slice always has one RunResult
+// per spec (zero Summary for a run that failed); the error is the first
+// failure in spec order, nil when every run completed. The workers
+// remain the caller's to close.
 func RunPipeline(specs []RunSpec, workers []Worker, opts *PoolOptions) ([]RunResult, error) {
 	out := make([]RunResult, len(specs))
 	if len(specs) == 0 {
@@ -141,23 +142,22 @@ func RunPipeline(specs []RunSpec, workers []Worker, opts *PoolOptions) ([]RunRes
 		return out, err
 	}
 	defer pool.Close()
-	tickets := make([]*Ticket, 0, len(specs))
-	for _, spec := range specs {
-		tk, err := pool.Submit(context.Background(), spec, nil)
+	tickets := make([]*Ticket, len(specs))
+	errs := make([]error, len(specs))
+	for i, spec := range specs {
+		tickets[i], errs[i] = pool.Submit(context.Background(), spec, nil)
+	}
+	for i, tk := range tickets {
+		if tk != nil {
+			out[i], errs[i] = tk.Wait()
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			return out, err
 		}
-		tickets = append(tickets, tk)
 	}
-	var firstErr error
-	for i, tk := range tickets {
-		res, err := tk.Wait()
-		out[i] = res
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
+	return out, nil
 }
 
 // Ticket is a handle on one submitted run.
@@ -166,14 +166,16 @@ type Ticket struct {
 	r *runState
 }
 
-// Submit validates one run, restores its checkpoint, and opens it to
-// the pool's slots, which claim its cells in guided batches off the
-// run's cursor. Submission order is the pipelining priority. When ctx
-// ends before the run does, the run is aborted — retries dropped,
-// in-flight jobs cancelled through the protocol's cancel path — and
-// the ticket resolves with an error wrapping the context's cause; this
-// is how a client disconnect or a per-request deadline reaches the
-// shard wire. The pool itself stays usable.
+// Submit resolves one run through sim.Resolve, so a run a worker would
+// refuse is refused here, before a checkpoint opens or a job leaves. It
+// then restores the run's checkpoint and opens it to the pool's slots,
+// which claim its cells in guided batches off the run's cursor.
+// Submission order is the pipelining priority. When ctx ends before the
+// run does, the run is aborted — retries dropped, in-flight jobs
+// cancelled through the protocol's cancel path — and the ticket
+// resolves with an error wrapping the context's cause; this is how a
+// client disconnect or a per-request deadline reaches the shard wire.
+// The pool itself stays usable.
 //
 // progress, when non-nil, observes the run's advance; it is invoked
 // with the pool's dispatch lock held and must return quickly without
@@ -260,13 +262,9 @@ func (p *Pool) submitErrLocked() error {
 func (d *dispatcher) compactLocked() {
 	kept := d.runs[:0]
 	for _, r := range d.runs {
-		if r.finished {
-			for _, jid := range r.jobIDs {
-				delete(d.jobIndex, jid)
-			}
-			continue
+		if !r.finished {
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
 	}
 	for i := len(kept); i < len(d.runs); i++ {
 		d.runs[i] = nil

@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"herald/internal/dist"
 	"herald/internal/sim"
 )
 
@@ -569,5 +573,310 @@ func TestDeadJoinersReleased(t *testing.T) {
 	}
 	if after := openFDs(); after > before {
 		t.Errorf("%d descriptors open after %d joiners left, %d before", after, cycles, before)
+	}
+}
+
+// TestSubmitRefusesWhatWorkersRefuse pins admission: a run sim.Resolve
+// refuses — the memoryless kernel or a bias factor on a Weibull TTF —
+// fails Submit with Resolve's error, naming the kernel or the factor as
+// given, before a checkpoint opens or a job leaves; the pool still runs
+// a valid run byte-identically; and in a pipeline the refused run fails
+// alone.
+func TestSubmitRefusesWhatWorkersRefuse(t *testing.T) {
+	cw := &countingWorker{Worker: NewInProcessWorker("w", 1)}
+	defer cw.Close()
+	pool, err := NewPool([]Worker{cw}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	weibull := testParams(sim.Conventional)
+	weibull.TTF = dist.WeibullFromMeanRate(1e-4, 1.48)
+	for _, tc := range []struct {
+		kernel sim.Kernel
+		bias   float64
+		want   string
+	}{
+		{sim.KernelMemoryless, 0, "kernel memoryless"},
+		{sim.KernelAuto, sim.BiasAuto, "bias auto"},
+		{sim.KernelAuto, 4, "bias 4"},
+	} {
+		o := testOptions()
+		o.Kernel, o.Bias = tc.kernel, tc.bias
+		_, want := sim.Resolve(weibull, o)
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		_, err := pool.Submit(context.Background(), RunSpec{Params: weibull, Options: o, Checkpoint: ckpt}, nil)
+		switch {
+		case err == nil || want == nil:
+			t.Errorf("%s: Submit error %v, Resolve error %v; want both to refuse", tc.want, err, want)
+			continue
+		case err.Error() != want.Error():
+			t.Errorf("%s: Submit error %q, want Resolve's %q", tc.want, err, want)
+		case !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "bias -1") ||
+			strings.Contains(err.Error(), "factor -1"):
+			t.Errorf("%s: error %q does not name it so", tc.want, err)
+		}
+		if _, err := os.Stat(ckpt); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: a refused run left a checkpoint (stat: %v)", tc.want, err)
+		}
+	}
+	if n := cw.jobs.Load(); n != 0 {
+		t.Errorf("refused runs dispatched %d jobs", n)
+	}
+	if err := pool.Err(); err != nil {
+		t.Fatalf("refused submissions killed the pool: %v", err)
+	}
+	p, o := testParams(sim.Conventional), testOptions()
+	base, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+		t.Error("a valid run after refused ones diverged from sim.Run")
+	}
+
+	refused := testOptions()
+	refused.Bias = sim.BiasAuto
+	out, err := RunPipeline([]RunSpec{{Params: weibull, Options: refused}, {Params: p, Options: o}}, []Worker{cw}, nil)
+	if err == nil || !strings.Contains(err.Error(), "bias auto") {
+		t.Errorf("pipeline: error %v, want the refused run's", err)
+	}
+	if string(summaryBytes(t, out[1].Summary)) != string(summaryBytes(t, base)) {
+		t.Error("pipeline: the run beside a refused one diverged from sim.Run")
+	}
+}
+
+// refusingWorker answers every job of the run with the given seed with
+// a job-scoped error, as a live worker refusing a job's configuration
+// does, and runs the others.
+type refusingWorker struct {
+	Worker
+	seed uint64
+}
+
+func (w *refusingWorker) Run(job *Job) ([]sim.Partial, error) {
+	if job.Options.Seed == w.seed {
+		return nil, &jobError{ID: job.ID, Msg: "configuration refused"}
+	}
+	return w.Worker.Run(job)
+}
+
+// TestJobErrorFailsOnlyItsRun pins that a job-scoped error fails the
+// job's run and nothing else: its ticket resolves with the worker's
+// message, the pool stays usable, and a second run on the same pool,
+// or beside the refused one in a pipeline, is byte-identical to
+// sim.Run.
+func TestJobErrorFailsOnlyItsRun(t *testing.T) {
+	p := testParams(sim.Conventional)
+	refused, good := testOptions(), testOptions()
+	good.Seed++
+	base, err := sim.Run(p, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &refusingWorker{Worker: NewInProcessWorker("w", 1), seed: refused.Seed}
+	defer w.Close()
+	pool, err := NewPool([]Worker{w}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: refused}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err == nil || !strings.Contains(err.Error(), "configuration refused") {
+		t.Fatalf("refused run: error %v, want the worker's message", err)
+	}
+	if err := pool.Err(); err != nil {
+		t.Fatalf("a job-scoped error killed the pool: %v", err)
+	}
+	tk, err = pool.Submit(context.Background(), RunSpec{Params: p, Options: good}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+		t.Error("the run after a refused one diverged from sim.Run")
+	}
+
+	out, err := RunPipeline([]RunSpec{{Params: p, Options: refused}, {Params: p, Options: good}}, []Worker{w}, nil)
+	if err == nil || !strings.Contains(err.Error(), "configuration refused") {
+		t.Errorf("pipeline: error %v, want the refused run's", err)
+	}
+	if string(summaryBytes(t, out[1].Summary)) != string(summaryBytes(t, base)) {
+		t.Error("pipeline: the run beside a refused one diverged from sim.Run")
+	}
+}
+
+// TestDeadPoolNamesCause pins that a pool whose last worker failed
+// names that failure: a link whose far end says hello with another
+// realization, as an older build's stdio worker would, fails the run
+// with the mismatch as the cause.
+func TestDeadPoolNamesCause(t *testing.T) {
+	server, client := pipeTransports()
+	if err := server.Send(&Message{Type: MsgHello, Version: protocolVersion, Realization: sim.Realization - 1}); err != nil {
+		t.Fatal(err)
+	}
+	w := newRemoteWorker("proc:123", client, 1)
+	defer w.Close()
+	_, _, err := runStats(runCfg{Params: testParams(sim.Conventional), Options: testOptions(), Workers: []Worker{w}})
+	want := fmt.Sprintf("shard: no live workers remain (last: worker proc:123: realization %d, want %d)",
+		sim.Realization-1, sim.Realization)
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
+// holdingWorker runs jobs in this process, two at a time. For the run
+// with the given seed it holds each job starting at or past stop until
+// the coordinator cancels it, and the job ending at stop until such a
+// job has arrived, so the run binds at stop with a job in flight. It
+// runs other runs' jobs plainly and counts them.
+type holdingWorker struct {
+	seed       uint64
+	stop       int
+	arrived    chan struct{} // closed when a job past stop arrives
+	cancelled  chan struct{} // closed when the first held job is cancelled
+	arriveOnce sync.Once
+	cancelOnce sync.Once
+
+	mu    sync.Mutex
+	gates map[int]chan struct{}
+	jobs  atomic.Int32
+}
+
+func (w *holdingWorker) Name() string       { return "holding" }
+func (w *holdingWorker) PipelineDepth() int { return 2 }
+func (w *holdingWorker) Close() error       { return nil }
+
+// gate returns job id's cancel channel; a cancel may overtake its Run.
+func (w *holdingWorker) gate(id int) chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ch, ok := w.gates[id]
+	if !ok {
+		ch = make(chan struct{})
+		w.gates[id] = ch
+	}
+	return ch
+}
+
+func (w *holdingWorker) CancelJob(id int) {
+	ch := w.gate(id)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	select {
+	case <-ch:
+	default:
+		close(ch)
+	}
+}
+
+func (w *holdingWorker) Run(job *Job) ([]sim.Partial, error) {
+	switch {
+	case job.Options.Seed != w.seed:
+		w.jobs.Add(1)
+	case job.Start >= w.stop:
+		w.arriveOnce.Do(func() { close(w.arrived) })
+		select {
+		case <-w.gate(job.ID):
+			w.cancelOnce.Do(func() { close(w.cancelled) })
+			return nil, ErrJobCancelled
+		case <-time.After(10 * time.Second):
+		}
+	case job.End == w.stop:
+		select {
+		case <-w.arrived:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	p, err := job.Params.Decode()
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunRange(p, job.Options, job.Start, job.End)
+}
+
+// TestCancelledReplyKeepsWorker drives the cancelled reply through the
+// dispatcher: an adaptive run binds while a job past its stopping
+// boundary is in flight, the bind cancels that job, the job answers
+// cancelled, the run counts it without a worker failure, and the same
+// worker serves the next run byte-identically.
+func TestCancelledReplyKeepsWorker(t *testing.T) {
+	p, o := testParams(sim.Conventional), adaptiveOptions()
+	stopped, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stopped.Iterations >= o.IterationCap() {
+		t.Fatalf("the adaptive run does not stop early (%d of %d iterations)", stopped.Iterations, o.IterationCap())
+	}
+	next := testOptions()
+	next.Seed = o.Seed + 1
+	base, err := sim.Run(p, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &holdingWorker{
+		seed: o.Seed, stop: stopped.Iterations,
+		arrived: make(chan struct{}), cancelled: make(chan struct{}), gates: map[int]chan struct{}{},
+	}
+	pool, err := NewPool([]Worker{w}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	// Shards far above the cell count make every claim one cell.
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 1000}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, stopped)) {
+		t.Fatal("the adaptive run diverged from sim.Run")
+	}
+	select {
+	case <-w.cancelled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("binding the run cancelled no job in flight")
+	}
+	tk2, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: next}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := tk2.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res2.Summary)) != string(summaryBytes(t, base)) {
+		t.Error("the next run diverged from sim.Run")
+	}
+	if w.jobs.Load() == 0 {
+		t.Error("the worker that answered cancelled served none of the next run")
+	}
+	// A cancelled job is counted when its reply arrives, after the run
+	// finished, so the first Wait above may read CancelledJobs 0: Wait
+	// undercounts it, and so does perfbench's shard.cancelled_jobs,
+	// which sums these Stats. Every reply is accounted for once the
+	// slots retire.
+	pool.Close()
+	res, _ = tk.Wait()
+	if res.Stats.CancelledJobs < 1 || res.Stats.WorkerFailures != 0 {
+		t.Errorf("cancelled jobs %d, worker failures %d; want at least 1 and 0", res.Stats.CancelledJobs, res.Stats.WorkerFailures)
 	}
 }

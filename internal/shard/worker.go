@@ -310,10 +310,10 @@ func (e *jobError) Error() string { return fmt.Sprintf("shard %d: %s", e.ID, e.M
 // every Worker this package builds is one. A single pump goroutine owns
 // the transport's receive side and routes each reply to the pending Run
 // that sent the job, so several Runs can be in flight at once
-// (PipelineDepth). Stray result messages — answers for shards no Run is
-// waiting on, e.g. re-deliveries after a presumed-lost connection — are
-// handed to onStray so the coordinator can still bank them (or drop
-// duplicates) instead of losing them.
+// (PipelineDepth). A job's reply reaches the coordinator only as the
+// return of that Run: the job executor answers each job once, on the
+// link it arrived on, so a reply no Run awaits is a protocol fault that
+// ends the link, like an unknown message type.
 type remoteWorker struct {
 	name string
 	t    transport
@@ -327,22 +327,9 @@ type remoteWorker struct {
 
 	mu       sync.Mutex
 	pending  map[int]chan *Message
-	onStray  func(id int, parts []sim.Partial)
 	pumpErr  error
 	pumpDone chan struct{}
 	pumpOnce sync.Once
-}
-
-// strayBanker is implemented by workers that can surface stray result
-// deliveries; the coordinator installs its exactly-once sink here.
-type strayBanker interface {
-	setStray(func(id int, parts []sim.Partial))
-}
-
-func (w *remoteWorker) setStray(fn func(int, []sim.Partial)) {
-	w.mu.Lock()
-	w.onStray = fn
-	w.mu.Unlock()
 }
 
 // newRemoteWorker wraps a protocol transport as a Worker whose jobs run
@@ -373,24 +360,27 @@ func (w *remoteWorker) Capacity() int { return w.jobWorkers }
 func (w *remoteWorker) PipelineDepth() int { return w.depth }
 
 // pump is the sole reader of the transport: it routes each reply to
-// its pending Run, banks strays, and on any receive failure records
-// the error and releases every waiter.
+// its pending Run. On a receive failure, a hello of another build, an
+// unknown message type or a reply no Run awaits it records the error,
+// stops reading and releases every waiter, so the coordinator
+// reassigns the link's ranges.
 func (w *remoteWorker) pump() {
 	defer close(w.pumpDone)
+	fail := func(err error) {
+		w.mu.Lock()
+		w.pumpErr = fmt.Errorf("worker %s: %w", w.name, err)
+		w.mu.Unlock()
+	}
 	for {
 		m, err := w.t.Recv()
 		if err != nil {
-			w.mu.Lock()
-			w.pumpErr = fmt.Errorf("worker %s: recv: %w", w.name, err)
-			w.mu.Unlock()
+			fail(fmt.Errorf("recv: %w", err))
 			return
 		}
 		switch m.Type {
 		case MsgHello:
 			if err := helloMismatch(m); err != nil {
-				w.mu.Lock()
-				w.pumpErr = fmt.Errorf("worker %s: %w", w.name, err)
-				w.mu.Unlock()
+				fail(err)
 				return
 			}
 		case MsgPing:
@@ -398,21 +388,15 @@ func (w *remoteWorker) pump() {
 		case MsgResult, MsgError, MsgCancelled:
 			w.mu.Lock()
 			ch := w.pending[m.ID]
-			if ch != nil {
-				delete(w.pending, m.ID)
-			}
-			stray := w.onStray
+			delete(w.pending, m.ID)
 			w.mu.Unlock()
-			switch {
-			case ch != nil:
-				ch <- m // buffered; never blocks
-			case m.Type == MsgResult && stray != nil:
-				stray(m.ID, m.Partials)
+			if ch == nil {
+				fail(fmt.Errorf("unsolicited %s reply for job %d", m.Type, m.ID))
+				return
 			}
+			ch <- m // buffered; never blocks
 		default:
-			w.mu.Lock()
-			w.pumpErr = fmt.Errorf("worker %s: unexpected message type %q", w.name, m.Type)
-			w.mu.Unlock()
+			fail(fmt.Errorf("unexpected message type %q", m.Type))
 			return
 		}
 	}

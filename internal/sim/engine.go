@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"herald/internal/dist"
@@ -160,27 +159,6 @@ func memorylessRates(p *ArrayParams) (memRates, bool) {
 	return m, true
 }
 
-// resolveKernel maps the requested kernel onto a walker choice for p.
-// It is the options-resolution step of the dispatch layer: RunRange
-// calls it before spawning workers so a forced-but-impossible
-// specialization fails the run instead of silently degrading.
-func resolveKernel(p *ArrayParams, k Kernel) (memRates, bool, error) {
-	switch k {
-	case KernelGeneric:
-		return memRates{}, false, nil
-	case KernelAuto, KernelMemoryless:
-		m, ok := memorylessRates(p)
-		if !ok && k == KernelMemoryless {
-			return memRates{}, false, fmt.Errorf(
-				"sim: kernel %v requires exponential laws throughout (TTF %v, repair %v, restore %v)",
-				k, p.TTF, p.Repair, p.TapeRestore)
-		}
-		return m, ok, nil
-	default:
-		return memRates{}, false, fmt.Errorf("sim: unknown kernel %d", int(k))
-	}
-}
-
 const (
 	// expBufLen is the refill granularity of the scratch's rate-1
 	// exponential buffer: small enough that the draws left unread at
@@ -270,12 +248,11 @@ type scratch struct {
 }
 
 // newScratch builds a worker's scratch for the given kernel request.
-// Kernel feasibility must have been checked beforehand (resolveKernel
-// in RunRange); an infeasible forced request falls back to the generic
-// walker here. bias is the resolved failure-inflation factor of an
-// importance-sampled run (values <= 1 mean unbiased; prepareRange
-// rejects biased requests on non-memoryless configurations before any
-// scratch is built).
+// Kernel feasibility must have been checked beforehand (Resolve); an
+// infeasible forced request falls back to the generic walker here.
+// bias is the resolved failure-inflation factor of an importance-sampled
+// run (values <= 1 mean unbiased; Resolve refuses biased requests on
+// non-memoryless configurations before any scratch is built).
 func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
 	if bias < 1 {
 		bias = 1
@@ -288,7 +265,7 @@ func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
 		hepInv:    geomInv(p.HEP),
 		hepQCap:   geomQCap(p.HEP),
 	}
-	if m, ok, err := resolveKernel(p, k); err == nil && ok {
+	if m, ok := memorylessRates(p); ok && (k == KernelAuto || k == KernelMemoryless) {
 		// The rate-based walkers never touch the failure clocks or the
 		// law samplers; skipping their construction keeps short ranges
 		// (adaptive probes, benchmark cells) off that setup cost.

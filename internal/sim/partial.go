@@ -161,13 +161,11 @@ func (sc *scratch) runCell(c Range, opts Options, histMax float64) Partial {
 	return pt
 }
 
-// prepareRange validates a range execution and returns the resolved
-// options and the canonical cells of [start, end).
+// prepareRange resolves a range execution (Resolve) and returns the
+// options it runs under and the canonical cells of [start, end).
 func prepareRange(p *ArrayParams, o *Options, start, end int) (Options, []Range, error) {
-	if err := p.Validate(); err != nil {
-		return Options{}, nil, err
-	}
-	if err := o.Validate(); err != nil {
+	ro, err := Resolve(*p, *o)
+	if err != nil {
 		return Options{}, nil, err
 	}
 	if start < 0 || end > o.Iterations || start >= end {
@@ -178,29 +176,16 @@ func prepareRange(p *ArrayParams, o *Options, start, end int) (Options, []Range,
 		return Options{}, nil, fmt.Errorf("sim: range [%d,%d) not aligned to the %d-iteration cells of a %d-iteration run",
 			start, end, cs, o.Iterations)
 	}
-	// Resolve the kernel once, up front: a forced-but-impossible
-	// specialization fails the run here rather than inside a worker.
-	_, useMem, err := resolveKernel(p, o.Kernel)
-	if err != nil {
-		return Options{}, nil, err
-	}
-	opts := o.withDefaults()
-	// Resolve the bias factor once, too: the concrete factor is fixed
-	// here (auto picks from the rates) and echoed into every Partial,
-	// so all workers — local goroutines or remote shards running the
-	// same resolved options — sample under the identical measure.
+	opts := ro.withDefaults()
+	// Resolve the bias factor once: the concrete factor is fixed here
+	// (auto picks from the rates) and echoed into every Partial, so all
+	// workers — local goroutines or remote shards running the same
+	// resolved options — sample under the identical measure.
 	opts.Bias = 0
 	if o.Biased() {
-		if !useMem {
-			return Options{}, nil, fmt.Errorf(
-				"sim: bias factor %v requires the memoryless kernel (exponential laws throughout; kernel %v resolved generic)",
-				o.Bias, o.Kernel)
-		}
-		b, err := resolveBias(*p, *o)
-		if err != nil {
+		if opts.Bias, err = resolveBias(*p, *o); err != nil {
 			return Options{}, nil, err
 		}
-		opts.Bias = b
 	}
 	return opts, cellsIn(o.Iterations, start, end), nil
 }

@@ -238,14 +238,48 @@ func ParseKernel(s string) (Kernel, error) {
 // forces the memoryless kernel on a configuration that is not fully
 // memoryless for its policy.
 func ResolveKernel(p ArrayParams, k Kernel) (Kernel, error) {
-	_, useMem, err := resolveKernel(&p, k)
-	if err != nil {
-		return 0, err
-	}
-	if useMem {
+	_, mem := memorylessRates(&p)
+	switch {
+	case k != KernelAuto && k != KernelGeneric && k != KernelMemoryless:
+		return 0, fmt.Errorf("sim: unknown kernel %d", int(k))
+	case k == KernelMemoryless && !mem:
+		return 0, fmt.Errorf("sim: kernel %v requires exponential laws throughout (TTF %v, repair %v, restore %v)",
+			k, p.TTF, p.Repair, p.TapeRestore)
+	case mem && k != KernelGeneric:
 		return KernelMemoryless, nil
 	}
 	return KernelGeneric, nil
+}
+
+// Resolve is the one check of a run: it validates p and o, refuses
+// KernelMemoryless on laws that are not all exponential and a biased
+// run whose kernel resolves generic, and returns o with Kernel resolved
+// (ResolveKernel) and Bias as given, so no fingerprint moves. Run,
+// RunRange, shard.Identify and shard.Pool.Submit all resolve through
+// it, so a pool refuses what its workers would.
+func Resolve(p ArrayParams, o Options) (Options, error) {
+	if err := p.Validate(); err != nil {
+		return Options{}, err
+	}
+	if err := o.Validate(); err != nil {
+		return Options{}, err
+	}
+	k, err := ResolveKernel(p, o.Kernel)
+	if err != nil {
+		return Options{}, err
+	}
+	if o.Biased() && k == KernelGeneric {
+		bias, why := fmt.Sprint(o.Bias), "a law is not exponential"
+		if o.Bias == BiasAuto {
+			bias = "auto"
+		}
+		if o.Kernel == KernelGeneric {
+			why = "the kernel is forced generic"
+		}
+		return Options{}, fmt.Errorf("sim: bias %s requires the memoryless kernel, but %s", bias, why)
+	}
+	o.Kernel = k
+	return o, nil
 }
 
 // Realization numbers the mapping from a run's parameters and options

@@ -59,11 +59,11 @@ type MCResult struct {
 // MonteCarlo executes the points through one shared worker pool,
 // pipelined across scenarios as well as within each run. Results come
 // back in point order; every Summary is bit-identical to executing
-// that point alone with the same options. On error, the slice still
-// carries the points that finished before the failure (zero Summary
-// for the rest), mirroring shard.RunPipeline. logw receives
-// coordinator warnings (nil discards them). The caller owns the
-// workers.
+// that point alone with the same options. A point that fails, fails
+// alone: the slice carries every point that finished (zero Summary for
+// a failed one) and the error is the first failure, mirroring
+// shard.RunPipeline. logw receives coordinator warnings (nil discards
+// them). The caller owns the workers.
 func MonteCarlo(points []MCPoint, workers []shard.Worker, logw io.Writer) ([]MCResult, error) {
 	specs := make([]shard.RunSpec, len(points))
 	for i, pt := range points {

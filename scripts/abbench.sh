@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# abbench.sh — compare one perfbench workload between a base revision
-# and the working tree, in alternating pairs of runs.
+# abbench.sh — compare a base revision with the working tree, in
+# alternating pairs of runs on this machine: a perfbench workload, or
+# the kernel micro-benchmarks.
 #
 # Usage: scripts/abbench.sh BASE_REV WORKLOAD [PAIRS] [SECONDS] [SEED]
+#        scripts/abbench.sh BASE_REV micro [PAIRS]
 #
 #   BASE_REV  the revision to compare against, for example HEAD~
 #   WORKLOAD  a perfbench workload, for example precision-tcp
@@ -15,19 +17,27 @@
 #
 #   bash perfbench/run.sh --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 #
-# once in that worktree and once in the working tree, the base first on
-# odd pairs and second on even ones, so a drift of the host over the
-# session lands on both sides alike. Each run's last line is its JSON
-# report. For every end-to-end metric of BENCHMARK.json the script
-# prints the base median [q1-q3], the change median [q1-q3], the
-# relative change of the medians, and the pairs in which the change
-# did better. It exits 1 if any run reports correct: false or
-# failed > 0.
+# or, for micro, `scripts/bench.sh OUT.json 1s`, once in that worktree
+# and once in the working tree, the base first on odd pairs and second
+# on even ones, so a drift of the host over the session lands on both
+# sides alike.
+#
+# For a workload, each run's last line is its JSON report. For every
+# end-to-end metric of BENCHMARK.json the script prints the base
+# median [q1-q3], the change median [q1-q3], the relative change of
+# the medians, and the pairs in which the change did better. It exits
+# 1 if any run reports correct: false or failed > 0.
+#
+# For micro, cmd/benchcheck compares each kernel benchmark's median
+# ns/op over the change's reports with its median over the base's, and
+# the script exits 1 when one is more than 20% slower: the CI bench
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
   echo "usage: $0 BASE_REV WORKLOAD [PAIRS] [SECONDS] [SEED]" >&2
+  echo "       $0 BASE_REV micro [PAIRS]" >&2
   exit 2
 fi
 base_rev="$1"
@@ -46,27 +56,42 @@ cleanup() {
 trap cleanup EXIT
 git worktree add --detach --quiet "$base" "$base_rev"
 
-# run TREE OUT appends TREE's report for one run to OUT and echoes its
-# metrics to stderr.
+# run TREE SIDE I runs once in TREE. A micro run writes SIDE's I-th
+# report to $tmp/SIDE-I.json; a workload run appends its report to
+# $tmp/SIDE.jsonl and echoes its metrics to stderr.
 run() {
+  if [ "$workload" = micro ]; then
+    (cd "$1" && scripts/bench.sh "$tmp/$2-$3.json" 1s)
+    return
+  fi
   local out
   out="$(cd "$1" && bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)"
-  tail -n 1 <<<"$out" | jq -c . | tee -a "$2" |
-    jq -rc --arg side "$(basename "$2" .jsonl)" '"abbench: \($side) correct=\(.correct) failed=\(.failed) \(.metrics | map_values(.value))"' >&2
+  tail -n 1 <<<"$out" | jq -c . | tee -a "$tmp/$2.jsonl" |
+    jq -rc --arg side "$2" '"abbench: \($side) correct=\(.correct) failed=\(.failed) \(.metrics | map_values(.value))"' >&2
 }
 
-: >"$tmp/base.jsonl"
-: >"$tmp/change.jsonl"
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2 == 1)); then
-    run "$base" "$tmp/base.jsonl"
-    run . "$tmp/change.jsonl"
+    run "$base" base "$i"
+    run . change "$i"
   else
-    run . "$tmp/change.jsonl"
-    run "$base" "$tmp/base.jsonl"
+    run . change "$i"
+    run "$base" base "$i"
   fi
   echo "abbench: pair $i of $pairs done" >&2
 done
+
+if [ "$workload" = micro ]; then
+  echo "micro: $base_rev vs the working tree, $pairs alternating pairs, benchtime 1s"
+  # list SIDE prints SIDE's reports, comma-separated.
+  list() {
+    local i out=()
+    for ((i = 1; i <= pairs; i++)); do out+=("$tmp/$1-$i.json"); done
+    (IFS=,; echo "${out[*]}")
+  }
+  go run ./cmd/benchcheck -baseline "$(list base)" -current "$(list change)"
+  exit
+fi
 
 echo "$workload: $base_rev vs the working tree, $pairs alternating pairs, --seconds $seconds --seed $seed"
 jq -rn \
