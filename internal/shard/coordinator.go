@@ -33,8 +33,8 @@ type RunSpec struct {
 
 // RunResult is one run's outcome.
 type RunResult struct {
-	// Summary is the run's merged result (zero when the pool failed
-	// before the run finished).
+	// Summary is the run's merged result (zero when the run ended
+	// without finishing).
 	Summary sim.Summary
 	// Stats reports how the run unfolded.
 	Stats Stats
@@ -56,15 +56,16 @@ type Stats struct {
 	FromCheckpoint int
 	// Computed counts ranges executed by workers this run.
 	Computed int
-	// WorkerFailures counts workers that died mid-run and had their
-	// ranges reassigned — once per worker, however many jobs it held —
-	// plus each malformed result dropped and recomputed.
+	// WorkerFailures counts workers retired mid-run, their ranges
+	// reassigned: a dead link or a malformed result. Each counts once,
+	// however many jobs the worker held.
 	WorkerFailures int
 	// Waves counts the ranges claimed off the run's cursor; a retried
 	// range is not counted again.
 	Waves int
-	// CancelledJobs counts in-flight jobs abandoned after the stopping
-	// rule bound.
+	// CancelledJobs counts the in-flight jobs the run abandoned when it
+	// ended early: its stopping rule bound, or it was aborted. They are
+	// counted when abandoned, so the count is final at Ticket.Wait.
 	CancelledJobs int
 	// StoppedEarly reports that the adaptive stopping rule bound below
 	// the iteration cap.
@@ -98,9 +99,8 @@ type runState struct {
 	retry []sim.Range
 	// done holds the banked ranges the scan has not folded yet, keyed
 	// by start, restored ones included; folding deletes them.
-	done      map[int][]sim.Partial
-	malformed map[int]int // malformed results per range start
-	cp        *checkpoint
+	done map[int][]sim.Partial
+	cp   *checkpoint
 
 	// progress, when non-nil, observes the run's advance (see
 	// RunProgress). It is invoked with the dispatcher lock held and must
@@ -108,26 +108,17 @@ type runState struct {
 	progress func(RunProgress)
 
 	finished bool
-	// aborted carries the cancellation cause of a run ended by its
-	// deadline or caller (Ticket.Cancel, the Submit context). Aborted
-	// runs set finished too — the dispatcher treats them as over — but
-	// their tickets resolve with this error instead of a Summary.
+	// aborted is why a run ended without its Summary: a cancel, its
+	// context, a job-scoped error, a failed checkpoint write, the pool's
+	// death or Close. Aborted runs set finished too, and their tickets
+	// resolve with this error.
 	aborted error
-	// notify is closed exactly once when the run reaches a terminal
-	// state (finished or the pool died); Ticket.Wait blocks on it.
-	notify   chan struct{}
-	notified bool
-	summary  sim.Summary
-	stats    Stats
-	wall     time.Duration
-}
-
-// signalTerminal wakes the run's ticket. Callers hold d.mu.
-func (r *runState) signalTerminal() {
-	if !r.notified {
-		r.notified = true
-		close(r.notify)
-	}
+	// notify is closed by endLocked, through which every run ends;
+	// Ticket.Wait blocks on it.
+	notify  chan struct{}
+	summary sim.Summary
+	stats   Stats
+	wall    time.Duration
 }
 
 // emitProgress reports the run's current advance to its observer.
@@ -280,8 +271,8 @@ func (r *runState) banked(start int) bool {
 
 // requeueLocked hands claimed range rg out again unless the run is
 // over, rg has landed, or it is queued already. It is the one path
-// back for a dead worker's jobs, malformed results and cancels that
-// lost their race. Callers hold d.mu.
+// back for a retired worker's jobs and cancels that lost their race.
+// Callers hold d.mu.
 func (r *runState) requeueLocked(rg sim.Range) {
 	if r.finished || r.banked(rg.Start) {
 		return
@@ -326,10 +317,10 @@ type dispatcher struct {
 
 	assigned map[int]*assignment // in-flight jobs
 
-	// deadWorker dedupes WorkerFailures: a pipelined worker holds
-	// several jobs, and its death must count once, not once per job.
-	// lastDeath is the latest worker failure, the cause a pool that
-	// loses its last worker names.
+	// deadWorker marks retired workers: their slots claim no further
+	// job, and a pipelined worker's failure counts once, not once per
+	// job. lastDeath is the latest worker failure, the cause a pool
+	// that loses its last worker names.
 	deadWorker map[Worker]bool
 	lastDeath  error
 	// joined counts the live serve slots of each worker the source
@@ -352,7 +343,7 @@ type dispatcher struct {
 	// deliver joiners; it keeps a workerless pool waiting instead of
 	// declaring it dead.
 	sourceOpen bool
-	done       chan struct{} // closed when the pool must unwind
+	done       chan struct{} // closed when the pool dies or closes; stops the intake
 	doneOnce   sync.Once
 }
 
@@ -435,10 +426,12 @@ func (d *dispatcher) drainedLocked() {
 	}
 	if d.fallback != nil && !d.fallbackArmed {
 		d.armFallbackLocked()
-	} else if !d.sourceOpen && !d.closing && d.lastDeath != nil {
-		d.failLocked(fmt.Errorf("shard: no live workers remain (last: %w)", d.lastDeath))
 	} else if !d.sourceOpen && !d.closing {
-		d.failLocked(fmt.Errorf("shard: no live workers remain"))
+		err := fmt.Errorf("shard: no live workers remain")
+		if d.lastDeath != nil {
+			err = fmt.Errorf("shard: no live workers remain (last: %w)", d.lastDeath)
+		}
+		d.failLocked(err)
 	}
 }
 
@@ -450,15 +443,23 @@ func (d *dispatcher) drainedLocked() {
 var jobSeq atomic.Int64
 
 // serve drives one worker: claim a job, run it, bank the result. A
-// job-scoped error fails the job's run alone; on worker death the range
-// is requeued and the slot retires.
+// job-scoped error fails the job's run alone. A dead link, or a result
+// that fails sim.CheckPartials (which this build's job executor never
+// sends), retires the worker: its range is requeued, the slot retires,
+// and the worker's other slots claim nothing more.
 func (d *dispatcher) serve(w Worker) {
 	for {
 		job, key, ok := d.claim(w)
 		if !ok {
 			return
 		}
+		r, rg := key.r, key.rg
 		parts, err := w.Run(job)
+		if err == nil {
+			if cerr := sim.CheckPartials(r.spec.Params, r.jobOptions, rg.Start, rg.End, parts); cerr != nil {
+				err = fmt.Errorf("worker %s: malformed result for range [%d,%d): %w", w.Name(), rg.Start, rg.End, cerr)
+			}
+		}
 		je, refused := err.(*jobError)
 		switch {
 		case err == nil:
@@ -471,20 +472,19 @@ func (d *dispatcher) serve(w Worker) {
 			// slot claims on.
 			d.mu.Lock()
 			delete(d.assigned, job.ID)
-			d.abortLocked(key.r, fmt.Errorf("shard: %w", je))
+			d.abortLocked(r, fmt.Errorf("shard: %w", je))
 			d.mu.Unlock()
 		default:
 			d.mu.Lock()
-			r := key.r
-			if !d.deadWorker[w] {
-				d.deadWorker[w] = true
+			if !d.deadWorker[w] && !r.finished {
 				r.stats.WorkerFailures++
 			}
+			d.deadWorker[w] = true
 			d.lastDeath = err
 			delete(d.assigned, job.ID)
-			r.requeueLocked(key.rg)
-			fmt.Fprintf(d.logw, "shard: worker %s died (%v); run %d range [%d,%d) reassigned\n",
-				w.Name(), err, r.idx, key.rg.Start, key.rg.End)
+			r.requeueLocked(rg)
+			fmt.Fprintf(d.logw, "shard: worker %s retired (%v); run %d range [%d,%d) reassigned\n",
+				w.Name(), err, r.idx, rg.Start, rg.End)
 			d.cond.Broadcast()
 			d.mu.Unlock()
 			return
@@ -493,17 +493,17 @@ func (d *dispatcher) serve(w Worker) {
 }
 
 // claim blocks until some run has a range to hand out, or the pool
-// unwinds. Runs are scanned in submission order, which is what
-// pipelines them: run k+1 work is only taken when run k has nothing
-// to retry and its cursor sits at its horizon. The claim divisor is
-// the run's Shards, else the pool's live slots right now. An idle
-// serve parks here until a submission, a requeue or a bank brings
-// work.
+// unwinds, or w is retired. Runs are scanned in submission order,
+// which is what pipelines them: run k+1 work is only taken when run k
+// has nothing to retry and its cursor sits at its horizon. The claim
+// divisor is the run's Shards, else the pool's live slots right now.
+// An idle serve parks here until a submission, a requeue or a bank
+// brings work.
 func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
-		if d.fatal != nil || d.closing {
+		if d.fatal != nil || d.closing || d.deadWorker[w] {
 			return nil, jobKey{}, false
 		}
 		for _, r := range d.runs {
@@ -527,15 +527,10 @@ func (d *dispatcher) claim(w Worker) (*Job, jobKey, bool) {
 	}
 }
 
-// maxMalformedPerShard bounds how often a range's results may fail
-// validation before the run is declared dead — without it, a lone
-// worker with a deterministic defect (e.g. a version-skewed binary
-// whose seeding changed) would recompute the same range forever.
-const maxMalformedPerShard = 3
-
-// bank records the result of job jobID, which ends its assignment, and
-// banks each range once: a result for a range the scan has folded or
-// that waits in done is dropped, as StopScan.Feed panics on an overlap.
+// bank records the checked result of job jobID, which ends its
+// assignment, and banks each range once: a result for a range the scan
+// has folded or that waits in done is dropped, as StopScan.Feed panics
+// on an overlap. A failed checkpoint append fails the run alone.
 func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -553,31 +548,11 @@ func (d *dispatcher) bank(key jobKey, jobID int, parts []sim.Partial) {
 		d.cond.Broadcast()
 		return
 	}
-	if err := sim.CheckPartials(r.spec.Params, r.jobOptions, rg.Start, rg.End, parts); err != nil {
-		// A malformed result (one the run's scan would refuse) is
-		// dropped and the range recomputed, like a worker death — up
-		// to a cap, beyond which the defect is clearly deterministic
-		// and the run is dead.
-		if r.malformed == nil {
-			r.malformed = make(map[int]int)
-		}
-		r.malformed[rg.Start]++
-		r.stats.WorkerFailures++
-		if r.malformed[rg.Start] >= maxMalformedPerShard {
-			d.failLocked(fmt.Errorf("shard: range [%d,%d) returned %d malformed results; aborting (worker defect?)",
-				rg.Start, rg.End, r.malformed[rg.Start]))
-			return
-		}
-		fmt.Fprintf(d.logw, "shard: dropping malformed result for range [%d,%d): %v\n", rg.Start, rg.End, err)
-		r.requeueLocked(rg)
-		d.cond.Broadcast()
-		return
-	}
 	sortParts(parts)
 	r.done[rg.Start] = parts
 	r.stats.Computed++
 	if err := r.cp.record(parts); err != nil {
-		d.failLocked(err)
+		d.abortLocked(r, err)
 		return
 	}
 	d.advanceLocked(r)
@@ -616,15 +591,16 @@ func (d *dispatcher) advanceLocked(r *runState) {
 	}
 }
 
-// cancelJobsLocked cancels the in-flight jobs of run r, or of every run
-// when r is nil: best-effort and asynchronously, so the workers stay
-// usable. Their late answers are absorbed by the finished-run guards.
-// Callers hold d.mu.
+// cancelJobsLocked abandons the in-flight jobs of run r, which is
+// ending, and counts them in its Stats. It cancels them best-effort and
+// asynchronously, so the workers stay usable; their late answers are
+// absorbed by the finished-run guards. Callers hold d.mu.
 func (d *dispatcher) cancelJobsLocked(r *runState) {
 	for jid, a := range d.assigned {
-		if r != nil && a.key.r != r {
+		if a.key.r != r {
 			continue
 		}
+		r.stats.CancelledJobs++
 		if c, ok := a.w.(JobCanceler); ok {
 			go c.CancelJob(jid)
 		}
@@ -640,10 +616,11 @@ func (d *dispatcher) finishLocked(r *runState) {
 	d.endLocked(r)
 }
 
-// endLocked moves a run to its terminal state. Its retries, partials
-// and checkpoint are released — every later path checks r.finished
-// before it touches them, and closing the checkpoint here keeps a
-// long-lived pool's fd count flat — and its ticket wakes. Callers hold
+// endLocked moves a run to its terminal state, once: every run ends
+// here, finished or aborted. Its retries, partials and checkpoint are
+// released — every later path checks r.finished before it touches
+// them, and closing the checkpoint here keeps a long-lived pool's fd
+// count flat — and its ticket wakes with final Stats. Callers hold
 // d.mu.
 func (d *dispatcher) endLocked(r *runState) {
 	r.finished = true
@@ -651,7 +628,7 @@ func (d *dispatcher) endLocked(r *runState) {
 	r.done = nil
 	r.cp.close()
 	r.cp = nil
-	r.signalTerminal()
+	close(r.notify)
 	d.cond.Broadcast()
 }
 
@@ -677,21 +654,27 @@ func (d *dispatcher) abortLocked(r *runState, cause error) {
 	d.endLocked(r)
 }
 
-// cancelled accounts for a job a worker abandoned on request. The
-// worker stays in the pool. Cancels are only sent once the run is
-// over, but one that raced a live run must not lose its range.
+// cancelled ends the assignment of a job a worker abandoned on
+// request; cancelJobsLocked counted it. The worker stays in the pool.
+// Cancels are only sent once the run is over, but one that raced a
+// live run must not lose its range.
 func (d *dispatcher) cancelled(key jobKey, jobID int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.assigned, jobID)
-	key.r.stats.CancelledJobs++
 	key.r.requeueLocked(key.rg)
 	d.cond.Broadcast()
 }
 
+// failLocked declares the pool dead with err: every unfinished run
+// ends with err, and the pool takes no more. Callers hold d.mu.
 func (d *dispatcher) failLocked(err error) {
-	if d.fatal == nil {
-		d.fatal = err
+	if d.fatal != nil {
+		return
+	}
+	d.fatal = err
+	for _, r := range d.runs {
+		d.abortLocked(r, err)
 	}
 	d.signalDone()
 	d.cond.Broadcast()

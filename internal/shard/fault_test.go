@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,29 +231,44 @@ func TestUnsolicitedReplyEndsLink(t *testing.T) {
 	}
 }
 
-// corruptWorker applies poison to the first cell of its first result,
-// then behaves.
-type corruptWorker struct {
-	inner    Worker
+// alwaysCorruptWorker runs jobs in this process, depth at a time, and
+// applies poison to the first cell of every result it returns. It
+// closes poisoned with its first result and counts the jobs it starts
+// after that one.
+type alwaysCorruptWorker struct {
+	Worker
 	poison   func(*sim.Partial)
-	poisoned bool
+	depth    int
+	poisoned chan struct{}
+	once     sync.Once
+	late     atomic.Int32
 }
 
-func (w *corruptWorker) Name() string { return "corrupt" }
-func (w *corruptWorker) Run(job *Job) ([]sim.Partial, error) {
-	parts, err := w.inner.Run(job)
-	if err == nil && !w.poisoned {
-		w.poisoned = true
+func newAlwaysCorruptWorker(depth int, poison func(*sim.Partial)) *alwaysCorruptWorker {
+	return &alwaysCorruptWorker{Worker: NewInProcessWorker("w", 1), poison: poison, depth: depth, poisoned: make(chan struct{})}
+}
+
+func (w *alwaysCorruptWorker) Name() string       { return "always-corrupt" }
+func (w *alwaysCorruptWorker) PipelineDepth() int { return w.depth }
+func (w *alwaysCorruptWorker) Run(job *Job) ([]sim.Partial, error) {
+	select {
+	case <-w.poisoned:
+		w.late.Add(1)
+	default:
+	}
+	parts, err := w.Worker.Run(job)
+	if err == nil {
 		parts = append([]sim.Partial(nil), parts...)
 		w.poison(&parts[0])
+		w.once.Do(func() { close(w.poisoned) })
 	}
 	return parts, err
 }
-func (w *corruptWorker) Close() error { return nil }
 
 // TestMalformedResultRecomputed checks a result that fails validation
-// is dropped and its shard recomputed rather than merged or fatal, for
-// every field the merge depends on.
+// is dropped, its range recomputed by a healthy worker and its worker
+// retired, rather than merged or fatal, for every field the merge
+// depends on.
 func TestMalformedResultRecomputed(t *testing.T) {
 	biased := testOptions()
 	biased.Bias = sim.BiasAuto
@@ -274,10 +292,15 @@ func TestMalformedResultRecomputed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cw := newAlwaysCorruptWorker(1, tc.poison)
+			defer cw.Close()
+			// The healthy worker waits for the corrupt one's first result.
+			healthy := &gatedWorker{inner: NewInProcessWorker("healthy", 1), gate: cw.poisoned}
+			defer healthy.Close()
 			var log bytes.Buffer
 			got, st, err := runStats(runCfg{
 				Params: p, Options: tc.o, Shards: 4,
-				Workers: []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1), poison: tc.poison}},
+				Workers: []Worker{cw, healthy},
 				Log:     &log,
 			})
 			if err != nil {
@@ -293,6 +316,92 @@ func TestMalformedResultRecomputed(t *testing.T) {
 				t.Error("summary diverged after malformed result")
 			}
 		})
+	}
+}
+
+// TestMalformedResultRetiresWorker pins that a malformed result is its
+// worker's fault: beside a healthy worker, a worker corrupting every
+// result is retired at its first — its other slot claims nothing more —
+// and counted once, the run is byte-identical to sim.Run, the pool
+// stays alive, and a second run on it is byte-identical too.
+func TestMalformedResultRetiresWorker(t *testing.T) {
+	p := testParams(sim.Conventional)
+	first, second := testOptions(), testOptions()
+	second.Seed++
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth %d", depth), func(t *testing.T) {
+			cw := newAlwaysCorruptWorker(depth, func(pt *sim.Partial) { pt.Seed++ })
+			defer cw.Close()
+			healthy := &gatedWorker{inner: NewInProcessWorker("healthy", 1), gate: cw.poisoned}
+			defer healthy.Close()
+			pool, err := NewPool([]Worker{cw, healthy}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			for i, o := range []sim.Options{first, second} {
+				base, err := sim.Run(p, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 4}, nil)
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				res, err := tk.Wait()
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+					t.Errorf("run %d diverged from sim.Run", i)
+				}
+				if want := 1 - i; res.Stats.WorkerFailures != want {
+					t.Errorf("run %d: worker failures %d, want %d", i, res.Stats.WorkerFailures, want)
+				}
+			}
+			if err := pool.Err(); err != nil {
+				t.Errorf("a malformed result killed the pool: %v", err)
+			}
+			// Each slot retires at its first malformed result. A second
+			// slot may have started one job between the first result
+			// and the worker's retirement.
+			if late := cw.late.Load(); late > int32(depth-1) {
+				t.Errorf("the corrupt worker started %d jobs after its first malformed result, want at most %d", late, depth-1)
+			}
+		})
+	}
+}
+
+// TestMalformedResultArmsFallback pins that a pool whose lone worker
+// sent a malformed result has no worker left to trust: with a local
+// fallback configured, the fallback arms and finishes the run
+// byte-identically.
+func TestMalformedResultArmsFallback(t *testing.T) {
+	p, o := testParams(sim.Conventional), testOptions()
+	base, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw := newAlwaysCorruptWorker(1, func(pt *sim.Partial) { pt.Seed++ })
+	defer cw.Close()
+	pool, err := NewPool([]Worker{cw}, nil, &PoolOptions{LocalFallback: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Shards: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+		t.Error("the run finished on the fallback diverged from sim.Run")
+	}
+	if h := pool.Health(); !h.FallbackArmed || h.Err != nil {
+		t.Errorf("health %+v, want the fallback armed and no error", h)
 	}
 }
 
@@ -492,34 +601,34 @@ func TestCheckpointShortWrite(t *testing.T) {
 	}
 }
 
-// TestMalformedResultsBounded checks a lone worker with a
-// deterministic defect cannot spin the coordinator forever: after the
-// per-shard cap the run fails with a diagnostic.
-func TestMalformedResultsBounded(t *testing.T) {
-	p := testParams(sim.Conventional)
-	o := testOptions()
-	_, _, err := runStats(runCfg{
-		Params: p, Options: o, Shards: 2,
-		Workers: []Worker{&alwaysCorruptWorker{inner: NewInProcessWorker("w", 1)}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "malformed") {
-		t.Fatalf("expected malformed-results abort, got %v", err)
+// TestMalformedResultRetiresLoneWorker pins that a lone worker with a
+// deterministic defect is retired at its first malformed result: it
+// runs no further job, and the pool, with no worker left, dies naming
+// the malformed result.
+func TestMalformedResultRetiresLoneWorker(t *testing.T) {
+	cw := newAlwaysCorruptWorker(1, func(pt *sim.Partial) { pt.MissionTime++ })
+	defer cw.Close()
+	pool, err := NewPool([]Worker{cw}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tk.Wait()
+	const want = "shard: no live workers remain (last: worker always-corrupt: malformed result for range ["
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error %v, want one starting %q", err, want)
+	}
+	if perr := pool.Err(); perr != err {
+		t.Errorf("pool error %v, want the run's %v", perr, err)
+	}
+	if late := cw.late.Load(); late != 0 {
+		t.Errorf("the worker ran %d jobs after its first malformed result", late)
 	}
 }
-
-// alwaysCorruptWorker poisons every result it returns.
-type alwaysCorruptWorker struct{ inner Worker }
-
-func (w *alwaysCorruptWorker) Name() string { return "always-corrupt" }
-func (w *alwaysCorruptWorker) Run(job *Job) ([]sim.Partial, error) {
-	parts, err := w.inner.Run(job)
-	if err == nil {
-		parts = append([]sim.Partial(nil), parts...)
-		parts[0].MissionTime++
-	}
-	return parts, err
-}
-func (w *alwaysCorruptWorker) Close() error { return nil }
 
 // TestCheckpointResumeDifferentWorkers pins that the fingerprint
 // ignores the schedule-only Workers option: a run checkpointed under

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -127,11 +128,11 @@ func NewPool(workers []Worker, source <-chan Worker, opts *PoolOptions) (*Pool, 
 
 // RunPipeline executes a fixed list of runs on a pool built over
 // workers, waits for every one, and closes the pool. A run refused by
-// Submit or failed by a worker's job-scoped error fails alone: the
-// other runs still finish. The returned slice always has one RunResult
-// per spec (zero Summary for a run that failed); the error is the first
-// failure in spec order, nil when every run completed. The workers
-// remain the caller's to close.
+// Submit, or failed by a worker's job-scoped error or a failed
+// checkpoint write, fails alone: the other runs still finish. The
+// returned slice always has one RunResult per spec (zero Summary for a
+// run that failed); the error is the first failure in spec order, nil
+// when every run completed. The workers remain the caller's to close.
 func RunPipeline(specs []RunSpec, workers []Worker, opts *PoolOptions) ([]RunResult, error) {
 	out := make([]RunResult, len(specs))
 	if len(specs) == 0 {
@@ -236,7 +237,6 @@ func (p *Pool) Submit(ctx context.Context, spec RunSpec, progress func(RunProgre
 			case <-ctx.Done():
 				d.abortRun(r, fmt.Errorf("shard: run cancelled: %w", context.Cause(ctx)))
 			case <-r.notify:
-			case <-d.done:
 			}
 		}()
 	}
@@ -248,7 +248,7 @@ func (p *Pool) Submit(ctx context.Context, spec RunSpec, progress func(RunProgre
 func (p *Pool) submitErrLocked() error {
 	d := p.d
 	if d.closing {
-		return fmt.Errorf("shard: pool closed")
+		return errPoolClosed
 	}
 	if d.fatal != nil {
 		return fmt.Errorf("shard: pool dead: %w", d.fatal)
@@ -287,30 +287,16 @@ func (t *Ticket) Cancel() {
 	t.d.abortRun(t.r, fmt.Errorf("shard: run cancelled by caller"))
 }
 
-// Wait blocks until the run reaches a terminal state and returns its
-// result. A nil error means the run finished and Summary is its merged
-// result, bit-identical to running it alone. Wait is safe to call from
-// several goroutines.
+// Wait blocks until the run ends and returns its result with final
+// Stats. A nil error means the run finished and Summary is its merged
+// result, bit-identical to running it alone; otherwise the error says
+// why the run ended: a cancel, a job-scoped error, a failed checkpoint
+// write, the pool's death (its error) or Close ("shard: pool closed").
+// Wait is safe to call from several goroutines.
 func (t *Ticket) Wait() (RunResult, error) {
-	select {
-	case <-t.r.notify:
-	case <-t.d.done:
-	}
-	d := t.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	r := t.r
-	res := RunResult{Summary: r.summary, Stats: r.stats, Wall: r.wall}
-	switch {
-	case r.aborted != nil:
-		return res, r.aborted
-	case r.finished:
-		return res, nil
-	case d.fatal != nil:
-		return res, d.fatal
-	default:
-		return res, fmt.Errorf("shard: pool closed")
-	}
+	<-r.notify
+	return RunResult{Summary: r.summary, Stats: r.stats, Wall: r.wall}, r.aborted
 }
 
 // PoolHealth is a point-in-time snapshot of a pool's capacity to make
@@ -349,7 +335,7 @@ func (p *Pool) Health() PoolHealth {
 		Err:           d.fatal,
 	}
 	if d.closing && h.Err == nil {
-		h.Err = fmt.Errorf("shard: pool closed")
+		h.Err = errPoolClosed
 	}
 	for _, r := range d.runs {
 		if !r.finished {
@@ -359,18 +345,24 @@ func (p *Pool) Health() PoolHealth {
 	return h
 }
 
+// errPoolClosed is the error of every run a Close ends and of every
+// Submit after it.
+var errPoolClosed = errors.New("shard: pool closed")
+
 // Close shuts the pool down: no further submissions are accepted,
-// in-flight jobs are cancelled (best-effort), serve goroutines retire,
-// joined workers and the local fallback are closed and remaining
-// checkpoints released. Runs that had not finished resolve their
-// tickets with an error. Close is idempotent; the initial workers are
-// the caller's to close afterwards.
+// every unfinished run ends with "shard: pool closed" (its in-flight
+// jobs cancelled best-effort and its checkpoint released), serve
+// goroutines retire, and joined workers and the local fallback are
+// closed. Close is idempotent; the initial workers are the caller's to
+// close afterwards.
 func (p *Pool) Close() error {
 	p.closeOnce.Do(func() {
 		d := p.d
 		d.mu.Lock()
 		d.closing = true
-		d.cancelJobsLocked(nil)
+		for _, r := range d.runs {
+			d.abortLocked(r, errPoolClosed)
+		}
 		d.mu.Unlock()
 		d.signalDone()
 		d.cond.Broadcast()
@@ -382,11 +374,6 @@ func (p *Pool) Close() error {
 		if d.fallback != nil {
 			d.fallback.Close()
 		}
-		d.mu.Lock()
-		for _, r := range d.runs {
-			r.cp.close()
-		}
-		d.mu.Unlock()
 	})
 	return nil
 }

@@ -720,6 +720,56 @@ func TestJobErrorFailsOnlyItsRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteFailsOnlyItsRun pins that a failed checkpoint
+// append fails its run alone: the ticket resolves with the write error,
+// which names the file, the pool stays alive, and another run on it is
+// byte-identical to sim.Run.
+func TestCheckpointWriteFailsOnlyItsRun(t *testing.T) {
+	p, o := testParams(sim.Conventional), testOptions()
+	base, err := sim.Run(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	w := &gatedWorker{inner: NewInProcessWorker("w", 1), gate: gate}
+	defer w.Close()
+	pool, err := NewPool([]Worker{w}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	path := filepath.Join(t.TempDir(), "checkpoint.log")
+	tk, err := pool.Submit(context.Background(), RunSpec{Params: p, Options: o, Checkpoint: path}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker holds the first job while the log closes under the run.
+	pool.d.mu.Lock()
+	err = tk.r.cp.log.Close()
+	pool.d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if _, err := tk.Wait(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("run with a failed checkpoint write: error %v, want one naming %s", err, path)
+	}
+	if err := pool.Err(); err != nil {
+		t.Fatalf("a failed checkpoint write killed the pool: %v", err)
+	}
+	tk, err = pool.Submit(context.Background(), RunSpec{Params: p, Options: o}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, base)) {
+		t.Error("the run after a failed checkpoint write diverged from sim.Run")
+	}
+}
+
 // TestDeadPoolNamesCause pins that a pool whose last worker failed
 // names that failure: a link whose far end says hello with another
 // realization, as an older build's stdio worker would, fails the run
@@ -811,9 +861,10 @@ func (w *holdingWorker) Run(job *Job) ([]sim.Partial, error) {
 
 // TestCancelledReplyKeepsWorker drives the cancelled reply through the
 // dispatcher: an adaptive run binds while a job past its stopping
-// boundary is in flight, the bind cancels that job, the job answers
-// cancelled, the run counts it without a worker failure, and the same
-// worker serves the next run byte-identically.
+// boundary is in flight, the bind cancels that job and counts it, so
+// the Stats at Wait are final, the job answers cancelled without a
+// worker failure, and the same worker serves the next run
+// byte-identically.
 func TestCancelledReplyKeepsWorker(t *testing.T) {
 	p, o := testParams(sim.Conventional), adaptiveOptions()
 	stopped, err := sim.Run(p, o)
@@ -850,6 +901,9 @@ func TestCancelledReplyKeepsWorker(t *testing.T) {
 	if string(summaryBytes(t, res.Summary)) != string(summaryBytes(t, stopped)) {
 		t.Fatal("the adaptive run diverged from sim.Run")
 	}
+	if res.Stats.CancelledJobs < 1 || res.Stats.WorkerFailures != 0 {
+		t.Errorf("cancelled jobs %d, worker failures %d at Wait; want at least 1 and 0", res.Stats.CancelledJobs, res.Stats.WorkerFailures)
+	}
 	select {
 	case <-w.cancelled:
 	case <-time.After(10 * time.Second):
@@ -869,14 +923,8 @@ func TestCancelledReplyKeepsWorker(t *testing.T) {
 	if w.jobs.Load() == 0 {
 		t.Error("the worker that answered cancelled served none of the next run")
 	}
-	// A cancelled job is counted when its reply arrives, after the run
-	// finished, so the first Wait above may read CancelledJobs 0: Wait
-	// undercounts it, and so does perfbench's shard.cancelled_jobs,
-	// which sums these Stats. Every reply is accounted for once the
-	// slots retire.
 	pool.Close()
-	res, _ = tk.Wait()
-	if res.Stats.CancelledJobs < 1 || res.Stats.WorkerFailures != 0 {
-		t.Errorf("cancelled jobs %d, worker failures %d; want at least 1 and 0", res.Stats.CancelledJobs, res.Stats.WorkerFailures)
+	if after, _ := tk.Wait(); after.Stats != res.Stats {
+		t.Errorf("Stats after Close %+v, at Wait %+v", after.Stats, res.Stats)
 	}
 }

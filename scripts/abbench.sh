@@ -17,10 +17,18 @@
 #
 #   bash perfbench/run.sh --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 #
-# or, for micro, `scripts/bench.sh OUT.json 1s`, once in that worktree
-# and once in the working tree, the base first on odd pairs and second
-# on even ones, so a drift of the host over the session lands on both
-# sides alike.
+# once in that worktree and once in the working tree, the base first
+# on odd pairs and second on even ones, so a drift of the host over
+# the session lands on both sides alike.
+#
+# For micro, each side's benchmark binary of every package in
+# scripts/benchlib.sh is built once, before the pairs, with
+# `go test -c -trimpath`, so a package whose code is the same on both
+# sides builds to the same bytes. Such a package is reported as
+# identical and not timed: it holds no change. Each pair runs the
+# other packages' binaries of both sides, alternating as above, from
+# one directory with a 1s benchtime, so the sides differ only in the
+# binary.
 #
 # For a workload, each run's last line is its JSON report. For every
 # end-to-end metric of BENCHMARK.json the script prints the base
@@ -28,10 +36,10 @@
 # the medians, and the pairs in which the change did better. It exits
 # 1 if any run reports correct: false or failed > 0.
 #
-# For micro, cmd/benchcheck compares each kernel benchmark's median
-# ns/op over the change's reports with its median over the base's, and
-# the script exits 1 when one is more than 20% slower: the CI bench
-# gate.
+# For micro, cmd/benchcheck then compares each timed benchmark's
+# median ns/op over the change's reports with its median over the
+# base's, and the script exits 1 when one is more than 20% slower: the
+# CI bench gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,12 +64,40 @@ cleanup() {
 trap cleanup EXIT
 git worktree add --detach --quiet "$base" "$base_rev"
 
-# run TREE SIDE I runs once in TREE. A micro run writes SIDE's I-th
-# report to $tmp/SIDE-I.json; a workload run appends its report to
+if [ "$workload" = micro ]; then
+  . scripts/benchlib.sh
+  # timed lists the indices into bench_pkgs whose binaries differ.
+  timed=()
+  for i in "${!bench_pkgs[@]}"; do
+    (cd "$base" && go test -c -trimpath -o "$tmp/base-$i.test" "${bench_pkgs[i]}")
+    go test -c -trimpath -o "$tmp/change-$i.test" "${bench_pkgs[i]}"
+    if cmp -s "$tmp/base-$i.test" "$tmp/change-$i.test"; then
+      echo "micro: ${bench_pkgs[i]}: identical binaries on both sides, not timed"
+    else
+      timed+=("$i")
+    fi
+  done
+  if [ ${#timed[@]} -eq 0 ]; then
+    echo "micro: $base_rev vs the working tree: every benchmark binary is identical, nothing to time"
+    exit 0
+  fi
+  mkdir "$tmp/run"
+fi
+
+# run TREE SIDE I runs once in TREE. A micro run times SIDE's binaries
+# of the timed packages from $tmp/run and writes SIDE's I-th report to
+# $tmp/SIDE-I.json; a workload run appends its report to
 # $tmp/SIDE.jsonl and echoes its metrics to stderr.
 run() {
   if [ "$workload" = micro ]; then
-    (cd "$1" && scripts/bench.sh "$tmp/$2-$3.json" 1s)
+    local i raw=""
+    for i in "${timed[@]}"; do
+      raw+="$(cd "$tmp/run" && "$tmp/$2-$i.test" -test.run='^$' -test.bench="$bench_pattern" \
+        -test.benchmem -test.benchtime=1s -test.count=1 2>&1)"
+      raw+=$'\n'
+    done
+    echo "$raw" >&2
+    bench_report 1s <<<"$raw" >"$tmp/$2-$3.json"
     return
   fi
   local out

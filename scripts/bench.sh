@@ -6,65 +6,28 @@
 #   OUT.json   output path (default: stdout)
 #   BENCHTIME  go test -benchtime value (default: 2s)
 #
-# The JSON shape is one run object:
-#
-#   {
-#     "go": "go1.xx ...", "cpu": "...", "benchtime": "2s",
-#     "benchmarks": [
-#       {"name": "...", "ns_per_op": 1.2, "allocs_per_op": 0, "bytes_per_op": 0},
-#       ...
-#     ]
-#   }
+# The packages, the benchmark pattern and the report's JSON shape live
+# in scripts/benchlib.sh, which scripts/abbench.sh shares.
 #
 # BENCH_<pr>.json files committed at the repo root combine the "before"
 # and "after" runs of a PR so the perf trajectory stays reviewable.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/benchlib.sh
 
 out="${1:-}"
 benchtime="${2:-2s}"
 
-# One go test invocation per package: a multi-package invocation
-# compiles the later test binaries while the first one's benchmarks
-# run, which skews timings on small machines.
 raw=""
-for pkg in . ./internal/dist/ ./internal/xrand/ ./internal/stats/; do
-  raw+="$(go test -run='^$' \
-    -bench='MCIteration|SteadyState|MTTDL|SampleN|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile' \
-    -benchmem -benchtime="$benchtime" -count=1 "$pkg" 2>&1)"
+for pkg in "${bench_pkgs[@]}"; do
+  raw+="$(go test -run='^$' -bench="$bench_pattern" -benchmem -benchtime="$benchtime" -count=1 "$pkg" 2>&1)"
   raw+=$'\n'
 done
 
 # Keep the human-readable output visible on stderr.
 echo "$raw" >&2
 
-json="$(echo "$raw" | awk '
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = "null"; allocs = "null"
-    for (i = 2; i <= NF; i++) {
-        if ($(i) == "ns/op")     ns     = $(i-1)
-        if ($(i) == "B/op")      bytes  = $(i-1)
-        if ($(i) == "allocs/op") allocs = $(i-1)
-    }
-    if (ns == "") next
-    printf "%s{\"name\":\"%s\",\"ns_per_op\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s}", sep, name, ns, bytes, allocs
-    sep = ","
-}
-BEGIN { printf "[" }
-END   { printf "]" }
-')"
-
-goversion="$(go version)"
-cpu="$(echo "$raw" | awk -F': ' '/^cpu:/ {print $2; exit}')"
-
-payload="$(jq -n \
-  --arg go "$goversion" \
-  --arg cpu "${cpu:-unknown}" \
-  --arg benchtime "$benchtime" \
-  --argjson benchmarks "$json" \
-  '{go: $go, cpu: $cpu, benchtime: $benchtime, benchmarks: $benchmarks}')"
+payload="$(bench_report "$benchtime" <<<"$raw")"
 
 if [ -n "$out" ]; then
   echo "$payload" > "$out"
