@@ -1,20 +1,19 @@
 package herald
 
 // Benchmark harness: one benchmark per paper figure/claim (repro.All
-// lists the experiment ids behind these targets), plus
-// micro-benchmarks of the analytic and simulation kernels. Each figure
+// lists the experiment ids behind these targets). Each figure
 // benchmark runs the full experiment generator at a reduced
 // Monte-Carlo scale and reports the reproduced headline metric via
 // b.ReportMetric, so `go test -bench=.` regenerates the paper's result
-// shapes.
+// shapes. The kernels' micro-benchmarks live next to the code they
+// time: MCIteration* in internal/sim, SteadyState*, MTTDL and Mission
+// in internal/model.
 
 import (
 	"strconv"
 	"testing"
 
-	"herald/internal/model"
 	"herald/internal/repro"
-	"herald/internal/sim"
 )
 
 // benchOpts keeps figure benchmarks at laptop scale; the cmd/repro CLI
@@ -120,114 +119,6 @@ func BenchmarkAblationRates(b *testing.B) {
 func BenchmarkSensitivityElasticities(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.Sensitivity(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Kernel micro-benchmarks
-// ---------------------------------------------------------------------
-
-// BenchmarkSteadyStateConventional measures one Fig. 2 model solve.
-func BenchmarkSteadyStateConventional(b *testing.B) {
-	p := model.Paper(4, 1e-6, 0.01)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.Conventional(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSteadyStateFailover measures one 12-state Fig. 3 solve.
-func BenchmarkSteadyStateFailover(b *testing.B) {
-	p := model.PaperFailover(4, 1e-6, 0.01)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.Failover(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchMCIteration measures Monte-Carlo throughput for one policy and
-// kernel on the default (exponential) configuration; 100 iterations
-// per op. KernelAuto rows resolve to the memoryless specialization,
-// the KernelGeneric rows pin the clock-walker fallback so the
-// benchcheck gate watches both sides of the dispatch.
-func benchMCIteration(b *testing.B, pol sim.Policy, k sim.Kernel) {
-	p := sim.PaperDefaults(4, 1e-5, 0.01)
-	p.Policy = pol
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(p, sim.Options{
-			Iterations: 100, MissionTime: 1e6, Seed: uint64(i), Workers: 1, Kernel: k,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMCIterationConventional measures Monte-Carlo throughput for
-// the conventional policy (iterations/op is the configured count).
-// Since the kernel dispatch layer this runs the memoryless walker.
-func BenchmarkMCIterationConventional(b *testing.B) {
-	benchMCIteration(b, sim.Conventional, sim.KernelAuto)
-}
-
-// BenchmarkMCIterationConventionalGeneric pins the generic clock
-// walker on the same configuration.
-func BenchmarkMCIterationConventionalGeneric(b *testing.B) {
-	benchMCIteration(b, sim.Conventional, sim.KernelGeneric)
-}
-
-// BenchmarkMCIterationConventionalBias measures the importance-sampled
-// memoryless walker on the same configuration (auto failure bias):
-// the per-iteration cost of the weighted machinery relative to
-// BenchmarkMCIterationConventional, still allocation-free.
-func BenchmarkMCIterationConventionalBias(b *testing.B) {
-	p := sim.PaperDefaults(4, 1e-5, 0.01)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(p, sim.Options{
-			Iterations: 100, MissionTime: 1e6, Seed: uint64(i), Workers: 1, Bias: sim.BiasAuto,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMCIterationFailover measures Monte-Carlo throughput for the
-// fail-over policy (memoryless walker via KernelAuto).
-func BenchmarkMCIterationFailover(b *testing.B) {
-	benchMCIteration(b, sim.AutoFailover, sim.KernelAuto)
-}
-
-// BenchmarkMCIterationFailoverGeneric pins the generic fail-over
-// walker with its cached two-min phase scans.
-func BenchmarkMCIterationFailoverGeneric(b *testing.B) {
-	benchMCIteration(b, sim.AutoFailover, sim.KernelGeneric)
-}
-
-// BenchmarkMCIterationDualParity measures the dual-parity policy
-// (memoryless walker via KernelAuto).
-func BenchmarkMCIterationDualParity(b *testing.B) {
-	benchMCIteration(b, sim.DualParity, sim.KernelAuto)
-}
-
-// BenchmarkMCIterationDualParityGeneric pins the generic dual-parity
-// walker.
-func BenchmarkMCIterationDualParityGeneric(b *testing.B) {
-	benchMCIteration(b, sim.DualParity, sim.KernelGeneric)
-}
-
-// BenchmarkMTTDL measures the absorbing-chain analysis.
-func BenchmarkMTTDL(b *testing.B) {
-	p := model.Paper(4, 1e-6, 0.01)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := model.MTTDL(p); err != nil {
 			b.Fatal(err)
 		}
 	}

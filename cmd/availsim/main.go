@@ -340,6 +340,13 @@ func main() {
 	t.AddRow("availability", fmt.Sprintf("%.12f", s.Availability))
 	t.AddRow("nines", report.F3(s.Nines))
 	t.AddRow(fmt.Sprintf("CI half-width (%.0f%%)", *confidence*100), report.E(s.HalfWidth))
+	// Every law exponential: the run has an exact twin to check against.
+	exact, ok, err := sim.Exact(p, *mission)
+	exitOn(err)
+	if ok {
+		t.AddRow("exact (CTMC)", fmt.Sprintf("%.12f", exact.IntervalAvailability))
+		t.AddRow("exact in CI", report.B(s.Interval().Contains(exact.IntervalAvailability)))
+	}
 	t.AddRow("mean DU downtime / iteration", fmt.Sprintf("%.4g h", s.MeanDowntimeDU))
 	t.AddRow("mean DL downtime / iteration", fmt.Sprintf("%.4g h", s.MeanDowntimeDL))
 	t.AddRow("disk failures", fmt.Sprintf("%d", s.Events.Failures))

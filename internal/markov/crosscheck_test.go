@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestIntervalMatchesIntegratedTransient cross-checks the two
-// independent transient code paths: IntervalProbability (accumulated
-// reward via integrated Poisson tails) must equal the Simpson-rule
-// integral of the pointwise Transient solution.
+// TestIntervalMatchesIntegratedTransient cross-checks the transient
+// solve's two outputs: IntervalProbability (the reward integral, from
+// integrated Poisson tails) must equal the Simpson-rule integral of
+// the pointwise Transient solution.
 func TestIntervalMatchesIntegratedTransient(t *testing.T) {
 	c := NewBuilder().
 		At("OP", "EXP", 4e-3).
@@ -92,7 +92,7 @@ func TestTransientAgreesWithMatrixExponentialSeries(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("state %d: uniformization %v vs series %v", i, got[i], want[i])
+			t.Fatalf("state %d: Transient %v vs series %v", i, got[i], want[i])
 		}
 	}
 }

@@ -159,6 +159,18 @@ func TestPointAvailability(t *testing.T) {
 	}
 }
 
+func TestTransientRejectsBadHorizon(t *testing.T) {
+	c := twoState(0.01, 1)
+	for _, tm := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if pi, err := c.Transient([]float64{1, 0}, tm); err == nil {
+			t.Errorf("Transient at %v = %v with a nil error", tm, pi)
+		}
+		if av, err := c.PointAvailability("UP", []string{"UP"}, tm); err == nil {
+			t.Errorf("PointAvailability at %v = %v with a nil error", tm, av)
+		}
+	}
+}
+
 func TestMeanTimeToAbsorptionSingleStep(t *testing.T) {
 	// UP -> DOWN at rate lambda with no return: MTTA = 1/lambda.
 	c := NewBuilder().At("UP", "DOWN", 0.004).At("DOWN", "UP", 0).MustBuild()

@@ -2,68 +2,27 @@ package markov
 
 import (
 	"fmt"
-	"math"
+
+	"herald/internal/linalg"
 )
 
 // AccumulatedReward returns the expected reward integrated over [0, t]
 // starting from distribution pi0: E[ int_0^t r(X(s)) ds ]. With r = 1
 // on down states it yields the expected downtime of a finite mission,
 // a metric the steady-state models cannot provide for young systems
-// that have not reached equilibrium.
-//
-// Computation uses the uniformization identity
-//
-//	int_0^t pois_k(Lambda, s) ds = P(N_{Lambda t} > k) / Lambda
-//
-// so the integral becomes (1/Lambda) * sum_k P(N > k) * (pi0 P^k) . r
-// with the Poisson tail accumulated in linear space (underflow of the
-// early terms is benign: their tail is exactly 1).
+// that have not reached equilibrium. It is pi0 · V(t) of the doubling
+// solve (expm), whose terms are all non-negative, so a downtime many
+// orders below t keeps its relative precision.
 func (c *CTMC) AccumulatedReward(pi0 []float64, t float64, reward []float64) (float64, error) {
 	n := c.N()
 	if len(pi0) != n || len(reward) != n {
 		return 0, fmt.Errorf("markov: AccumulatedReward needs vectors of length %d (got %d, %d)", n, len(pi0), len(reward))
 	}
-	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-		return 0, fmt.Errorf("markov: invalid horizon %v", t)
+	_, v, err := c.expm(t, reward)
+	if err != nil {
+		return 0, err
 	}
-	if t == 0 {
-		return 0, nil
-	}
-	lambda := 1.05 * c.MaxExitRate()
-	if lambda == 0 {
-		// No transitions: the initial distribution persists.
-		s := 0.0
-		for i := range pi0 {
-			s += pi0[i] * reward[i]
-		}
-		return s * t, nil
-	}
-	p := c.UniformizedMatrix(lambda)
-	lt := lambda * t
-	kMax := int(lt + 12*math.Sqrt(lt) + 30)
-
-	cur := append([]float64(nil), pi0...)
-	logW := -lt // log Poisson pmf at k=0
-	cum := 0.0  // Poisson CDF at k
-	total := 0.0
-	for k := 0; k <= kMax; k++ {
-		cum += math.Exp(logW)
-		tail := 1 - cum
-		if tail < 0 {
-			tail = 0
-		}
-		dot := 0.0
-		for i := range cur {
-			dot += cur[i] * reward[i]
-		}
-		total += tail * dot
-		if tail < 1e-14 && float64(k) > lt {
-			break
-		}
-		cur = p.VecMul(cur)
-		logW += math.Log(lt) - math.Log(float64(k+1))
-	}
-	return total / lambda, nil
+	return linalg.Dot(pi0, v), nil
 }
 
 // IntervalProbability returns the expected fraction of [0, t] spent in

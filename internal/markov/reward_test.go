@@ -9,25 +9,45 @@ func TestAccumulatedRewardTwoStateClosedForm(t *testing.T) {
 	// For the machine-repair chain starting UP, the expected uptime in
 	// [0,t] integrates the closed-form point availability:
 	//   int_0^t A(s) ds = a*t + (b/r)(1 - e^{-r t})
-	// with a = mu/(l+mu), b = l/(l+mu), r = l+mu.
-	l, mu := 0.05, 0.4
-	c := twoState(l, mu)
-	iUp, _ := c.StateIndex("UP")
-	pi0 := make([]float64, 2)
-	pi0[iUp] = 1
-	reward := make([]float64, 2)
-	reward[iUp] = 1
-	a := mu / (l + mu)
-	b := l / (l + mu)
-	r := l + mu
-	for _, horizon := range []float64{0.1, 1, 10, 100, 1000} {
-		got, err := c.AccumulatedReward(pi0, horizon, reward)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := a*horizon + b/r*(1-math.Exp(-r*horizon))
-		if math.Abs(got-want) > 1e-8*(1+want) {
-			t.Fatalf("horizon %v: uptime %v, want %v", horizon, got, want)
+	// with a = mu/(l+mu), b = l/(l+mu), r = l+mu, and the expected
+	// downtime is the rest: b*t - (b/r)(1 - e^{-r t}). At l = 1e-9 the
+	// downtime is about 1e-9 of the horizon, so it must be integrated
+	// over DOWN, not read as t minus the uptime.
+	for _, c := range []struct {
+		l, mu    float64
+		horizons []float64
+	}{
+		{0.05, 0.4, []float64{0.1, 1, 10, 100, 1000}},
+		{1e-9, 1, []float64{0.1, 1, 10, 100, 1000, 1e4, 1e5, 1e6}},
+	} {
+		ch := twoState(c.l, c.mu)
+		iUp, _ := ch.StateIndex("UP")
+		iDown, _ := ch.StateIndex("DOWN")
+		pi0 := make([]float64, 2)
+		pi0[iUp] = 1
+		upR, downR := make([]float64, 2), make([]float64, 2)
+		upR[iUp], downR[iDown] = 1, 1
+		a := c.mu / (c.l + c.mu)
+		b := c.l / (c.l + c.mu)
+		r := c.l + c.mu
+		for _, horizon := range c.horizons {
+			got, err := ch.AccumulatedReward(pi0, horizon, upR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			settle := -math.Expm1(-r*horizon) / r
+			want := a*horizon + b*settle
+			if math.Abs(got-want) > 1e-8*(1+want) {
+				t.Fatalf("l %v, horizon %v: uptime %v, want %v", c.l, horizon, got, want)
+			}
+			got, err = ch.AccumulatedReward(pi0, horizon, downR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = b * (horizon - settle)
+			if math.Abs(got-want) > 1e-9*want {
+				t.Fatalf("l %v, horizon %v: downtime %v, want %v (rel %.2g)", c.l, horizon, got, want, (got-want)/want)
+			}
 		}
 	}
 }
@@ -117,8 +137,8 @@ func TestIntervalProbabilityErrors(t *testing.T) {
 }
 
 func TestAccumulatedRewardLargeUniformizationConstant(t *testing.T) {
-	// Rates spanning 1e-6..1 with t large: exercises the log-space
-	// Poisson tail handling (Lambda*t ~ 1e5).
+	// Rates spanning 1e-6..1 with t large: Lambda*t ~ 1e4, so the
+	// solve doubles its base step 14 times.
 	c := NewBuilder().
 		At("OP", "EXP", 4e-6).
 		At("EXP", "OP", 0.1).

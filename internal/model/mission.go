@@ -30,11 +30,14 @@ func (m MissionResult) Nines() float64 { return stats.Nines(m.IntervalAvailabili
 
 // Mission computes finite-horizon metrics for a solved model, starting
 // from the OP state. The result's steady-state fields are unaffected.
+// It integrates the down states, not the up states: an unavailability
+// near 1e-10 read as 1 minus the up fraction would keep only its first
+// few digits, or none.
 func (r *Result) Mission(horizon float64) (MissionResult, error) {
 	if horizon <= 0 {
 		return MissionResult{}, fmt.Errorf("model: mission horizon %v must be positive", horizon)
 	}
-	interval, err := r.Chain.IntervalProbability(StateOP, r.UpStates, horizon)
+	down, err := r.Chain.IntervalProbability(StateOP, r.down, horizon)
 	if err != nil {
 		return MissionResult{}, err
 	}
@@ -44,8 +47,8 @@ func (r *Result) Mission(horizon float64) (MissionResult, error) {
 	}
 	return MissionResult{
 		Horizon:               horizon,
-		IntervalAvailability:  interval,
-		ExpectedDowntimeHours: (1 - interval) * horizon,
+		IntervalAvailability:  1 - down,
+		ExpectedDowntimeHours: down * horizon,
 		PointAvailability:     point,
 	}, nil
 }

@@ -58,6 +58,57 @@ func TestMissionFailoverModel(t *testing.T) {
 	}
 }
 
+// TestMissionKeepsDowntimeDigits pins Mission's unavailability to the
+// down states' own integral. Read as 1 minus the up fraction, a U near
+// 1e-10 keeps few digits: the dual-parity chain at HEP 0 read an
+// interval availability above 1 and a negative downtime, and the
+// reduced fail-over chain at lambda 1e-7 read U 34% low.
+func TestMissionKeepsDowntimeDigits(t *testing.T) {
+	reduced := PaperFailover(4, 1e-7, 0)
+	reduced.InstallAsSpare, reduced.DownAltService = false, false
+	const horizon = 87600
+	for _, c := range []struct {
+		name  string
+		solve func() (*Result, error)
+	}{
+		{"dual parity, 4 disks, lambda 1e-6, HEP 0", func() (*Result, error) { return DualParity(Paper(4, 1e-6, 0)) }},
+		{"reduced fail-over, lambda 1e-7, HEP 0", func() (*Result, error) { return Failover(reduced) }},
+	} {
+		res, err := c.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := res.Mission(horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.IntervalAvailability > 1 || !(m.ExpectedDowntimeHours > 0) {
+			t.Errorf("%s: interval availability %v, downtime %v h", c.name, m.IntervalAvailability, m.ExpectedDowntimeHours)
+		}
+		up := make(map[string]bool)
+		for _, s := range res.UpStates {
+			up[s] = true
+		}
+		pi0 := make([]float64, res.Chain.N())
+		down := make([]float64, res.Chain.N())
+		for i, s := range res.Chain.StateNames() {
+			if s == StateOP {
+				pi0[i] = 1
+			}
+			if !up[s] {
+				down[i] = 1
+			}
+		}
+		want, err := res.Chain.AccumulatedReward(pi0, horizon, down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel := math.Abs(m.ExpectedDowntimeHours-want) / want; !(rel <= 1e-9) {
+			t.Errorf("%s: downtime %v h, the down states integrate to %v h (rel %.3g)", c.name, m.ExpectedDowntimeHours, want, rel)
+		}
+	}
+}
+
 func TestMissionRejectsBadHorizon(t *testing.T) {
 	res, err := Conventional(Paper(4, 1e-5, 0.01))
 	if err != nil {

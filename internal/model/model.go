@@ -134,6 +134,8 @@ type Result struct {
 	UnavailabilityDU float64
 	// UnavailabilityDL is the probability mass of data-loss states.
 	UnavailabilityDL float64
+
+	down []string // the DU and DL states: every state outside UpStates
 }
 
 // Nines returns the availability in number-of-nines.
@@ -153,10 +155,12 @@ func solve(c *markov.CTMC, upStates, duStates, dlStates []string) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	down := make([]string, 0, len(duStates)+len(dlStates))
 	res := &Result{
 		Chain:    c,
 		Pi:       make(map[string]float64, c.N()),
 		UpStates: append([]string(nil), upStates...),
+		down:     append(append(down, duStates...), dlStates...),
 	}
 	for i, p := range pi {
 		res.Pi[c.StateName(i)] = p

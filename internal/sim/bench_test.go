@@ -1,0 +1,77 @@
+package sim
+
+import "testing"
+
+// Kernel micro-benchmarks, timed by scripts/bench.sh and the CI bench
+// gate (scripts/benchlib.sh lists the packages and the pattern).
+
+// benchMCIteration measures Monte-Carlo throughput for one policy and
+// kernel on the default (exponential) configuration; 100 iterations
+// per op. KernelAuto rows resolve to the memoryless specialization,
+// the KernelGeneric rows pin the clock-walker fallback so the
+// benchcheck gate watches both sides of the dispatch.
+func benchMCIteration(b *testing.B, pol Policy, k Kernel) {
+	p := PaperDefaults(4, 1e-5, 0.01)
+	p.Policy = pol
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(p, Options{
+			Iterations: 100, MissionTime: 1e6, Seed: uint64(i), Workers: 1, Kernel: k,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMCIterationConventional measures Monte-Carlo throughput for
+// the conventional policy (iterations/op is the configured count).
+// Since the kernel dispatch layer this runs the memoryless walker.
+func BenchmarkMCIterationConventional(b *testing.B) {
+	benchMCIteration(b, Conventional, KernelAuto)
+}
+
+// BenchmarkMCIterationConventionalGeneric pins the generic clock
+// walker on the same configuration.
+func BenchmarkMCIterationConventionalGeneric(b *testing.B) {
+	benchMCIteration(b, Conventional, KernelGeneric)
+}
+
+// BenchmarkMCIterationConventionalBias measures the importance-sampled
+// memoryless walker on the same configuration (auto failure bias):
+// the per-iteration cost of the weighted machinery relative to
+// BenchmarkMCIterationConventional, still allocation-free.
+func BenchmarkMCIterationConventionalBias(b *testing.B) {
+	p := PaperDefaults(4, 1e-5, 0.01)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(p, Options{
+			Iterations: 100, MissionTime: 1e6, Seed: uint64(i), Workers: 1, Bias: BiasAuto,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMCIterationFailover measures Monte-Carlo throughput for the
+// fail-over policy (memoryless walker via KernelAuto).
+func BenchmarkMCIterationFailover(b *testing.B) {
+	benchMCIteration(b, AutoFailover, KernelAuto)
+}
+
+// BenchmarkMCIterationFailoverGeneric pins the generic fail-over
+// walker with its cached two-min phase scans.
+func BenchmarkMCIterationFailoverGeneric(b *testing.B) {
+	benchMCIteration(b, AutoFailover, KernelGeneric)
+}
+
+// BenchmarkMCIterationDualParity measures the dual-parity policy
+// (memoryless walker via KernelAuto).
+func BenchmarkMCIterationDualParity(b *testing.B) {
+	benchMCIteration(b, DualParity, KernelAuto)
+}
+
+// BenchmarkMCIterationDualParityGeneric pins the generic dual-parity
+// walker.
+func BenchmarkMCIterationDualParityGeneric(b *testing.B) {
+	benchMCIteration(b, DualParity, KernelGeneric)
+}

@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-
-	"herald/internal/model"
 )
 
 func dpParams(lambda, hep float64) ArrayParams {
@@ -14,43 +12,28 @@ func dpParams(lambda, hep float64) ArrayParams {
 }
 
 func TestDualParityMatchesMarkovNoHumanError(t *testing.T) {
-	lambda := 3e-4 // dense triple-failure statistics
-	mc := runFast(t, dpParams(lambda, 0), 3000, 2e5)
-	res, err := model.DualParity(model.Paper(6, lambda, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "dual parity hep=0", mc, res.Availability)
+	p := dpParams(3e-4, 0) // dense triple-failure statistics
+	mc := runFast(t, p, 3000, 2e5)
+	assertWithinCI(t, "dual parity hep=0", mc, p)
 	if mc.Events.DoubleFailures == 0 {
 		t.Fatal("no triple-loss events sampled; test underpowered")
 	}
 }
 
 func TestDualParityMatchesMarkovWithHumanError(t *testing.T) {
-	lambda, hep := 3e-4, 0.02
-	mc := runFast(t, dpParams(lambda, hep), 3000, 2e5)
-	res, err := model.DualParity(model.Paper(6, lambda, hep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "dual parity hep=0.02", mc, res.Availability)
+	p := dpParams(3e-4, 0.02)
+	mc := runFast(t, p, 3000, 2e5)
+	assertWithinCI(t, "dual parity hep=0.02", mc, p)
 	if mc.Events.HumanErrors == 0 {
 		t.Fatal("no human errors sampled")
 	}
 }
 
 func TestDualParityLiteralVariant(t *testing.T) {
-	lambda, hep := 3e-4, 0.02
-	p := dpParams(lambda, hep)
+	p := dpParams(3e-4, 0.02)
 	p.ResyncAfterUndo = false
 	mc := runFast(t, p, 3000, 2e5)
-	mp := model.Paper(6, lambda, hep)
-	mp.ResyncAfterUndo = false
-	res, err := model.DualParity(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "dual parity literal", mc, res.Availability)
+	assertWithinCI(t, "dual parity literal", mc, p)
 }
 
 func TestDualParityBeatsSingleParityMC(t *testing.T) {

@@ -52,11 +52,7 @@ func TestRunFleetMatchesMarkovComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := model.Conventional(model.Paper(4, lambda, hep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := model.FleetAvailability(res.Availability, 7)
+	want := model.FleetAvailability(exactAvailability(t, p, o.MissionTime), 7)
 	tol := 4*fleet.HalfWidth + 0.03*(1-want)
 	if diff := math.Abs(fleet.Availability - want); diff > tol {
 		t.Fatalf("fleet MC %v vs Markov %v (diff %v, tol %v)", fleet.Availability, want, diff, tol)

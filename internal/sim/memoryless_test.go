@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"herald/internal/dist"
-	"herald/internal/model"
 )
 
 // These tests pin the kernel dispatch layer: which configurations
@@ -196,34 +195,16 @@ func TestMemorylessMatchesCTMC(t *testing.T) {
 		return s
 	}
 
-	lambda, hep := 1e-4, 0.01
-	mc := run(PaperDefaults(4, lambda, hep))
-	res, err := model.Conventional(model.Paper(4, lambda, hep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "memoryless conventional", mc, res.Availability)
+	cp := PaperDefaults(4, 1e-4, 0.01)
+	assertWithinCI(t, "memoryless conventional", run(cp), cp)
 
-	fp := PaperDefaults(4, lambda, 0.02)
+	fp := PaperDefaults(4, 1e-4, 0.02)
 	fp.Policy = AutoFailover
-	mc = run(fp)
-	mp := model.PaperFailover(4, lambda, 0.02)
-	mp.InstallAsSpare = false
-	mp.DownAltService = false
-	fres, err := model.Failover(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "memoryless failover", mc, fres.Availability)
+	assertWithinCI(t, "memoryless failover", run(fp), fp)
 
 	dp := PaperDefaults(6, 3e-4, 0.02)
 	dp.Policy = DualParity
-	mc = run(dp)
-	dres, err := model.DualParity(model.Paper(6, 3e-4, 0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "memoryless dual parity", mc, dres.Availability)
+	assertWithinCI(t, "memoryless dual parity", run(dp), dp)
 }
 
 // TestMemorylessEdgeBehaviors ports the generic walkers' edge pins to

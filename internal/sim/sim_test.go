@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"herald/internal/dist"
-	"herald/internal/model"
 	"herald/internal/xrand"
 )
 
@@ -27,15 +26,27 @@ func runFast(t *testing.T, p ArrayParams, iters int, mission float64) Summary {
 	return s
 }
 
-// assertWithinCI checks that the analytic value lies inside the MC
-// confidence interval widened by slack (structural second-order
-// differences between simulator and chain).
-func assertWithinCI(t *testing.T, name string, mc Summary, analytic float64) {
+// exactAvailability is the oracle of every chain comparison in this
+// package: the interval availability of p's exact twin over mission.
+func exactAvailability(t *testing.T, p ArrayParams, mission float64) float64 {
 	t.Helper()
-	tol := 4*mc.HalfWidth + 0.03*(1-analytic)
-	if diff := math.Abs(mc.Availability - analytic); diff > tol {
-		t.Errorf("%s: MC availability %v vs analytic %v (diff %.3g, tol %.3g)",
-			name, mc.Availability, analytic, diff, tol)
+	m, ok, err := Exact(p, mission)
+	if err != nil || !ok {
+		t.Fatalf("Exact: ok %v, err %v", ok, err)
+	}
+	return m.IntervalAvailability
+}
+
+// assertWithinCI checks that the exact twin of p over the run's mission
+// lies inside the MC confidence interval widened by slack (structural
+// second-order differences between simulator and chain).
+func assertWithinCI(t *testing.T, name string, mc Summary, p ArrayParams) {
+	t.Helper()
+	exact := exactAvailability(t, p, mc.MissionTime)
+	tol := 4*mc.HalfWidth + 0.03*(1-exact)
+	if diff := math.Abs(mc.Availability - exact); diff > tol {
+		t.Errorf("%s: MC availability %v vs exact %v (diff %.3g, tol %.3g)",
+			name, mc.Availability, exact, diff, tol)
 	}
 }
 
@@ -43,11 +54,7 @@ func TestConventionalMatchesMarkovNoHumanError(t *testing.T) {
 	lambda := 1e-4
 	p := PaperDefaults(4, lambda, 0)
 	mc := runFast(t, p, 3000, 2e5)
-	res, err := model.Conventional(model.Paper(4, lambda, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "hep=0", mc, res.Availability)
+	assertWithinCI(t, "hep=0", mc, p)
 	if mc.Events.HumanErrors != 0 {
 		t.Errorf("human errors = %d at hep=0", mc.Events.HumanErrors)
 	}
@@ -63,11 +70,7 @@ func TestConventionalMatchesMarkovWithHumanError(t *testing.T) {
 		lambda := 1e-4
 		p := PaperDefaults(4, lambda, hep)
 		mc := runFast(t, p, 3000, 2e5)
-		res, err := model.Conventional(model.Paper(4, lambda, hep))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertWithinCI(t, "hep="+floatStr(hep), mc, res.Availability)
+		assertWithinCI(t, "hep="+floatStr(hep), mc, p)
 		if mc.Events.HumanErrors == 0 {
 			t.Errorf("hep=%v: no human errors simulated", hep)
 		}
@@ -88,46 +91,26 @@ func floatStr(f float64) string {
 func TestConventionalLiteralFigureVariant(t *testing.T) {
 	// With ResyncAfterUndo disabled both MC and Markov use the
 	// literal Fig. 2 shape; they must still agree.
-	lambda, hep := 1e-4, 0.01
-	p := PaperDefaults(4, lambda, hep)
+	p := PaperDefaults(4, 1e-4, 0.01)
 	p.ResyncAfterUndo = false
 	mc := runFast(t, p, 3000, 2e5)
-	mp := model.Paper(4, lambda, hep)
-	mp.ResyncAfterUndo = false
-	res, err := model.Conventional(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "literal", mc, res.Availability)
+	assertWithinCI(t, "literal", mc, p)
 }
 
 func TestRAID1Simulation(t *testing.T) {
-	lambda, hep := 1e-4, 0.01
-	mc := runFast(t, PaperDefaults(2, lambda, hep), 3000, 2e5)
-	res, err := model.Conventional(model.Paper(2, lambda, hep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "raid1", mc, res.Availability)
+	p := PaperDefaults(2, 1e-4, 0.01)
+	mc := runFast(t, p, 3000, 2e5)
+	assertWithinCI(t, "raid1", mc, p)
 }
 
 func TestFailoverMatchesReducedMarkov(t *testing.T) {
 	// The MC fail-over discipline (single technician, undo-first)
 	// corresponds to the Fig. 3 chain without the alternative service
-	// branches: the two knobs switched off below.
-	lambda, hep := 1e-4, 0.02
-	p := PaperDefaults(4, lambda, hep)
+	// branches, which is the chain Exact solves.
+	p := PaperDefaults(4, 1e-4, 0.02)
 	p.Policy = AutoFailover
 	mc := runFast(t, p, 3000, 2e5)
-
-	mp := model.PaperFailover(4, lambda, hep)
-	mp.InstallAsSpare = false
-	mp.DownAltService = false
-	res, err := model.Failover(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertWithinCI(t, "failover", mc, res.Availability)
+	assertWithinCI(t, "failover", mc, p)
 }
 
 func TestFailoverBeatsConventionalMC(t *testing.T) {

@@ -2,10 +2,13 @@
 # the kernel micro-benchmarks' packages and pattern, and the parser
 # that turns their output into a report. Source it from bash.
 
-# Each package's benchmarks run in a process of their own: a
-# multi-package go test compiles the later test binaries while the
-# first one's benchmarks run, which skews timings on small machines.
-bench_pkgs=(. ./internal/dist ./internal/xrand ./internal/stats)
+# The kernel benchmarks live next to the code they time, so a change
+# outside these packages builds byte-identical binaries, which
+# scripts/abbench.sh skips. Each package's benchmarks run in a process
+# of their own: a multi-package go test compiles the later test
+# binaries while the first one's benchmarks run, which skews timings on
+# small machines.
+bench_pkgs=(./internal/sim ./internal/model ./internal/dist ./internal/xrand ./internal/stats)
 bench_pattern='MCIteration|SteadyState|MTTDL|SampleN|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile'
 
 # bench_report BENCHTIME reads benchmark output on stdin and prints one

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test sharded availsim runs end to end: a fixed-N and an
 # adaptive table must be byte-identical in-process, with two worker
-# goroutines, and sharded over two worker processes; a checkpoint
+# goroutines, and sharded over two worker processes, and the fixed
+# table (all laws exponential) must carry its exact twin; a checkpoint
 # written under one -shards must resume under another with the same
 # table; a -checkpoint run without -shards must split the run into
 # more than one claimed range; and a finished checkpoint with one digit
@@ -28,6 +29,7 @@ for name in fixed adaptive; do
   cmp "$TMP/$name.base" "$TMP/$name.sharded" || { echo "FAIL: $name sharded table differs"; exit 1; }
   grep -q '^availability' "$TMP/$name.base" || { echo "FAIL: $name table has no availability row"; exit 1; }
 done
+grep -q '^exact (CTMC)' "$TMP/fixed.base" || { echo "FAIL: fixed table has no exact (CTMC) row"; exit 1; }
 
 echo "--- checkpoint written under -shards 3, resumed under -shards 5 ---"
 "$TMP/availsim" "${ADAPTIVE[@]}" -shards 3 -workers 2 -checkpoint "$TMP/run.ckpt" >"$TMP/ckpt.first"
