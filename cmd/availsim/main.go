@@ -338,7 +338,11 @@ func main() {
 			*disks, p.Policy, p.TTF, p.Repair),
 		"metric", "value")
 	t.AddRow("availability", fmt.Sprintf("%.12f", s.Availability))
-	t.AddRow("nines", report.F3(s.Nines))
+	nines := report.MCNines(s.Availability, s.HalfWidth)
+	if s.Availability == 1 {
+		nines += " (no downtime observed)"
+	}
+	t.AddRow("nines", nines)
 	t.AddRow(fmt.Sprintf("CI half-width (%.0f%%)", *confidence*100), report.E(s.HalfWidth))
 	// Every law exponential: the run has an exact twin to check against.
 	exact, ok, err := sim.Exact(p, *mission)

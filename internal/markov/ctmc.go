@@ -349,19 +349,32 @@ func (c *CTMC) expm(t float64, r []float64) (*linalg.Dense, []float64, error) {
 	return p, v, nil
 }
 
+// TransientReward returns, from one doubling solve (expm), the state
+// probability vector pi0·e^{Qt} at time t (hours) and the reward
+// pi0·∫₀ᵗ e^{Qs}·r ds accumulated over [0, t] from pi0. A negative,
+// NaN or infinite horizon is an error.
+func (c *CTMC) TransientReward(pi0 []float64, t float64, r []float64) ([]float64, float64, error) {
+	n := c.N()
+	if len(pi0) != n || len(r) != n {
+		return nil, 0, fmt.Errorf("markov: TransientReward needs vectors of length %d (got %d, %d)", n, len(pi0), len(r))
+	}
+	p, v, err := c.expm(t, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.VecMul(pi0), linalg.Dot(pi0, v), nil
+}
+
 // Transient returns the state probability vector at time t (hours)
-// starting from pi0: pi0·e^{Qt} by the doubling solve (expm). A
-// negative, NaN or infinite horizon is an error.
+// starting from pi0: TransientReward's first output. A negative, NaN or
+// infinite horizon is an error.
 func (c *CTMC) Transient(pi0 []float64, t float64) ([]float64, error) {
 	n := c.N()
 	if len(pi0) != n {
 		panic(fmt.Sprintf("markov: initial vector has %d entries, want %d", len(pi0), n))
 	}
-	p, _, err := c.expm(t, make([]float64, n))
-	if err != nil {
-		return nil, err
-	}
-	return p.VecMul(pi0), nil
+	pi, _, err := c.TransientReward(pi0, t, make([]float64, n))
+	return pi, err
 }
 
 // PointAvailability returns the probability of being in any of the

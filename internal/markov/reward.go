@@ -1,28 +1,17 @@
 package markov
 
-import (
-	"fmt"
-
-	"herald/internal/linalg"
-)
+import "fmt"
 
 // AccumulatedReward returns the expected reward integrated over [0, t]
 // starting from distribution pi0: E[ int_0^t r(X(s)) ds ]. With r = 1
 // on down states it yields the expected downtime of a finite mission,
 // a metric the steady-state models cannot provide for young systems
-// that have not reached equilibrium. It is pi0 · V(t) of the doubling
-// solve (expm), whose terms are all non-negative, so a downtime many
-// orders below t keeps its relative precision.
+// that have not reached equilibrium. It is TransientReward's second
+// output: the doubling solve's terms are all non-negative, so a
+// downtime many orders below t keeps its relative precision.
 func (c *CTMC) AccumulatedReward(pi0 []float64, t float64, reward []float64) (float64, error) {
-	n := c.N()
-	if len(pi0) != n || len(reward) != n {
-		return 0, fmt.Errorf("markov: AccumulatedReward needs vectors of length %d (got %d, %d)", n, len(pi0), len(reward))
-	}
-	_, v, err := c.expm(t, reward)
-	if err != nil {
-		return 0, err
-	}
-	return linalg.Dot(pi0, v), nil
+	_, acc, err := c.TransientReward(pi0, t, reward)
+	return acc, err
 }
 
 // IntervalProbability returns the expected fraction of [0, t] spent in

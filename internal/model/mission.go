@@ -29,22 +29,33 @@ type MissionResult struct {
 func (m MissionResult) Nines() float64 { return stats.Nines(m.IntervalAvailability) }
 
 // Mission computes finite-horizon metrics for a solved model, starting
-// from the OP state. The result's steady-state fields are unaffected.
-// It integrates the down states, not the up states: an unavailability
-// near 1e-10 read as 1 minus the up fraction would keep only its first
-// few digits, or none.
+// from the OP state, from one transient solve. The result's
+// steady-state fields are unaffected. It integrates the down states,
+// not the up states: an unavailability near 1e-10 read as 1 minus the
+// up fraction would keep only its first few digits, or none.
 func (r *Result) Mission(horizon float64) (MissionResult, error) {
 	if horizon <= 0 {
 		return MissionResult{}, fmt.Errorf("model: mission horizon %v must be positive", horizon)
 	}
-	down, err := r.Chain.IntervalProbability(StateOP, r.down, horizon)
+	// The state names are the chain's own: solve took them from it.
+	index := func(name string) int {
+		i, _ := r.Chain.StateIndex(name)
+		return i
+	}
+	pi0, reward := make([]float64, r.Chain.N()), make([]float64, r.Chain.N())
+	pi0[index(StateOP)] = 1
+	for _, s := range r.down {
+		reward[index(s)] = 1
+	}
+	pi, acc, err := r.Chain.TransientReward(pi0, horizon, reward)
 	if err != nil {
 		return MissionResult{}, err
 	}
-	point, err := r.Chain.PointAvailability(StateOP, r.UpStates, horizon)
-	if err != nil {
-		return MissionResult{}, err
+	point := 0.0
+	for _, s := range r.UpStates {
+		point += pi[index(s)]
 	}
+	down := acc / horizon
 	return MissionResult{
 		Horizon:               horizon,
 		IntervalAvailability:  1 - down,

@@ -109,6 +109,43 @@ func TestMissionKeepsDowntimeDigits(t *testing.T) {
 	}
 }
 
+// TestMissionMatchesTwoSolves pins that Mission's one solve returns
+// bit for bit what the two separate solves return: the down states'
+// IntervalProbability and the up states' PointAvailability.
+func TestMissionMatchesTwoSolves(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		solve func() (*Result, error)
+	}{
+		{"conventional", func() (*Result, error) { return Conventional(Paper(4, 1e-6, 0.01)) }},
+		{"failover", func() (*Result, error) { return Failover(PaperFailover(4, 1e-6, 0.01)) }},
+		{"dualparity", func() (*Result, error) { return DualParity(Paper(6, 1e-6, 0.01)) }},
+	} {
+		res, err := c.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, horizon := range []float64{8760, 87600, 1e6} {
+			m, err := res.Mission(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			down, err := res.Chain.IntervalProbability(StateOP, res.down, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			point, err := res.Chain.PointAvailability(StateOP, res.UpStates, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.IntervalAvailability != 1-down || m.ExpectedDowntimeHours != down*horizon || m.PointAvailability != point {
+				t.Errorf("%s at %g h: Mission (%v, %v h, %v), two solves (%v, %v h, %v)", c.name, horizon,
+					m.IntervalAvailability, m.ExpectedDowntimeHours, m.PointAvailability, 1-down, down*horizon, point)
+			}
+		}
+	}
+}
+
 func TestMissionRejectsBadHorizon(t *testing.T) {
 	res, err := Conventional(Paper(4, 1e-5, 0.01))
 	if err != nil {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"herald/internal/stats"
 )
 
 // Table is a titled grid of string cells.
@@ -140,6 +142,21 @@ func F3(v float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.3f", v)
+}
+
+// MCNines formats a Monte-Carlo availability and its confidence
+// half-width as a nines cell: F3 of the estimate's nines, or, for a
+// run that saw no downtime (availability exactly 1), ">= " and the
+// nines of its interval's lower end 1 - halfWidth. A half-width
+// outside (0, 1), +Inf and NaN included, bounds nothing and prints "-".
+func MCNines(availability, halfWidth float64) string {
+	if availability != 1 {
+		return F3(stats.Nines(availability))
+	}
+	if !(halfWidth > 0 && halfWidth < 1) {
+		return "-"
+	}
+	return ">= " + F3(stats.Nines(1-halfWidth))
 }
 
 // E formats a float in scientific notation with two decimals; used for

@@ -85,6 +85,27 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestMCNines pins the Monte-Carlo nines cell: the estimate's nines,
+// a ">=" bound from the half-width for a run that saw no downtime, and
+// no number when the half-width bounds nothing.
+func TestMCNines(t *testing.T) {
+	for _, c := range []struct {
+		a, hw float64
+		want  string
+	}{
+		{0.999, 1e-4, "3.000"},
+		{1, 1 - math.Pow(0.01, 1.0/2000), ">= 2.638"},
+		{1, 1, "-"},
+		{1, math.Inf(1), "-"},
+		{1, math.NaN(), "-"},
+		{1, 0, "-"},
+	} {
+		if got := MCNines(c.a, c.hw); got != c.want {
+			t.Errorf("MCNines(%v, %v) = %q, want %q", c.a, c.hw, got, c.want)
+		}
+	}
+}
+
 func TestEmptyTitleSkipsHeader(t *testing.T) {
 	tb := NewTable("", "a")
 	tb.AddRow("1")

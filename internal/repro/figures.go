@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 
 	"herald/internal/dist"
 	"herald/internal/model"
@@ -44,14 +45,16 @@ func Fig4(opts Options) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			within := mc.Interval().Contains(mk.IntervalAvailability)
-			ciNines := stats.Nines(mc.Availability-mc.HalfWidth) - mc.Nines
-			if ciNines < 0 {
-				ciNines = -ciNines
+			// The CI in nines has no width to print when the estimate
+			// is a bound (no downtime observed) or the interval reaches
+			// availability 0.
+			ci := "-"
+			if lo := mc.Availability - mc.HalfWidth; mc.Availability < 1 && lo > 0 {
+				ci = report.F3(math.Abs(stats.Nines(lo) - mc.Nines))
 			}
 			t.AddRow(report.E(l), report.F(hep),
-				report.F3(mc.Nines), report.F3(ciNines),
-				report.F3(mk.Nines()), report.B(within))
+				report.MCNines(mc.Availability, mc.HalfWidth), ci,
+				report.F3(mk.Nines()), report.B(mc.Interval().Contains(mk.IntervalAvailability)))
 		}
 	}
 	t.AddNote("MC: %d iterations x %.0fh mission, %.0f%% confidence (paper: 1e6 iterations)",
@@ -86,7 +89,7 @@ func Fig5(opts Options) (*report.Table, error) {
 				return nil, err
 			}
 			t.AddRow(report.E(pr.rate), report.F(pr.beta), report.F(hep),
-				report.F3(mc.Nines), report.F3(mk.Nines()))
+				report.MCNines(mc.Availability, mc.HalfWidth), report.F3(mk.Nines()))
 		}
 	}
 	t.AddNote("Weibull scale chosen so the MTTF equals 1/lambda (paper Fig. 5 pairs)")

@@ -285,6 +285,8 @@ func TestMalformedResultRecomputed(t *testing.T) {
 		{"biased fixed-N without weights", biased, func(pt *sim.Partial) { pt.WAvail = nil }},
 		{"biased adaptive without weights", biasedAdaptive, func(pt *sim.Partial) { pt.WAvail = nil }},
 		{"missing histogram", histogram, func(pt *sim.Partial) { pt.Hist = nil }},
+		{"negative down iterations", testOptions(), func(pt *sim.Partial) { pt.DownIters = -1 }},
+		{"down iterations beyond the range", testOptions(), func(pt *sim.Partial) { pt.DownIters = int64(pt.End-pt.Start) + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testParams(sim.Conventional)

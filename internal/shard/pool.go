@@ -20,10 +20,12 @@ type RunProgress struct {
 	Iterations int
 	// Cap is the run's iteration ceiling (Options.IterationCap).
 	Cap int
-	// HalfWidth is the stopping rule's safeguarded half-width of the
-	// folded prefix, +Inf while its safeguards are unmet and for every
-	// non-final observation of a fixed-N run; the final observation
-	// carries the Summary's half-width.
+	// HalfWidth is the half-width the stopping rule compares with the
+	// target (sim.StopScan.EffectiveHalfWidth): the one the Summary
+	// reports, +Inf while the rule's floors are unmet and for every
+	// non-final observation of a fixed-N run. The final observation
+	// carries the Summary's half-width; availserve sends +Inf as an
+	// absent half_width.
 	HalfWidth float64
 	// Converged is only meaningful on the final observation.
 	Converged bool

@@ -64,15 +64,12 @@ func (s *StopScan) End() int { return s.f.end }
 // scan's histogram, so feed nothing further once it is read.
 func (s *StopScan) Summary() Summary { return s.f.summary() }
 
-// EffectiveHalfWidth returns the rule's safeguarded half-width of the
-// folded prefix: +Inf while the safeguards are unmet, and always for
-// fixed-N options, which have no rule.
+// EffectiveHalfWidth returns the half-width the stopping rule compares
+// with the target, the one Summary reports: +Inf while the rule's
+// floors are unmet, and always for fixed-N options, which have no rule.
 func (s *StopScan) EffectiveHalfWidth() float64 {
-	switch {
-	case s.f.rule.TargetHalfWidth == 0:
+	if !s.f.looks() {
 		return math.Inf(1)
-	case s.f.biased:
-		return s.f.rule.EffectiveHalfWidthWeighted(&s.f.wav)
 	}
-	return s.f.rule.EffectiveHalfWidth(&s.f.acc, s.f.downIters)
+	return s.f.interval()
 }

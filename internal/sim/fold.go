@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"herald/internal/stats"
@@ -23,9 +24,8 @@ type fold struct {
 	// end is the folded prefix's end; partials must continue it and
 	// stay within limit.
 	end, limit int
-	// rule is zero for fixed-N options. The rule may not bind below
-	// floor; stopAt is the boundary it bound at, 0 while unbound.
-	rule          stats.StopRule
+	// The stopping rule of adaptive options may not bind below floor;
+	// stopAt is the boundary it bound at, 0 while unbound.
 	floor, stopAt int
 
 	acc, du, dl   stats.Accumulator
@@ -42,13 +42,10 @@ func newFold(o Options, start, limit int) (*fold, error) {
 		return nil, err
 	}
 	f := &fold{o: o.withDefaults(), biased: o.Biased(), end: start, limit: limit}
-	if o.Adaptive() {
-		f.rule = stats.StopRule{TargetHalfWidth: o.TargetHalfWidth, Confidence: f.o.Confidence}
-		if o.MaxIters > 0 {
-			// Iterations is the adaptive minimum when MaxIters carries
-			// the cap.
-			f.floor = o.Iterations
-		}
+	if o.MaxIters > 0 {
+		// Iterations is the adaptive minimum when MaxIters carries the
+		// cap.
+		f.floor = o.Iterations
 	}
 	return f, nil
 }
@@ -57,7 +54,8 @@ func newFold(o Options, start, limit int) (*fold, error) {
 // that is not one canonical cell of the run's cap or does not continue
 // the prefix, a foreign seed or mission time, an observation count off
 // its range, missing or inconsistent importance weights, or a
-// histogram other than the options ask for.
+// histogram other than the options ask for, or a count of iterations
+// with downtime that the range cannot hold.
 func (f *fold) check(pt *Partial) error {
 	n := int64(pt.End - pt.Start)
 	capIters := f.o.IterationCap()
@@ -79,6 +77,9 @@ func (f *fold) check(pt *Partial) error {
 			pt.Start, pt.End, pt.MissionTime, f.o.MissionTime)
 	case pt.Avail.N() != n:
 		return fmt.Errorf("sim: partial [%d,%d) carries %d observations, want %d", pt.Start, pt.End, pt.Avail.N(), n)
+	case pt.DownIters < 0 || pt.DownIters > n:
+		return fmt.Errorf("sim: partial [%d,%d) counts %d iterations with downtime, outside [0,%d]",
+			pt.Start, pt.End, pt.DownIters, n)
 	}
 	switch {
 	case !f.biased:
@@ -147,32 +148,72 @@ func (f *fold) addAll(parts []Partial) error {
 	return nil
 }
 
+// The stopping rule never binds before stopMinN iterations and
+// stopMinEvents informative ones (iterations with downtime, or the ESS
+// of a biased stream), however tight the interval looks.
+const (
+	stopMinN      = 256
+	stopMinEvents = 16
+)
+
+// interval returns the folded prefix's confidence half-width, the
+// run's one interval: the Summary reports it and the stopping rule
+// compares it with the target (see Summary.HalfWidth). Its Student-t
+// quantile is taken at the rule's effective degrees of freedom, since
+// a zero-inflated stream knows only as much as its informative
+// observations. A prefix that saw no downtime answers, unbiased, the
+// exact bound 1-(1-c)^(1/n) on the chance that an iteration sees any;
+// biased, +Inf, since the proposal law's chance says nothing of the
+// nominal law's. Zero variance, no degrees of freedom and NaN or
+// negative moments (a corrupt partial) answer +Inf too: a run never
+// reports, or stops on, an interval it cannot interpret.
+func (f *fold) interval() float64 {
+	n := f.acc.N()
+	se, df := f.acc.StdErr(), float64(f.downIters)
+	if f.biased {
+		se, df = f.wav.StdErr(), f.wav.ESS()-1
+	} else if f.downIters == 0 {
+		return -math.Expm1(math.Log1p(-f.o.Confidence) / float64(n))
+	}
+	df = min(df, float64(n-1))
+	if !(se > 0 && df > 0) {
+		return math.Inf(1)
+	}
+	hw := stats.StudentTQuantile(df, 0.5+f.o.Confidence/2) * se
+	if math.IsNaN(hw) {
+		return math.Inf(1)
+	}
+	return hw
+}
+
+// looks reports whether the stopping rule may look at the folded
+// prefix: the options are adaptive and the prefix has reached both
+// floors. Until it may, no Student-t quantile is computed.
+func (f *fold) looks() bool {
+	events := float64(f.downIters)
+	if f.biased {
+		events = f.wav.ESS()
+	}
+	return f.o.Adaptive() && f.acc.N() >= stopMinN && events >= stopMinEvents
+}
+
 // bind evaluates the stopping rule at the folded prefix's end and
-// reports whether it binds there. It binds at most once, never below
-// the floor, and never for fixed-N options.
+// reports whether it binds there: the rule may look and the interval
+// is at or below the target. It binds at most once, never below the
+// floor, and never for fixed-N options.
 func (f *fold) bind() bool {
-	if f.rule.TargetHalfWidth == 0 || f.stopAt != 0 || f.end < f.floor || !f.met() {
+	if f.stopAt != 0 || f.end < f.floor || !f.looks() || !(f.interval() <= f.o.TargetHalfWidth) {
 		return false
 	}
 	f.stopAt = f.end
 	return true
 }
 
-// met evaluates the rule on the stream the run estimates from: the
-// weighted stream at ESS-based effective degrees of freedom for biased
-// runs.
-func (f *fold) met() bool {
-	if f.biased {
-		return f.rule.MetWeighted(&f.wav)
-	}
-	return f.rule.Met(&f.acc, f.downIters)
-}
-
 // summary reports the folded prefix as a Summary.
 func (f *fold) summary() Summary {
 	s := Summary{
 		Availability:      f.acc.Mean(),
-		HalfWidth:         f.acc.HalfWidth(f.o.Confidence),
+		HalfWidth:         f.interval(),
 		MeanDowntimeDU:    f.du.Mean(),
 		MeanDowntimeDL:    f.dl.Mean(),
 		Iterations:        f.end,
@@ -185,16 +226,13 @@ func (f *fold) summary() Summary {
 	if f.biased {
 		// A biased run reports the self-normalized weighted estimates.
 		s.Availability = f.wav.Mean()
-		s.HalfWidth = f.wav.HalfWidth(f.o.Confidence)
 		s.MeanDowntimeDU, s.MeanDowntimeDL = f.wdu.Mean(), f.wdl.Mean()
 		s.Bias, s.ESS, s.AvailabilityHT = f.bias, f.wav.ESS(), f.wav.MeanHT()
 	}
 	s.Nines = stats.Nines(s.Availability)
-	// Converged is the stopping rule's own verdict, with its
-	// effective-N safeguards, not a raw half-width comparison: a
-	// zero-variance or event-starved stream reports half-width 0 but is
-	// never certified.
-	s.Converged = f.rule.TargetHalfWidth > 0 && f.met()
+	// Converged is the rule's own verdict on the reported interval:
+	// an event-starved run that went to its cap reports false.
+	s.Converged = f.looks() && s.HalfWidth <= f.o.TargetHalfWidth
 	return s
 }
 

@@ -88,9 +88,10 @@ type Partial struct {
 	DownDL stats.Accumulator `json:"down_dl"`
 	// DownIters counts the iterations of the range with nonzero
 	// downtime — the informative observations of the heavily
-	// zero-inflated availability stream. The adaptive stopping rule's
-	// Student-t safeguard (stats.StopRule) takes its effective sample
-	// size from this count.
+	// zero-inflated availability stream, in [0, End-Start]. An
+	// unbiased run takes its degrees of freedom from the folded count
+	// (see Summary.HalfWidth), and a count of 0 gives it the
+	// zero-event bound.
 	DownIters int64 `json:"down_iters,omitempty"`
 	// Events is the incident census of the range.
 	Events EventCounts `json:"events"`

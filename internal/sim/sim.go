@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 2
+const Realization = 3
 
 // Options controls a Monte-Carlo run.
 type Options struct {
@@ -320,12 +320,14 @@ type Options struct {
 	// (precision-targeted): instead of executing a preset count, the
 	// run grows the executed iteration prefix and stops at the first
 	// canonical cell boundary where the sequential stopping rule
-	// (stats.StopRule at Confidence, with its Student-t effective-N
-	// safeguards) certifies the availability CI half-width at or below
-	// this value. Iterations then bounds the run: it is the iteration
-	// cap when MaxIters is zero, and the minimum executed iterations
-	// when MaxIters is set. The reported Summary covers exactly the
-	// iterations kept — see Summary.Iterations and Summary.Converged.
+	// certifies the availability CI half-width at or below this value:
+	// once 256 iterations and 16 informative ones (iterations with
+	// downtime, or the ESS of a biased run) are folded, the half-width
+	// Summary.HalfWidth reports is at or below the target. Iterations
+	// then bounds the run: it is the iteration cap when MaxIters is
+	// zero, and the minimum executed iterations when MaxIters is set.
+	// The reported Summary covers exactly the iterations kept — see
+	// Summary.Iterations and Summary.Converged.
 	TargetHalfWidth float64
 	// MaxIters caps an adaptive run's executed iterations when
 	// positive; it requires TargetHalfWidth and must be at least
@@ -338,9 +340,10 @@ type Options struct {
 	// clocks stay calibrated) and each iteration carries the exact
 	// likelihood ratio, accumulated as a running sum of per-event
 	// rate-ratio logs. Estimates are reweighted, so they remain
-	// consistent for the unbiased quantities; convergence switches to
-	// the effective sample size (see stats.StopRule.MetWeighted and the
-	// README's "Rare-event acceleration" section).
+	// consistent for the unbiased quantities; the half-width and the
+	// stopping rule take their degrees of freedom from the effective
+	// sample size (see Summary.HalfWidth and the README's "Rare-event
+	// acceleration" section).
 	//
 	// 0 (and the no-op factor 1) disable biasing entirely; BiasAuto
 	// picks a factor from the failure/repair rate ratio of the
@@ -466,8 +469,14 @@ type Summary struct {
 	// Availability is the mean fraction of mission time the array was
 	// up.
 	Availability float64
-	// HalfWidth is the Student-t confidence half-width of
-	// Availability at the requested confidence level.
+	// HalfWidth is the confidence half-width of Availability, the one
+	// the stopping rule certifies: Student-t at the effective degrees
+	// of freedom min(n-1, events), events being the iterations with
+	// downtime, or min(n-1, ESS-1) for a biased run. An unbiased run
+	// that saw no downtime reports 1-(1-Confidence)^(1/n), the exact
+	// one-sided bound on the chance that an iteration sees any, which
+	// bounds U. +Inf (JSON null) for zero variance, no degrees of
+	// freedom, or a biased run that saw no downtime.
 	HalfWidth float64
 	// Nines is -log10(1 - Availability).
 	Nines float64
@@ -486,10 +495,9 @@ type Summary struct {
 	// fixed-N runs.
 	TargetHalfWidth float64
 	// Converged reports the stopping rule's verdict on the kept
-	// iterations: target reached with the rule's effective-N
-	// safeguards satisfied. A zero-variance or event-starved run that
-	// went to its cap reports false even though its raw half-width is
-	// 0. Always false for fixed-N runs.
+	// iterations: its floors reached and HalfWidth at or below the
+	// target. An event-starved run that went to its cap reports false.
+	// Always false for fixed-N runs.
 	Converged bool
 	// Events aggregates incident counts.
 	Events EventCounts
@@ -516,8 +524,9 @@ type Summary struct {
 
 // MarshalJSON encodes the summary with non-finite derived fields as
 // JSON null — Nines is +Inf when the estimate is exactly 1 (no
-// downtime ever observed), which encoding/json would otherwise refuse
-// to emit — keeping every summary wire-representable. Summaries whose
+// downtime ever observed), and HalfWidth when the run carries no
+// interval, which encoding/json would otherwise refuse to emit —
+// keeping every summary wire-representable. Summaries whose
 // fields are all finite encode byte-identically to the plain struct.
 func (s Summary) MarshalJSON() ([]byte, error) {
 	finiteOrNull := func(v float64) *float64 {

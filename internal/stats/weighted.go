@@ -146,32 +146,6 @@ func (a *WeightedAccumulator) StdErr() float64 {
 	return math.Sqrt(v) / a.w
 }
 
-// HalfWidth returns the Student-t confidence half-width of the
-// self-normalized mean at the given level, on ESS-based degrees of
-// freedom (min(n-1, ESS-1), floored at 1): with degenerate weights the
-// information content is ESS observations, not n. A level outside
-// (0, 1) — including NaN — yields NaN rather than a panic.
-func (a *WeightedAccumulator) HalfWidth(level float64) float64 {
-	if !(level > 0 && level < 1) {
-		return math.NaN()
-	}
-	if a.n < 2 {
-		return 0
-	}
-	se := a.StdErr()
-	if se == 0 {
-		return 0
-	}
-	df := a.ESS() - 1
-	if fn := float64(a.n - 1); df > fn {
-		df = fn
-	}
-	if !(df >= 1) {
-		df = 1
-	}
-	return StudentTQuantile(df, 0.5+level/2) * se
-}
-
 // WeightedAccumulatorState is the exported snapshot of a
 // WeightedAccumulator: the exact sufficient statistics of the weighted
 // stream. It is the wire and checkpoint representation used by sharded

@@ -157,7 +157,6 @@ func TestWeightedUnitWeightsMatchAccumulator(t *testing.T) {
 	approx("mean", w.Mean(), a.Mean())
 	approx("variance", w.Variance(), a.Variance())
 	approx("stderr", w.StdErr(), a.StdErr())
-	approx("half-width", w.HalfWidth(0.99), a.HalfWidth(0.99))
 	approx("ess", w.ESS(), float64(a.N()))
 	approx("HT mean", w.MeanHT(), a.Mean())
 }
@@ -186,28 +185,6 @@ func TestWeightedESSIdentities(t *testing.T) {
 	before.N++
 	if after != before {
 		t.Errorf("zero-weight add changed mass: %+v vs %+v", after, before)
-	}
-}
-
-func TestWeightedHalfWidthGuards(t *testing.T) {
-	var a WeightedAccumulator
-	a.Add(1, 1)
-	a.Add(2, 1)
-	for _, level := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
-		if !math.IsNaN(a.HalfWidth(level)) {
-			t.Errorf("level %v: want NaN", level)
-		}
-	}
-	var single WeightedAccumulator
-	single.Add(5, 2)
-	if single.HalfWidth(0.99) != 0 {
-		t.Error("n<2 must answer 0")
-	}
-	var flat WeightedAccumulator
-	flat.Add(1, 2)
-	flat.Add(1, 3)
-	if flat.HalfWidth(0.99) != 0 {
-		t.Error("zero-variance stream must answer 0")
 	}
 }
 

@@ -5,8 +5,10 @@
 # table (all laws exponential) must carry its exact twin; a checkpoint
 # written under one -shards must resume under another with the same
 # table; a -checkpoint run without -shards must split the run into
-# more than one claimed range; and a finished checkpoint with one digit
-# changed must resume to the clean run's table.
+# more than one claimed range; a finished checkpoint with one digit
+# changed must resume to the clean run's table; and a run that sees no
+# downtime must print the same table in-process and sharded, with a
+# ">=" bound for its nines and the exact answer inside its interval.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,5 +56,13 @@ sed -E -i '2{s/("avail":\{"n":[0-9]+,"mean":0\.99)[1-9]/\10/;t;s/("avail":\{"n":
 if cmp -s "$TMP/damaged.orig" "$TMP/damaged.ckpt"; then echo "FAIL: the edit left the checkpoint unchanged"; exit 1; fi
 "$TMP/availsim" "${DAMAGE[@]}" >"$TMP/damaged.resumed"
 cmp "$TMP/damaged.clean" "$TMP/damaged.resumed" || { echo "FAIL: the damaged checkpoint changed the table"; exit 1; }
+
+echo "--- a zero-event run: in-process and -shards 3 -workers 2 ---"
+ZERO=(-policy dualparity -disks 6 -lambda 1e-6 -hep 0.001 -iters 2000 -mission 87600)
+"$TMP/availsim" "${ZERO[@]}" >"$TMP/zero.base"
+"$TMP/availsim" "${ZERO[@]}" -shards 3 -workers 2 >"$TMP/zero.sharded"
+cmp "$TMP/zero.base" "$TMP/zero.sharded" || { echo "FAIL: zero-event sharded table differs"; exit 1; }
+grep -Eq '^exact in CI +yes' "$TMP/zero.base" || { echo "FAIL: zero-event table does not read exact in CI yes"; exit 1; }
+grep -Eq '^nines +>=' "$TMP/zero.base" || { echo "FAIL: zero-event nines row is not a >= bound"; exit 1; }
 
 echo "PASS"
