@@ -3,7 +3,7 @@
 //
 // Each point partitions its iteration range into shards, runs them on
 // single-threaded sibling processes of this binary (one per core by
-// default), and merges the partial accumulators — producing exactly
+// default), and merges the cells' downtime streams — producing exactly
 // the Summary a single-process run would, only faster. Setting a
 // checkpoint path would additionally make each point resumable.
 //

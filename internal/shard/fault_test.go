@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -276,17 +277,52 @@ func TestMalformedResultRecomputed(t *testing.T) {
 	biasedAdaptive.Bias = sim.BiasAuto
 	histogram := testOptions()
 	histogram.HistogramBins = 8
+	// hours overwrites fields of the partial's downtime-hours wire
+	// form; patch is a JSON object such as {"n":-1}.
+	hours := func(patch string) func(*sim.Partial) {
+		return func(pt *sim.Partial) {
+			fields := map[string]json.RawMessage{}
+			b, err := json.Marshal(&pt.Down.Hours)
+			if err == nil {
+				err = json.Unmarshal(b, &fields)
+			}
+			if err == nil {
+				err = json.Unmarshal([]byte(patch), &fields)
+			}
+			if err == nil {
+				b, err = json.Marshal(fields)
+			}
+			if err == nil {
+				err = json.Unmarshal(b, &pt.Down.Hours)
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+	}
+	unweighted := func(pt *sim.Partial) { pt.Down.W, pt.Down.W2 = 0, 0 }
 	for _, tc := range []struct {
 		name   string
 		o      sim.Options
 		poison func(*sim.Partial)
 	}{
 		{"wrong seed", testOptions(), func(pt *sim.Partial) { pt.Seed++ }},
-		{"biased fixed-N without weights", biased, func(pt *sim.Partial) { pt.WAvail = nil }},
-		{"biased adaptive without weights", biasedAdaptive, func(pt *sim.Partial) { pt.WAvail = nil }},
+		{"biased fixed-N without weights", biased, unweighted},
+		{"biased adaptive without weights", biasedAdaptive, unweighted},
 		{"missing histogram", histogram, func(pt *sim.Partial) { pt.Hist = nil }},
-		{"negative down iterations", testOptions(), func(pt *sim.Partial) { pt.DownIters = -1 }},
-		{"down iterations beyond the range", testOptions(), func(pt *sim.Partial) { pt.DownIters = int64(pt.End-pt.Start) + 1 }},
+		{"observations off the range", testOptions(), func(pt *sim.Partial) { pt.Down.N++ }},
+		{"negative down iterations", testOptions(), hours(`{"n":-1}`)},
+		{"down iterations beyond the range", testOptions(), hours(fmt.Sprintf(`{"n":%d}`, sim.CellSize(2000)+1))},
+		{"negative downtime hours", testOptions(), hours(`{"mean":-5}`)},
+		{"NaN human-error hours", testOptions(), func(pt *sim.Partial) { pt.Down.DU = math.NaN() }},
+		{"infinite data-loss hours", testOptions(), func(pt *sim.Partial) { pt.Down.DL = math.Inf(1) }},
+		{"mean downtime above the mission", testOptions(), hours(`{"mean":3e5}`)},
+		{"hours weights above the stream's", testOptions(), hours(`{"w":1e4}`)},
+		{"weights other than 1 in an unbiased run", testOptions(), func(pt *sim.Partial) { pt.Down.W += 0.5 }},
+		{"causes that do not add up", testOptions(), func(pt *sim.Partial) { pt.Down.DU *= 1 + 1e-6 }},
+		{"biased, infinite weight squares", biased, func(pt *sim.Partial) { pt.Down.W2 = math.Inf(1) }},
+		{"biased, ESS above the range", biased,
+			func(pt *sim.Partial) { pt.Down.W2 = pt.Down.W * pt.Down.W / float64(2*(pt.End-pt.Start)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testParams(sim.Conventional)
@@ -435,7 +471,7 @@ func TestCheckpointDropsUnweightedRecord(t *testing.T) {
 	if err := json.Unmarshal(lines[1], &frame); err != nil {
 		t.Fatal(err)
 	}
-	frame.Rec.Partials[0].WAvail = nil
+	frame.Rec.Partials[0].Down.W, frame.Rec.Partials[0].Down.W2 = 0, 0
 	rec, err := json.Marshal(frame.Rec)
 	if err != nil {
 		t.Fatal(err)

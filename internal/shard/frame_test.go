@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"herald/internal/sim"
+	"herald/internal/stats"
 )
 
 // readerTransport frames the protocol over a fixed byte stream whose
@@ -154,14 +155,19 @@ func TestOversizedResultReassigned(t *testing.T) {
 // a few frames at a time under the pre-handshake budget, and hands what
 // decodes to the checks its receiver applies next: a job's parameters
 // and options are rebuilt and validated, and a result's partials are
-// checked against a fixed small run. Nothing may panic, hang or read
-// past the frame budget.
+// checked against a fixed small run, biased and unbiased. Partials
+// that pass the check must fold into a Summary that encodes, with its
+// availability in [0, 1]: this is where bytes from outside the process
+// become a Summary. Nothing may panic, hang or read past the frame
+// budget.
 func FuzzRecv(f *testing.F) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	o.Iterations = 128 // two cells: a small result keeps mutants cheap
 	o.Bias = sim.BiasAuto
 	o.HistogramBins = 4
+	unbiased := o
+	unbiased.Bias = 0
 	wire, err := EncodeParams(p)
 	if err != nil {
 		f.Fatal(err)
@@ -170,11 +176,53 @@ func FuzzRecv(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	plain, err := sim.RunRange(p, unbiased, 0, o.Iterations)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// edge is a biased result at the edge of what the check lets
+	// through: every iteration down for the whole mission, under
+	// weights whose squares overflow once the two cells merge.
+	edge := append([]sim.Partial(nil), parts...)
+	for i := range edge {
+		d := &edge[i].Down
+		d.Hours = stats.WeightedAccumulator{}
+		for j := int64(0); j < d.N; j++ {
+			d.Hours.Add(o.MissionTime, 1e154/float64(d.N))
+		}
+		d.W, d.W2 = d.Hours.SumW(), d.Hours.SumW2()
+		d.DU, d.DL = d.W*o.MissionTime, 0
+	}
+	// summarize folds parts for each run whose check they pass, fails t
+	// unless the Summary encodes with an availability in [0, 1], and
+	// reports whether any run accepted them.
+	summarize := func(t testing.TB, parts []sim.Partial) bool {
+		accepted := false
+		for _, ro := range []sim.Options{o, unbiased} {
+			if sim.CheckPartials(p, ro, 0, ro.Iterations, parts) != nil {
+				continue
+			}
+			accepted = true
+			s, err := sim.Summarize(ro, parts)
+			if err != nil {
+				t.Fatalf("checked partials do not fold: %v", err)
+			}
+			if _, err := json.Marshal(s); err != nil {
+				t.Fatalf("the Summary of checked partials does not encode: %v", err)
+			}
+			if !(s.Availability >= -1e-12 && s.Availability <= 1+1e-12) {
+				t.Fatalf("checked partials fold to availability %v", s.Availability)
+			}
+		}
+		return accepted
+	}
 	var all []byte
 	for _, m := range []*Message{
 		{Type: MsgHello, Version: protocolVersion, Nonce: "00112233445566778899aabbccddeeff", MAC: "ab12", Capacity: 2, HeartbeatMS: 3000},
 		{Type: MsgJob, Job: &Job{ID: 7, Start: 0, End: o.Iterations, Params: wire, Options: o}},
 		{Type: MsgResult, ID: 7, Partials: parts},
+		{Type: MsgResult, ID: 8, Partials: plain},
+		{Type: MsgResult, ID: 9, Partials: edge},
 		{Type: MsgError, ID: 7, Error: "authentication failed"},
 	} {
 		b, err := json.Marshal(m)
@@ -190,7 +238,7 @@ func FuzzRecv(f *testing.F) {
 	// from frames that reach the validators.
 	seeds := readerTransport(all)
 	seeds.in.limit = handshakeFrameLimit
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		m, err := seeds.Recv()
 		if err != nil {
 			f.Fatalf("seed frame %d: %v", i, err)
@@ -207,8 +255,8 @@ func FuzzRecv(f *testing.F) {
 				f.Fatalf("seed job: %v", err)
 			}
 		}
-		if err := sim.CheckPartials(p, o, 0, o.Iterations, m.Partials); m.Partials != nil && err != nil {
-			f.Fatalf("seed result: %v", err)
+		if m.Partials != nil && !summarize(f, m.Partials) {
+			f.Fatalf("seed result %d refused", m.ID)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -229,7 +277,7 @@ func FuzzRecv(f *testing.F) {
 				_ = m.Job.Options.Validate()
 			}
 			if m.Partials != nil {
-				_ = sim.CheckPartials(p, o, 0, o.Iterations, m.Partials)
+				summarize(t, m.Partials)
 			}
 		}
 	})

@@ -443,7 +443,7 @@ func TestRunFingerprintStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "829a62742838d5ce"
+	const want = "0cd53f894209db77"
 	if fp != want {
 		t.Errorf("fingerprint drifted: got %s, want %s", fp, want)
 	}

@@ -279,7 +279,7 @@ func TestWireParamsRoundTrip(t *testing.T) {
 }
 
 // TestShardedBiasedMatchesSingleProcess extends the byte-identity
-// contract to importance-sampled runs: the weighted accumulators ride
+// contract to importance-sampled runs: the weighted downtime streams ride
 // the shard wire codec and checkpoint path, so a biased sharded
 // Summary must equal the single-process one byte for byte, for every
 // shard/worker partition.

@@ -44,10 +44,10 @@ func oracleIterations(t *testing.T, p ArrayParams, o Options, target float64) in
 	if conf == 0 {
 		conf = 0.99
 	}
-	var acc stats.Accumulator
+	var d Downtime
 	for i := range parts {
-		acc.Merge(&parts[i].Avail)
-		if acc.N() >= 2 && acc.HalfWidth(conf) <= target {
+		d.merge(&parts[i].Down)
+		if d.N >= 2 && stats.StudentTQuantile(float64(d.N-1), 0.5+conf/2)*d.stdErr()/oo.MissionTime <= target {
 			return parts[i].End
 		}
 	}

@@ -75,3 +75,35 @@ func BenchmarkMCIterationDualParity(b *testing.B) {
 func BenchmarkMCIterationDualParityGeneric(b *testing.B) {
 	benchMCIteration(b, DualParity, KernelGeneric)
 }
+
+// benchCell times the per-iteration loop alone at the paper's
+// operating point, where almost every lifetime sees no downtime: one
+// worker's scratch is built once, and each op accumulates the 4096
+// iterations of a fresh seed into one cell partial, allocating
+// nothing.
+func benchCell(b *testing.B, p ArrayParams, o Options) {
+	o.Iterations, o.Workers = 4096, 1
+	opts, _, err := prepareRange(&p, &o, 0, o.Iterations)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = uint64(i)
+		_ = sc.runCell(Range{Start: 0, End: o.Iterations}, opts, 0)
+	}
+}
+
+// BenchmarkMCIterationPaperRate measures the conventional memoryless
+// walker at lambda 1e-6, HEP 0.001 over 87,600 h.
+func BenchmarkMCIterationPaperRate(b *testing.B) {
+	benchCell(b, PaperDefaults(4, 1e-6, 0.001), Options{MissionTime: 87600})
+}
+
+// BenchmarkMCIterationPaperRateBias measures the importance-sampled
+// walker at lambda 1e-6, HEP 0, auto bias, over 1e6 h.
+func BenchmarkMCIterationPaperRateBias(b *testing.B) {
+	benchCell(b, PaperDefaults(4, 1e-6, 0), Options{MissionTime: 1e6, Bias: BiasAuto})
+}

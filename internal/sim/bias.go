@@ -25,10 +25,12 @@ import (
 // of the three kernels: each race carries its state's lnQuiet and
 // lnFail next to the biased winner cut points. Mission-censored holds
 // and the Bernoulli(HEP) thinning draws are measure-invariant and
-// contribute nothing. Estimates are reweighted through
-// stats.WeightedAccumulator (self-normalized mean, Horvitz–Thompson
-// diagnostic, ESS); see the README's "Rare-event acceleration" section
-// for the estimator math.
+// contribute nothing. Each iteration's weight exp(logW) enters the one
+// downtime stream (Partial.Down), of which an unbiased run is the
+// unit-weight case, and the fold derives the self-normalized mean, its
+// delta-method interval, the Horvitz–Thompson diagnostic and the ESS
+// from it; see the README's "Rare-event acceleration" section for the
+// estimator math.
 
 // BiasAuto is the Options.Bias sentinel asking the run to pick the
 // inflation factor from the configuration's failure/repair rate ratio

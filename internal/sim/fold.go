@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -28,11 +29,9 @@ type fold struct {
 	// stopAt is the boundary it bound at, 0 while unbound.
 	floor, stopAt int
 
-	acc, du, dl   stats.Accumulator
-	wav, wdu, wdl stats.WeightedAccumulator
-	events        EventCounts
-	downIters     int64
-	hist          *stats.Histogram
+	down   Downtime
+	events EventCounts
+	hist   *stats.Histogram
 }
 
 // newFold starts a fold of partials of a run under o that tile
@@ -52,12 +51,10 @@ func newFold(o Options, start, limit int) (*fold, error) {
 
 // check reports why pt cannot be the next partial of the fold: a range
 // that is not one canonical cell of the run's cap or does not continue
-// the prefix, a foreign seed or mission time, an observation count off
-// its range, missing or inconsistent importance weights, or a
-// histogram other than the options ask for, or a count of iterations
-// with downtime that the range cannot hold.
+// the prefix, a foreign seed or mission time, a bias factor other than
+// the run's, a downtime stream that cannot be the range's (see
+// Downtime.check), or a histogram other than the options ask for.
 func (f *fold) check(pt *Partial) error {
-	n := int64(pt.End - pt.Start)
 	capIters := f.o.IterationCap()
 	cell := CellSize(capIters)
 	switch {
@@ -75,30 +72,66 @@ func (f *fold) check(pt *Partial) error {
 	case pt.MissionTime != f.o.MissionTime:
 		return fmt.Errorf("sim: partial [%d,%d) ran under mission time %v, want %v",
 			pt.Start, pt.End, pt.MissionTime, f.o.MissionTime)
-	case pt.Avail.N() != n:
-		return fmt.Errorf("sim: partial [%d,%d) carries %d observations, want %d", pt.Start, pt.End, pt.Avail.N(), n)
-	case pt.DownIters < 0 || pt.DownIters > n:
-		return fmt.Errorf("sim: partial [%d,%d) counts %d iterations with downtime, outside [0,%d]",
-			pt.Start, pt.End, pt.DownIters, n)
-	}
-	switch {
-	case !f.biased:
-		if pt.Bias != 0 {
-			return fmt.Errorf("sim: partial [%d,%d) sampled under bias %v in an unbiased run", pt.Start, pt.End, pt.Bias)
-		}
-	case !(pt.Bias > 0) || pt.WAvail == nil || pt.WDownDU == nil || pt.WDownDL == nil:
-		return fmt.Errorf("sim: partial [%d,%d) carries no importance weights for a biased run", pt.Start, pt.End)
+	case !f.biased && pt.Bias != 0:
+		return fmt.Errorf("sim: partial [%d,%d) sampled under bias %v in an unbiased run", pt.Start, pt.End, pt.Bias)
+	case f.biased && !(pt.Bias > 0):
+		return fmt.Errorf("sim: partial [%d,%d) carries no bias factor for a biased run", pt.Start, pt.End)
 	case f.bias != 0 && pt.Bias != f.bias:
 		return fmt.Errorf("sim: partial [%d,%d) sampled under bias %v, want %v", pt.Start, pt.End, pt.Bias, f.bias)
-	case pt.WAvail.N() != n:
-		return fmt.Errorf("sim: partial [%d,%d) carries %d weighted observations, want %d",
-			pt.Start, pt.End, pt.WAvail.N(), n)
+	}
+	if err := pt.Down.check(int64(pt.End-pt.Start), f.o.MissionTime, f.biased); err != nil {
+		return fmt.Errorf("sim: partial [%d,%d) %w", pt.Start, pt.End, err)
 	}
 	bins, hi := f.o.HistogramBins, histMaxFor(f.o)
 	if h := pt.Hist; (h != nil) != (bins > 0) ||
-		h != nil && (h.Lo != 0 || h.Hi != hi || len(h.Counts) != bins || h.Total() != n) {
+		h != nil && (h.Lo != 0 || h.Hi != hi || len(h.Counts) != bins || h.Total() != int64(pt.End-pt.Start)) {
 		return fmt.Errorf("sim: partial [%d,%d) does not carry the downtime histogram its options ask for (%d bins over [0,%v))",
 			pt.Start, pt.End, bins, hi)
+	}
+	return nil
+}
+
+// check reports why d cannot be the downtime stream of n iterations
+// over the mission, biased or not: a count off the range, hours that
+// are negative or not finite, a mean downtime above the mission, in a
+// biased run weights that are not positive and finite or an ESS above
+// n, hours weights the stream's weights cannot hold, weights other
+// than 1 in an unbiased run, or a split into causes that does not add
+// up to the hours. A downtime iteration whose weight underflowed to 0
+// counts in Hours without mass, and passes. Whatever passes folds into
+// a Summary that encodes, with its availability in [0, 1].
+func (d *Downtime) check(n int64, mission float64, biased bool) error {
+	h := &d.Hours
+	k, hours, split := h.N(), h.SumW()*h.Mean(), d.DU+d.DL
+	finiteNonNeg := func(vs ...float64) bool {
+		for _, v := range vs {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case d.N != n:
+		return fmt.Errorf("carries %d observations, want %d", d.N, n)
+	case k < 0 || k > n:
+		return fmt.Errorf("counts %d iterations with downtime, outside [0,%d]", k, n)
+	case !finiteNonNeg(h.Mean(), d.DU, d.DL):
+		return errors.New("carries negative or non-finite downtime hours")
+	case h.Mean() > mission:
+		return fmt.Errorf("reports a mean downtime of %v h, above its %v h mission", h.Mean(), mission)
+	case biased && !(d.W > 0 && d.W2 > 0 && finiteNonNeg(d.W, d.W2)):
+		return fmt.Errorf("carries no importance weights for a biased run (weights %v, squares %v)", d.W, d.W2)
+	case biased && d.ess() > float64(n)*(1+1e-9):
+		return fmt.Errorf("carries an effective sample size of %v, above its %d iterations", d.ess(), n)
+	case !finiteNonNeg(h.SumW(), h.SumW2()) || h.SumW() > d.W || h.SumW2() > d.W2:
+		return fmt.Errorf("weighs its downtime iterations %v (squares %v), beyond its weights %v (%v)",
+			h.SumW(), h.SumW2(), d.W, d.W2)
+	case !biased && (d.W != float64(n) || d.W2 != float64(n) || h.SumW() != float64(k) || h.SumW2() != float64(k)):
+		return errors.New("carries importance weights other than 1 in an unbiased run")
+	// A product w·du that underflows loses up to half a subnormal step.
+	case !(math.Abs(split-hours) <= 1e-9*split+float64(k)*0x1p-1022):
+		return fmt.Errorf("splits %v weighted downtime hours into %v human-error and %v data-loss hours", hours, d.DU, d.DL)
 	}
 	return nil
 }
@@ -108,16 +141,10 @@ func (f *fold) add(pt *Partial) error {
 	if err := f.check(pt); err != nil {
 		return err
 	}
-	f.acc.Merge(&pt.Avail)
-	f.du.Merge(&pt.DownDU)
-	f.dl.Merge(&pt.DownDL)
-	f.downIters += pt.DownIters
+	f.down.merge(&pt.Down)
 	f.events.Merge(pt.Events)
 	if f.biased {
 		f.bias = pt.Bias
-		f.wav.Merge(pt.WAvail)
-		f.wdu.Merge(pt.WDownDU)
-		f.wdl.Merge(pt.WDownDL)
 	}
 	if pt.Hist != nil {
 		if f.hist == nil {
@@ -156,6 +183,25 @@ const (
 	stopMinEvents = 16
 )
 
+// meanHours returns μ = Σw·D/Σw, the self-normalized mean downtime per
+// iteration in hours, over every iteration of the stream: one without
+// downtime adds its weight and no hours.
+func (d *Downtime) meanHours() float64 { return d.Hours.Mean() * (d.Hours.SumW() / d.W) }
+
+// stdErr returns the delta-method standard error of meanHours, in
+// hours: sqrt(V·N/(N-1))/W with V = Σw²(D-μ)² over all N iterations,
+// in which each iteration without downtime deviates by the whole mean.
+// With unit weights it is the plain standard error of the mean.
+func (d *Downtime) stdErr() float64 {
+	mu, n := d.meanHours(), float64(d.N)
+	v := d.Hours.Deviations(mu) + mu*mu*(d.W2-d.Hours.SumW2())
+	return math.Sqrt(v*n/(n-1)) / d.W
+}
+
+// ess returns the Kish effective sample size W²/W2, ordered so that
+// large weights cannot overflow it.
+func (d *Downtime) ess() float64 { return d.W / d.W2 * d.W }
+
 // interval returns the folded prefix's confidence half-width, the
 // run's one interval: the Summary reports it and the stopping rule
 // compares it with the target (see Summary.HalfWidth). Its Student-t
@@ -165,17 +211,18 @@ const (
 // exact bound 1-(1-c)^(1/n) on the chance that an iteration sees any;
 // biased, +Inf, since the proposal law's chance says nothing of the
 // nominal law's. Zero variance, no degrees of freedom and NaN or
-// negative moments (a corrupt partial) answer +Inf too: a run never
-// reports, or stops on, an interval it cannot interpret.
+// negative moments answer +Inf too: a run never reports, or stops on,
+// an interval it cannot interpret.
 func (f *fold) interval() float64 {
-	n := f.acc.N()
-	se, df := f.acc.StdErr(), float64(f.downIters)
+	d := &f.down
+	n, df := float64(d.N), float64(d.Hours.N())
 	if f.biased {
-		se, df = f.wav.StdErr(), f.wav.ESS()-1
-	} else if f.downIters == 0 {
-		return -math.Expm1(math.Log1p(-f.o.Confidence) / float64(n))
+		df = d.ess() - 1
+	} else if df == 0 {
+		return -math.Expm1(math.Log1p(-f.o.Confidence) / n)
 	}
-	df = min(df, float64(n-1))
+	df = min(df, n-1)
+	se := d.stdErr() / f.o.MissionTime
 	if !(se > 0 && df > 0) {
 		return math.Inf(1)
 	}
@@ -190,11 +237,11 @@ func (f *fold) interval() float64 {
 // prefix: the options are adaptive and the prefix has reached both
 // floors. Until it may, no Student-t quantile is computed.
 func (f *fold) looks() bool {
-	events := float64(f.downIters)
+	events := float64(f.down.Hours.N())
 	if f.biased {
-		events = f.wav.ESS()
+		events = f.down.ess()
 	}
-	return f.o.Adaptive() && f.acc.N() >= stopMinN && events >= stopMinEvents
+	return f.o.Adaptive() && f.down.N >= stopMinN && events >= stopMinEvents
 }
 
 // bind evaluates the stopping rule at the folded prefix's end and
@@ -209,25 +256,30 @@ func (f *fold) bind() bool {
 	return true
 }
 
-// summary reports the folded prefix as a Summary.
+// summary reports the folded prefix as a Summary, every field derived
+// from the one downtime stream; an unbiased run is its unit-weight
+// case.
 func (f *fold) summary() Summary {
+	d, m := &f.down, f.o.MissionTime
 	s := Summary{
-		Availability:      f.acc.Mean(),
+		// Merge rounding can carry a stream that was down for the
+		// whole mission a few ulps past it.
+		Availability:      max(0, 1-d.meanHours()/m),
 		HalfWidth:         f.interval(),
-		MeanDowntimeDU:    f.du.Mean(),
-		MeanDowntimeDL:    f.dl.Mean(),
+		MeanDowntimeDU:    d.DU / d.W,
+		MeanDowntimeDL:    d.DL / d.W,
 		Iterations:        f.end,
-		MissionTime:       f.o.MissionTime,
+		MissionTime:       m,
 		Confidence:        f.o.Confidence,
 		TargetHalfWidth:   f.o.TargetHalfWidth,
 		Events:            f.events,
 		DowntimeHistogram: f.hist,
 	}
 	if f.biased {
-		// A biased run reports the self-normalized weighted estimates.
-		s.Availability = f.wav.Mean()
-		s.MeanDowntimeDU, s.MeanDowntimeDL = f.wdu.Mean(), f.wdl.Mean()
-		s.Bias, s.ESS, s.AvailabilityHT = f.bias, f.wav.ESS(), f.wav.MeanHT()
+		// The Horvitz–Thompson estimate Σw(1-D/M)/N rides beside the
+		// self-normalized one as a weight-health diagnostic.
+		s.Bias, s.ESS = f.bias, d.ess()
+		s.AvailabilityHT = (d.W - d.Hours.SumW()*(d.Hours.Mean()/m)) / float64(d.N)
 	}
 	s.Nines = stats.Nines(s.Availability)
 	// Converged is the rule's own verdict on the reported interval:

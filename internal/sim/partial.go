@@ -68,11 +68,11 @@ func cellsIn(n, start, end int) []Range {
 }
 
 // Partial carries the mergeable outcome of one contiguous iteration
-// range: the availability and downtime accumulators, the event census,
-// and the optional downtime histogram, plus the seed/range metadata a
-// coordinator needs to verify exactly-once coverage. It serializes to
-// JSON, which is how shard workers return results and how checkpoints
-// persist completed shards.
+// range: its downtime stream, the event census, and the optional
+// downtime histogram, plus the seed/range metadata a coordinator needs
+// to verify exactly-once coverage. It serializes to JSON, which is how
+// shard workers return results and how checkpoints persist completed
+// shards.
 type Partial struct {
 	// Start and End delimit the half-open iteration range [Start, End).
 	Start int `json:"start"`
@@ -81,18 +81,9 @@ type Partial struct {
 	// Summarize rejects partials from a different configuration.
 	Seed        uint64  `json:"seed"`
 	MissionTime float64 `json:"mission_time"`
-	// Avail accumulates per-iteration availability; DownDU and DownDL
-	// accumulate per-iteration downtime hours by cause.
-	Avail  stats.Accumulator `json:"avail"`
-	DownDU stats.Accumulator `json:"down_du"`
-	DownDL stats.Accumulator `json:"down_dl"`
-	// DownIters counts the iterations of the range with nonzero
-	// downtime — the informative observations of the heavily
-	// zero-inflated availability stream, in [0, End-Start]. An
-	// unbiased run takes its degrees of freedom from the folded count
-	// (see Summary.HalfWidth), and a count of 0 gives it the
-	// zero-event bound.
-	DownIters int64 `json:"down_iters,omitempty"`
+	// Down is the range's downtime stream, the one statistic a Summary
+	// is derived from.
+	Down Downtime `json:"down"`
 	// Events is the incident census of the range.
 	Events EventCounts `json:"events"`
 	// Hist is the per-iteration downtime histogram when
@@ -104,14 +95,45 @@ type Partial struct {
 	// Summarize requires it to be consistent across a run's partials —
 	// auto resolution happens once, in prepareRange, never per worker.
 	Bias float64 `json:"bias,omitempty"`
-	// WAvail/WDownDU/WDownDL are the weighted counterparts of the
-	// accumulators above, carrying each iteration's importance weight
-	// exp(logW). Set exactly when Bias > 0; the unweighted accumulators
-	// are still filled (they describe the raw proposal-law stream and
-	// keep the merge-tree contract uniform).
-	WAvail  *stats.WeightedAccumulator `json:"w_avail,omitempty"`
-	WDownDU *stats.WeightedAccumulator `json:"w_down_du,omitempty"`
-	WDownDL *stats.WeightedAccumulator `json:"w_down_dl,omitempty"`
+}
+
+// Downtime is the downtime stream of an iteration range. Every
+// iteration adds its importance weight w, exactly 1 in an unbiased
+// run, to W and w² to W2. An iteration that saw downtime also adds its
+// hours, with weight w, to Hours, whose N() counts those iterations,
+// and its human-error and data-loss hours, times w, to DU and DL. Most
+// lifetimes see no downtime, and each of them costs three additions.
+type Downtime struct {
+	// N is the iteration count of the range.
+	N     int64                     `json:"n"`
+	W     float64                   `json:"w"`
+	W2    float64                   `json:"w2"`
+	Hours stats.WeightedAccumulator `json:"hours"`
+	DU    float64                   `json:"du"`
+	DL    float64                   `json:"dl"`
+}
+
+// add folds one iteration's human-error and data-loss downtime hours,
+// sampled with importance weight w.
+func (d *Downtime) add(du, dl, w float64) {
+	d.N++
+	d.W += w
+	d.W2 += w * w
+	if h := du + dl; h > 0 {
+		d.Hours.Add(h, w)
+		d.DU += w * du
+		d.DL += w * dl
+	}
+}
+
+// merge folds the stream of the range that follows d's onto d.
+func (d *Downtime) merge(e *Downtime) {
+	d.N += e.N
+	d.W += e.W
+	d.W2 += e.W2
+	d.Hours.Merge(&e.Hours)
+	d.DU += e.DU
+	d.DL += e.DL
 }
 
 // histMaxFor returns the downtime histogram's upper edge for the run
@@ -133,30 +155,16 @@ func (sc *scratch) runCell(c Range, opts Options, histMax float64) Partial {
 	if opts.HistogramBins > 0 {
 		pt.Hist = stats.NewHistogram(0, histMax, opts.HistogramBins)
 	}
-	if opts.Bias > 0 {
-		pt.WAvail = &stats.WeightedAccumulator{}
-		pt.WDownDU = &stats.WeightedAccumulator{}
-		pt.WDownDL = &stats.WeightedAccumulator{}
-	}
+	w := 1.0
 	for it := c.Start; it < c.End; it++ {
 		is := sc.iterate(opts.Seed, it, opts.MissionTime)
-		down := is.downDU + is.downDL
-		av := 1 - down/opts.MissionTime
-		pt.Avail.Add(av)
-		pt.DownDU.Add(is.downDU)
-		pt.DownDL.Add(is.downDL)
-		if down > 0 {
-			pt.DownIters++
+		if opts.Bias > 0 {
+			w = math.Exp(is.logW)
 		}
+		pt.Down.add(is.downDU, is.downDL, w)
 		pt.Events.Merge(is.events)
 		if pt.Hist != nil {
-			pt.Hist.Add(down)
-		}
-		if pt.WAvail != nil {
-			w := math.Exp(is.logW)
-			pt.WAvail.Add(av, w)
-			pt.WDownDU.Add(is.downDU, w)
-			pt.WDownDL.Add(is.downDL, w)
+			pt.Hist.Add(is.downDU + is.downDL)
 		}
 	}
 	return pt

@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 3
+const Realization = 4
 
 // Options controls a Monte-Carlo run.
 type Options struct {
@@ -339,11 +339,13 @@ type Options struct {
 	// rate by this factor (holding times keep their nominal law, so
 	// clocks stay calibrated) and each iteration carries the exact
 	// likelihood ratio, accumulated as a running sum of per-event
-	// rate-ratio logs. Estimates are reweighted, so they remain
-	// consistent for the unbiased quantities; the half-width and the
-	// stopping rule take their degrees of freedom from the effective
-	// sample size (see Summary.HalfWidth and the README's "Rare-event
-	// acceleration" section).
+	// rate-ratio logs. That weight rides each iteration into the one
+	// downtime stream (Partial.Down), of which an unbiased run is the
+	// unit-weight case, so the estimates remain consistent for the
+	// unbiased quantities; the half-width and the stopping rule take
+	// their degrees of freedom from the effective sample size (see
+	// Summary.HalfWidth and the README's "Rare-event acceleration"
+	// section).
 	//
 	// 0 (and the no-op factor 1) disable biasing entirely; BiasAuto
 	// picks a factor from the failure/repair rate ratio of the
@@ -453,9 +455,9 @@ type EventCounts struct {
 }
 
 // Merge folds another census into this one. It is the integer
-// counterpart of stats.Accumulator.Merge: shard partials and external
-// callers combine per-range counts with it, and unlike the
-// floating-point accumulators it is exactly associative.
+// counterpart of the downtime stream's merge: shard partials and
+// external callers combine per-range counts with it, and unlike the
+// floating-point stream it is exactly associative.
 func (e *EventCounts) Merge(o EventCounts) {
 	e.Failures += o.Failures
 	e.DoubleFailures += o.DoubleFailures
@@ -470,13 +472,15 @@ type Summary struct {
 	// up.
 	Availability float64
 	// HalfWidth is the confidence half-width of Availability, the one
-	// the stopping rule certifies: Student-t at the effective degrees
-	// of freedom min(n-1, events), events being the iterations with
-	// downtime, or min(n-1, ESS-1) for a biased run. An unbiased run
-	// that saw no downtime reports 1-(1-Confidence)^(1/n), the exact
-	// one-sided bound on the chance that an iteration sees any, which
-	// bounds U. +Inf (JSON null) for zero variance, no degrees of
-	// freedom, or a biased run that saw no downtime.
+	// the stopping rule certifies: the delta-method standard error of
+	// the downtime stream (Partial.Down) times a Student-t quantile at
+	// the effective degrees of freedom min(n-1, events), events being
+	// the iterations with downtime (Down.Hours.N()), or min(n-1, ESS-1)
+	// for a biased run. An unbiased run that saw no downtime reports
+	// 1-(1-Confidence)^(1/n), the exact one-sided bound on the chance
+	// that an iteration sees any, which bounds U. +Inf (JSON null) for
+	// zero variance, no degrees of freedom, or a biased run that saw no
+	// downtime.
 	HalfWidth float64
 	// Nines is -log10(1 - Availability).
 	Nines float64

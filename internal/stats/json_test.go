@@ -5,53 +5,6 @@ import (
 	"testing"
 )
 
-// TestAccumulatorJSONRoundTrip pins the serialization shard partials
-// rely on: an accumulator restored from JSON must be bit-identical —
-// including continued accumulation and merging behavior.
-func TestAccumulatorJSONRoundTrip(t *testing.T) {
-	var a Accumulator
-	for _, x := range []float64{1e-9, 0.5, -3, 2.25, 1e12, 0.1} {
-		a.Add(x)
-	}
-	raw, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Accumulator
-	if err := json.Unmarshal(raw, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("round-trip changed the accumulator:\n%+v\n%+v", a, b)
-	}
-	// Continue the stream on both: still identical.
-	a.Add(7.5)
-	b.Add(7.5)
-	if a != b {
-		t.Fatalf("accumulation diverged after round-trip:\n%+v\n%+v", a, b)
-	}
-	var ma, mb Accumulator
-	ma.Add(2)
-	mb.Add(2)
-	ma.Merge(&a)
-	mb.Merge(&b)
-	if ma != mb {
-		t.Fatalf("merge diverged after round-trip:\n%+v\n%+v", ma, mb)
-	}
-}
-
-// TestAccumulatorStateRoundTrip covers the explicit snapshot API.
-func TestAccumulatorStateRoundTrip(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	a.Add(4)
-	var b Accumulator
-	b.SetState(a.State())
-	if a != b {
-		t.Fatalf("SetState(State()) changed the accumulator:\n%+v\n%+v", a, b)
-	}
-}
-
 // TestHistogramJSONRoundTrip checks the histogram keeps its counts,
 // edges and (unexported) running total across serialization.
 func TestHistogramJSONRoundTrip(t *testing.T) {

@@ -70,45 +70,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.n = total
 }
 
-// AccumulatorState is the exported snapshot of an Accumulator: the
-// exact sufficient statistics of the stream seen so far. It is the
-// wire and checkpoint representation used by sharded Monte-Carlo runs;
-// restoring a state and continuing reproduces the accumulator
-// bit-for-bit.
-type AccumulatorState struct {
-	N    int64   `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// State returns the accumulator's exact snapshot.
-func (a *Accumulator) State() AccumulatorState {
-	return AccumulatorState{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max}
-}
-
-// SetState overwrites the accumulator with a previously captured
-// snapshot.
-func (a *Accumulator) SetState(st AccumulatorState) {
-	a.n, a.mean, a.m2, a.min, a.max = st.N, st.Mean, st.M2, st.Min, st.Max
-}
-
-// MarshalJSON encodes the accumulator as its AccumulatorState.
-func (a Accumulator) MarshalJSON() ([]byte, error) {
-	return json.Marshal(a.State())
-}
-
-// UnmarshalJSON decodes an AccumulatorState back into the accumulator.
-func (a *Accumulator) UnmarshalJSON(b []byte) error {
-	var st AccumulatorState
-	if err := json.Unmarshal(b, &st); err != nil {
-		return err
-	}
-	a.SetState(st)
-	return nil
-}
-
 // N returns the number of observations.
 func (a *Accumulator) N() int64 { return a.n }
 

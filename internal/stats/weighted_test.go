@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,8 @@ import (
 // the mean first, then the centred sums. The online accumulator must
 // match to floating-point accuracy for arbitrary streams.
 type naiveWeighted struct {
-	n                       int64
-	w, w2, mean, m2, s1, v2 float64
+	n                   int64
+	w, w2, mean, s1, v2 float64
 }
 
 func naiveOf(xs, ws []float64) naiveWeighted {
@@ -31,7 +32,6 @@ func naiveOf(xs, ws []float64) naiveWeighted {
 	nv.mean /= nv.w
 	for i, w := range ws {
 		d := xs[i] - nv.mean
-		nv.m2 += w * d * d
 		nv.s1 += w * w * d
 		nv.v2 += w * w * d * d
 	}
@@ -73,13 +73,17 @@ func TestWeightedAccumulatorMatchesTwoPass(t *testing.T) {
 		t.Errorf("n: %d vs %d", a.N(), nv.n)
 	}
 	approx("sum of weights", a.SumW(), nv.w, 1e-12)
+	approx("sum of squared weights", a.SumW2(), nv.w2, 1e-12)
 	approx("mean", a.Mean(), nv.mean, 1e-12)
-	approx("ess", a.ESS(), nv.w*nv.w/nv.w2, 1e-12)
-	st := a.State()
-	approx("m2", st.M2, nv.m2, 1e-9)
-	approx("s1", st.S1, nv.s1, 1e-6)
-	approx("v2", st.V2, nv.v2, 1e-9)
-	approx("HT mean", a.MeanHT(), nv.w*nv.mean/float64(nv.n), 1e-12)
+	approx("s1", a.s1, nv.s1, 1e-6)
+	approx("v2", a.v2, nv.v2, 1e-9)
+	for _, c := range []float64{nv.mean, 0, 1, nv.mean - 1e-4} {
+		var dev float64
+		for i, w := range ws {
+			dev += w * w * (xs[i] - c) * (xs[i] - c)
+		}
+		approx(fmt.Sprintf("deviations from %v", c), a.Deviations(c), dev, 1e-9)
+	}
 }
 
 // TestWeightedMergeMatchesSequential pins exactness of the recentred
@@ -111,10 +115,9 @@ func TestWeightedMergeMatchesSequential(t *testing.T) {
 	}
 	for _, chunks := range [][]int{{2048}, {1, 2047}, {64, 64, 1920}, {1000, 1000, 48}, {512, 512, 512, 512}} {
 		merged := fold(chunks)
-		if again := fold(chunks); again.State() != merged.State() {
+		if again := fold(chunks); again != merged {
 			t.Errorf("grouping %v: identical merge tree not bit-identical", chunks)
 		}
-		ms, ss := merged.State(), seq.State()
 		if merged.N() != seq.N() {
 			t.Fatalf("grouping %v: n %d, want %d", chunks, merged.N(), seq.N())
 		}
@@ -124,18 +127,20 @@ func TestWeightedMergeMatchesSequential(t *testing.T) {
 				t.Errorf("grouping %v: %s merged %v vs sequential %v", chunks, name, got, want)
 			}
 		}
-		approx("w", ms.W, ss.W, 1e-12)
-		approx("w2", ms.W2, ss.W2, 1e-12)
-		approx("mean", ms.Mean, ss.Mean, 1e-12)
-		approx("m2", ms.M2, ss.M2, 1e-9)
-		approx("s1", ms.S1, ss.S1, 1e-6)
-		approx("v2", ms.V2, ss.V2, 1e-9)
+		approx("w", merged.w, seq.w, 1e-12)
+		approx("w2", merged.w2, seq.w2, 1e-12)
+		approx("mean", merged.mean, seq.mean, 1e-12)
+		approx("s1", merged.s1, seq.s1, 1e-6)
+		approx("v2", merged.v2, seq.v2, 1e-9)
 	}
 }
 
 // TestWeightedUnitWeightsMatchAccumulator: with every weight 1 the
-// weighted accessors must agree with the plain Accumulator — the
-// unweighted path is the special case, not a separate convention.
+// weighted sums must agree with the plain Accumulator — the unweighted
+// path is the special case, not a separate convention: both weight
+// sums count the observations, and the deviations from the mean are
+// the Accumulator's (n-1)·variance, so the delta-method standard error
+// is its standard error.
 func TestWeightedUnitWeightsMatchAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var a Accumulator
@@ -154,35 +159,40 @@ func TestWeightedUnitWeightsMatchAccumulator(t *testing.T) {
 			t.Errorf("%s: weighted %v vs unweighted %v", name, got, want)
 		}
 	}
+	n := float64(a.N())
+	if w.SumW() != n || w.SumW2() != n {
+		t.Errorf("unit weights: sums %v and %v, want %v", w.SumW(), w.SumW2(), n)
+	}
 	approx("mean", w.Mean(), a.Mean())
-	approx("variance", w.Variance(), a.Variance())
-	approx("stderr", w.StdErr(), a.StdErr())
-	approx("ess", w.ESS(), float64(a.N()))
-	approx("HT mean", w.MeanHT(), a.Mean())
+	approx("deviations", w.Deviations(w.Mean()), a.Variance()*(n-1))
+	approx("stderr", math.Sqrt(w.Deviations(w.Mean())*n/(n-1))/w.SumW(), a.StdErr())
 }
 
+// TestWeightedESSIdentities pins the weight sums the Kish effective
+// sample size (Σw)²/Σw² is computed from.
 func TestWeightedESSIdentities(t *testing.T) {
 	var a WeightedAccumulator
-	if a.ESS() != 0 || a.Mean() != 0 || a.MeanHT() != 0 {
+	if a.SumW() != 0 || a.SumW2() != 0 || a.Mean() != 0 || a.Deviations(0) != 0 {
 		t.Error("empty accumulator must answer zeros")
 	}
+	ess := func() float64 { return a.SumW() * a.SumW() / a.SumW2() }
 	// Equal weights: ESS = n regardless of the common factor.
 	for i := 0; i < 10; i++ {
 		a.Add(float64(i), 0.25)
 	}
-	if math.Abs(a.ESS()-10) > 1e-12 {
-		t.Errorf("equal weights: ESS %v, want 10", a.ESS())
+	if math.Abs(ess()-10) > 1e-12 {
+		t.Errorf("equal weights: ESS %v, want 10", ess())
 	}
 	// One dominating weight: ESS collapses toward 1.
 	a.Add(3, 1e9)
-	if a.ESS() > 1.001 {
-		t.Errorf("dominated stream: ESS %v, want ~1", a.ESS())
+	if ess() > 1.001 {
+		t.Errorf("dominated stream: ESS %v, want ~1", ess())
 	}
 	// Zero-weight observations count toward n but not toward the mass.
-	before := a.State()
+	before := a
 	a.Add(123, 0)
-	after := a.State()
-	before.N++
+	after := a
+	before.n++
 	if after != before {
 		t.Errorf("zero-weight add changed mass: %+v vs %+v", after, before)
 	}
@@ -191,23 +201,23 @@ func TestWeightedESSIdentities(t *testing.T) {
 func TestWeightedMergeEdgeCases(t *testing.T) {
 	var a, empty WeightedAccumulator
 	a.Add(1, 2)
-	want := a.State()
+	want := a
 	a.Merge(&empty)
-	if a.State() != want {
+	if a != want {
 		t.Error("merging an empty accumulator changed the state")
 	}
 	// Zero-mass (all weights underflowed) side only moves n.
 	var zeroMass WeightedAccumulator
 	zeroMass.Add(9, 0)
 	a.Merge(&zeroMass)
-	want.N++
-	if a.State() != want {
+	want.n++
+	if a != want {
 		t.Error("zero-mass merge must only add n")
 	}
 	// Merging into an empty accumulator copies the other side.
 	var b WeightedAccumulator
 	b.Merge(&a)
-	if b.State() != a.State() {
+	if b != a {
 		t.Error("merge into empty must copy")
 	}
 }
@@ -227,14 +237,13 @@ func TestWeightedJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.State() != a.State() {
-		t.Errorf("round trip lost state: %+v vs %+v", back.State(), a.State())
+	if back != a {
+		t.Errorf("round trip lost state: %+v vs %+v", back, a)
 	}
-	var st WeightedAccumulatorState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st != a.State() {
-		t.Errorf("state decode mismatch: %+v vs %+v", st, a.State())
+	// Continuing both streams keeps them bit-identical.
+	back.Add(0.5, 2)
+	a.Add(0.5, 2)
+	if back != a {
+		t.Errorf("accumulation diverged after round trip: %+v vs %+v", back, a)
 	}
 }

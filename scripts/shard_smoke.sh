@@ -50,9 +50,10 @@ echo "--- a finished checkpoint with one digit changed resumes to the clean tabl
 DAMAGE=(-disks 4 -lambda 1e-4 -hep 0.01 -iters 4096 -mission 1e5 -workers 2 -checkpoint "$TMP/damaged.ckpt")
 "$TMP/availsim" "${DAMAGE[@]}" >"$TMP/damaged.clean"
 cp "$TMP/damaged.ckpt" "$TMP/damaged.orig"
-# On the first record line, the digit after the first "avail" mean's
-# "0.99" becomes 0, or 1 when it is 0.
-sed -E -i '2{s/("avail":\{"n":[0-9]+,"mean":0\.99)[1-9]/\10/;t;s/("avail":\{"n":[0-9]+,"mean":0\.99)0/\11/}' "$TMP/damaged.ckpt"
+# On the first record line, the first decimal of the first partial's
+# mean downtime hours (its "down" stream's "hours" mean) becomes 0, or
+# 1 when it is 0.
+sed -E -i '2{s/("hours":\{[^}]*"mean":[0-9]+\.)[1-9]/\10/;t;s/("hours":\{[^}]*"mean":[0-9]+\.)0/\11/}' "$TMP/damaged.ckpt"
 if cmp -s "$TMP/damaged.orig" "$TMP/damaged.ckpt"; then echo "FAIL: the edit left the checkpoint unchanged"; exit 1; fi
 "$TMP/availsim" "${DAMAGE[@]}" >"$TMP/damaged.resumed"
 cmp "$TMP/damaged.clean" "$TMP/damaged.resumed" || { echo "FAIL: the damaged checkpoint changed the table"; exit 1; }
