@@ -139,7 +139,7 @@ func main() {
 		baseline  = flag.String("baseline", "", "comma-separated bench.sh reports of the base side")
 		current   = flag.String("current", "", "comma-separated bench.sh reports of the change side")
 		threshold = flag.Float64("threshold", 0.20, "fail when a median ns/op grows by more than this fraction")
-		match     = flag.String("match", "MCIteration|SampleN|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile|SteadyState",
+		match     = flag.String("match", "MCIteration|Sample|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile|SteadyState",
 			"regexp selecting the kernel benchmarks to gate on")
 		missingIs = flag.String("missing", "warn",
 			"how to treat gated base benchmarks absent from the change side: warn or fail")

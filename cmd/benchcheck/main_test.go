@@ -75,16 +75,16 @@ func TestMediansPerSide(t *testing.T) {
 func TestCompareFlagsRegressions(t *testing.T) {
 	base := map[string]benchmark{
 		"BenchmarkMCIterationConventional": {Name: "BenchmarkMCIterationConventional", NsPerOp: 100},
-		"BenchmarkSampleNExp":              {Name: "BenchmarkSampleNExp", NsPerOp: 50},
+		"BenchmarkSampleExp":               {Name: "BenchmarkSampleExp", NsPerOp: 50},
 		"BenchmarkIgnored":                 {Name: "BenchmarkIgnored", NsPerOp: 10},
 		"BenchmarkOnlyInBase":              {Name: "BenchmarkOnlyInBase", NsPerOp: 10},
 	}
 	cur := map[string]benchmark{
 		"BenchmarkMCIterationConventional": {Name: "BenchmarkMCIterationConventional", NsPerOp: 125}, // +25%: regression
-		"BenchmarkSampleNExp":              {Name: "BenchmarkSampleNExp", NsPerOp: 55},               // +10%: fine
+		"BenchmarkSampleExp":               {Name: "BenchmarkSampleExp", NsPerOp: 55},                // +10%: fine
 		"BenchmarkIgnored":                 {Name: "BenchmarkIgnored", NsPerOp: 1000},                // filtered out
 	}
-	re := regexp.MustCompile("MCIteration|SampleN|OnlyInBase")
+	re := regexp.MustCompile("MCIteration|Sample|OnlyInBase")
 	ds, missing, added := compare(base, cur, re, 0.20)
 	if len(ds) != 2 {
 		t.Fatalf("compared %d benchmarks, want 2", len(ds))
@@ -99,8 +99,8 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	if ds[0].Name != "BenchmarkMCIterationConventional" || !ds[0].Regression {
 		t.Errorf("worst delta = %+v, want flagged MCIteration", ds[0])
 	}
-	if ds[1].Name != "BenchmarkSampleNExp" || ds[1].Regression {
-		t.Errorf("second delta = %+v, want unflagged SampleN", ds[1])
+	if ds[1].Name != "BenchmarkSampleExp" || ds[1].Regression {
+		t.Errorf("second delta = %+v, want unflagged Sample", ds[1])
 	}
 }
 

@@ -55,24 +55,6 @@ func TestSpecRoundTripEveryFamily(t *testing.T) {
 				t.Fatalf("%s: draw %d diverged after round-trip: %v vs %v", d, i, a, b)
 			}
 		}
-		// The batch fast path must survive the round-trip too (it
-		// relies on constructor-derived caches).
-		if ob, ok := d.(BatchSampler); ok {
-			nb, ok := got.(BatchSampler)
-			if !ok {
-				t.Fatalf("%s: rebuilt law lost its batch path", d)
-			}
-			want := make([]float64, 64)
-			have := make([]float64, 64)
-			ra, rb = xrand.New(7), xrand.New(7)
-			ob.SampleN(ra, want)
-			nb.SampleN(rb, have)
-			for i := range want {
-				if want[i] != have[i] {
-					t.Fatalf("%s: batch draw %d diverged after round-trip: %v vs %v", d, i, want[i], have[i])
-				}
-			}
-		}
 	}
 }
 

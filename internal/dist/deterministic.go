@@ -27,13 +27,6 @@ func NewDeterministic(value float64) Deterministic {
 // Sample returns Value without consuming randomness.
 func (d Deterministic) Sample(*xrand.Source) float64 { return d.Value }
 
-// SampleN fills dst with Value without consuming randomness.
-func (d Deterministic) SampleN(_ *xrand.Source, dst []float64) {
-	for i := range dst {
-		dst[i] = d.Value
-	}
-}
-
 // Mean returns Value.
 func (d Deterministic) Mean() float64 { return d.Value }
 

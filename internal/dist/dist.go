@@ -3,39 +3,31 @@
 // the input side of every Monte-Carlo experiment in the repository.
 //
 // All laws model a non-negative random duration in hours, sampled
-// from an *xrand.Source. Replaying a stream from its (seed, stream)
-// pair reproduces the exact sample sequence — the foundation of the
-// repro harness's determinism.
+// from an *xrand.Source.
 //
-// # Fast-path contract
+// # Sampling
 //
-// Two sampling paths coexist, and hot loops are free to mix them:
+// Every family draws through one method, Sample, by one exact
+// algorithm. Replaying a stream from its (seed, stream) pair
+// reproduces the exact sample sequence — the foundation of the repro
+// harness's determinism.
 //
-//   - Sample draws one variate. Uniform, Deterministic, Lognormal and
-//     Gamma consume a fixed number of uniforms per draw (Gamma
-//     inverts its CDF numerically from a single uniform for exactly
-//     this reason); Exponential and Weibull draw their exponential
-//     variate from the stream's ziggurat sampler, which consumes a
-//     variable number of generator outputs per draw. Where exactly
-//     one uniform per variate matters, use Quantile(r.OpenFloat64()).
-//   - SampleN (the BatchSampler interface) fills a slice and may use a
-//     different, faster exact algorithm: Gamma switches to
-//     Marsaglia-Tsang squeeze-rejection off constants cached by the
-//     constructors, Lognormal to ziggurat normals,
-//     and every family hoists per-draw constants out of the loop.
+//   - Uniform consumes one uniform per draw and Deterministic none; a
+//     Mixture consumes one uniform to pick its branch, then what the
+//     branch consumes.
+//   - Exponential and Weibull draw their exponential variate, and
+//     Lognormal its normal, from the stream's ziggurat samplers, and
+//     Gamma runs Marsaglia-Tsang squeeze-rejection: each consumes a
+//     variable number of generator outputs per draw.
 //
-// Both paths draw from the identical law; only the mapping from
-// stream positions to variates differs. Determinism is therefore
-// guaranteed per call sequence — the same sequence of Sample/SampleN
-// calls on the same stream yields bit-identical results — but a
-// SampleN call is not interchangeable with N Sample calls when exact
-// replay matters. FastExp exposes the exponential rate for callers
-// that devirtualize the inner draw entirely (see internal/sim).
+// Where exactly one uniform per variate matters, draw
+// Quantile(r.OpenFloat64()) instead.
 //
 // Constructors precompute per-instance constants (Weibull's 1/k,
 // Gamma's Marsaglia-Tsang d and c plus Wilson-Hilferty starting
-// points); laws built as composite literals still work and re-derive
-// those constants on the fly.
+// points); laws built as composite literals re-derive the same
+// constants on the fly, so a literal law and the constructor-built
+// law a shard worker rebuilds from its Spec draw bit-identically.
 //
 // # Families and parameterizations
 //
@@ -122,4 +114,42 @@ func checkProb(law string, p float64) {
 	if !(p > 0 && p < 1) {
 		panic(fmt.Sprintf("dist: %s quantile probability %v outside (0,1)", law, p))
 	}
+}
+
+// Memoryless reports whether d is distributionally memoryless — an
+// exponential law in any of its parameterizations — and returns its
+// hazard rate: Exponential itself, Weibull with shape 1 (rate
+// 1/Scale) and Gamma/Erlang with shape 1 (rate Rate), by value or by
+// pointer.
+//
+// It is the capability query behind kernel specialization: a
+// configuration whose laws all answer true admits the constant-hazard
+// (CTMC-equivalent) treatment — competing risks collapse to one
+// rate-based draw per event with no per-entity clocks — which
+// internal/sim compiles onto its memoryless walkers, and its generic
+// walkers draw such a law inline from the rate.
+func Memoryless(d Distribution) (rate float64, ok bool) {
+	switch e := d.(type) {
+	case Exponential:
+		return e.Rate, true
+	case *Exponential:
+		return e.Rate, true
+	case Weibull:
+		if e.Shape == 1 {
+			return 1 / e.Scale, true
+		}
+	case *Weibull:
+		if e.Shape == 1 {
+			return 1 / e.Scale, true
+		}
+	case Gamma:
+		if e.Shape == 1 {
+			return e.Rate, true
+		}
+	case *Gamma:
+		if e.Shape == 1 {
+			return e.Rate, true
+		}
+	}
+	return 0, false
 }

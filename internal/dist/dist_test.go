@@ -32,6 +32,7 @@ func families() map[string]Distribution {
 		"lognormal":        NewLognormal(1, 0.5),
 		"lognormal-mm":     LognormalFromMeanMedian(20, 15),
 		"gamma":            NewGamma(2.5, 0.3),
+		"gamma-small":      NewGamma(0.5, 2),
 		"erlang":           NewErlang(4, 0.5),
 		"uniform":          NewUniform(2, 10),
 		"hyperexp":         NewHyperExponential([]float64{0.7, 0.3}, []float64{1, 0.05}),
@@ -260,6 +261,61 @@ func TestNormQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{1e-6, 0.01, 0.3} {
 		if d := NormQuantile(p) + NormQuantile(1-p); math.Abs(d) > 1e-11 {
 			t.Errorf("asymmetry at p=%v: %g", p, d)
+		}
+	}
+}
+
+func TestMemoryless(t *testing.T) {
+	// Every exponential parameterization answers with its hazard rate,
+	// by value and by pointer.
+	e := NewExponential(0.1)
+	w := NewWeibull(1, 4)
+	g := NewGamma(1, 7)
+	yes := []struct {
+		name string
+		d    Distribution
+		rate float64
+	}{
+		{"exponential", NewExponential(2.5), 2.5},
+		{"weibull shape 1", NewWeibull(1, 10), 0.1},
+		{"gamma shape 1", NewGamma(1, 0.25), 0.25},
+		{"erlang 1 stage", NewErlang(1, 3), 3},
+		{"*exponential", &e, 0.1},
+		{"*weibull shape 1", &w, 0.25},
+		{"*gamma shape 1", &g, 7},
+	}
+	for _, c := range yes {
+		rate, ok := Memoryless(c.d)
+		if !ok || math.Abs(rate-c.rate) > 1e-15 {
+			t.Errorf("Memoryless(%s) = %v, %v; want %v, true", c.name, rate, ok, c.rate)
+		}
+	}
+	// Aging or multi-mode laws are not memoryless — even a
+	// single-branch hyper-exponential, which is distributionally
+	// exponential but not structurally recognized.
+	no := []Distribution{
+		NewWeibull(1.48, 200), NewWeibull(0.7, 50),
+		NewGamma(2.6, 4), NewErlang(4, 0.1),
+		NewDeterministic(1), NewUniform(0, 1), NewLognormal(0, 1),
+		NewHyperExponential([]float64{1}, []float64{2}),
+	}
+	for _, d := range no {
+		if rate, ok := Memoryless(d); ok {
+			t.Errorf("Memoryless(%s) unexpectedly ok with rate %v", d, rate)
+		}
+	}
+}
+
+// TestFastExp pins the exponential case of Memoryless, the one the
+// walkers' inlined draws and the rate-based kernels start from: an
+// Exponential answers its Rate bit for bit, by value and by pointer.
+func TestFastExp(t *testing.T) {
+	for _, rate := range []float64{2.5, 0.1, 1.0 / 3, 7.96e-6} {
+		e := NewExponential(rate)
+		for _, d := range []Distribution{e, &e} {
+			if got, ok := Memoryless(d); !ok || math.Float64bits(got) != math.Float64bits(rate) {
+				t.Errorf("Memoryless(%T %v) = %v, %v; want %v, true", d, e, got, ok, rate)
+			}
 		}
 	}
 }

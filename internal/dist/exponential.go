@@ -32,14 +32,6 @@ func (e Exponential) Sample(r *xrand.Source) float64 {
 	return r.ExpFloat64() / e.Rate
 }
 
-// SampleN fills dst with independent draws, consuming the stream
-// exactly as len(dst) Sample calls would.
-func (e Exponential) SampleN(r *xrand.Source, dst []float64) {
-	for i := range dst {
-		dst[i] = r.ExpFloat64() / e.Rate
-	}
-}
-
 // Mean returns 1/Rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 

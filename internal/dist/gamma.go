@@ -16,12 +16,13 @@ type Gamma struct {
 	Shape float64
 	// Rate is the inverse scale b (1/h); the mean is Shape/Rate.
 	Rate float64
-	// mtD and mtC cache the Marsaglia-Tsang rejection constants
-	// d = a' - 1/3 and c = 1/(3 sqrt(d)) for the effective shape
-	// a' = max(Shape, Shape+1) used by SampleN; whB and whC cache the
+	// mtD and mtC cache Sample's Marsaglia-Tsang rejection constants
+	// d = a' - 1/3 and c = 1/(3 sqrt(d)) for the shape it draws at,
+	// a' = Shape, or Shape+1 below 1; whB and whC cache the
 	// Wilson-Hilferty starting-point constants 1 - 1/(9a) and
 	// 1/(3 sqrt(a)) for Quantile. Constructors fill them; literal
-	// structs leave them zero and the methods re-derive on the fly.
+	// structs leave them zero and the methods re-derive the same
+	// values on the fly, so both draw bit-identically.
 	mtD, mtC, whB, whC float64
 }
 
@@ -64,34 +65,21 @@ func NewErlang(k int, rate float64) Gamma {
 	return NewGamma(float64(k), rate)
 }
 
-// Sample draws by numeric inverse CDF from a single uniform, keeping
-// the per-draw stream consumption constant for replay.
+// Sample draws by Marsaglia-Tsang squeeze-rejection (ACM TOMS 2000)
+// off the cached d and c constants: exact, and about a hundred times
+// cheaper than inverting the CDF numerically. Shapes below 1 draw at
+// Shape+1 and apply the boost U^(1/Shape). Stream consumption per draw
+// is variable; Quantile(r.OpenFloat64()) draws from one uniform.
 func (g Gamma) Sample(r *xrand.Source) float64 {
-	return g.Quantile(r.OpenFloat64())
-}
-
-// SampleN fills dst with independent draws by Marsaglia-Tsang
-// squeeze-rejection (ACM TOMS 2000) off the cached d and c constants:
-// exact, and orders of magnitude cheaper than the numeric CDF
-// inversion Sample performs. Shapes below 1 sample at Shape+1 and
-// apply the U^(1/Shape) boost.
-func (g Gamma) SampleN(r *xrand.Source, dst []float64) {
 	d, c := g.mtD, g.mtC
 	if d == 0 {
 		d, c = mtConstants(g.Shape)
 	}
-	boosted := g.Shape < 1
-	invA := 0.0
-	if boosted {
-		invA = 1 / g.Shape
+	v := r.MarsagliaTsang(d, c)
+	if g.Shape < 1 {
+		v *= math.Pow(r.OpenFloat64(), 1/g.Shape)
 	}
-	for i := range dst {
-		v := r.MarsagliaTsang(d, c)
-		if boosted {
-			v *= math.Pow(r.OpenFloat64(), invA)
-		}
-		dst[i] = v / g.Rate
-	}
+	return v / g.Rate
 }
 
 // erlangMaxCached is the largest stage count whose Marsaglia-Tsang

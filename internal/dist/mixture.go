@@ -18,9 +18,6 @@ type Mixture struct {
 	Components []Distribution
 	// Weights are the branch probabilities; they sum to 1.
 	Weights []float64
-	// cum is the exclusive cumulative weight table used for branch
-	// selection.
-	cum []float64
 }
 
 // NewMixture returns the mixture of the given components with the
@@ -49,13 +46,9 @@ func NewMixture(weights []float64, components ...Distribution) Mixture {
 	m := Mixture{
 		Components: append([]Distribution(nil), components...),
 		Weights:    make([]float64, len(weights)),
-		cum:        make([]float64, len(weights)),
 	}
-	run := 0.0
 	for i, w := range weights {
 		m.Weights[i] = w / total
-		m.cum[i] = run
-		run += w / total
 	}
 	return m
 }
@@ -75,27 +68,19 @@ func NewHyperExponential(weights, rates []float64) Mixture {
 	return NewMixture(weights, comps...)
 }
 
-// Sample selects a branch by one uniform, then samples it.
+// Sample selects a branch by one uniform against the running sum of
+// Weights, then samples it.
 func (m Mixture) Sample(r *xrand.Source) float64 {
 	u := r.Float64()
 	k := len(m.Components) - 1
-	for i := 1; i < len(m.cum); i++ {
-		if u < m.cum[i] {
-			k = i - 1
+	run := 0.0
+	for i, w := range m.Weights[:k] {
+		if run += w; u < run {
+			k = i
 			break
 		}
 	}
 	return m.Components[k].Sample(r)
-}
-
-// SampleN fills dst with independent draws. Each draw selects its
-// branch independently, matching Sample's stream consumption; branch
-// laws that implement BatchSampler are still sampled one at a time
-// because the branch sequence is itself random.
-func (m Mixture) SampleN(r *xrand.Source, dst []float64) {
-	for i := range dst {
-		dst[i] = m.Sample(r)
-	}
 }
 
 // Mean returns the weighted component mean.

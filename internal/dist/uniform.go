@@ -30,15 +30,6 @@ func (u Uniform) Sample(r *xrand.Source) float64 {
 	return u.Lo + (u.Hi-u.Lo)*r.Float64()
 }
 
-// SampleN fills dst with independent draws, consuming the stream
-// exactly as len(dst) Sample calls would.
-func (u Uniform) SampleN(r *xrand.Source, dst []float64) {
-	w := u.Hi - u.Lo
-	for i := range dst {
-		dst[i] = u.Lo + w*r.Float64()
-	}
-}
-
 // Mean returns (Lo+Hi)/2.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 

@@ -18,7 +18,7 @@ type Weibull struct {
 	// Scale is the characteristic life c (hours): the 63.2th
 	// percentile of the law.
 	Scale float64
-	// invShape caches 1/Shape for the samplers; constructors fill it,
+	// invShape caches 1/Shape for Sample; constructors fill it,
 	// literal structs leave it zero and fall back to the division.
 	invShape float64
 }
@@ -46,15 +46,6 @@ func WeibullFromMeanRate(rate, shape float64) Weibull {
 // draw, like Exponential.Sample).
 func (w Weibull) Sample(r *xrand.Source) float64 {
 	return w.clock(r.ExpFloat64(), w.inv())
-}
-
-// SampleN fills dst with independent draws, resolving the 1/Shape
-// exponent once for the whole fill.
-func (w Weibull) SampleN(r *xrand.Source, dst []float64) {
-	k := w.inv()
-	for i := range dst {
-		dst[i] = w.clock(r.ExpFloat64(), k)
-	}
 }
 
 // inv returns 1/Shape: the cached value, or the division for a

@@ -57,6 +57,9 @@ type NetConfig struct {
 	// jitter seed (see joinBackoff; a zero seed derives one per process).
 	dialTimeout, handshakeTimeout, retryBase, retryMax time.Duration
 	retrySeed                                          uint64
+	// refused, when set, sees each refusal of the peer's hello just
+	// before the peer is sent it (see refuse).
+	refused func(error)
 }
 
 const (
@@ -132,12 +135,24 @@ func macValid(token, label, dialerNonce, listenerNonce, got string) bool {
 // whether the token was missing or wrong.
 var errAuth = fmt.Errorf("shard: authentication failed (token mismatch)")
 
+// refuse answers a peer hello this side will not accept with an error
+// message naming msg, so the peer sees a clean rejection instead of a
+// reset, and returns err. nc.refused sees err first: an accept loop
+// logs the rejected peer there, so the line exists by the time the
+// peer can read its rejection.
+func refuse(t transport, nc NetConfig, msg string, err error) error {
+	if nc.refused != nil {
+		nc.refused(err)
+	}
+	_ = t.Send(&Message{Type: MsgError, Error: msg})
+	return err
+}
+
 // recvHello receives the peer's next handshake message and accepts it
 // only as a hello of this side's protocol version and realization. A
-// hello of another version or realization is answered with an error
-// message before the error returns; a peer's error message is its
-// rejection of this side.
-func recvHello(t transport) (*Message, error) {
+// hello of another version or realization is refused; a peer's error
+// message is its rejection of this side.
+func recvHello(t transport, nc NetConfig) (*Message, error) {
 	m, err := t.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
@@ -149,8 +164,7 @@ func recvHello(t transport) (*Message, error) {
 		return nil, fmt.Errorf("shard: handshake: unexpected message type %q", m.Type)
 	}
 	if err := helloMismatch(m); err != nil {
-		_ = t.Send(&Message{Type: MsgError, Error: err.Error()})
-		return nil, fmt.Errorf("shard: %w", err)
+		return nil, refuse(t, nc, err.Error(), fmt.Errorf("shard: %w", err))
 	}
 	return m, nil
 }
@@ -170,7 +184,7 @@ func handshakeDialer(t transport, nc NetConfig, capacity int) (*Message, error) 
 // helloAsDialer is handshakeDialer's exchange with this side's
 // nonce given, so a test can fix it and precompute the peer's MAC.
 func helloAsDialer(t transport, nc NetConfig, capacity int, nonce string) (*Message, error) {
-	srv, err := recvHello(t)
+	srv, err := recvHello(t, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +202,7 @@ func helloAsDialer(t transport, nc NetConfig, capacity int, nonce string) (*Mess
 	if err := t.Send(hello); err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
 	}
-	ack, err := recvHello(t)
+	ack, err := recvHello(t, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -218,13 +232,12 @@ func helloAsListener(t transport, nc NetConfig, capacity int, nonce string) (*Me
 	if err := t.Send(&Message{Type: MsgHello, Version: protocolVersion, Realization: sim.Realization, Nonce: nonce}); err != nil {
 		return nil, fmt.Errorf("shard: handshake: %w", err)
 	}
-	cli, err := recvHello(t)
+	cli, err := recvHello(t, nc)
 	if err != nil {
 		return nil, err
 	}
 	if nc.Token != "" && !macValid(nc.Token, macLabelDialer, cli.Nonce, nonce, cli.MAC) {
-		_ = t.Send(&Message{Type: MsgError, Error: "authentication failed"})
-		return nil, errAuth
+		return nil, refuse(t, nc, "authentication failed", errAuth)
 	}
 	ack := &Message{
 		Type:        MsgHello,
@@ -293,8 +306,9 @@ func dial(addr string, nc NetConfig, capacity int) (*connTransport, *Message, er
 // handshake, as listener advertising capacity, on a goroutine of its
 // own, so a silent client holds up nobody behind it; an established
 // link goes to serve on that goroutine, and a failed handshake is
-// logged as a rejected peer. It returns the Accept error once every
-// connection's goroutine has returned. nc must have its defaults.
+// logged as a rejected peer, a refused hello before the peer is sent
+// its refusal. It returns the Accept error once every connection's
+// goroutine has returned. nc must have its defaults.
 func acceptLoop(ln net.Listener, nc NetConfig, peer string, capacity int, serve func(*connTransport, *Message, net.Addr)) error {
 	var conns sync.WaitGroup
 	defer conns.Wait()
@@ -306,9 +320,17 @@ func acceptLoop(ln net.Listener, nc NetConfig, peer string, capacity int, serve 
 		conns.Add(1)
 		go func() {
 			defer conns.Done()
-			t, hello, err := setupConn(conn, nc, false, capacity)
-			if err != nil {
+			logged := false
+			cnc := nc
+			cnc.refused = func(err error) {
 				fmt.Fprintf(nc.Log, "shard: rejected %s %s: %v\n", peer, conn.RemoteAddr(), err)
+				logged = true
+			}
+			t, hello, err := setupConn(conn, cnc, false, capacity)
+			if err != nil {
+				if !logged {
+					cnc.refused(err)
+				}
 				return
 			}
 			serve(t, hello, conn.RemoteAddr())

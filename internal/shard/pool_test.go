@@ -443,7 +443,7 @@ func TestRunFingerprintStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "0cd53f894209db77"
+	const want = "b27c2b085b8a6ba4"
 	if fp != want {
 		t.Errorf("fingerprint drifted: got %s, want %s", fp, want)
 	}

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"herald/internal/dist"
+)
 
 // Kernel micro-benchmarks, timed by scripts/bench.sh and the CI bench
 // gate (scripts/benchlib.sh lists the packages and the pattern).
@@ -106,4 +110,14 @@ func BenchmarkMCIterationPaperRate(b *testing.B) {
 // walker at lambda 1e-6, HEP 0, auto bias, over 1e6 h.
 func BenchmarkMCIterationPaperRateBias(b *testing.B) {
 	benchCell(b, PaperDefaults(4, 1e-6, 0), Options{MissionTime: 1e6, Bias: BiasAuto})
+}
+
+// BenchmarkMCIterationWeibull measures the generic conventional walker
+// under paper-sweep's steepest Fig. 5 point (Weibull lifetimes of mean
+// rate 7.96e-6 at shape 1.21, HEP 0.01, 1e6 h): each iteration's clock
+// fill and every later lifetime draw go through Weibull.Sample.
+func BenchmarkMCIterationWeibull(b *testing.B) {
+	p := PaperDefaults(4, 7.96e-6, 0.01)
+	p.TTF = dist.WeibullFromMeanRate(7.96e-6, 1.21)
+	benchCell(b, p, Options{MissionTime: 1e6})
 }

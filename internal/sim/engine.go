@@ -10,11 +10,11 @@ import (
 // sampler caches the devirtualized fast path for one distribution,
 // resolved once per worker instead of per draw: memoryless laws
 // (rate > 0, see dist.Memoryless) are drawn inline via
-// expInv(r, invRate) with no interface dispatch, and laws implementing
-// dist.BatchSampler fill slices through their batch algorithm.
+// expInv(r, invRate) with no interface dispatch, and every other law
+// through its one Sample method, for an iteration's first clock fill
+// and every later draw alike.
 type sampler struct {
-	d     dist.Distribution
-	batch dist.BatchSampler
+	d dist.Distribution
 	// rate > 0 marks a memoryless law; invRate caches 1/rate so the
 	// hot path multiplies instead of divides (the values differ from
 	// Exponential.Sample in the last ulp, which the stream-level
@@ -23,17 +23,13 @@ type sampler struct {
 	invRate float64
 }
 
+// newSampler resolves d's fast path; a nil law (one the policy never
+// draws) resolves to none.
 func newSampler(d dist.Distribution) sampler {
 	sp := sampler{d: d}
-	if d == nil {
-		return sp
-	}
 	if rate, ok := dist.Memoryless(d); ok {
 		sp.rate = rate
 		sp.invRate = 1 / rate
-	}
-	if b, ok := d.(dist.BatchSampler); ok {
-		sp.batch = b
 	}
 	return sp
 }
@@ -49,16 +45,12 @@ func (sp *sampler) sample(r *xrand.Source) float64 {
 
 func (sp *sampler) sampleSlow(r *xrand.Source) float64 { return sp.d.Sample(r) }
 
-// sampleN fills dst with independent draws.
+// sampleN fills dst with independent draws, each as sample draws it.
 func (sp *sampler) sampleN(r *xrand.Source, dst []float64) {
 	if sp.rate > 0 {
 		for i := range dst {
 			dst[i] = expInv(r, sp.invRate)
 		}
-		return
-	}
-	if sp.batch != nil {
-		sp.batch.SampleN(r, dst)
 		return
 	}
 	for i := range dst {

@@ -105,12 +105,15 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 }
 
 // TestHotLoopZeroAllocsNonExponential covers the generic sampler path
-// (Weibull TTF, lognormal services): batch and interface sampling must
-// also stay allocation-free.
+// (Weibull TTF, a lognormal repair, gamma undo and restore laws at a
+// boosted and an unboosted shape): every draw through a law's Sample
+// must also stay allocation-free.
 func TestHotLoopZeroAllocsNonExponential(t *testing.T) {
 	p := paramsFor(Conventional)
 	p.TTF = dist.WeibullFromMeanRate(1e-4, 1.21)
 	p.Repair = dist.LognormalFromMeanMedian(10, 6)
+	p.HERecovery = dist.NewGamma(0.5, 0.5)
+	p.TapeRestore = dist.NewGamma(2.6, 0.1)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

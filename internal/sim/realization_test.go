@@ -11,17 +11,18 @@ import (
 
 // pinnedRealization is the Realization the digest table of
 // TestRealizationPinned was pinned at.
-const pinnedRealization = 4
+const pinnedRealization = 5
 
 // TestRealizationPinned pins every kernel's realization: for each
 // policy and each walker (the memoryless kernel, its failure-biased
 // form, the generic clock walker, the unbatched memoryless reference,
-// and the generic walker under the Fig. 5 Weibull lifetime law) it
-// hashes the Summary JSON of one small seeded run and compares the
-// first 8 bytes of the SHA-256 with the table below. A refactor of a
-// kernel must leave every digest in place. A deliberate realization
-// change bumps Realization, re-pins the table and lists each re-pinned
-// digest in CHANGES.md.
+// the generic walker under the Fig. 5 Weibull lifetime law, and the
+// generic walker KernelAuto picks for an Erlang-2 repair and a
+// lognormal undo law) it hashes the Summary JSON of one small seeded
+// run and compares the first 8 bytes of the SHA-256 with the table
+// below. A refactor of a kernel must leave every digest in place. A
+// deliberate realization change bumps Realization, re-pins the table
+// and lists each re-pinned digest in CHANGES.md.
 func TestRealizationPinned(t *testing.T) {
 	if Realization != pinnedRealization {
 		t.Fatalf("Realization is %d but the table was pinned at %d: re-pin the table for realization %d",
@@ -43,6 +44,10 @@ func TestRealizationPinned(t *testing.T) {
 		"dual-parity/generic":      "df3bc985fc0636f6",
 		"dual-parity/nobatch":      "1fae417f8d66acba",
 		"dual-parity/weibull":      "a05e95b0f6af6725",
+
+		"conventional/erlang-lognormal":  "b2c0c827fdd67358",
+		"auto-failover/erlang-lognormal": "6f8b33cbe50145c6",
+		"dual-parity/erlang-lognormal":   "fee1a5e25b67cb31",
 	}
 	modes := []struct {
 		name string
@@ -55,6 +60,11 @@ func TestRealizationPinned(t *testing.T) {
 		{"weibull", func(p *ArrayParams, o *Options) {
 			p.TTF = dist.WeibullFromMeanRate(1e-4, 1.21)
 			o.Kernel = KernelGeneric
+		}},
+		{"erlang-lognormal", func(p *ArrayParams, o *Options) {
+			p.Repair = dist.NewErlang(2, 0.2)            // mean 10 h
+			p.HERecovery = dist.NewLognormal(-0.32, 0.8) // mean 1 h
+			o.Kernel = KernelAuto
 		}},
 	}
 	for _, pol := range policies {

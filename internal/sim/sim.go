@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 4
+const Realization = 5
 
 // Options controls a Monte-Carlo run.
 type Options struct {

@@ -9,7 +9,7 @@
 # binaries while the first one's benchmarks run, which skews timings on
 # small machines.
 bench_pkgs=(./internal/sim ./internal/model ./internal/dist ./internal/xrand ./internal/stats)
-bench_pattern='MCIteration|SteadyState|MTTDL|SampleN|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile'
+bench_pattern='MCIteration|SteadyState|MTTDL|Sample|ExpFloat64|ErlangFloat64|NormFloat64|Uint32n|StudentTQuantile'
 
 # bench_report BENCHTIME reads benchmark output on stdin and prints one
 # JSON report:
