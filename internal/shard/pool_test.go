@@ -443,7 +443,7 @@ func TestRunFingerprintStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "b27c2b085b8a6ba4"
+	const want = "9a6b8a39f9f585ed"
 	if fp != want {
 		t.Errorf("fingerprint drifted: got %s, want %s", fp, want)
 	}

@@ -3,16 +3,19 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"herald/internal/xrand"
 )
 
-// TestBatchedMatchesUnbatchedCI cross-validates the batching
-// transforms statistically: a batched run and its unbatched reference
-// (Options.noBatch) consume the per-iteration streams differently, so
-// they are distinct exact realizations of the same process — their
-// confidence intervals must overlap. Run at 1e5 iterations per
-// policy x kernel so the intervals are tight enough to catch a
-// distributional bug in the refill buffers, the Erlang benign-cycle
-// aggregation, or the censored geometric skip counters.
+// TestBatchedMatchesUnbatchedCI cross-validates benign-cycle
+// aggregation statistically: an aggregated run and its cycle-by-cycle
+// reference (Options.noBatch, a chunk rate of 0) consume the
+// per-iteration streams differently, so they are distinct exact
+// realizations of the same process — their confidence intervals must
+// overlap. Run at 1e5 iterations per policy x kernel so the intervals
+// are tight enough to catch a distributional bug in the Erlang chunks,
+// their straddle resolution (resolveChunk), or the censored geometric
+// skip counters.
 func TestBatchedMatchesUnbatchedCI(t *testing.T) {
 	for _, pol := range policies {
 		for _, kern := range []Kernel{KernelGeneric, KernelMemoryless} {
@@ -42,14 +45,13 @@ func TestBatchedMatchesUnbatchedCI(t *testing.T) {
 	}
 }
 
-// TestIterationReplayCrossesRefillBoundaries pins the refill-buffer
-// isolation contract: an iteration's realization depends only on
-// (seed, iteration), never on how many buffered variates a previous
-// iteration left behind. A warm scratch — whose expBuf sits at an
-// arbitrary mid-buffer position after each iteration — must reproduce
+// TestIterationReplayCrossesRefillBoundaries pins iteration isolation
+// on a reused scratch: an iteration's realization depends only on
+// (seed, iteration), never on what a previous iteration left in the
+// scratch. A warm scratch, reused for 60 iterations, must reproduce
 // exactly what a cold scratch draws for the same iteration. At these
-// parameters an iteration consumes hundreds of exponentials, so every
-// lifetime crosses many expBufLen-sized refills.
+// parameters an iteration walks hundreds of holds, each drawn straight
+// off its stream.
 func TestIterationReplayCrossesRefillBoundaries(t *testing.T) {
 	const seed, mission = 99, 1e6
 	for _, pol := range policies {
@@ -57,10 +59,10 @@ func TestIterationReplayCrossesRefillBoundaries(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		warm := newScratch(&p, KernelMemoryless, false, 0)
+		warm := newScratch(&p, Options{Kernel: KernelMemoryless})
 		for it := 0; it < 60; it++ {
 			got := warm.iterate(seed, it, mission)
-			cold := newScratch(&p, KernelMemoryless, false, 0)
+			cold := newScratch(&p, Options{Kernel: KernelMemoryless})
 			if want := cold.iterate(seed, it, mission); got != want {
 				t.Fatalf("%v: iteration %d differs warm vs cold:\n%+v\n%+v", pol, it, got, want)
 			}
@@ -68,11 +70,52 @@ func TestIterationReplayCrossesRefillBoundaries(t *testing.T) {
 	}
 }
 
+// TestMemorylessIterationDrawsOnlyWhatItUses pins that a memoryless
+// kernel takes each hold straight off the iteration's stream. At
+// λ 1e-9 over a 1-hour mission the first hold outlasts the mission, so
+// an iteration draws its kernel's skip counters (drawGeomGap, race
+// gaps first, then the human-error gap) and one ExpFloat64, and must
+// leave its stream exactly there, with no variate drawn ahead.
+func TestMemorylessIterationDrawsOnlyWhatItUses(t *testing.T) {
+	const seed, mission = 7, 1.0
+	for _, pol := range policies {
+		p := PaperDefaults(4, 1e-9, 0.01)
+		p.Policy = pol
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sc := newScratch(&p, Options{Kernel: KernelMemoryless})
+		var gaps []race
+		switch pol {
+		case AutoFailover:
+			gaps = []race{sc.foK.exp1, sc.foK.opns}
+		case DualParity:
+			gaps = []race{sc.dpK.e1}
+		default:
+			gaps = []race{sc.convK.exp}
+		}
+		for it := 0; it < 100; it++ {
+			if st := sc.iterate(seed, it, mission); st != (iterStats{}) {
+				t.Fatalf("%v: iteration %d saw events within the first hold: %+v", pol, it, st)
+			}
+			want := xrand.NewStream(seed, uint64(it))
+			for _, g := range gaps {
+				drawGeomGap(want, g.gapInv, g.gapQCap)
+			}
+			drawGeomGap(want, sc.hepInv, sc.hepQCap)
+			want.ExpFloat64()
+			if sc.src != *want {
+				t.Fatalf("%v: iteration %d did not leave its stream right after its %d skip counters and one ExpFloat64",
+					pol, it, len(gaps)+1)
+			}
+		}
+	}
+}
+
 // TestScheduleIndependenceBatched repeats the schedule contract at
-// paper mission scale, where the batched walkers refill the
-// exponential buffer dozens of times per iteration and the
-// benign-cycle aggregation runs multi-chunk tails: worker count must
-// not change a single drawn lifetime.
+// paper mission scale, where the memoryless walkers run multi-chunk
+// benign-cycle aggregation and walk many holds per iteration: worker
+// count must not change a single drawn lifetime.
 func TestScheduleIndependenceBatched(t *testing.T) {
 	for _, pol := range policies {
 		p := paramsFor(pol)

@@ -91,7 +91,7 @@ func benchCell(b *testing.B, p ArrayParams, o Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
+	sc := newScratch(&p, opts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -88,9 +88,9 @@ func TestRaceWeights(t *testing.T) {
 						t.Fatalf("n=%d lambda=%g hep=%g: rates not memoryless", n, lambda, hep)
 					}
 					for _, b := range []float64{1, 1.5, 40, 1e4} {
-						conv := makeConvMemK(&p, m, b)
-						fo := makeFoMemK(&p, m, b)
-						dp := makeDpMemK(&p, m, b)
+						conv := makeConvMemK(&p, m, b, false)
+						fo := makeFoMemK(&p, m, b, false)
+						dp := makeDpMemK(&p, m, b, false)
 						races := map[string]race{
 							"conv.exp": conv.exp, "conv.du": conv.du,
 							"fo.exp1": fo.exp1, "fo.opns": fo.opns, "fo.expns1": fo.expns1,
@@ -454,7 +454,7 @@ func TestBiasedHotLoopZeroAllocs(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		sc := newScratch(&p, KernelMemoryless, false, 8.0)
+		sc := newScratch(&p, Options{Kernel: KernelMemoryless, Bias: 8})
 		it := 0
 		allocs := testing.AllocsPerRun(300, func() {
 			_ = sc.iterate(123, it, 1e5)

@@ -35,16 +35,23 @@ type convMemK struct {
 	invOP   float64 // 1/(n*lambda): all members up
 	exp, du race
 	invTape float64
+	// cycleRate, 1/(mean benign cycle), sizes aggregation chunks; 0
+	// disables them (noBatch, or an infinite first hold).
+	cycleRate float64
 }
 
-func makeConvMemK(p *ArrayParams, m memRates, bias float64) convMemK {
+func makeConvMemK(p *ArrayParams, m memRates, bias float64, noBatch bool) convMemK {
 	n := float64(p.Disks)
-	return convMemK{
+	k := convMemK{
 		invOP:   inv(n * m.lambda),
 		exp:     newRace(m.muDF, 0, n-1, m.lambda, bias),
 		du:      newRace(m.muHE, p.CrashRate, n-2, m.lambda, bias),
 		invTape: inv(m.muDDF),
 	}
+	if !noBatch && k.invOP > 0 {
+		k.cycleRate = 1 / (k.invOP + k.exp.inv)
+	}
+	return k
 }
 
 // conventionalMemoryless walks one lifetime of the conventional
@@ -71,16 +78,8 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 	// to be quiet — one failure, one clean repair, nothing else — so
 	// their elapsed time collapses to two Erlang draws per chunk (the
 	// sum of c iid holds per phase) instead of 2c exponentials.
-	// cycleRate sizes chunks at the expected cycles remaining; 0
-	// disables aggregation (noBatch reference, or a degenerate
-	// failure rate whose first hold is infinite).
-	cycleRate := 0.0
-	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.exp.inv)
-	}
-
 	for t < mission {
-		if cycleRate > 0 {
+		if k.cycleRate > 0 {
 			if raceGap < 0 || (raceGap == 0 && !raceExact) {
 				raceGap, raceExact = drawGeomGap(r, k.exp.gapInv, k.exp.gapQCap)
 			}
@@ -88,7 +87,7 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
 			}
 			for {
-				c := quietChunk((mission-t)*cycleRate, raceGap, hepGap, math.MaxInt)
+				c := quietChunk((mission-t)*k.cycleRate, raceGap, hepGap, math.MaxInt)
 				if c == 0 {
 					break
 				}
@@ -118,14 +117,14 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 			redrawn := false
 
 			// All members up; hold for the first failure.
-			t += sc.expNext() * k.invOP
+			t += r.ExpFloat64() * k.invOP
 			if t >= mission {
 				return st
 			}
 			st.events.Failures++
 
 			// Exposed: replacement service races a second member failure.
-			dt := sc.expNext() * k.exp.inv
+			dt := r.ExpFloat64() * k.exp.inv
 			if t+dt >= mission {
 				return st // exposed is up; mission ends first
 			}
@@ -164,7 +163,7 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 			st.events.HumanErrors++
 			duStart := t
 			for {
-				dt := sc.expNext() * k.du.inv
+				dt := r.ExpFloat64() * k.du.inv
 				if t+dt >= mission {
 					st.downDU += mission - duStart
 					t = mission
@@ -189,7 +188,7 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 					// backup before coming back up.
 					end := t
 					if p.ResyncAfterUndo {
-						end += sc.expNext() * k.invTape
+						end += r.ExpFloat64() * k.invTape
 					}
 					st.downDU += math.Min(end, mission) - duStart
 					t = end
@@ -222,7 +221,7 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 // DL --muDDF--> OP semantics (see the file comment for how this
 // differs, in the second order, from the clock walkers' dataLoss).
 func (sc *scratch) memDataLoss(st *iterStats, start, mission, invTape float64) float64 {
-	end := start + sc.expNext()*invTape
+	end := start + sc.src.ExpFloat64()*invTape
 	st.downDL += math.Min(end, mission) - start
 	return end
 }

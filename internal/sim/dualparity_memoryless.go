@@ -7,22 +7,28 @@ import "math"
 // or wrongly pulled): 0, 1 or 2 while up, plus the DU state where a
 // third member is inaccessible. Semantics mirror dualparity.go. e1
 // and e2 race the replacement service against a further failure with
-// one and two members missing; du is the DU state's race.
+// one and two members missing; du is the DU state's race; cycleRate
+// is as in convMemK.
 type dpMemK struct {
 	invOP      float64 // 1/(n*lambda): fully redundant
 	e1, e2, du race
 	invTape    float64
+	cycleRate  float64
 }
 
-func makeDpMemK(p *ArrayParams, m memRates, bias float64) dpMemK {
+func makeDpMemK(p *ArrayParams, m memRates, bias float64, noBatch bool) dpMemK {
 	n := float64(p.Disks)
-	return dpMemK{
+	k := dpMemK{
 		invOP:   inv(n * m.lambda),
 		e1:      newRace(m.muDF, 0, n-1, m.lambda, bias),
 		e2:      newRace(m.muDF, 0, n-2, m.lambda, bias),
 		du:      newRace(m.muHE, p.CrashRate, n-3, m.lambda, bias),
 		invTape: inv(m.muDDF),
 	}
+	if !noBatch && k.invOP > 0 {
+		k.cycleRate = 1 / (k.invOP + k.e1.inv)
+	}
+	return k
 }
 
 // dualParityMemoryless walks one lifetime of the dual-parity policy's
@@ -43,15 +49,10 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 	gap1 := -1
 	exact1 := false
 
-	cycleRate := 0.0
-	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.e1.inv)
-	}
-
 	for t < mission {
 		switch missing {
 		case 0:
-			if cycleRate > 0 {
+			if k.cycleRate > 0 {
 				// Benign-cycle aggregation: min(gap1, hepGap) quiet
 				// failure-repair cycles collapse into two-Erlang chunks
 				// (see conventionalMemoryless).
@@ -62,7 +63,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 					sc.drawHEPGap(r)
 				}
 				for {
-					c := quietChunk((mission-t)*cycleRate, gap1, sc.hepGap, math.MaxInt)
+					c := quietChunk((mission-t)*k.cycleRate, gap1, sc.hepGap, math.MaxInt)
 					if c == 0 {
 						break
 					}
@@ -80,7 +81,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 				}
 			}
 			// Fully redundant: wait for the first failure.
-			t += sc.expNext() * k.invOP
+			t += r.ExpFloat64() * k.invOP
 			if t >= mission {
 				return st
 			}
@@ -89,7 +90,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 
 		case 1:
 			// Exposed-1: repair service races a second failure.
-			dt := sc.expNext() * k.e1.inv
+			dt := r.ExpFloat64() * k.e1.inv
 			if t+dt >= mission {
 				return st
 			}
@@ -117,7 +118,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 
 		default:
 			// Exposed-2 (up, critical): repair races a third loss.
-			dt := sc.expNext() * k.e2.inv
+			dt := r.ExpFloat64() * k.e2.inv
 			if t+dt >= mission {
 				return st
 			}
@@ -141,7 +142,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 			st.events.HumanErrors++
 			duStart := t
 			for {
-				dt := sc.expNext() * k.du.inv
+				dt := r.ExpFloat64() * k.du.inv
 				if t+dt >= mission {
 					st.downDU += mission - duStart
 					return st
@@ -159,7 +160,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 					// returns to exposed-2, unless the resync policy
 					// restores everything.
 					if p.ResyncAfterUndo {
-						end := t + sc.expNext()*k.invTape
+						end := t + r.ExpFloat64()*k.invTape
 						st.downDU += math.Min(end, mission) - duStart
 						t = end
 						missing = 0

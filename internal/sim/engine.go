@@ -152,21 +152,13 @@ func memorylessRates(p *ArrayParams) (memRates, bool) {
 }
 
 const (
-	// expBufLen is the refill granularity of the scratch's rate-1
-	// exponential buffer: small enough that the draws left unread at
-	// iteration end (the buffer never carries across iterations) stay
-	// cheap — with aggregation, an iteration's individual cycles only
-	// need a handful — large enough to amortize ExpFloat64N's
-	// batching win.
-	expBufLen = 8
-
 	// aggMin and aggMax bound benign-cycle aggregation chunks. aggMin
 	// is the measured crossover: a chunk costs one Erlang draw per
 	// phase (about 11 ns each) plus its sizing and straddle check,
-	// while walking a cycle costs one buffered exponential per hold
-	// (about 3 ns), so chunks of two and three cycles are walked
-	// instead. Over the paper grid on one core, aggMin 3 and 4 ran a
-	// pass in the least CPU, 6 took 1.5% more and 2 took 6% more.
+	// while walking a cycle costs one ExpFloat64 per hold (about
+	// 6-7 ns), so chunks of two and three cycles are walked instead.
+	// Over the paper grid on one core, aggMin 3 and 4 ran a pass in
+	// the least CPU, 6 took 1.5% more and 2 took 6% more.
 	// aggMax matches the stage counts dist.ErlangFloat64 has cached
 	// constants for.
 	aggMin = 4
@@ -176,19 +168,12 @@ const (
 // scratch is one worker's reusable simulation state: the failure-clock
 // slice, an in-place reseedable stream, the resolved samplers and the
 // kernel choice. Allocated once per worker, it makes the per-iteration
-// hot loop allocation-free (pinned by TestHotLoopZeroAllocs).
+// hot loop allocation-free (pinned by TestHotLoopZeroAllocs). Walkers
+// draw straight off src, so no draw outlives its iteration.
 type scratch struct {
 	p    *ArrayParams
 	src  xrand.Source
 	fail []float64
-
-	// expPos indexes the first unread variate of expBuf (the buffer
-	// itself lives at the end of the struct, keeping the hot scalar
-	// fields on few cache lines). noBatch (test-only, from Options)
-	// bypasses both the refill buffer and benign-cycle aggregation,
-	// giving the unbatched reference realization.
-	expPos  int
-	noBatch bool
 
 	// hepGap counts the human-error Bernoulli(HEP) trials remaining
 	// before the next error fires (geometric skip sampling: one log
@@ -224,14 +209,6 @@ type scratch struct {
 	scanI1, scanI2 int
 	scanT1, scanT2 float64
 
-	// expBuf[expPos:] holds rate-1 exponentials not yet handed out;
-	// refills draw from the iteration's stream (ExpFloat64N), and
-	// iterate marks the buffer empty at each reseed, so buffered draws
-	// remain a pure function of (seed, iteration) — the buffer is
-	// logically part of the iteration's stream, never shared across
-	// iterations.
-	expBuf [expBufLen]float64
-
 	// agg holds the per-phase stage scratch of the censored chunk
 	// resolution (resolveChunk), one row per phase of the longest
 	// benign cycle, sized to the largest aggregation chunk. Cold:
@@ -239,36 +216,37 @@ type scratch struct {
 	agg [3][aggMax]float64
 }
 
-// newScratch builds a worker's scratch for the given kernel request.
+// newScratch builds a worker's scratch for a run's resolved options.
 // Kernel feasibility must have been checked beforehand (Resolve); an
 // infeasible forced request falls back to the generic walker here.
-// bias is the resolved failure-inflation factor of an importance-sampled
-// run (values <= 1 mean unbiased; Resolve refuses biased requests on
-// non-memoryless configurations before any scratch is built).
-func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
+// opts.Bias is the resolved failure-inflation factor of an
+// importance-sampled run (values <= 1 mean unbiased; Resolve refuses
+// biased requests on non-memoryless configurations before any scratch
+// is built); opts.noBatch zeroes the memoryless kernels' chunk rate.
+func newScratch(p *ArrayParams, opts Options) *scratch {
+	bias := opts.Bias
 	if bias < 1 {
 		bias = 1
 	}
 	sc := &scratch{
 		p:         p,
-		noBatch:   noBatch,
 		crashInv:  inv(p.CrashRate),
 		crash2Inv: inv(2 * p.CrashRate),
 		hepInv:    geomInv(p.HEP),
 		hepQCap:   geomQCap(p.HEP),
 	}
-	if m, ok := memorylessRates(p); ok && (k == KernelAuto || k == KernelMemoryless) {
+	if m, ok := memorylessRates(p); ok && (opts.Kernel == KernelAuto || opts.Kernel == KernelMemoryless) {
 		// The rate-based walkers never touch the failure clocks or the
 		// law samplers; skipping their construction keeps short ranges
 		// (adaptive probes, benchmark cells) off that setup cost.
 		sc.memoryless = true
 		switch p.Policy {
 		case AutoFailover:
-			sc.foK = makeFoMemK(p, m, bias)
+			sc.foK = makeFoMemK(p, m, bias, opts.noBatch)
 		case DualParity:
-			sc.dpK = makeDpMemK(p, m, bias)
+			sc.dpK = makeDpMemK(p, m, bias, opts.noBatch)
 		default:
-			sc.convK = makeConvMemK(p, m, bias)
+			sc.convK = makeConvMemK(p, m, bias, opts.noBatch)
 		}
 		return sc
 	}
@@ -290,7 +268,6 @@ func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
 func (sc *scratch) iterate(seed uint64, it int, mission float64) iterStats {
 	sc.src.SeedStream(seed, uint64(it))
 	sc.hepGap = -1
-	sc.expPos = expBufLen // discard buffered draws of the previous iteration
 	if sc.memoryless {
 		switch sc.p.Policy {
 		case AutoFailover:
@@ -436,23 +413,6 @@ func drawGeomGap(r *xrand.Source, invLn, qCap float64) (gap int, exact bool) {
 		return gapCap, false
 	}
 	return int(math.Log(u) * invLn), true
-}
-
-// expNext returns the next rate-1 exponential of the iteration's
-// stream, refilled through the buffer in expBufLen batches (see the
-// expBuf field comment). Under noBatch it draws directly, giving the
-// unbatched reference realization.
-func (sc *scratch) expNext() float64 {
-	if sc.noBatch {
-		return sc.src.ExpFloat64()
-	}
-	if sc.expPos == expBufLen {
-		sc.src.ExpFloat64N(sc.expBuf[:])
-		sc.expPos = 0
-	}
-	v := sc.expBuf[sc.expPos]
-	sc.expPos++
-	return v
 }
 
 // erlangChunk draws one Erlang(c) variate scaled by invRate — the

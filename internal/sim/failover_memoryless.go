@@ -5,7 +5,8 @@ package sim
 // mirror failover.go; disk identity is collapsed to counts (one failed
 // member, one or two pulled members) by exchangeability and
 // memorylessness. lnQuietCycle is the benign cycle's combined quiet
-// weight (EXP1 then OPns), precomputed for the chunk loop.
+// weight (EXP1 then OPns) and cycleRate its chunk rate (as in
+// convMemK), both precomputed for the chunk loop.
 type foMemK struct {
 	invOP float64 // 1/(n*lambda): wait for the first failure
 
@@ -18,9 +19,10 @@ type foMemK struct {
 
 	invTape      float64
 	lnQuietCycle float64
+	cycleRate    float64
 }
 
-func makeFoMemK(p *ArrayParams, m memRates, bias float64) foMemK {
+func makeFoMemK(p *ArrayParams, m memRates, bias float64, noBatch bool) foMemK {
 	n := float64(p.Disks)
 	crash := p.CrashRate
 	k := foMemK{
@@ -34,6 +36,9 @@ func makeFoMemK(p *ArrayParams, m memRates, bias float64) foMemK {
 		invTape: inv(m.muDDF),
 	}
 	k.lnQuietCycle = k.exp1.lnQuiet + k.opns.lnQuiet
+	if !noBatch && k.invOP > 0 {
+		k.cycleRate = 1 / (k.invOP + k.exp1.inv + k.opns.inv)
+	}
 	return k
 }
 
@@ -60,15 +65,10 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 	gap1, gap2 := -1, -1
 	exact1, exact2 := false, false
 
-	cycleRate := 0.0
-	if !sc.noBatch && k.invOP > 0 {
-		cycleRate = 1 / (k.invOP + k.exp1.inv + k.opns.inv)
-	}
-
 	for t < mission {
 		switch phase {
 		case phOP:
-			if cycleRate > 0 {
+			if k.cycleRate > 0 {
 				if gap1 < 0 || (gap1 == 0 && !exact1) {
 					gap1, exact1 = drawGeomGap(r, k.exp1.gapInv, k.exp1.gapQCap)
 				}
@@ -79,7 +79,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 					sc.drawHEPGap(r)
 				}
 				for {
-					c := quietChunk((mission-t)*cycleRate, gap1, gap2, sc.hepGap)
+					c := quietChunk((mission-t)*k.cycleRate, gap1, gap2, sc.hepGap)
 					if c == 0 {
 						break
 					}
@@ -99,7 +99,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				}
 			}
 			// n members up, hot spare present.
-			t += sc.expNext() * k.invOP
+			t += r.ExpFloat64() * k.invOP
 			if t >= mission {
 				return st
 			}
@@ -108,7 +108,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phEXP1:
 			// On-line rebuild onto the hot spare; no human involved.
-			dt := sc.expNext() * k.exp1.inv
+			dt := r.ExpFloat64() * k.exp1.inv
 			if t+dt >= mission {
 				return st // exposed but up
 			}
@@ -134,7 +134,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 		case phOPns:
 			// Technician replenishes the spare slot; a wrong pull here
 			// hits a fully redundant array (degraded, still up).
-			dt := sc.expNext() * k.opns.inv
+			dt := r.ExpFloat64() * k.opns.inv
 			if t+dt >= mission {
 				return st
 			}
@@ -161,7 +161,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 		case phEXPns1:
 			// Exposed with no spare: direct replace-and-rebuild
 			// service, racing a second member failure.
-			dt := sc.expNext() * k.expns1.inv
+			dt := r.ExpFloat64() * k.expns1.inv
 			if t+dt >= mission {
 				return st
 			}
@@ -185,7 +185,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phEXPns2:
 			// A healthy member is out; data still available (n-1 of n).
-			dt := sc.expNext() * k.expns2.inv
+			dt := r.ExpFloat64() * k.expns2.inv
 			if t+dt >= mission {
 				return st
 			}
@@ -221,7 +221,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phDUns1:
 			// One failed + one pulled: unavailable until undone.
-			dt := sc.expNext() * k.du1.inv
+			dt := r.ExpFloat64() * k.du1.inv
 			if t+dt >= mission {
 				st.downDU += mission - duStart
 				return st
@@ -258,7 +258,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 
 		case phDUns2:
 			// Two healthy members pulled (double human error).
-			dt := sc.expNext() * k.du2.inv
+			dt := r.ExpFloat64() * k.du2.inv
 			if t+dt >= mission {
 				st.downDU += mission - duStart
 				return st

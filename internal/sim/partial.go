@@ -214,7 +214,7 @@ func execute(p *ArrayParams, opts Options, cells []Range, stop <-chan struct{}, 
 	var next atomic.Int64
 	var halt atomic.Bool
 	work := func() {
-		sc := newScratch(p, opts.Kernel, opts.noBatch, opts.Bias)
+		sc := newScratch(p, opts)
 		for !halt.Load() {
 			select {
 			case <-stop:

@@ -88,7 +88,7 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			sc := newScratch(&p, kern, false, 0)
+			sc := newScratch(&p, Options{Kernel: kern})
 			if sc.memoryless != (kern == KernelMemoryless) {
 				t.Fatalf("%v/%v: kernel not resolved as requested", pol, kern)
 			}
@@ -117,7 +117,7 @@ func TestHotLoopZeroAllocsNonExponential(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sc := newScratch(&p, KernelAuto, false, 0)
+	sc := newScratch(&p, Options{Kernel: KernelAuto})
 	if sc.memoryless {
 		t.Fatal("non-exponential config specialized to the memoryless kernel")
 	}

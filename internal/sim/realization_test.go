@@ -11,7 +11,7 @@ import (
 
 // pinnedRealization is the Realization the digest table of
 // TestRealizationPinned was pinned at.
-const pinnedRealization = 5
+const pinnedRealization = 6
 
 // TestRealizationPinned pins every kernel's realization: for each
 // policy and each walker (the memoryless kernel, its failure-biased
@@ -29,18 +29,18 @@ func TestRealizationPinned(t *testing.T) {
 			Realization, pinnedRealization, Realization)
 	}
 	want := map[string]string{
-		"conventional/memoryless":  "6ceb8d9a667a77d4",
-		"conventional/bias-auto":   "522029c7ff21998b",
+		"conventional/memoryless":  "e6eaff1e4ae5798d",
+		"conventional/bias-auto":   "f192784878ce31d9",
 		"conventional/generic":     "09d6b1b82ca2f8e0",
 		"conventional/nobatch":     "6cb93e842e0e42b6",
 		"conventional/weibull":     "4a50fda123123ce7",
-		"auto-failover/memoryless": "dc86cda4337168cc",
-		"auto-failover/bias-auto":  "2289cc3b5a6bbabc",
+		"auto-failover/memoryless": "d8fab5f356006bf4",
+		"auto-failover/bias-auto":  "13fa95135f674665",
 		"auto-failover/generic":    "1fad168bdb1c144b",
 		"auto-failover/nobatch":    "2abab00f4cffaf05",
 		"auto-failover/weibull":    "292104f176f48401",
-		"dual-parity/memoryless":   "f02ddbc9713b92ec",
-		"dual-parity/bias-auto":    "450f45f8dcf00a36",
+		"dual-parity/memoryless":   "5bf20efa7843085f",
+		"dual-parity/bias-auto":    "73e78de9c2eb088e",
 		"dual-parity/generic":      "df3bc985fc0636f6",
 		"dual-parity/nobatch":      "1fae417f8d66acba",
 		"dual-parity/weibull":      "a05e95b0f6af6725",

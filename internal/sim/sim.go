@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 5
+const Realization = 6
 
 // Options controls a Monte-Carlo run.
 type Options struct {
@@ -354,11 +354,10 @@ type Options struct {
 	// unbiased fingerprints, checkpoints and cache keys are unchanged.
 	Bias float64 `json:"Bias,omitempty"`
 
-	// noBatch disables the batching transforms of the hot loop — the
-	// exponential refill buffer and benign-cycle Erlang aggregation —
-	// yielding the unbatched reference realization. Test-only
-	// (unexported, settable from package tests); it never crosses the
-	// JSON wire and does not participate in run fingerprints.
+	// noBatch turns off the memoryless kernels' benign-cycle Erlang
+	// aggregation (newScratch zeroes their chunk rate), yielding the
+	// cycle-by-cycle reference realization. Test-only (unexported); it
+	// never crosses the JSON wire and does not enter run fingerprints.
 	noBatch bool
 }
 
