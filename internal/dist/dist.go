@@ -23,11 +23,11 @@
 // Where exactly one uniform per variate matters, draw
 // Quantile(r.OpenFloat64()) instead.
 //
-// Constructors precompute per-instance constants (Weibull's 1/k,
-// Gamma's Marsaglia-Tsang d and c plus Wilson-Hilferty starting
-// points); laws built as composite literals re-derive the same
-// constants on the fly, so a literal law and the constructor-built
-// law a shard worker rebuilds from its Spec draw bit-identically.
+// Constructors precompute per-instance constants (Exponential's
+// 1/rate, Weibull's 1/k, Gamma's Marsaglia-Tsang d and c); laws built
+// as composite literals re-derive the same constants on the fly, so a
+// literal law and the constructor-built law a shard worker rebuilds
+// from its Spec draw bit-identically.
 //
 // # Families and parameterizations
 //
@@ -126,8 +126,7 @@ func checkProb(law string, p float64) {
 // configuration whose laws all answer true admits the constant-hazard
 // (CTMC-equivalent) treatment — competing risks collapse to one
 // rate-based draw per event with no per-entity clocks — which
-// internal/sim compiles onto its memoryless walkers, and its generic
-// walkers draw such a law inline from the rate.
+// internal/sim compiles onto its memoryless walkers.
 func Memoryless(d Distribution) (rate float64, ok bool) {
 	switch e := d.(type) {
 	case Exponential:

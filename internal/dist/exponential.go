@@ -14,22 +14,30 @@ import (
 type Exponential struct {
 	// Rate is the hazard (1/h); the mean is 1/Rate.
 	Rate float64
+	// invRate caches 1/Rate for Sample; the constructor fills it, a
+	// literal struct leaves it zero and Sample derives the same value.
+	invRate float64
 }
 
 // NewExponential returns the exponential law with the given rate
 // (1/h). It panics if rate is not finite and positive.
 func NewExponential(rate float64) Exponential {
 	checkPositive("exponential", "rate", rate)
-	return Exponential{Rate: rate}
+	return Exponential{Rate: rate, invRate: 1 / rate}
 }
 
 // Sample draws a rate-1 exponential from the stream's ziggurat
-// sampler and rescales by Rate. Stream consumption per draw is
+// sampler and multiplies it by the cached 1/Rate, which is cheaper
+// than dividing by Rate on every draw. Stream consumption per draw is
 // variable (see xrand.Source.ExpFloat64); use an inverse-CDF draw via
 // Quantile(r.OpenFloat64()) where exactly one uniform per variate
 // matters.
 func (e Exponential) Sample(r *xrand.Source) float64 {
-	return r.ExpFloat64() / e.Rate
+	inv := e.invRate
+	if inv == 0 {
+		inv = 1 / e.Rate
+	}
+	return r.ExpFloat64() * inv
 }
 
 // Mean returns 1/Rate.

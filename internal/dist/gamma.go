@@ -18,12 +18,10 @@ type Gamma struct {
 	Rate float64
 	// mtD and mtC cache Sample's Marsaglia-Tsang rejection constants
 	// d = a' - 1/3 and c = 1/(3 sqrt(d)) for the shape it draws at,
-	// a' = Shape, or Shape+1 below 1; whB and whC cache the
-	// Wilson-Hilferty starting-point constants 1 - 1/(9a) and
-	// 1/(3 sqrt(a)) for Quantile. Constructors fill them; literal
-	// structs leave them zero and the methods re-derive the same
-	// values on the fly, so both draw bit-identically.
-	mtD, mtC, whB, whC float64
+	// a' = Shape, or Shape+1 below 1. Constructors fill them; literal
+	// structs leave them zero and Sample re-derives the same values on
+	// the fly, so both draw bit-identically.
+	mtD, mtC float64
 }
 
 // NewGamma returns the gamma law with the given shape and rate. It
@@ -33,7 +31,6 @@ func NewGamma(shape, rate float64) Gamma {
 	checkPositive("gamma", "rate", rate)
 	g := Gamma{Shape: shape, Rate: rate}
 	g.mtD, g.mtC = mtConstants(shape)
-	g.whB, g.whC = whConstants(shape)
 	return g
 }
 
@@ -47,12 +44,6 @@ func mtConstants(a float64) (d, c float64) {
 	d = a - 1.0/3
 	c = 1 / (3 * math.Sqrt(d))
 	return d, c
-}
-
-// whConstants returns the Wilson-Hilferty cube-approximation constants
-// for shape a.
-func whConstants(a float64) (b, c float64) {
-	return 1 - 1/(9*a), 1 / (3 * math.Sqrt(a))
 }
 
 // NewErlang returns the Erlang-k law: the sum of k independent
@@ -140,14 +131,9 @@ func (g Gamma) Quantile(p float64) float64 {
 	a := g.Shape
 
 	// Wilson-Hilferty: Gamma(a,1) is approximately a*(1 - 1/(9a) +
-	// z/(3 sqrt(a)))^3 at normal quantile z, with the two constants
-	// cached per instance.
-	whB, whC := g.whB, g.whC
-	if whB == 0 {
-		whB, whC = whConstants(a)
-	}
+	// z/(3 sqrt(a)))^3 at normal quantile z.
 	z := NormQuantile(p)
-	t := whB + z*whC
+	t := (1 - 1/(9*a)) + z*(1/(3*math.Sqrt(a)))
 	x := a * t * t * t
 	if x <= 0 || a < 1 {
 		// Small-shape / deep-tail fallback: invert the leading series

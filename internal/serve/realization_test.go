@@ -1,10 +1,12 @@
 package serve_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,11 +18,12 @@ import (
 	"herald/internal/sim"
 )
 
-// labelledFingerprint transcribes shard.RunFingerprint with its domain
-// label given: this build's label reproduces it, and realization 1's
-// label, "herald-run-fp-v1", gives the key a pre-bump build cached a
-// run under.
-func labelledFingerprint(p shard.WireParams, o sim.Options, label string) string {
+// fingerprintInput transcribes the bytes shard.RunFingerprint hashes,
+// with the domain label given: this build's label, hashed with
+// SHA-256, reproduces the fingerprint, and realization 1's label,
+// "herald-run-fp-v1", hashed with 64-bit FNV-1a, gives the key a
+// pre-bump build cached a run under.
+func fingerprintInput(p shard.WireParams, o sim.Options, label string) []byte {
 	o.Workers = 0
 	if o.Confidence == 0 {
 		o.Confidence = 0.99
@@ -28,12 +31,12 @@ func labelledFingerprint(p shard.WireParams, o sim.Options, label string) string
 	if o.Bias == 1 {
 		o.Bias = 0
 	}
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, label+"\n")
-	enc := json.NewEncoder(h)
+	var b bytes.Buffer
+	b.WriteString(label + "\n")
+	enc := json.NewEncoder(&b)
 	_ = enc.Encode(p)
 	_ = enc.Encode(o)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return b.Bytes()
 }
 
 // TestSnapshotOfAnotherRealizationNeverServed pins what the realization
@@ -57,11 +60,14 @@ func TestSnapshotOfAnotherRealizationNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	current := labelledFingerprint(wire, o, fmt.Sprintf("herald-run-fp-v1 realization %d", sim.Realization))
+	sum := sha256.Sum256(fingerprintInput(wire, o, fmt.Sprintf("herald-run-fp-v2 realization %d", sim.Realization)))
+	current := hex.EncodeToString(sum[:16])
 	if fp != rr.Fingerprint || current != fp {
 		t.Fatalf("served fingerprint %s, shard.Identify %s, transcription %s: want one key", rr.Fingerprint, fp, current)
 	}
-	old := labelledFingerprint(wire, o, "herald-run-fp-v1")
+	h := fnv.New64a()
+	_, _ = h.Write(fingerprintInput(wire, o, "herald-run-fp-v1"))
+	old := fmt.Sprintf("%016x", h.Sum64())
 
 	cf := filepath.Join(t.TempDir(), "cache.ndjson")
 	snap := fmt.Appendf(nil, "{\"type\":\"header\",\"format\":\"herald-result-cache\",\"v\":1}\n%s",

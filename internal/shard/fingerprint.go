@@ -1,9 +1,10 @@
 package shard
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"herald/internal/sim"
 )
@@ -11,10 +12,12 @@ import (
 // RunFingerprint canonically identifies a run's *result*: every
 // result-affecting input — the wire-encoded parameters and the options,
 // with schedule-only knobs (Workers) zeroed and defaults normalized —
-// hashed with FNV-1a over canonical JSON. Because execution is
-// bit-identical across worker and shard counts, two runs with equal
-// fingerprints produce byte-identical Summaries — an exact cache key,
-// not an approximate one. A checkpoint binds this fingerprint alone:
+// hashed with SHA-256 over canonical JSON and truncated to 128 bits,
+// 32 lowercase hex digits. Because execution is bit-identical across
+// worker and shard counts, two runs with equal fingerprints produce
+// byte-identical Summaries — an exact cache key, not an approximate
+// one: a request crafted to take over another's cache entry needs a
+// 128-bit second preimage. A checkpoint binds this fingerprint alone:
 // its records are canonical cells, whoever claimed them.
 //
 // The domain label carries sim.Realization, so a build whose kernels
@@ -31,12 +34,12 @@ func RunFingerprint(p WireParams, o sim.Options) string {
 	if o.Bias == 1 {
 		o.Bias = 0 // an explicit factor of 1 is off; one run either way
 	}
-	h := fnv.New64a()
-	_, _ = fmt.Fprintf(h, "herald-run-fp-v1 realization %d\n", sim.Realization)
+	h := sha256.New()
+	_, _ = fmt.Fprintf(h, "herald-run-fp-v2 realization %d\n", sim.Realization)
 	enc := json.NewEncoder(h)
 	_ = enc.Encode(p)
 	_ = enc.Encode(o)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Identify resolves a run to the options it executes with

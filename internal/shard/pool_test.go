@@ -443,7 +443,7 @@ func TestRunFingerprintStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "9a6b8a39f9f585ed"
+	const want = "0645b768eb3066af6d9a3418ffd917e6"
 	if fp != want {
 		t.Errorf("fingerprint drifted: got %s, want %s", fp, want)
 	}

@@ -18,16 +18,11 @@ func (sc *scratch) conventional(mission float64) iterStats {
 	p, r := sc.p, &sc.src
 	n := p.Disks
 	fail := sc.fail
-	sc.ttf.sampleN(r, fail)
+	for i := range fail {
+		fail[i] = p.TTF.Sample(r)
+	}
 	var st iterStats
 	t := 0.0
-
-	// The repair and TTF draws run once per failure event; hoisting
-	// the inverse rates lets the expInv fast path inline here, with
-	// the interface dispatch outlined to the rare non-memoryless case
-	// (see expInv's inlining note).
-	repairInv := sc.repair.invRate
-	ttfInv := sc.ttf.invRate
 
 	for t < mission {
 		// All members nominally present; wait for the first failure.
@@ -54,11 +49,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 		t = tFail
 
 		// Exposed: replacement service races a second member failure.
-		svc := expInv(r, repairInv)
-		if repairInv == 0 {
-			svc = sc.repair.sampleSlow(r)
-		}
-		repairEnd := t + svc
+		repairEnd := t + p.Repair.Sample(r)
 		if tSecond < repairEnd {
 			if tSecond >= mission {
 				break // exposed is up; mission ends first
@@ -75,11 +66,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 		t = repairEnd
 		if !sc.hepTrial(r) {
 			// Correct replacement: the failed member is fresh.
-			life := expInv(r, ttfInv)
-			if ttfInv == 0 {
-				life = sc.ttf.sampleSlow(r)
-			}
-			fail[fi] = t + life
+			fail[fi] = t + p.TTF.Sample(r)
 			continue
 		}
 
@@ -92,7 +79,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 		cur := t
 		resolved := false
 		for !resolved {
-			attemptEnd := cur + sc.herec.sample(r)
+			attemptEnd := cur + p.HERecovery.Sample(r)
 			crashAt := cur + expInv(r, sc.crashInv)
 			oi, tOther := nextFailure(fail, cur, fi, pi)
 			next := math.Min(attemptEnd, math.Min(crashAt, tOther))
@@ -130,10 +117,10 @@ func (sc *scratch) conventional(mission float64) iterStats {
 				// backup before coming back up.
 				end := attemptEnd
 				if p.ResyncAfterUndo {
-					end += sc.tape.sample(r)
+					end += p.TapeRestore.Sample(r)
 				}
 				st.downDU += math.Min(end, mission) - duStart
-				fail[fi] = end + sc.ttf.sample(r)
+				fail[fi] = end + p.TTF.Sample(r)
 				t = end
 				resolved = true
 			}
@@ -146,15 +133,15 @@ func (sc *scratch) conventional(mission float64) iterStats {
 // from backup, refreshes the two lost members, and returns the time
 // the array is operational again (clipped at mission end).
 func (sc *scratch) dataLoss(st *iterStats, start, mission float64, d1, d2 int) float64 {
-	r := &sc.src
-	restoreEnd := start + sc.tape.sample(r)
+	p, r := sc.p, &sc.src
+	restoreEnd := start + p.TapeRestore.Sample(r)
 	end := math.Min(restoreEnd, mission)
 	st.downDL += end - start
 	if d1 != noDisk {
-		sc.fail[d1] = restoreEnd + sc.ttf.sample(r)
+		sc.fail[d1] = restoreEnd + p.TTF.Sample(r)
 	}
 	if d2 != noDisk {
-		sc.fail[d2] = restoreEnd + sc.ttf.sample(r)
+		sc.fail[d2] = restoreEnd + p.TTF.Sample(r)
 	}
 	sc.clocksChanged()
 	return restoreEnd

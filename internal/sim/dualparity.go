@@ -21,7 +21,9 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 	p, r := sc.p, &sc.src
 	n := p.Disks
 	fail := sc.fail
-	sc.ttf.sampleN(r, fail)
+	for i := range fail {
+		fail[i] = p.TTF.Sample(r)
+	}
 	var st iterStats
 	t := 0.0
 	// missing tracks the indices currently failed or wrongly pulled
@@ -41,7 +43,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 
 		case down2 == noDisk:
 			// Exposed-1: repair service races a second failure.
-			svcEnd := t + sc.repair.sample(r)
+			svcEnd := t + p.Repair.Sample(r)
 			si, tSecond := nextFailure(fail, t, down1, noDisk)
 			if math.Min(svcEnd, tSecond) >= mission {
 				return st
@@ -53,7 +55,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 			}
 			t = svcEnd
 			if !sc.hepTrial(r) {
-				fail[down1] = t + sc.ttf.sample(r)
+				fail[down1] = t + p.TTF.Sample(r)
 				down1 = noDisk
 				continue
 			}
@@ -65,7 +67,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 		default:
 			// Exposed-2 (up, critical): repair service races a third
 			// loss.
-			svcEnd := t + sc.repair.sample(r)
+			svcEnd := t + p.Repair.Sample(r)
 			oi, tThird := nextFailure(fail, t, down1, down2)
 			if math.Min(svcEnd, tThird) >= mission {
 				return st
@@ -75,14 +77,14 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 				st.events.Failures++
 				st.events.DoubleFailures++
 				t = sc.dataLoss(&st, tThird, mission, down1, down2)
-				fail[oi] = t + sc.ttf.sample(r)
+				fail[oi] = t + p.TTF.Sample(r)
 				down1, down2 = noDisk, noDisk
 				continue
 			}
 			t = svcEnd
 			if !sc.hepTrial(r) {
 				// One member repaired; back to exposed-1.
-				fail[down1] = t + sc.ttf.sample(r)
+				fail[down1] = t + p.TTF.Sample(r)
 				down1, down2 = down2, noDisk
 				continue
 			}
@@ -93,7 +95,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 			duStart := t
 			cur := t
 			for {
-				attemptEnd := cur + sc.herec.sample(r)
+				attemptEnd := cur + p.HERecovery.Sample(r)
 				crashAt := cur + expInv(r, sc.crashInv)
 				xi, tOther := nextFailure3(fail, cur, down1, down2, pulled)
 				next := math.Min(attemptEnd, math.Min(crashAt, tOther))
@@ -107,8 +109,8 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 					st.events.DoubleFailures++
 					st.downDU += tOther - duStart
 					t = sc.dataLoss(&st, tOther, mission, down1, down2)
-					fail[pulled] = t + sc.ttf.sample(r)
-					fail[xi] = t + sc.ttf.sample(r)
+					fail[pulled] = t + p.TTF.Sample(r)
+					fail[xi] = t + p.TTF.Sample(r)
 					down1, down2 = noDisk, noDisk
 					break
 				}
@@ -116,7 +118,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 					st.events.Crashes++
 					st.downDU += crashAt - duStart
 					t = sc.dataLoss(&st, crashAt, mission, down1, down2)
-					fail[pulled] = t + sc.ttf.sample(r)
+					fail[pulled] = t + p.TTF.Sample(r)
 					down1, down2 = noDisk, noDisk
 					break
 				}
@@ -131,10 +133,10 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 				// unless the resync policy restores everything.
 				end := attemptEnd
 				if p.ResyncAfterUndo {
-					end += sc.tape.sample(r)
+					end += p.TapeRestore.Sample(r)
 					st.downDU += math.Min(end, mission) - duStart
-					fail[down1] = end + sc.ttf.sample(r)
-					fail[down2] = end + sc.ttf.sample(r)
+					fail[down1] = end + p.TTF.Sample(r)
+					fail[down2] = end + p.TTF.Sample(r)
 					down1, down2 = noDisk, noDisk
 				} else {
 					st.downDU += attemptEnd - duStart

@@ -7,57 +7,6 @@ import (
 	"herald/internal/xrand"
 )
 
-// sampler caches the devirtualized fast path for one distribution,
-// resolved once per worker instead of per draw: memoryless laws
-// (rate > 0, see dist.Memoryless) are drawn inline via
-// expInv(r, invRate) with no interface dispatch, and every other law
-// through its one Sample method, for an iteration's first clock fill
-// and every later draw alike.
-type sampler struct {
-	d dist.Distribution
-	// rate > 0 marks a memoryless law; invRate caches 1/rate so the
-	// hot path multiplies instead of divides (the values differ from
-	// Exponential.Sample in the last ulp, which the stream-level
-	// determinism contract permits).
-	rate    float64
-	invRate float64
-}
-
-// newSampler resolves d's fast path; a nil law (one the policy never
-// draws) resolves to none.
-func newSampler(d dist.Distribution) sampler {
-	sp := sampler{d: d}
-	if rate, ok := dist.Memoryless(d); ok {
-		sp.rate = rate
-		sp.invRate = 1 / rate
-	}
-	return sp
-}
-
-// sample draws one variate: inline exponential draws when the law
-// allows it, one interface dispatch otherwise.
-func (sp *sampler) sample(r *xrand.Source) float64 {
-	if sp.rate > 0 {
-		return expInv(r, sp.invRate)
-	}
-	return sp.sampleSlow(r)
-}
-
-func (sp *sampler) sampleSlow(r *xrand.Source) float64 { return sp.d.Sample(r) }
-
-// sampleN fills dst with independent draws, each as sample draws it.
-func (sp *sampler) sampleN(r *xrand.Source, dst []float64) {
-	if sp.rate > 0 {
-		for i := range dst {
-			dst[i] = expInv(r, sp.invRate)
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = sp.d.Sample(r)
-	}
-}
-
 // memRates are the hazard rates of a fully memoryless configuration —
 // the input of the rate-based kernels. muHE is 0 when HEP is 0 (the
 // undo law is never drawn); muS and muCH are 0 outside AutoFailover.
@@ -166,10 +115,11 @@ const (
 )
 
 // scratch is one worker's reusable simulation state: the failure-clock
-// slice, an in-place reseedable stream, the resolved samplers and the
-// kernel choice. Allocated once per worker, it makes the per-iteration
-// hot loop allocation-free (pinned by TestHotLoopZeroAllocs). Walkers
-// draw straight off src, so no draw outlives its iteration.
+// slice, an in-place reseedable stream and the kernel choice.
+// Allocated once per worker, it makes the per-iteration hot loop
+// allocation-free (pinned by TestHotLoopZeroAllocs). Walkers draw
+// straight off src, each law through its own Sample on p, so no draw
+// outlives its iteration.
 type scratch struct {
 	p    *ArrayParams
 	src  xrand.Source
@@ -187,8 +137,6 @@ type scratch struct {
 	hepExact bool
 	hepInv   float64
 	hepQCap  float64
-
-	ttf, repair, tape, herec, rebuild, swap sampler
 
 	// crashInv / crash2Inv cache the inverse crash-clock rates for
 	// expInv (0 when the disks never crash while pulled).
@@ -236,9 +184,9 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 		hepQCap:   geomQCap(p.HEP),
 	}
 	if m, ok := memorylessRates(p); ok && (opts.Kernel == KernelAuto || opts.Kernel == KernelMemoryless) {
-		// The rate-based walkers never touch the failure clocks or the
-		// law samplers; skipping their construction keeps short ranges
-		// (adaptive probes, benchmark cells) off that setup cost.
+		// The rate-based walkers never touch the failure clocks;
+		// skipping their allocation keeps short ranges (adaptive
+		// probes, benchmark cells) off that setup cost.
 		sc.memoryless = true
 		switch p.Policy {
 		case AutoFailover:
@@ -251,12 +199,6 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 		return sc
 	}
 	sc.fail = make([]float64, p.Disks)
-	sc.ttf = newSampler(p.TTF)
-	sc.repair = newSampler(p.Repair)
-	sc.tape = newSampler(p.TapeRestore)
-	sc.herec = newSampler(p.HERecovery)
-	sc.rebuild = newSampler(p.SpareRebuild)
-	sc.swap = newSampler(p.SpareSwap)
 	return sc
 }
 

@@ -32,7 +32,9 @@ func (sc *scratch) failover(mission float64) iterStats {
 	p, r := sc.p, &sc.src
 	n := p.Disks
 	fail := sc.fail
-	sc.ttf.sampleN(r, fail)
+	for i := range fail {
+		fail[i] = p.TTF.Sample(r)
+	}
 	var st iterStats
 	t := 0.0
 	phase := phOP
@@ -45,13 +47,12 @@ func (sc *scratch) failover(mission float64) iterStats {
 		case phOP:
 			// Phase-fused benign cycle: OP -> EXP1 -> OPns -> OP is by
 			// far the dominant path, so it runs in one loop with no
-			// phase dispatch between its stages. Exponential holding
-			// times inline (the sampler's memoryless fast path,
-			// hoisted); any branch off the benign path sets the phase
-			// and falls back to the dispatcher. Minima are explicit
-			// comparisons throughout the walker: math.Min is a function
-			// call (not an intrinsic here) and its NaN/±0 handling buys
-			// nothing for event times.
+			// phase dispatch between its stages; any branch off the
+			// benign path sets the phase and falls back to the
+			// dispatcher. Minima are explicit comparisons throughout
+			// the walker: math.Min is a function call (not an
+			// intrinsic here) and its NaN/±0 handling buys nothing for
+			// event times.
 			for {
 				idx, tFail := sc.cachedNextFailure(t, noDisk)
 				if tFail >= mission {
@@ -62,12 +63,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 
 				// EXP1: on-line rebuild onto the hot spare; no human
 				// involved.
-				rebEnd := t
-				if sc.rebuild.rate > 0 {
-					rebEnd += r.ExpFloat64() * sc.rebuild.invRate
-				} else {
-					rebEnd += sc.rebuild.sampleSlow(r)
-				}
+				rebEnd := t + p.SpareRebuild.Sample(r)
 				si, tSecond := sc.cachedNextFailure(t, fi)
 				if rebEnd >= mission && tSecond >= mission {
 					return st // exposed but up
@@ -83,19 +79,14 @@ func (sc *scratch) failover(mission float64) iterStats {
 					continue
 				}
 				// Spare now carries the failed member's data.
-				fail[fi] = rebEnd + sc.ttf.sample(r)
+				fail[fi] = rebEnd + p.TTF.Sample(r)
 				sc.clocksChanged()
 				fi, t = noDisk, rebEnd
 
 				// OPns: technician replenishes the spare slot; a wrong
 				// pull here hits a fully redundant array (degraded,
 				// still up).
-				swapEnd := t
-				if sc.swap.rate > 0 {
-					swapEnd += r.ExpFloat64() * sc.swap.invRate
-				} else {
-					swapEnd += sc.swap.sampleSlow(r)
-				}
+				swapEnd := t + p.SpareSwap.Sample(r)
 				idx, tFail = sc.cachedNextFailure(t, noDisk)
 				if swapEnd >= mission && tFail >= mission {
 					return st
@@ -119,7 +110,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 			// Mid-cycle entry only (after a restore or a no-spare
 			// service completion): one swap step, then the benign
 			// cycle re-enters the fused phOP loop.
-			swapEnd := t + sc.swap.sample(r)
+			swapEnd := t + p.SpareSwap.Sample(r)
 			idx, tFail := sc.cachedNextFailure(t, noDisk)
 			if swapEnd >= mission && tFail >= mission {
 				return st
@@ -141,7 +132,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 		case phEXPns1:
 			// Exposed with no spare: direct replace-and-rebuild
 			// service, racing a second member failure.
-			svcEnd := t + sc.repair.sample(r)
+			svcEnd := t + p.Repair.Sample(r)
 			si, tSecond := sc.cachedNextFailure(t, fi)
 			if svcEnd >= mission && tSecond >= mission {
 				return st
@@ -155,7 +146,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 			}
 			t = svcEnd
 			if !sc.hepTrial(r) {
-				fail[fi] = t + sc.ttf.sample(r)
+				fail[fi] = t + p.TTF.Sample(r)
 				sc.clocksChanged()
 				fi, phase = noDisk, phOPns
 				continue
@@ -166,7 +157,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 
 		case phEXPns2:
 			// A healthy member is out; data still available (n-1 of n).
-			attemptEnd := t + sc.herec.sample(r)
+			attemptEnd := t + p.HERecovery.Sample(r)
 			crashAt := t + expInv(r, sc.crashInv)
 			idx, tFail := sc.cachedNextFailure(t, pi)
 			next := attemptEnd
@@ -211,7 +202,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 			duStart := t
 			cur := t
 			for phase == phDUns1 {
-				attemptEnd := cur + sc.herec.sample(r)
+				attemptEnd := cur + p.HERecovery.Sample(r)
 				crashAt := cur + expInv(r, sc.crashInv)
 				oi, tOther := nextFailure(fail, cur, fi, pi)
 				next := attemptEnd
@@ -232,7 +223,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 					st.events.DoubleFailures++
 					st.downDU += tOther - duStart
 					t = sc.dataLoss(&st, tOther, mission, fi, oi)
-					fail[pi] = t + sc.ttf.sample(r) // re-seated fresh by the restore service
+					fail[pi] = t + p.TTF.Sample(r) // re-seated fresh by the restore service
 					sc.clocksChanged()
 					fi, pi, phase = noDisk, noDisk, phOPns
 				case crashAt:
@@ -259,7 +250,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 			duStart := t
 			cur := t
 			for phase == phDUns2 {
-				attemptEnd := cur + sc.herec.sample(r)
+				attemptEnd := cur + p.HERecovery.Sample(r)
 				crashAt := cur + expInv(r, sc.crash2Inv)
 				oi, tOther := nextFailure(fail, cur, pi, pi2)
 				next := attemptEnd
@@ -280,7 +271,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 					st.events.DoubleFailures++
 					st.downDU += tOther - duStart
 					t = sc.dataLoss(&st, tOther, mission, oi, pi)
-					fail[pi2] = t + sc.ttf.sample(r)
+					fail[pi2] = t + p.TTF.Sample(r)
 					sc.clocksChanged()
 					fi, pi, pi2, phase = noDisk, noDisk, noDisk, phOPns
 				case crashAt:

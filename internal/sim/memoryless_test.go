@@ -71,6 +71,43 @@ func TestKernelResolution(t *testing.T) {
 	}
 }
 
+// opaque hides a law from dist.Memoryless: it draws, and answers every
+// other method, through the embedded law, but is none of the types
+// Memoryless recognizes.
+type opaque struct{ dist.Distribution }
+
+// TestGenericWalkersDrawEachLawThroughItsSample pins the generic
+// walkers' one draw path per law: whether dist.Memoryless recognizes a
+// law must not change how a generic run draws it. For each policy, a
+// run with a shape-1 Weibull TTF and a shape-1 Gamma repair, both
+// memoryless, must marshal to the same Summary bytes as the same run
+// with every law hidden from Memoryless.
+func TestGenericWalkersDrawEachLawThroughItsSample(t *testing.T) {
+	for _, pol := range policies {
+		p := PaperDefaults(4, 1e-4, 0.01)
+		p.Policy = pol
+		p.TTF = dist.NewWeibull(1, 1e4)
+		p.Repair = dist.NewGamma(1, 0.1)
+		hidden := p
+		for _, d := range []*dist.Distribution{&hidden.TTF, &hidden.Repair, &hidden.TapeRestore,
+			&hidden.HERecovery, &hidden.SpareRebuild, &hidden.SpareSwap} {
+			*d = opaque{*d}
+		}
+		o := Options{Iterations: 4096, MissionTime: 2e5, Seed: 20170327, Workers: 2, Kernel: KernelGeneric}
+		var got [2]string
+		for i, q := range []ArrayParams{p, hidden} {
+			s, err := Run(q, o)
+			if err != nil {
+				t.Fatalf("%v: %v", pol, err)
+			}
+			got[i] = summaryJSON(t, s)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%v: the recognized laws realize\n%s\nand the same laws hidden from dist.Memoryless\n%s", pol, got[0], got[1])
+		}
+	}
+}
+
 func TestForcedMemorylessRejectsGenericLaws(t *testing.T) {
 	p := PaperDefaults(4, 1e-4, 0.01)
 	p.TTF = dist.WeibullFromMeanRate(1e-4, 1.48)

@@ -11,7 +11,7 @@ import (
 
 // pinnedRealization is the Realization the digest table of
 // TestRealizationPinned was pinned at.
-const pinnedRealization = 6
+const pinnedRealization = 7
 
 // TestRealizationPinned pins every kernel's realization: for each
 // policy and each walker (the memoryless kernel, its failure-biased

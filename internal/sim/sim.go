@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 6
+const Realization = 7
 
 // Options controls a Monte-Carlo run.
 type Options struct {
@@ -650,13 +650,12 @@ func Run(p ArrayParams, o Options) (Summary, error) {
 
 // expInv draws an exponential variate given the precomputed inverse
 // rate; +Inf when invRate is 0 (rate-0 events never fire, see inv).
-// It is the one consolidated exponential fast path of every walker —
-// the crash-clock draws, the hot-loop service/TTF draws and the
-// memoryless kernels' holding-time draws all go through it. Keeping
-// the function to a single call plus a hoisted constant leaves it
-// within the compiler's inlining budget (go build -gcflags=-m:
-// "can inline expInv"), so the draw compiles to the bare ziggurat
-// call and one multiply at every call site.
+// It draws the generic walkers' crash clocks, the one hold that comes
+// from a rate (ArrayParams.CrashRate) rather than a law; every other
+// hold is drawn through its law's Sample. The function stays within
+// the compiler's inlining budget (go build -gcflags=-m: "can inline
+// expInv"), so the draw compiles to the bare ziggurat call and one
+// multiply at every call site.
 func expInv(r *xrand.Source, invRate float64) float64 {
 	if invRate <= 0 {
 		return plusInf

@@ -46,7 +46,7 @@ R1="$(curl -sf -X POST "http://127.0.0.1:$PORT/v1/run" -d "$REQ")"
 echo "$R1" | head -c 400; echo
 echo "$R1" | grep -q '"Availability":'   || { echo "FAIL: no Availability in response"; exit 1; }
 echo "$R1" | grep -q '"cached":false'    || { echo "FAIL: first request claimed cached"; exit 1; }
-echo "$R1" | grep -q '"fingerprint":"'   || { echo "FAIL: no fingerprint"; exit 1; }
+echo "$R1" | grep -qE '"fingerprint":"[0-9a-f]{32}"' || { echo "FAIL: no 32-hex-digit fingerprint"; exit 1; }
 
 echo "--- repeat request (cache hit) ---"
 R2="$(curl -sf -X POST "http://127.0.0.1:$PORT/v1/run" -d "$REQ")"
