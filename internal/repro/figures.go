@@ -45,15 +45,8 @@ func Fig4(opts Options) (*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The CI in nines has no width to print when the estimate
-			// is a bound (no downtime observed) or the interval reaches
-			// availability 0.
-			ci := "-"
-			if lo := mc.Availability - mc.HalfWidth; mc.Availability < 1 && lo > 0 {
-				ci = report.F3(math.Abs(stats.Nines(lo) - mc.Nines))
-			}
 			t.AddRow(report.E(l), report.F(hep),
-				report.MCNines(mc.Availability, mc.HalfWidth), ci,
+				report.MCNines(mc.Availability, mc.HalfWidth), ciNines(mc),
 				report.F3(mk.Nines()), report.B(mc.Interval().Contains(mk.IntervalAvailability)))
 		}
 	}
@@ -61,6 +54,17 @@ func Fig4(opts Options) (*report.Table, error) {
 		o.MCIterations, o.MissionTime, o.Confidence*100)
 	t.AddNote("Markov: the chain's interval availability over the same %.0fh mission (sim.Exact)", o.MissionTime)
 	return t, nil
+}
+
+// ciNines is the width of a Monte-Carlo interval in nines: the
+// distance from the estimate to the interval's lower end. It has no
+// width to print ("-") when the estimate is a bound (no downtime
+// observed) or the interval reaches availability 0.
+func ciNines(mc sim.Summary) string {
+	if lo := mc.Availability - mc.HalfWidth; mc.Availability < 1 && lo > 0 {
+		return report.F3(math.Abs(stats.Nines(lo) - mc.Nines))
+	}
+	return "-"
 }
 
 // Fig5 reproduces the paper's Fig. 5: availability of a RAID5 (3+1)
@@ -72,7 +76,7 @@ func Fig5(opts Options) (*report.Table, error) {
 	o := opts.withDefaults()
 	t := report.NewTable(
 		"Fig. 5 — RAID5(3+1) availability vs hep, Weibull failures (MC) and exponential (Markov)",
-		"lambda", "beta", "hep", "MC-Weibull nines", "Markov-exp nines")
+		"lambda", "beta", "hep", "MC-Weibull nines", "MC CI +/-", "Markov-exp nines")
 	pairs := []struct{ rate, beta float64 }{
 		{1.25e-6, 1.09}, {2.17e-6, 1.12}, {7.96e-6, 1.21}, {2.00e-5, 1.48},
 	}
@@ -89,9 +93,11 @@ func Fig5(opts Options) (*report.Table, error) {
 				return nil, err
 			}
 			t.AddRow(report.E(pr.rate), report.F(pr.beta), report.F(hep),
-				report.MCNines(mc.Availability, mc.HalfWidth), report.F3(mk.Nines()))
+				report.MCNines(mc.Availability, mc.HalfWidth), ciNines(mc), report.F3(mk.Nines()))
 		}
 	}
+	t.AddNote("MC: %d iterations x %.0fh mission, %.0f%% confidence (paper: 1e6 iterations)",
+		o.MCIterations, o.MissionTime, o.Confidence*100)
 	t.AddNote("Weibull scale chosen so the MTTF equals 1/lambda (paper Fig. 5 pairs)")
 	t.AddNote("Markov-exp: the exponential chain's interval availability over the same %.0fh mission (sim.Exact)", o.MissionTime)
 	return t, nil

@@ -37,6 +37,13 @@ func TestFig5CoversPaperPairs(t *testing.T) {
 	if !strings.Contains(tb.String(), "1.48") {
 		t.Fatal("missing the steepest Weibull shape")
 	}
+	// Every Monte-Carlo value carries its interval in nines, or "-"
+	// where the estimate is a bound.
+	for _, row := range tb.Rows {
+		if _, err := strconv.ParseFloat(row[4], 64); err != nil && row[4] != "-" {
+			t.Fatalf("MC CI column = %q", row[4])
+		}
+	}
 }
 
 func TestFig6RankingFlip(t *testing.T) {

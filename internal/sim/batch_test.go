@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,22 +50,26 @@ func TestBatchedMatchesUnbatchedCI(t *testing.T) {
 // on a reused scratch: an iteration's realization depends only on
 // (seed, iteration), never on what a previous iteration left in the
 // scratch. A warm scratch, reused for 60 iterations, must reproduce
-// exactly what a cold scratch draws for the same iteration. At these
-// parameters an iteration walks hundreds of holds, each drawn straight
-// off its stream.
+// exactly what a cold scratch draws for the same iteration, on both
+// kernels: the memoryless walkers and the generic clock walkers each
+// keep their skip counters of their own. At these parameters an
+// iteration walks hundreds of holds, each drawn straight off its
+// stream.
 func TestIterationReplayCrossesRefillBoundaries(t *testing.T) {
 	const seed, mission = 99, 1e6
 	for _, pol := range policies {
-		p := paramsFor(pol)
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		warm := newScratch(&p, Options{Kernel: KernelMemoryless})
-		for it := 0; it < 60; it++ {
-			got := warm.iterate(seed, it, mission)
-			cold := newScratch(&p, Options{Kernel: KernelMemoryless})
-			if want := cold.iterate(seed, it, mission); got != want {
-				t.Fatalf("%v: iteration %d differs warm vs cold:\n%+v\n%+v", pol, it, got, want)
+		for _, kern := range []Kernel{KernelMemoryless, KernelGeneric} {
+			p := paramsFor(pol)
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			warm := newScratch(&p, Options{Kernel: kern})
+			for it := 0; it < 60; it++ {
+				got := warm.iterate(seed, it, mission)
+				cold := newScratch(&p, Options{Kernel: kern})
+				if want := cold.iterate(seed, it, mission); got != want {
+					t.Fatalf("%v/%v: iteration %d differs warm vs cold:\n%+v\n%+v", pol, kern, it, got, want)
+				}
 			}
 		}
 	}
@@ -73,9 +78,10 @@ func TestIterationReplayCrossesRefillBoundaries(t *testing.T) {
 // TestMemorylessIterationDrawsOnlyWhatItUses pins that a memoryless
 // kernel takes each hold straight off the iteration's stream. At
 // λ 1e-9 over a 1-hour mission the first hold outlasts the mission, so
-// an iteration draws its kernel's skip counters (drawGeomGap, race
-// gaps first, then the human-error gap) and one ExpFloat64, and must
-// leave its stream exactly there, with no variate drawn ahead.
+// an iteration draws its kernel's skip counters (geom.draw, race
+// counters first, then the human-error counter) and one ExpFloat64,
+// and must leave its stream exactly there, with no variate drawn
+// ahead.
 func TestMemorylessIterationDrawsOnlyWhatItUses(t *testing.T) {
 	const seed, mission = 7, 1.0
 	for _, pol := range policies {
@@ -85,30 +91,101 @@ func TestMemorylessIterationDrawsOnlyWhatItUses(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := newScratch(&p, Options{Kernel: KernelMemoryless})
-		var gaps []race
+		var races []race
 		switch pol {
 		case AutoFailover:
-			gaps = []race{sc.foK.exp1, sc.foK.opns}
+			races = []race{sc.foK.exp1, sc.foK.opns}
 		case DualParity:
-			gaps = []race{sc.dpK.e1}
+			races = []race{sc.dpK.e1}
 		default:
-			gaps = []race{sc.convK.exp}
+			races = []race{sc.convK.exp}
 		}
 		for it := 0; it < 100; it++ {
 			if st := sc.iterate(seed, it, mission); st != (iterStats{}) {
 				t.Fatalf("%v: iteration %d saw events within the first hold: %+v", pol, it, st)
 			}
 			want := xrand.NewStream(seed, uint64(it))
-			for _, g := range gaps {
-				drawGeomGap(want, g.gapInv, g.gapQCap)
+			for _, rc := range races {
+				rc.fail.draw(want)
 			}
-			drawGeomGap(want, sc.hepInv, sc.hepQCap)
+			sc.hep.draw(want)
 			want.ExpFloat64()
 			if sc.src != *want {
 				t.Fatalf("%v: iteration %d did not leave its stream right after its %d skip counters and one ExpFloat64",
-					pol, it, len(gaps)+1)
+					pol, it, len(races)+1)
 			}
 		}
+	}
+}
+
+// TestGapTrialsAreBernoulli pins the skip counter against the trial
+// sequence it stands for. The sentinel laws never touch the stream:
+// p = 0 never fires and p = 1 always does. At p = 1e-300 every draw is
+// censored ((1-p)^gapCap rounds to 1), so a counter that runs out is
+// redrawn, never fired. At p in {0.3, 0.01, 1e-3} the successes in 2e6
+// trials lie within 5 binomial sigma of 2e6·p, and the censored draws
+// within 5 sigma of their share (1-p)^gapCap of the draws: about 53%
+// at 0.01 and 94% at 1e-3.
+func TestGapTrialsAreBernoulli(t *testing.T) {
+	for _, c := range []struct {
+		p    float64
+		fire bool
+	}{{0, false}, {1, true}} {
+		l := newGeom(c.p)
+		r := xrand.NewStream(5, 0)
+		before := *r
+		var g gap
+		for i := 0; i < 1000; i++ {
+			if g.hit(r, l) != c.fire {
+				t.Fatalf("p=%v: trial %d fired %v", c.p, i, !c.fire)
+			}
+			if *r != before {
+				t.Fatalf("p=%v: trial %d drew from the stream", c.p, i)
+			}
+		}
+	}
+
+	r := xrand.NewStream(5, 1)
+	tiny := newGeom(1e-300)
+	var g gap
+	for i := 0; i < 10*gapCap; i++ {
+		drew := g.spent()
+		if g.hit(r, tiny) {
+			t.Fatalf("p=1e-300: trial %d fired", i)
+		}
+		if drew && g.exact {
+			t.Fatalf("p=1e-300: trial %d drew an uncensored counter", i)
+		}
+	}
+
+	within := func(what string, got, n int, p float64) {
+		t.Helper()
+		mean := float64(n) * p
+		if d, sd := math.Abs(float64(got)-mean), math.Sqrt(mean*(1-p)); d > 5*sd {
+			t.Errorf("%s: %d of %d, expected %.1f ± %.1f (5 sigma)", what, got, n, mean, 5*sd)
+		}
+	}
+	for _, p := range []float64{0.3, 0.01, 1e-3} {
+		const trials = 2_000_000
+		l := newGeom(p)
+		r := xrand.NewStream(5, 2)
+		var g gap
+		hits, draws, censored := 0, 0, 0
+		for i := 0; i < trials; i++ {
+			drew := g.spent()
+			hit := g.hit(r, l)
+			if hit {
+				hits++
+			}
+			if drew {
+				draws++
+				if !hit && !g.exact {
+					censored++
+				}
+			}
+		}
+		within(fmt.Sprintf("p=%v successes", p), hits, trials, p)
+		within(fmt.Sprintf("p=%v censored draws", p), censored, draws, math.Pow(1-p, gapCap))
 	}
 }
 

@@ -22,6 +22,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 		fail[i] = p.TTF.Sample(r)
 	}
 	var st iterStats
+	var hep gap // the human-error trials' skip counter
 	t := 0.0
 
 	for t < mission {
@@ -64,7 +65,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 			break
 		}
 		t = repairEnd
-		if !sc.hepTrial(r) {
+		if !hep.hit(r, sc.hep) {
 			// Correct replacement: the failed member is fresh.
 			fail[fi] = t + p.TTF.Sample(r)
 			continue
@@ -105,7 +106,7 @@ func (sc *scratch) conventional(mission float64) iterStats {
 				resolved = true
 			default:
 				st.events.UndoAttempts++
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					// The undo itself went wrong; array stays DU.
 					st.events.HumanErrors++
 					cur = attemptEnd

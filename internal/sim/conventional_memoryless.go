@@ -65,29 +65,24 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 	var st iterStats
 	t := 0.0
 	// Both rare outcomes of the hot OK->EXPOSED->repaired cycle are
-	// skip-sampled: raceGap counts the repair-wins remaining before a
-	// second failure beats the service (geometric, drawGeomGap), and
-	// hepGap the error-free services before the next human error. The
-	// counters live in registers and are drawn lazily, so a benign
-	// cycle costs two exponential draws and two decrements; both die
-	// with the iteration, keeping iterations independent.
-	raceGap, hepGap := -1, -1
-	raceExact, hepExact := false, false
+	// skip-sampled: exp counts the repair-wins remaining before a
+	// second failure beats the service, and hep the error-free
+	// services before the next human error. The counters are drawn
+	// lazily, so a benign cycle costs two exponential draws and two
+	// decrements; both die with the iteration, keeping iterations
+	// independent.
+	var exp, hep gap
 
-	// Benign-cycle aggregation: min(raceGap, hepGap) cycles are known
-	// to be quiet — one failure, one clean repair, nothing else — so
-	// their elapsed time collapses to two Erlang draws per chunk (the
-	// sum of c iid holds per phase) instead of 2c exponentials.
+	// Benign-cycle aggregation: min(exp, hep) cycles are known to be
+	// quiet — one failure, one clean repair, nothing else — so their
+	// elapsed time collapses to two Erlang draws per chunk (the sum of
+	// c iid holds per phase) instead of 2c exponentials.
 	for t < mission {
 		if k.cycleRate > 0 {
-			if raceGap < 0 || (raceGap == 0 && !raceExact) {
-				raceGap, raceExact = drawGeomGap(r, k.exp.gapInv, k.exp.gapQCap)
-			}
-			if hepGap < 0 || (hepGap == 0 && !hepExact) {
-				hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
-			}
+			exp.fill(r, k.exp.fail)
+			hep.fill(r, sc.hep)
 			for {
-				c := quietChunk((mission-t)*k.cycleRate, raceGap, hepGap, math.MaxInt)
+				c := quietChunk((mission-t)*k.cycleRate, exp.n, hep.n, math.MaxInt)
 				if c == 0 {
 					break
 				}
@@ -100,8 +95,8 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				t += opSum + exSum
 				st.events.Failures += int64(c)
 				st.logW += float64(c) * k.exp.lnQuiet
-				raceGap -= c
-				hepGap -= c
+				exp.n -= c
+				hep.n -= c
 			}
 		}
 
@@ -114,8 +109,6 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 		// outer loop; plain quiet cycles stay in this inner loop, off
 		// the chunk-sizing arithmetic.
 		for {
-			redrawn := false
-
 			// All members up; hold for the first failure.
 			t += r.ExpFloat64() * k.invOP
 			if t >= mission {
@@ -129,33 +122,23 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				return st // exposed is up; mission ends first
 			}
 			t += dt
-			if raceGap < 0 || (raceGap == 0 && !raceExact) {
-				raceGap, raceExact = drawGeomGap(r, k.exp.gapInv, k.exp.gapQCap)
-				redrawn = true
-			}
-			if raceGap == 0 {
+			redrawn := exp.spent() || hep.spent()
+			if exp.hit(r, k.exp.fail) {
 				// Double disk failure: data loss, restore from backup.
-				raceGap = -1
 				st.events.Failures++
 				st.events.DoubleFailures++
 				st.logW += k.exp.lnFail
 				t = sc.memDataLoss(&st, t, mission, k.invTape)
 				break
 			}
-			raceGap--
 			st.logW += k.exp.lnQuiet
-			if hepGap < 0 || (hepGap == 0 && !hepExact) {
-				hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
-				redrawn = true
-			}
-			if hepGap != 0 {
-				hepGap-- // correct replacement; the array is whole again
+			if !hep.hit(r, sc.hep) {
+				// Correct replacement; the array is whole again.
 				if redrawn {
 					break // fresh counter: aggregation may pay again
 				}
 				continue
 			}
-			hepGap = -1
 
 			// Wrong disk replacement: unavailable until the error is
 			// undone; meanwhile the pulled disk may crash and the n-2
@@ -174,16 +157,11 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				if u < k.du.cutU {
 					st.logW += k.du.lnQuiet
 					st.events.UndoAttempts++
-					if hepGap < 0 || (hepGap == 0 && !hepExact) {
-						hepGap, hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
-					}
-					if hepGap == 0 {
+					if hep.hit(r, sc.hep) {
 						// The undo itself went wrong; array stays DU.
-						hepGap = -1
 						st.events.HumanErrors++
 						continue
 					}
-					hepGap--
 					// Error undone; optionally restore consistency from
 					// backup before coming back up.
 					end := t

@@ -25,6 +25,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 		fail[i] = p.TTF.Sample(r)
 	}
 	var st iterStats
+	var hep gap // the human-error trials' skip counter
 	t := 0.0
 	// missing tracks the indices currently failed or wrongly pulled
 	// (at most 3 before a restore).
@@ -54,7 +55,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 				continue
 			}
 			t = svcEnd
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				fail[down1] = t + p.TTF.Sample(r)
 				down1 = noDisk
 				continue
@@ -82,7 +83,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 				continue
 			}
 			t = svcEnd
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				// One member repaired; back to exposed-1.
 				fail[down1] = t + p.TTF.Sample(r)
 				down1, down2 = down2, noDisk
@@ -123,7 +124,7 @@ func (sc *scratch) dualParity(mission float64) iterStats {
 					break
 				}
 				st.events.UndoAttempts++
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					st.events.HumanErrors++
 					cur = attemptEnd
 					continue

@@ -43,27 +43,23 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 	var st iterStats
 	t := 0.0
 	missing := 0
-	// gap1 skip-samples the exposed-1 race: repair-wins remaining
-	// before a second failure beats the service (see
-	// conventionalMemoryless's raceGap).
-	gap1 := -1
-	exact1 := false
+	// e1 skip-samples the exposed-1 race: repair-wins remaining before
+	// a second failure beats the service (see conventionalMemoryless's
+	// exp), and hep the error-free services and undo attempts before
+	// the next human error.
+	var e1, hep gap
 
 	for t < mission {
 		switch missing {
 		case 0:
 			if k.cycleRate > 0 {
-				// Benign-cycle aggregation: min(gap1, hepGap) quiet
+				// Benign-cycle aggregation: min(e1, hep) quiet
 				// failure-repair cycles collapse into two-Erlang chunks
 				// (see conventionalMemoryless).
-				if gap1 < 0 || (gap1 == 0 && !exact1) {
-					gap1, exact1 = drawGeomGap(r, k.e1.gapInv, k.e1.gapQCap)
-				}
-				if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
-					sc.drawHEPGap(r)
-				}
+				e1.fill(r, k.e1.fail)
+				hep.fill(r, sc.hep)
 				for {
-					c := quietChunk((mission-t)*k.cycleRate, gap1, sc.hepGap, math.MaxInt)
+					c := quietChunk((mission-t)*k.cycleRate, e1.n, hep.n, math.MaxInt)
 					if c == 0 {
 						break
 					}
@@ -76,8 +72,8 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 					t += opSum + e1Sum
 					st.events.Failures += int64(c)
 					st.logW += float64(c) * k.e1.lnQuiet
-					gap1 -= c
-					sc.hepGap -= c
+					e1.n -= c
+					hep.n -= c
 				}
 			}
 			// Fully redundant: wait for the first failure.
@@ -95,19 +91,14 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 				return st
 			}
 			t += dt
-			if gap1 < 0 || (gap1 == 0 && !exact1) {
-				gap1, exact1 = drawGeomGap(r, k.e1.gapInv, k.e1.gapQCap)
-			}
-			if gap1 == 0 {
-				gap1 = -1
+			if e1.hit(r, k.e1.fail) {
 				st.events.Failures++
 				st.logW += k.e1.lnFail
 				missing = 2
 				continue
 			}
-			gap1--
 			st.logW += k.e1.lnQuiet
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				missing = 0
 				continue
 			}
@@ -133,7 +124,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 				continue
 			}
 			st.logW += k.e2.lnQuiet
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				missing = 1 // one member repaired
 				continue
 			}
@@ -152,7 +143,7 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 				if u < k.du.cutU {
 					st.logW += k.du.lnQuiet
 					st.events.UndoAttempts++
-					if sc.hepTrial(r) {
+					if hep.hit(r, sc.hep) {
 						st.events.HumanErrors++
 						continue
 					}

@@ -39,9 +39,9 @@ type race struct {
 	inv              float64 // 1/(G+F): the nominal hold
 	tot              float64 // G + b·F: the winner draw's normalizer
 	cutU, cutC, cutF float64 // undo share, G, and the biased failure share b·F
-	// gapInv and gapQCap skip-sample the failure outcome (drawGeomGap)
-	// at its biased probability cutF/tot.
-	gapInv, gapQCap float64
+	// fail is the skip-sampling law of the failure outcome, at its
+	// biased probability cutF/tot.
+	fail            geom
 	lnQuiet, lnFail float64
 }
 
@@ -62,7 +62,7 @@ func newRace(undo, crash, k, lambda, b float64) race {
 	if r.tot > 0 {
 		p = r.cutF / r.tot
 	}
-	r.gapInv, r.gapQCap = geomInv(p), geomQCap(p)
+	r.fail = newGeom(p)
 	if b > 1 && nominal > 0 {
 		r.lnQuiet = math.Log(r.tot / nominal)
 		r.lnFail = r.lnQuiet - math.Log(b)
@@ -118,25 +118,18 @@ const (
 // slice, an in-place reseedable stream and the kernel choice.
 // Allocated once per worker, it makes the per-iteration hot loop
 // allocation-free (pinned by TestHotLoopZeroAllocs). Walkers draw
-// straight off src, each law through its own Sample on p, so no draw
-// outlives its iteration.
+// straight off src, each law through its own Sample on p, and keep
+// their skip counters as locals, so no draw and no counter outlives
+// its iteration.
 type scratch struct {
 	p    *ArrayParams
 	src  xrand.Source
 	fail []float64
 
-	// hepGap counts the human-error Bernoulli(HEP) trials remaining
-	// before the next error fires (geometric skip sampling: one log
-	// draw per error instead of one uniform per trial). -1 means not
-	// drawn yet; iterate resets it so iterations stay independent.
-	// hepExact records whether the current value is a materialized gap
-	// or a censored horizon (see drawGeomGap); hepInv and hepQCap are
-	// the trial probability's precomputed geomInv divisor and
-	// censoring threshold.
-	hepGap   int
-	hepExact bool
-	hepInv   float64
-	hepQCap  float64
+	// hep is the skip-sampling law of the human-error Bernoulli(HEP)
+	// trial every service and undo attempt makes; each walker counts
+	// it down through a gap of its own.
+	hep geom
 
 	// crashInv / crash2Inv cache the inverse crash-clock rates for
 	// expInv (0 when the disks never crash while pulled).
@@ -180,8 +173,7 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 		p:         p,
 		crashInv:  inv(p.CrashRate),
 		crash2Inv: inv(2 * p.CrashRate),
-		hepInv:    geomInv(p.HEP),
-		hepQCap:   geomQCap(p.HEP),
+		hep:       newGeom(p.HEP),
 	}
 	if m, ok := memorylessRates(p); ok && (opts.Kernel == KernelAuto || opts.Kernel == KernelMemoryless) {
 		// The rate-based walkers never touch the failure clocks;
@@ -203,13 +195,13 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 }
 
 // iterate walks one array lifetime for iteration index it. Each
-// iteration reseeds the stream in place from (seed, it) and resets the
-// skip counter, so the draw sequence of an iteration depends only on
-// the master seed and the iteration index — never on which worker ran
-// it or how iterations were scheduled.
+// iteration reseeds the stream in place from (seed, it), and every
+// skip counter is a local of the walker it dispatches to, so the draw
+// sequence of an iteration depends only on the master seed and the
+// iteration index — never on which worker ran it or how iterations
+// were scheduled.
 func (sc *scratch) iterate(seed uint64, it int, mission float64) iterStats {
 	sc.src.SeedStream(seed, uint64(it))
-	sc.hepGap = -1
 	if sc.memoryless {
 		switch sc.p.Policy {
 		case AutoFailover:
@@ -265,96 +257,105 @@ func (sc *scratch) cachedNextFailure(now float64, ex int) (int, float64) {
 	return i, at
 }
 
-// hepTrial reports whether the next human-error opportunity turns into
-// an error. The trials are iid Bernoulli(HEP), realized by geometric
-// gap sampling: the number of error-free trials before the next error
-// is drawn once (floor(ln U / ln(1-hep))) and then counted down, which
-// replaces one uniform per service with one logarithm per error. A
-// censored counter that runs out is redrawn instead of firing (see
-// drawGeomGap); the fresh draw never returns a censored 0, so one
-// redraw settles the trial.
-func (sc *scratch) hepTrial(r *xrand.Source) bool {
-	if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
-		sc.drawHEPGap(r)
-	}
-	if sc.hepGap == 0 {
-		sc.hepGap = -1 // error fires; redraw before the next trial
-		return true
-	}
-	sc.hepGap--
-	return false
+// geom is the law of a skip-sampled iid Bernoulli(p) sequence: the
+// number of failures before the next success is geometric,
+// floor(ln U / ln(1-p)), so one draw replaces one uniform per trial
+// with one uniform per success. inv is the divisor's reciprocal
+// 1/ln(1-p), resolved once with the kernel constants: a negative
+// normal for 0 < p < 1, -0 for p >= 1 and +Inf for p <= 0 (both
+// sentinels draw without touching the stream). qCap is the censoring
+// threshold P(gap >= gapCap) = (1-p)^gapCap.
+type geom struct {
+	inv, qCap float64
 }
 
-// drawHEPGap draws the geometric number of error-free trials before
-// the next human error into sc.hepGap/sc.hepExact. HEP 0 never errs
-// (the counter never runs out within a mission), HEP 1 always errs;
-// neither consumes randomness, matching Bernoulli's edge behavior.
-func (sc *scratch) drawHEPGap(r *xrand.Source) {
-	sc.hepGap, sc.hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
-}
-
-// geomInv precomputes drawGeomGap's divisor as a reciprocal,
-// 1/ln(1-p): a negative normal for 0 < p < 1, -0 for p >= 1 and +Inf
-// for p <= 0 (both sentinels drawGeomGap resolves without touching
-// the stream). Resolving it once with the kernel constants removes a
-// log1p and a division from every geometric draw.
-func geomInv(p float64) float64 {
+func newGeom(p float64) geom {
 	if p <= 0 {
-		return plusInf
+		return geom{inv: plusInf}
 	}
 	if p >= 1 {
-		return math.Copysign(0, -1)
+		return geom{inv: math.Copysign(0, -1)}
 	}
-	return 1 / math.Log1p(-p)
+	ln := math.Log1p(-p)
+	return geom{inv: 1 / ln, qCap: math.Exp(float64(gapCap) * ln)}
 }
 
-// gapCap is the censoring horizon of drawGeomGap: a counter is
+// gapCap is the censoring horizon of geom.draw: a counter is
 // materialized exactly only when it falls short of gapCap trials, and
 // reported as a censored gapCap otherwise. It must be at least aggMax
 // so a censored counter never constrains a quiet chunk.
 const gapCap = aggMax
 
-// geomQCap precomputes the censoring threshold P(gap >= gapCap) =
-// (1-p)^gapCap that drawGeomGap tests its uniform against. Only
-// consulted for 0 < p < 1 (geomInv's sentinels bypass the draw).
-func geomQCap(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return math.Exp(float64(gapCap) * math.Log1p(-p))
-}
-
-// drawGeomGap draws the geometric number of failures before the next
-// success of an iid Bernoulli(p) sequence — floor(ln U / ln(1-p)) —
-// taking the divisor as the precomputed reciprocal invLn = geomInv(p)
-// and the censoring threshold qCap = geomQCap(p). p <= 0 (invLn +Inf)
-// never succeeds (MaxInt outlives any mission), p >= 1 (invLn -0)
-// always does; neither consumes randomness.
-//
-// The draw is censored at gapCap: when the uniform lands at or below
-// qCap — the gap is at least gapCap — it returns (gapCap, false)
-// without computing the logarithm. By memorylessness the excess over
-// gapCap is again geometric, so a consumer that exhausts a censored
-// counter redraws it fresh instead of firing the event; a censored
-// draw never returns 0, so one redraw settles the decision. For the
-// rare race outcomes the kernels skip-sample (p of 1e-3 and below,
-// censored ~94% of the time) this reduces the draw to one uniform and
-// one compare. Beyond the human-error trials, the memoryless kernels
-// use it for exactly those races: in a CTMC the winner of a state's
-// exit race is an iid Bernoulli draw independent of the holding
-// times.
-func drawGeomGap(r *xrand.Source, invLn, qCap float64) (gap int, exact bool) {
-	if invLn >= 0 { // the sentinels: +Inf (never) and -0 (always)
-		if invLn > 0 {
-			return math.MaxInt, true
+// draw draws a fresh counter. p <= 0 never succeeds (MaxInt outlives
+// any mission) and p >= 1 always does. Otherwise the draw is censored
+// at gapCap: when the uniform lands at or below qCap — the gap is at
+// least gapCap — it returns a censored gapCap without computing the
+// logarithm. By memorylessness the excess over gapCap is again
+// geometric, so a counter that runs out censored is redrawn instead
+// of firing (gap.spent); a censored draw is never 0, so one redraw
+// settles the trial. For the rare race outcomes the kernels
+// skip-sample (p of 1e-3 and below, censored ~94% of the time) this
+// reduces the draw to one uniform and one compare. Beyond the
+// human-error trials, the memoryless kernels use it for exactly those
+// races: in a CTMC the winner of a state's exit race is an iid
+// Bernoulli draw independent of the holding times.
+func (l geom) draw(r *xrand.Source) gap {
+	if l.inv >= 0 { // the sentinels: +Inf (never) and -0 (always)
+		if l.inv > 0 {
+			return gap{n: math.MaxInt, exact: true}
 		}
-		return 0, true
+		return gap{exact: true}
 	}
 	u := r.OpenFloat64()
-	if u <= qCap {
-		return gapCap, false
+	if u <= l.qCap {
+		return gap{n: gapCap}
 	}
-	return int(math.Log(u) * invLn), true
+	return gap{n: int(math.Log(u) * l.inv), exact: true}
+}
+
+// gap counts down one skip-sampled trial sequence: the next n trials
+// fail, and the one after them succeeds when the counter is exact or
+// redraws it when censored. The zero gap is spent — not drawn yet,
+// fired, or run out censored all redraw alike — so each walker
+// declares its counters as zero locals and draws them lazily, and no
+// counter outlives its iteration. The checks inline, so a trial that
+// only decrements and a fill with nothing to draw cost no call;
+// hitSlow and draw stay out of line.
+type gap struct {
+	n     int
+	exact bool
+}
+
+// spent reports whether the counter must be redrawn before its next
+// trial.
+func (g *gap) spent() bool { return g.n == 0 && !g.exact }
+
+// fill redraws a spent counter from its law l, so that n bounds the
+// trials known to fail (a chunk of quiet cycles).
+func (g *gap) fill(r *xrand.Source, l geom) {
+	if g.spent() {
+		*g = l.draw(r)
+	}
+}
+
+// hit runs the next trial of the sequence with law l and reports
+// whether it succeeds.
+func (g *gap) hit(r *xrand.Source, l geom) bool {
+	if g.n > 0 {
+		g.n--
+		return false
+	}
+	return g.hitSlow(r, l)
+}
+
+func (g *gap) hitSlow(r *xrand.Source, l geom) bool {
+	g.fill(r, l)
+	if g.n == 0 {
+		g.exact = false // fired: spent until redrawn
+		return true
+	}
+	g.n--
+	return false
 }
 
 // erlangChunk draws one Erlang(c) variate scaled by invRate — the

@@ -36,6 +36,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 		fail[i] = p.TTF.Sample(r)
 	}
 	var st iterStats
+	var hep gap // the human-error trials' skip counter
 	t := 0.0
 	phase := phOP
 	fi := noDisk // failed member slot
@@ -97,7 +98,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 					break
 				}
 				t = swapEnd
-				if !sc.hepTrial(r) {
+				if !hep.hit(r, sc.hep) {
 					continue // spare slot replenished: benign cycle done
 				}
 				st.events.HumanErrors++
@@ -121,7 +122,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 				continue
 			}
 			t = swapEnd
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				phase = phOP // spare slot replenished
 				continue
 			}
@@ -145,7 +146,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 				continue
 			}
 			t = svcEnd
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				fail[fi] = t + p.TTF.Sample(r)
 				sc.clocksChanged()
 				fi, phase = noDisk, phOPns
@@ -185,7 +186,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 			default:
 				st.events.UndoAttempts++
 				t = attemptEnd
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					// Second error pulls another healthy member.
 					st.events.HumanErrors++
 					pi2 = pickOther(r, n, pi, noDisk)
@@ -234,7 +235,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 					fi, pi, phase = noDisk, noDisk, phOPns
 				default:
 					st.events.UndoAttempts++
-					if sc.hepTrial(r) {
+					if hep.hit(r, sc.hep) {
 						st.events.HumanErrors++
 						cur = attemptEnd
 						continue
@@ -284,7 +285,7 @@ func (sc *scratch) failover(mission float64) iterStats {
 					t, phase = crashAt, phDUns1
 				default:
 					st.events.UndoAttempts++
-					if sc.hepTrial(r) {
+					if hep.hit(r, sc.hep) {
 						st.events.HumanErrors++
 						cur = attemptEnd
 						continue

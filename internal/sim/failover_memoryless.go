@@ -52,9 +52,9 @@ func makeFoMemK(p *ArrayParams, m memRates, bias float64, noBatch bool) foMemK {
 //
 // The benign OP -> EXP1 -> OPns -> OP cycle (failure, clean rebuild
 // onto the spare, clean swap) dominates a lifetime. Its two race
-// outcomes are skip-sampled like the conventional walker's (gap1:
-// rebuild loses to a second failure; gap2: swap loses to a failure),
-// and min(gap1, gap2, hepGap) quiet cycles are aggregated into
+// outcomes are skip-sampled like the conventional walker's (exp1:
+// rebuild loses to a second failure; opns: swap loses to a failure),
+// and min(exp1, opns, hep) quiet cycles are aggregated into
 // three-Erlang chunks (see conventionalMemoryless).
 func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 	k, r := &sc.foK, &sc.src
@@ -62,24 +62,17 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 	t := 0.0
 	phase := phOP
 	duStart := 0.0 // opening time of the active DU interval
-	gap1, gap2 := -1, -1
-	exact1, exact2 := false, false
+	var exp1, opns, hep gap
 
 	for t < mission {
 		switch phase {
 		case phOP:
 			if k.cycleRate > 0 {
-				if gap1 < 0 || (gap1 == 0 && !exact1) {
-					gap1, exact1 = drawGeomGap(r, k.exp1.gapInv, k.exp1.gapQCap)
-				}
-				if gap2 < 0 || (gap2 == 0 && !exact2) {
-					gap2, exact2 = drawGeomGap(r, k.opns.gapInv, k.opns.gapQCap)
-				}
-				if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
-					sc.drawHEPGap(r)
-				}
+				exp1.fill(r, k.exp1.fail)
+				opns.fill(r, k.opns.fail)
+				hep.fill(r, sc.hep)
 				for {
-					c := quietChunk((mission-t)*k.cycleRate, gap1, gap2, sc.hepGap)
+					c := quietChunk((mission-t)*k.cycleRate, exp1.n, opns.n, hep.n)
 					if c == 0 {
 						break
 					}
@@ -93,9 +86,9 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 					t += opSum + exSum + nsSum
 					st.events.Failures += int64(c)
 					st.logW += float64(c) * k.lnQuietCycle
-					gap1 -= c
-					gap2 -= c
-					sc.hepGap -= c
+					exp1.n -= c
+					opns.n -= c
+					hep.n -= c
 				}
 			}
 			// n members up, hot spare present.
@@ -113,11 +106,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				return st // exposed but up
 			}
 			t += dt
-			if gap1 < 0 || (gap1 == 0 && !exact1) {
-				gap1, exact1 = drawGeomGap(r, k.exp1.gapInv, k.exp1.gapQCap)
-			}
-			if gap1 == 0 {
-				gap1 = -1
+			if exp1.hit(r, k.exp1.fail) {
 				st.events.Failures++
 				st.events.DoubleFailures++
 				st.logW += k.exp1.lnFail
@@ -127,7 +116,6 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				phase = phOP
 				continue
 			}
-			gap1--
 			st.logW += k.exp1.lnQuiet
 			phase = phOPns // spare now carries the data
 
@@ -139,19 +127,14 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				return st
 			}
 			t += dt
-			if gap2 < 0 || (gap2 == 0 && !exact2) {
-				gap2, exact2 = drawGeomGap(r, k.opns.gapInv, k.opns.gapQCap)
-			}
-			if gap2 == 0 {
-				gap2 = -1
+			if opns.hit(r, k.opns.fail) {
 				st.events.Failures++
 				st.logW += k.opns.lnFail
 				phase = phEXPns1
 				continue
 			}
-			gap2--
 			st.logW += k.opns.lnQuiet
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				phase = phOP // spare slot replenished
 				continue
 			}
@@ -175,7 +158,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 				continue
 			}
 			st.logW += k.expns1.lnQuiet
-			if !sc.hepTrial(r) {
+			if !hep.hit(r, sc.hep) {
 				phase = phOPns
 				continue
 			}
@@ -195,7 +178,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 			case u < k.expns2.cutU:
 				st.logW += k.expns2.lnQuiet
 				st.events.UndoAttempts++
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					// Second error pulls another healthy member.
 					st.events.HumanErrors++
 					duStart = t
@@ -232,7 +215,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 			case u < k.du1.cutU:
 				st.logW += k.du1.lnQuiet
 				st.events.UndoAttempts++
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					st.events.HumanErrors++
 					continue // undo failed; array stays DU
 				}
@@ -269,7 +252,7 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 			case u < k.du2.cutU:
 				st.logW += k.du2.lnQuiet
 				st.events.UndoAttempts++
-				if sc.hepTrial(r) {
+				if hep.hit(r, sc.hep) {
 					st.events.HumanErrors++
 					continue
 				}
