@@ -443,7 +443,7 @@ func TestRunFingerprintStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "0645b768eb3066af6d9a3418ffd917e6"
+	const want = "2ea47804102c0eb2139542508b915ce8"
 	if fp != want {
 		t.Errorf("fingerprint drifted: got %s, want %s", fp, want)
 	}

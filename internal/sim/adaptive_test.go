@@ -126,9 +126,9 @@ func TestAdaptivePaperConfigStopsEarly(t *testing.T) {
 	// pin it so a silent change to the scan or rule shows up here.
 	// (The value moves when a kernel's draw sequence is deliberately
 	// restructured — realization changes are seed-like — most recently
-	// for the aggregation crossover of sim.Realization 2.)
-	if s.Iterations != 171908 {
-		t.Errorf("stopped at %d iterations, want the pinned 171908", s.Iterations)
+	// for the quiet-mission path of sim.Realization 8.)
+	if s.Iterations != 164094 {
+		t.Errorf("stopped at %d iterations, want the pinned 164094", s.Iterations)
 	}
 }
 

@@ -454,10 +454,10 @@ func TestBiasedHotLoopZeroAllocs(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		sc := newScratch(&p, Options{Kernel: KernelMemoryless, Bias: 8})
+		sc := newScratch(&p, Options{MissionTime: 1e5, Kernel: KernelMemoryless, Bias: 8})
 		it := 0
 		allocs := testing.AllocsPerRun(300, func() {
-			_ = sc.iterate(123, it, 1e5)
+			_ = sc.iterate(123, it)
 			it++
 		})
 		if allocs != 0 {

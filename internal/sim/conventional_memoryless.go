@@ -73,32 +73,59 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 	// independent.
 	var exp, hep gap
 
-	// Benign-cycle aggregation: min(exp, hep) cycles are known to be
-	// quiet — one failure, one clean repair, nothing else — so their
-	// elapsed time collapses to two Erlang draws per chunk (the sum of
-	// c iid holds per phase) instead of 2c exponentials.
-	for t < mission {
-		if k.cycleRate > 0 {
-			exp.fill(r, k.exp.fail)
-			hep.fill(r, sc.hep)
-			for {
-				c := quietChunk((mission-t)*k.cycleRate, exp.n, hep.n, math.MaxInt)
-				if c == 0 {
-					break
-				}
-				opSum := sc.erlangChunk(c, k.invOP)
-				exSum := sc.erlangChunk(c, k.exp.inv)
-				if t+opSum+exSum >= mission {
-					sc.resolveChunk(&st, t, mission, c, []float64{opSum, exSum}, []float64{0, k.exp.lnQuiet})
-					return st
-				}
-				t += opSum + exSum
-				st.events.Failures += int64(c)
-				st.logW += float64(c) * k.exp.lnQuiet
-				exp.n -= c
-				hep.n -= c
+	// min(exp, hep) cycles are known to be quiet — one failure, one
+	// clean repair, nothing else. When they cover the failures the
+	// mission expects, quietMission resolves the lifetime's start in
+	// O(1): the whole lifetime when it stays quiet, or up to its first
+	// eventful cycle, whose exposed phase the walk then takes over.
+	exposed := false
+	if k.cycleRate > 0 {
+		exp.fill(r, k.exp.fail)
+		hep.fill(r, sc.hep)
+		if m := min(exp.n, hep.n); sc.quietRuns(m) {
+			if t, exposed = sc.quietMission(&st, m, []float64{k.exp.inv}, []float64{k.exp.lnQuiet}); !exposed {
+				return st
 			}
+			exp.n -= m
+			hep.n -= m
 		}
+	}
+
+	for t < mission {
+		if !exposed {
+			// Benign-cycle aggregation: the quiet cycles' elapsed time
+			// collapses to two Erlang draws per chunk (the sum of c
+			// iid holds per phase) instead of 2c exponentials.
+			if k.cycleRate > 0 {
+				exp.fill(r, k.exp.fail)
+				hep.fill(r, sc.hep)
+				for {
+					c := quietChunk((mission-t)*k.cycleRate, exp.n, hep.n, math.MaxInt)
+					if c == 0 {
+						break
+					}
+					opSum := sc.erlangChunk(c, k.invOP)
+					exSum := sc.erlangChunk(c, k.exp.inv)
+					if t+opSum+exSum >= mission {
+						sc.resolveChunk(&st, t, mission, c, []float64{opSum, exSum}, []float64{0, k.exp.lnQuiet})
+						return st
+					}
+					t += opSum + exSum
+					st.events.Failures += int64(c)
+					st.logW += float64(c) * k.exp.lnQuiet
+					exp.n -= c
+					hep.n -= c
+				}
+			}
+
+			// All members up; hold for the first failure.
+			t += r.ExpFloat64() * k.invOP
+			if t >= mission {
+				return st
+			}
+			st.events.Failures++
+		}
+		exposed = false
 
 		// Quiet tail: the chunk loop stopped because the expected
 		// cycles remaining shrank below aggMin or a counter is about
@@ -109,13 +136,6 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 		// outer loop; plain quiet cycles stay in this inner loop, off
 		// the chunk-sizing arithmetic.
 		for {
-			// All members up; hold for the first failure.
-			t += r.ExpFloat64() * k.invOP
-			if t >= mission {
-				return st
-			}
-			st.events.Failures++
-
 			// Exposed: replacement service races a second member failure.
 			dt := r.ExpFloat64() * k.exp.inv
 			if t+dt >= mission {
@@ -137,6 +157,11 @@ func (sc *scratch) conventionalMemoryless(mission float64) iterStats {
 				if redrawn {
 					break // fresh counter: aggregation may pay again
 				}
+				t += r.ExpFloat64() * k.invOP
+				if t >= mission {
+					return st
+				}
+				st.events.Failures++
 				continue
 			}
 

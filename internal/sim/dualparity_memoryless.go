@@ -49,6 +49,23 @@ func (sc *scratch) dualParityMemoryless(mission float64) iterStats {
 	// the next human error.
 	var e1, hep gap
 
+	// The quiet-mission path (see conventionalMemoryless) resolves a
+	// lifetime quiet to its end, or hands the walk failure m+1 in
+	// exposed-1.
+	if k.cycleRate > 0 {
+		e1.fill(r, k.e1.fail)
+		hep.fill(r, sc.hep)
+		if m := min(e1.n, hep.n); sc.quietRuns(m) {
+			var jumped bool
+			if t, jumped = sc.quietMission(&st, m, []float64{k.e1.inv}, []float64{k.e1.lnQuiet}); !jumped {
+				return st
+			}
+			e1.n -= m
+			hep.n -= m
+			missing = 1
+		}
+	}
+
 	for t < mission {
 		switch missing {
 		case 0:

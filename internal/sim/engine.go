@@ -106,8 +106,13 @@ const (
 	// phase (about 11 ns each) plus its sizing and straddle check,
 	// while walking a cycle costs one ExpFloat64 per hold (about
 	// 6-7 ns), so chunks of two and three cycles are walked instead.
-	// Over the paper grid on one core, aggMin 3 and 4 ran a pass in
-	// the least CPU, 6 took 1.5% more and 2 took 6% more.
+	// It was measured over the paper grid before quietMission took
+	// most of those lifetimes: on one core, aggMin 3 and 4 ran a pass
+	// in the least CPU, 6 took 1.5% more and 2 took 6% more. Chunks
+	// now run where the quiet-mission path does not (a lifetime whose
+	// counters guarantee fewer quiet cycles than the mission expects,
+	// a mission expecting more than gapCap failures) and after a
+	// lifetime's first event.
 	// aggMax matches the stage counts dist.ErlangFloat64 has cached
 	// constants for.
 	aggMin = 4
@@ -122,9 +127,10 @@ const (
 // their skip counters as locals, so no draw and no counter outlives
 // its iteration.
 type scratch struct {
-	p    *ArrayParams
-	src  xrand.Source
-	fail []float64
+	p       *ArrayParams
+	mission float64 // Options.MissionTime: the horizon of every iteration
+	src     xrand.Source
+	fail    []float64
 
 	// hep is the skip-sampling law of the human-error Bernoulli(HEP)
 	// trial every service and undo attempt makes; each walker counts
@@ -155,6 +161,12 @@ type scratch struct {
 	// benign cycle, sized to the largest aggregation chunk. Cold:
 	// touched at most once per iteration, at mission end.
 	agg [3][aggMax]float64
+
+	// pois is the law of the mission's OP-time failure count that
+	// quietMission draws; nil when the memoryless walkers run without
+	// the quiet-mission path (noBatch, or a mission expecting more
+	// than gapCap failures).
+	pois *poissonTable
 }
 
 // newScratch builds a worker's scratch for a run's resolved options.
@@ -163,7 +175,9 @@ type scratch struct {
 // opts.Bias is the resolved failure-inflation factor of an
 // importance-sampled run (values <= 1 mean unbiased; Resolve refuses
 // biased requests on non-memoryless configurations before any scratch
-// is built); opts.noBatch zeroes the memoryless kernels' chunk rate.
+// is built); opts.noBatch zeroes the memoryless kernels' chunk rate
+// and leaves their quiet-mission table unbuilt. Every iteration of the
+// scratch walks opts.MissionTime.
 func newScratch(p *ArrayParams, opts Options) *scratch {
 	bias := opts.Bias
 	if bias < 1 {
@@ -171,6 +185,7 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 	}
 	sc := &scratch{
 		p:         p,
+		mission:   opts.MissionTime,
 		crashInv:  inv(p.CrashRate),
 		crash2Inv: inv(2 * p.CrashRate),
 		hep:       newGeom(p.HEP),
@@ -188,38 +203,45 @@ func newScratch(p *ArrayParams, opts Options) *scratch {
 		default:
 			sc.convK = makeConvMemK(p, m, bias, opts.noBatch)
 		}
+		// Every policy's OP hold races all n members. A lifetime's
+		// counters guarantee at most gapCap quiet cycles while a race
+		// can fail, so quietMission never runs on a mission expecting
+		// more failures than that, and the table is not built.
+		if mu := opts.MissionTime * float64(p.Disks) * m.lambda; !opts.noBatch && mu <= gapCap {
+			sc.pois = newPoissonTable(mu)
+		}
 		return sc
 	}
 	sc.fail = make([]float64, p.Disks)
 	return sc
 }
 
-// iterate walks one array lifetime for iteration index it. Each
-// iteration reseeds the stream in place from (seed, it), and every
-// skip counter is a local of the walker it dispatches to, so the draw
-// sequence of an iteration depends only on the master seed and the
-// iteration index — never on which worker ran it or how iterations
-// were scheduled.
-func (sc *scratch) iterate(seed uint64, it int, mission float64) iterStats {
+// iterate walks one array lifetime over the scratch's mission for
+// iteration index it. Each iteration reseeds the stream in place from
+// (seed, it), and every skip counter is a local of the walker it
+// dispatches to, so the draw sequence of an iteration depends only on
+// the master seed and the iteration index — never on which worker ran
+// it or how iterations were scheduled.
+func (sc *scratch) iterate(seed uint64, it int) iterStats {
 	sc.src.SeedStream(seed, uint64(it))
 	if sc.memoryless {
 		switch sc.p.Policy {
 		case AutoFailover:
-			return sc.failoverMemoryless(mission)
+			return sc.failoverMemoryless(sc.mission)
 		case DualParity:
-			return sc.dualParityMemoryless(mission)
+			return sc.dualParityMemoryless(sc.mission)
 		default:
-			return sc.conventionalMemoryless(mission)
+			return sc.conventionalMemoryless(sc.mission)
 		}
 	}
 	sc.scanOK = false
 	switch sc.p.Policy {
 	case AutoFailover:
-		return sc.failover(mission)
+		return sc.failover(sc.mission)
 	case DualParity:
-		return sc.dualParity(mission)
+		return sc.dualParity(sc.mission)
 	default:
-		return sc.conventional(mission)
+		return sc.conventional(sc.mission)
 	}
 }
 
@@ -437,4 +459,221 @@ func (sc *scratch) resolveChunk(st *iterStats, t, mission float64, c int, tot, l
 	// Unreachable up to floating-point rounding of the prefix sums;
 	// landing here means the mission boundary fell within rounding of
 	// the chunk's end, with every cycle complete.
+}
+
+// poisLen is the length of the quiet-mission count table: twice
+// gapCap, so that a Poisson count of mean at most gapCap lands past it
+// with probability below 2e-12.
+const poisLen = 2 * gapCap
+
+// poissonTable is the law of a Poisson(mu) count, drawn by inversion
+// of one uniform. cdf[k] = P(N <= k) for k < poisLen, summed from the
+// pmf recurrence p_0 = e^-mu, p_k = p_{k-1}·mu/k, and guide[i] is the
+// least k with cdf[k] > i/poisLen (a Chen-Asau guide table), so a draw
+// starts its search within a step or two of its answer. The rare
+// uniform past cdf[poisLen-1] continues the recurrence from pLast, the
+// pmf at poisLen-1.
+type poissonTable struct {
+	mu, pLast float64
+	cdf       [poisLen]float64
+	guide     [poisLen]uint8
+}
+
+func newPoissonTable(mu float64) *poissonTable {
+	t := &poissonTable{mu: mu}
+	p := math.Exp(-mu)
+	sum := p
+	t.cdf[0] = sum
+	for k := 1; k < poisLen; k++ {
+		p *= mu / float64(k)
+		sum += p
+		t.cdf[k] = sum
+	}
+	t.pLast = p
+	k := 0
+	for i := range t.guide {
+		for k < poisLen-1 && t.cdf[k] <= float64(i)/poisLen {
+			k++
+		}
+		t.guide[i] = uint8(k)
+	}
+	return t
+}
+
+// count returns the least k with P(N <= k) > u for u in [0, 1).
+func (t *poissonTable) count(u float64) int {
+	k := int(t.guide[int(u*poisLen)&(poisLen-1)])
+	for ; k < poisLen; k++ {
+		if u < t.cdf[k] {
+			return k
+		}
+	}
+	// The far tail. The recurrence stops where its terms no longer
+	// move the sum, at a probability of order 1e-16.
+	p, sum := t.pLast, t.cdf[poisLen-1]
+	for k = poisLen; ; k++ {
+		p *= t.mu / float64(k)
+		if sum+p == sum || u < sum+p {
+			return k
+		}
+		sum += p
+	}
+}
+
+// quietRuns reports whether a memoryless walker whose filled skip
+// counters guarantee m quiet benign cycles resolves its lifetime's
+// start through quietMission: only when m covers the mission's
+// expected failure count mu. The choice sees m and mu, never the
+// count the path draws, so it cannot bias the lifetime. A lifetime
+// with m < mu would mostly jump to failure m+1 and hand its walker
+// back, paying for the jump and saving little; it walks its cycles
+// and chunks instead, drawing exactly the variates it drew before the
+// path existed.
+func (sc *scratch) quietRuns(m int) bool {
+	return sc.pois != nil && float64(m) >= sc.pois.mu
+}
+
+// quietMission resolves the start of a lifetime whose skip counters
+// guarantee m >= 1 quiet benign cycles, in O(1) expected draws instead
+// of O(cycles). A cycle is the OP hold of rate n·lambda, ended by a
+// member failure, then the later phases' holds of mean inv[ph] in
+// order, each a race the counters make quiet for m cycles. It returns
+// the time and true when the walker must go on from the first later
+// phase of cycle m+1, with every counter reduced by m, or false when
+// the lifetime is quiet to mission end.
+//
+// OP holds are iid exponential and independent of the later holds, so
+// the failures arrive at the points of a Poisson process of rate
+// n·lambda on the OP-time axis: failure k comes at wall time
+// tau_k + L_{k-1}, its OP-time plus the later-phase totals of the k-1
+// cycles before it, and only a point with tau_k < T can be a failure
+// within the mission T. The path draws N, the count of such points,
+// from pois (mean mu = n·lambda·T) and stands on failure
+// k = min(N, m+1), with L_{k-1} an Erlang(k-1) total per later phase:
+//
+//   - N <= m: tau_N, the largest of N uniforms on [0, T), is
+//     T·v^(1/N) for a uniform v, so failure N fits exactly when
+//     v < (1 - L_{N-1}/T)^N, and an unbiased lifetime whose failure N
+//     fits takes no root;
+//   - N > m: tau_{m+1}, the (m+1)-th of N, is T·Beta(m+1, N-m).
+//
+// When failure k falls at or past T, the path steps down a failure:
+// given tau_k, tau_{k-1} is tau_k·Beta(k-1, 1), and given a phase's
+// total of k-1 holds, the total of the first k-2 is its Beta(k-2, 1)
+// share, both independent of what the step-down saw. Failure 1 always
+// fits. Stepping down from m+1 or from N lands on the last failure
+// within the mission of a lifetime quiet to its end. A fitting failure
+// m+1 is handed back: by the strong Markov property of the OP-time
+// process at its (m+1)-th point, every hold after it is a fresh draw,
+// and the N-m-1 later points the count promised are never used.
+//
+// ln[ph] is the quiet-race log-weight of later phase ph under
+// importance sampling (0 unbiased): each later-phase race the
+// lifetime completes within the mission weighs once. The cycles
+// before the last failure complete all of theirs; the last cycle's
+// phases complete in order while they fit, its holds the difference
+// of the totals before and after the step-down's last split, or fresh
+// draws when failure N fit at once. Unbiased lifetimes skip that
+// replay, which changes no count and no downtime.
+func (sc *scratch) quietMission(st *iterStats, m int, inv, ln []float64) (float64, bool) {
+	r, mission := &sc.src, sc.mission
+	n := sc.pois.count(r.Float64())
+	if n == 0 {
+		return mission, false
+	}
+	k := min(n, m+1)
+	// tot[ph] is phase ph's total over the k-1 cycles before failure
+	// k, prev[ph] its total over k cycles once a step-down split it.
+	var tot, prev [2]float64
+	lnCycle, later := 0.0, 0.0
+	for ph := range inv {
+		lnCycle += ln[ph]
+		if k > 1 {
+			tot[ph] = dist.ErlangFloat64(r, k-1) * inv[ph]
+			later += tot[ph]
+		}
+	}
+	var tau float64
+	if k > m {
+		tau = mission * beta(r, k, n-m)
+		if tau+later < mission {
+			st.events.Failures += int64(k)
+			st.logW += float64(m) * lnCycle
+			return tau + later, true
+		}
+	} else {
+		// tau_N = T·v^(1/N) falls short of T-later exactly when
+		// v < (1-later/T)^N, so a lifetime whose failure N fits needs
+		// no root: an unbiased one is done, and a biased one draws
+		// tau_N afresh from its law given the fit, the largest of N
+		// uniforms on [0, T-later).
+		v := r.Float64()
+		switch {
+		case !(later < mission && v < powInt(1-later/mission, n)):
+			tau = mission * math.Exp(math.Log(v)/float64(n))
+		case lnCycle == 0:
+			st.events.Failures += int64(n)
+			return mission, false
+		default:
+			tau = (mission - later) * beta(r, n, 1)
+		}
+	}
+	fresh := true
+	for tau+later >= mission {
+		if k == 1 {
+			return mission, false // tau_1 rounded up to T
+		}
+		k--
+		tau *= beta(r, k, 1)
+		prev, later = tot, 0
+		for ph := range inv {
+			if k > 1 {
+				tot[ph] *= beta(r, k-1, 1)
+			} else {
+				tot[ph] = 0
+			}
+			later += tot[ph]
+		}
+		fresh = false
+	}
+	st.events.Failures += int64(k)
+	if lnCycle == 0 {
+		return mission, false
+	}
+	st.logW += float64(k-1) * lnCycle
+	t := tau + later
+	for ph := range inv {
+		if fresh {
+			t += r.ExpFloat64() * inv[ph]
+		} else {
+			t += prev[ph] - tot[ph]
+		}
+		if t >= mission {
+			break
+		}
+		st.logW += ln[ph]
+	}
+	return mission, false
+}
+
+// powInt returns x^n for n >= 0 by repeated squaring.
+func powInt(x float64, n int) float64 {
+	p := 1.0
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			p *= x
+		}
+		x *= x
+	}
+	return p
+}
+
+// beta draws a Beta(a, b) variate for integers a, b >= 1: the share
+// Ga/(Ga+Gb) of independent Erlang(a) and Erlang(b) totals, so it
+// takes two Marsaglia-Tsang or ziggurat draws and no logarithm.
+// Beta(k, 1) is the largest of k uniforms on (0, 1), and Beta(j, k-j+1)
+// the j-th smallest.
+func beta(r *xrand.Source, a, b int) float64 {
+	x := dist.ErlangFloat64(r, a)
+	return x / (x + dist.ErlangFloat64(r, b))
 }

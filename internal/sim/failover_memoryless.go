@@ -64,6 +64,25 @@ func (sc *scratch) failoverMemoryless(mission float64) iterStats {
 	duStart := 0.0 // opening time of the active DU interval
 	var exp1, opns, hep gap
 
+	// The quiet-mission path (see conventionalMemoryless) resolves a
+	// lifetime quiet to its end, or hands the walk failure m+1 in
+	// EXP1.
+	if k.cycleRate > 0 {
+		exp1.fill(r, k.exp1.fail)
+		opns.fill(r, k.opns.fail)
+		hep.fill(r, sc.hep)
+		if m := min(exp1.n, opns.n, hep.n); sc.quietRuns(m) {
+			var jumped bool
+			if t, jumped = sc.quietMission(&st, m, []float64{k.exp1.inv, k.opns.inv}, []float64{k.exp1.lnQuiet, k.opns.lnQuiet}); !jumped {
+				return st
+			}
+			exp1.n -= m
+			opns.n -= m
+			hep.n -= m
+			phase = phEXP1
+		}
+	}
+
 	for t < mission {
 		switch phase {
 		case phOP:

@@ -157,7 +157,7 @@ func (sc *scratch) runCell(c Range, opts Options, histMax float64) Partial {
 	}
 	w := 1.0
 	for it := c.Start; it < c.End; it++ {
-		is := sc.iterate(opts.Seed, it, opts.MissionTime)
+		is := sc.iterate(opts.Seed, it)
 		if opts.Bias > 0 {
 			w = math.Exp(is.logW)
 		}

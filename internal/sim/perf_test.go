@@ -88,13 +88,16 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			sc := newScratch(&p, Options{Kernel: kern})
+			sc := newScratch(&p, Options{MissionTime: 1e5, Kernel: kern})
 			if sc.memoryless != (kern == KernelMemoryless) {
 				t.Fatalf("%v/%v: kernel not resolved as requested", pol, kern)
 			}
+			if kern == KernelMemoryless && sc.pois == nil {
+				t.Fatalf("%v: no quiet-mission table at mu 60", pol)
+			}
 			it := 0
 			allocs := testing.AllocsPerRun(300, func() {
-				_ = sc.iterate(123, it, 1e5)
+				_ = sc.iterate(123, it)
 				it++
 			})
 			if allocs != 0 {
@@ -117,13 +120,13 @@ func TestHotLoopZeroAllocsNonExponential(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sc := newScratch(&p, Options{Kernel: KernelAuto})
+	sc := newScratch(&p, Options{MissionTime: 1e5, Kernel: KernelAuto})
 	if sc.memoryless {
 		t.Fatal("non-exponential config specialized to the memoryless kernel")
 	}
 	it := 0
 	allocs := testing.AllocsPerRun(300, func() {
-		_ = sc.iterate(123, it, 1e5)
+		_ = sc.iterate(123, it)
 		it++
 	})
 	if allocs != 0 {

@@ -11,18 +11,22 @@ import (
 
 // pinnedRealization is the Realization the digest table of
 // TestRealizationPinned was pinned at.
-const pinnedRealization = 7
+const pinnedRealization = 8
 
 // TestRealizationPinned pins every kernel's realization: for each
 // policy and each walker (the memoryless kernel, its failure-biased
 // form, the generic clock walker, the unbatched memoryless reference,
-// the generic walker under the Fig. 5 Weibull lifetime law, and the
+// the generic walker under the Fig. 5 Weibull lifetime law, the
 // generic walker KernelAuto picks for an Erlang-2 repair and a
-// lognormal undo law) it hashes the Summary JSON of one small seeded
-// run and compares the first 8 bytes of the SHA-256 with the table
-// below. A refactor of a kernel must leave every digest in place. A
-// deliberate realization change bumps Realization, re-pins the table
-// and lists each re-pinned digest in CHANGES.md.
+// lognormal undo law, and the memoryless kernel at a paper-sweep
+// point) it hashes the Summary JSON of one small seeded run and
+// compares the first 8 bytes of the SHA-256 with the table below. The
+// paper-sweep rows run lambda 1e-5 and HEP 0.001 over 1e6 h, where
+// most lifetimes resolve through quietMission; the other rows expect
+// 80 failures per lifetime, past gapCap, and never reach it. A
+// refactor of a kernel must leave every digest in place. A deliberate
+// realization change bumps Realization, re-pins the table and lists
+// each re-pinned digest in CHANGES.md.
 func TestRealizationPinned(t *testing.T) {
 	if Realization != pinnedRealization {
 		t.Fatalf("Realization is %d but the table was pinned at %d: re-pin the table for realization %d",
@@ -48,6 +52,10 @@ func TestRealizationPinned(t *testing.T) {
 		"conventional/erlang-lognormal":  "b2c0c827fdd67358",
 		"auto-failover/erlang-lognormal": "6f8b33cbe50145c6",
 		"dual-parity/erlang-lognormal":   "fee1a5e25b67cb31",
+
+		"conventional/paper-rate":  "994746bfdea29292",
+		"auto-failover/paper-rate": "d92e140072455171",
+		"dual-parity/paper-rate":   "97a6ffc348557bbf",
 	}
 	modes := []struct {
 		name string
@@ -65,6 +73,12 @@ func TestRealizationPinned(t *testing.T) {
 			p.Repair = dist.NewErlang(2, 0.2)            // mean 10 h
 			p.HERecovery = dist.NewLognormal(-0.32, 0.8) // mean 1 h
 			o.Kernel = KernelAuto
+		}},
+		{"paper-rate", func(p *ArrayParams, o *Options) {
+			p.TTF = dist.NewExponential(1e-5)
+			p.HEP = 0.001
+			o.MissionTime = 1e6
+			o.Kernel = KernelMemoryless
 		}},
 	}
 	for _, pol := range policies {

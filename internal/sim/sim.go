@@ -290,7 +290,7 @@ func Resolve(p ArrayParams, o Options) (Options, error) {
 // hashes it and the shard hello carries it, so fingerprints,
 // checkpoints, cache snapshot entries and workers of another
 // realization never mix with this one's.
-const Realization = 7
+const Realization = 8
 
 // Options controls a Monte-Carlo run.
 type Options struct {
@@ -355,7 +355,8 @@ type Options struct {
 	Bias float64 `json:"Bias,omitempty"`
 
 	// noBatch turns off the memoryless kernels' benign-cycle Erlang
-	// aggregation (newScratch zeroes their chunk rate), yielding the
+	// aggregation and their quiet-mission path (newScratch zeroes
+	// their chunk rate and builds no Poisson table), yielding the
 	// cycle-by-cycle reference realization. Test-only (unexported); it
 	// never crosses the JSON wire and does not enter run fingerprints.
 	noBatch bool
